@@ -3,8 +3,9 @@
 This module is the other half of a dual-route design: sequences are built
 by construction rules in ``sequences`` and then checked here by exhaustive
 exact-identity sweeps.  Nothing in this module trusts a construction --
-``verify_fe`` expands both sides of every identity, ``decompose`` recovers
-the canonical (t, lambda, G) factorization from raw coefficient data, and
+``verify_fe`` expands both sides of every identity that its own law sweep
+does not already decide, ``decompose`` recovers the canonical
+(t, lambda, G) factorization from raw coefficient data, and
 ``uniqueness_oracle`` re-derives the quantum integers from the coefficient
 constraints alone, with the scaling unknown treated symbolically.
 """
@@ -14,13 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping
 
 from . import poly
 from .poly import Polynomial, monomial, quantum_integer
 from .rings import QQ, Ring
-from .semigroup import PrimeSet, enumerate_semigroup, seed_gcd, support_members
-from .sequences import FESequence, otimes
+from .semigroup import (PrimeSet, divisors, enumerate_semigroup, is_prime,
+                        seed_gcd, support_members)
+from .sequences import FESequence, first_noncommuting_pair, otimes
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,15 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
       * the support law: the nonzero indices <= bound must be exactly the
         declared semigroup.
 
+    The commutation identity is expanded only where the law sweep does not
+    already decide it.  When the law holds up to the bound, only the pairs
+    of primes p1 < p2 <= bound in the support with p1 p2 > bound are
+    expanded, in lexicographic order: every other member pair commutes
+    whenever those do, and a failing member pair implies a failing prime
+    pair no later in that order (proof in the body).  When the law fails,
+    every member pair is expanded.  Either way ``commutativity_ok`` and
+    ``first_failure`` are those of the sweep over all member pairs.
+
     Failures are report content, not errors; the first counterexample is
     returned with both sides.
     """
@@ -78,19 +90,32 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
         if not fe_ok:
             break
 
-    commutativity_ok = True
     members = support_members(F.support, bound)
-    for i, m in enumerate(members):
-        if not commutativity_ok:
-            break
-        for n in members[i + 1:]:
-            lhs = otimes(F.eval(m), F.eval(n), m)
-            rhs = otimes(F.eval(n), F.eval(m), n)
-            if lhs != rhs:
-                commutativity_ok = False
-                if first_failure is None:
-                    first_failure = FailedIdentity(m, n, lhs, rhs)
-                break
+    if fe_ok:
+        # Write x_n = (f_n, n) in the monoid (a, m)(b, n) = (a(q) b(q^m), mn),
+        # so the commutation identity at (m, n) says x_m x_n = x_n x_m.  The
+        # law sweep passed, so x_{mn} = x_m x_n whenever mn <= bound, hence:
+        #   * pairs (1, n) commute: x_1 x_n = x_n = x_n x_1;
+        #   * a member k <= bound is the product of x_p over its prime
+        #     factors p, all support members <= bound;
+        #   * the centraliser {y : x y = y x} is a submonoid, so x_m and x_n
+        #     commute once x_p and x_r commute for all primes p | m, r | n;
+        #   * a prime pair with p1 p2 <= bound commutes:
+        #     x_{p1} x_{p2} = x_{p1 p2} = x_{p2} x_{p1}.
+        # If (m, n) fails, some primes p | m, r | n with p != r fail, and
+        # (min(p, r), max(p, r)) is lexicographically <= (m, n): min <= m,
+        # and min = m forces p = m prime and max = r <= n.  So the first
+        # failing member pair is a prime pair with p1 p2 > bound, and
+        # sweeping only those pairs finds the same pair with the same sides.
+        primes = [p for p in members if is_prime(p)]
+        pairs = ((p1, p2) for p1, p2 in combinations(primes, 2)
+                 if p1 * p2 > bound)
+    else:
+        pairs = combinations(members, 2)
+    hit = first_noncommuting_pair(pairs, F.eval)
+    commutativity_ok = hit is None
+    if first_failure is None and hit is not None:
+        first_failure = FailedIdentity(*hit)
 
     member_set = set(members)
     support_ok = all((n in member_set) == (not F.eval(n).is_zero())
@@ -267,25 +292,14 @@ def _rational_roots(c: Polynomial) -> set[Fraction]:
         return set()
     roots = set()
     lead, const = ints[-1], ints[0]
-    for p in _int_divisors(abs(const)):
-        for q in _int_divisors(abs(lead)):
+    for p in divisors(abs(const)):
+        for q in divisors(abs(lead)):
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if c.evaluate(cand) == 0:
                     roots.add(cand)
     if c.evaluate(Fraction(0)) == 0:
         roots.add(Fraction(0))
     return roots
-
-
-def _int_divisors(n: int) -> list[int]:
-    out = []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            out.append(n // f)
-        f += 1
-    return sorted(set(out))
 
 
 def _pair_terms(n: int, k: int):

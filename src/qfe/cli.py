@@ -59,7 +59,7 @@ def parse_seed_spec(obj) -> SeedSpec:
             raise SeedSpecError(f"missing top-level key {key!r}")
     try:
         ring = ring_from_descriptor(obj["ring"])
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise SeedSpecError(f"ring: {exc}") from exc
     try:
         primes = primeset_from_json(obj["primes"])
@@ -82,6 +82,8 @@ def parse_seed_spec(obj) -> SeedSpec:
             vals = [ring.scalar_from_json(c) for c in coeffs]
         except (ValueError, TypeError) as exc:
             raise SeedSpecError(f"seeds[{key}]: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise SeedSpecError(f"seeds[{key}]: zero denominator") from exc
         h = Polynomial(ring, vals)
         if h.degree != len(coeffs) - 1:
             raise SeedSpecError(f"seeds[{key}]: last coefficient must be nonzero")
@@ -107,10 +109,13 @@ def parse_ring_flag(text: str) -> Ring:
     """--ring values: rational | gfp:p | cyclotomic:d."""
     if text == "rational":
         return QQ
-    if text.startswith("gfp:"):
-        return PrimeField(int(text[4:]))
-    if text.startswith("cyclotomic:"):
-        return CyclotomicField(int(text[len("cyclotomic:"):]))
+    try:
+        if text.startswith("gfp:"):
+            return PrimeField(int(text[4:]))
+        if text.startswith("cyclotomic:"):
+            return CyclotomicField(int(text[len("cyclotomic:"):]))
+    except ValueError as exc:
+        raise SeedSpecError(f"--ring {text}: {exc}") from exc
     raise SeedSpecError(f"unknown ring {text!r}; use rational, gfp:p, cyclotomic:d")
 
 
@@ -132,11 +137,19 @@ def builtin_sequence(name: str, ring: Ring = QQ) -> FESequence:
     raise SeedSpecError(f"unknown builtin {name!r}; have {', '.join(BUILTIN_NAMES)}")
 
 
-def resolve_sequence(token: str, ring: Ring) -> FESequence:
-    """A builtin name, or a path to a seed file."""
+def resolve_sequence(token: str, ring_flag: str | None) -> FESequence:
+    """A builtin name, or a path to a seed file.
+
+    Builtins are built over the --ring ring, rational when it is not given.
+    A seed file carries its own ring; an explicit --ring must name it.
+    """
+    ring = parse_ring_flag("rational" if ring_flag is None else ring_flag)
     if token in BUILTIN_NAMES:
         return builtin_sequence(token, ring)
     spec = load_seed_spec(token)
+    if ring_flag is not None and ring != spec.ring:
+        raise SeedSpecError(
+            f"--ring {ring_flag} conflicts with the seed file's ring {spec.ring}")
     return from_seeds(spec.primes, spec.seeds)
 
 
@@ -215,8 +228,7 @@ def _yn(flag: bool) -> str:
 
 def cmd_verify(args) -> int:
     upto = _check_upto(args.upto, low=2)
-    ring = parse_ring_flag(args.ring)
-    F = resolve_sequence(args.sequence, ring)
+    F = resolve_sequence(args.sequence, args.ring)
     report = analyze.verify_fe(F, upto)
     print_report(F.name, report, args.json)
     return EXIT_OK if report.fe_ok else EXIT_CHECK_FAILED
@@ -236,8 +248,7 @@ def decomposition_to_json(dec: analyze.Decomposition, ring: Ring,
 
 def cmd_decompose(args) -> int:
     upto = _check_upto(args.upto, low=2)
-    ring = parse_ring_flag(args.ring)
-    F = resolve_sequence(args.sequence, ring)
+    F = resolve_sequence(args.sequence, args.ring)
     report = analyze.verify_fe(F, upto)
     if not report.ok:
         print_report(F.name, report, args.json)
@@ -434,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequence", help="builtin name or seed file path")
     p.add_argument("--upto", type=int, default=64)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--ring", default="rational")
+    p.add_argument("--ring", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", help="canonical lambda(n) q^(t(n-1)) g_n "
@@ -442,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequence", help="builtin name or seed file path")
     p.add_argument("--upto", type=int, default=100)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--ring", default="rational")
+    p.add_argument("--ring", default=None)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("demo", help="run a named end-to-end scenario")

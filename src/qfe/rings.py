@@ -142,7 +142,7 @@ class RationalField(Ring):
         raise ValueError(f"rational scalar must be \"a/b\" or \"a\", got {obj!r}")
 
     def coeff_display(self, a):
-        return (a < 0, str(abs(a)) if isinstance(a, int) else str(abs(a)))
+        return (a < 0, str(abs(a)))
 
     @property
     def descriptor(self):

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from itertools import combinations
+from typing import Callable, Iterable, Mapping
 
 from . import poly
 from .poly import Polynomial, monomial, quantum_integer, scaled_quantum_integer
@@ -116,6 +117,24 @@ class CommutativityError(ValueError):
             f"{failure.lhs} != {failure.rhs}")
 
 
+def first_noncommuting_pair(
+        pairs: Iterable[tuple[int, int]], value: Callable[[int], Polynomial]
+) -> tuple[int, int, Polynomial, Polynomial] | None:
+    """The first pair (m, n) with f_m(q) f_n(q^m) != f_n(q) f_m(q^n).
+
+    ``value(k)`` supplies f_k.  Pairs are expanded in the order given and
+    the sweep stops at the first failure, returned as (m, n, lhs, rhs);
+    None when every pair commutes.
+    """
+    for m, n in pairs:
+        fm, fn = value(m), value(n)
+        lhs = otimes(fm, fn, m)
+        rhs = otimes(fn, fm, n)
+        if lhs != rhs:
+            return m, n, lhs, rhs
+    return None
+
+
 def check_seed_commutativity(
         seeds: Mapping[int, Polynomial]) -> CommutativityFailure | None:
     """Check every unordered seed pair; None on pass, else the first failure.
@@ -129,13 +148,8 @@ def check_seed_commutativity(
             raise ValueError(f"seed key {p} is not prime")
         if seeds[p].is_zero():
             raise ValueError(f"seed polynomial for {p} is zero")
-    for i, p1 in enumerate(primes):
-        for p2 in primes[i + 1:]:
-            lhs = otimes(seeds[p1], seeds[p2], p1)
-            rhs = otimes(seeds[p2], seeds[p1], p2)
-            if lhs != rhs:
-                return CommutativityFailure(p1, p2, lhs, rhs)
-    return None
+    hit = first_noncommuting_pair(combinations(primes, 2), seeds.__getitem__)
+    return None if hit is None else CommutativityFailure(*hit)
 
 
 def from_seeds(primes, seeds: Mapping[int, Polynomial]) -> FESequence:

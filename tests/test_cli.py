@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfe import QQ, quantum_integer
-from qfe.cli import (DEMO_NAMES, SEEDS_257, builtin_sequence, main,
-                     parse_ring_flag)
+from qfe.cli import (DEMO_NAMES, SEEDS_257, SeedSpec, SeedSpecError,
+                     builtin_sequence, main, parse_ring_flag, parse_seed_spec)
 from tests.conftest import SEED_COEFFS_257
 
 
@@ -91,6 +93,11 @@ def test_malformed_inputs_exit_2(capsys, tmp_path):
         {"ring": {"kind": "rational"}, "primes": [2], "seeds": {"2": ["1", "0"]}},
         {"ring": {"kind": "rational"}, "primes": "all", "seeds": {}},
         {"ring": {"kind": "rational"}, "primes": [4], "seeds": {"4": ["1"]}},
+        {"ring": {"kind": "rational"}, "primes": [2], "seeds": {"2": ["1", "1/0"]}},
+        {"ring": {"kind": "cyclotomic", "d": 4}, "primes": [2],
+         "seeds": {"2": [["1", "0"], ["1/0", "1"]]}},
+        {"ring": {"kind": "prime_field", "p": float("inf")}, "primes": [2],
+         "seeds": {"2": ["1"]}},
     ):
         path = write_spec(tmp_path, "broken.json", broken)
         code, _, err = run(capsys, "construct", path)
@@ -226,8 +233,79 @@ def test_ring_flag_parsing():
     assert parse_ring_flag("rational") is QQ
     assert parse_ring_flag("gfp:5").p == 5
     assert parse_ring_flag("cyclotomic:12").d == 12
-    with pytest.raises(Exception):
-        parse_ring_flag("float")
+    for bad in ("float", "gfp:x", "gfp:4", "gfp:", "cyclotomic:x",
+                "cyclotomic:0"):
+        with pytest.raises(SeedSpecError):
+            parse_ring_flag(bad)
+
+
+@pytest.mark.parametrize("flag", ["gfp:x", "gfp:4", "cyclotomic:x"])
+def test_bad_ring_flag_exits_2(capsys, flag):
+    code, out, err = run(capsys, "verify", "quantum", "--ring", flag)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_explicit_ring_must_match_seed_file(capsys, spec_p2, tmp_path):
+    code, _, err = run(capsys, "verify", spec_p2, "--ring", "gfp:3")
+    assert code == 2 and "conflicts" in err and err.count("\n") == 1
+    code, _, err = run(capsys, "decompose", spec_p2, "--ring", "cyclotomic:4")
+    assert code == 2 and "conflicts" in err
+    code, out, _ = run(capsys, "verify", spec_p2, "--upto", "16",
+                       "--ring", "rational")
+    assert code == 0 and "fe_ok: true" in out
+    # Without --ring a seed file is read over its own ring.
+    spec_z = write_spec(tmp_path, "z4.json", {
+        "ring": {"kind": "cyclotomic", "d": 4},
+        "primes": [3],
+        "seeds": {"3": [["1", "0"], ["0", "1"], ["-1", "0"]]},
+    })
+    code, out, err = run(capsys, "verify", spec_z, "--upto", "27")
+    assert code == 0 and "fe_ok: true" in out, err
+    code, out, _ = run(capsys, "verify", spec_z, "--upto", "27",
+                       "--ring", "cyclotomic:4")
+    assert code == 0 and "fe_ok: true" in out
+
+
+# Numbers stay small: a huge p or d is costly to validate, which is a
+# separate open item, not a parse failure.
+json_scalars = (st.none() | st.booleans() | st.integers(-1000, 1000)
+                | st.floats(-1000, 1000) | st.text(max_size=6)
+                | st.sampled_from(["1", "-2", "3/4", "1/0", "0/0", "x", "7",
+                                   float("inf"), float("nan")]))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+ring_params = json_scalars | st.sampled_from(
+    [7, 4, 0, -3, 7.5, "7", True, float("inf"), float("nan")])
+ring_descriptors = json_values | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["rational", "prime_field", "cyclotomic", "x"]),
+     "p": ring_params, "d": ring_params})
+coefficient_lists = json_values | st.lists(
+    json_scalars | st.lists(json_scalars, max_size=3), max_size=4)
+seed_specs = json_values | st.fixed_dictionaries(
+    {"ring": ring_descriptors,
+     "primes": json_values | st.lists(st.integers(-3, 13), max_size=3)
+     | st.just("all"),
+     "seeds": json_values | st.dictionaries(
+         st.sampled_from(["2", "3", "5", "02", "x"]) | st.text(max_size=3),
+         coefficient_lists, max_size=3)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=seed_specs)
+@example(obj={"ring": {"kind": "rational"}, "primes": [2],
+              "seeds": {"2": ["1", "1/0"]}})
+@example(obj={"ring": {"kind": "cyclotomic", "d": float("inf")},
+              "primes": [2], "seeds": {"2": [["1"]]}})
+def test_parse_seed_spec_returns_a_spec_or_raises_seed_spec_error(obj):
+    try:
+        spec = parse_seed_spec(obj)
+    except SeedSpecError:
+        return
+    assert isinstance(spec, SeedSpec)
 
 
 def test_verify_builtin_over_prime_field(capsys):
