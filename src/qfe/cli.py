@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +60,7 @@ def parse_seed_spec(obj) -> SeedSpec:
             raise SeedSpecError(f"missing top-level key {key!r}")
     try:
         ring = ring_from_descriptor(obj["ring"])
-    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+    except ValueError as exc:
         raise SeedSpecError(f"ring: {exc}") from exc
     try:
         primes = primeset_from_json(obj["primes"])
@@ -102,21 +103,30 @@ def load_seed_spec(path: str) -> SeedSpec:
         raise SeedSpecError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SeedSpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Bytes that are not UTF-8, an integer over Python's digit limit,
+        # or nesting deeper than the decoder's recursion limit.
+        raise SeedSpecError(f"{path}: {exc}") from exc
     return parse_seed_spec(obj)
 
 
+RING_FLAG_KINDS = {"gfp": ("prime_field", "p"), "cyclotomic": ("cyclotomic", "d")}
+
+
 def parse_ring_flag(text: str) -> Ring:
-    """--ring values: rational | gfp:p | cyclotomic:d."""
+    """--ring values: rational | gfp:p | cyclotomic:d, built as descriptors."""
     if text == "rational":
         return QQ
+    prefix, colon, number = text.partition(":")
+    if not colon or prefix not in RING_FLAG_KINDS:
+        raise SeedSpecError(f"unknown ring {text!r}; use rational, gfp:p, cyclotomic:d")
+    kind, key = RING_FLAG_KINDS[prefix]
     try:
-        if text.startswith("gfp:"):
-            return PrimeField(int(text[4:]))
-        if text.startswith("cyclotomic:"):
-            return CyclotomicField(int(text[len("cyclotomic:"):]))
+        if not re.fullmatch(r"-?[0-9]+", number):
+            raise ValueError(f"{key} must be a decimal integer")
+        return ring_from_descriptor({"kind": kind, key: int(number)})
     except ValueError as exc:
         raise SeedSpecError(f"--ring {text}: {exc}") from exc
-    raise SeedSpecError(f"unknown ring {text!r}; use rational, gfp:p, cyclotomic:d")
 
 
 def builtin_sequence(name: str, ring: Ring = QQ) -> FESequence:

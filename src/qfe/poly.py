@@ -181,34 +181,42 @@ class Polynomial:
             out.pop()
         return Polynomial._raw(self.ring, out)
 
-    def exact_div(self, g: "Polynomial") -> "Polynomial":
-        """The quotient f / g when g divides f exactly; InexactDivision otherwise."""
+    def divmod(self, g: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """(quo, rem) with f = quo * g + rem and rem zero or of lower degree than g.
+
+        The one general long division; every nonzero scalar is a unit here.
+        """
         self._check_ring(g)
         if not g.coeffs:
             raise ValueError("division by the zero polynomial")
         ring = self.ring
-        if not self.coeffs:
-            return self
-        if len(self.coeffs) < len(g.coeffs):
-            raise InexactDivision(f"degree of {self} is below degree of divisor")
+        dd = len(g.coeffs) - 1
+        if len(self.coeffs) <= dd:
+            return Polynomial._raw(ring, []), self
         rem = list(self.coeffs)
-        den = g.coeffs
-        dd = len(den) - 1
         sub, mul, is_zero = ring.sub, ring.mul, ring.is_zero
-        lead_inv = ring.inv(den[-1])
-        den_pairs = [(j, y) for j, y in enumerate(den) if not is_zero(y)]
+        lead_inv = ring.inv(g.coeffs[-1])
+        g_pairs = [(j, y) for j, y in enumerate(g.coeffs) if not is_zero(y)]
         quo = [ring.zero] * (len(rem) - dd)
         for i in range(len(rem) - dd - 1, -1, -1):
             c = mul(rem[i + dd], lead_inv)
             if not is_zero(c):
                 quo[i] = c
-                for j, y in den_pairs:
+                for j, y in g_pairs:
                     rem[i + j] = sub(rem[i + j], mul(c, y))
-        if any(not is_zero(r) for r in rem):
+        del rem[dd:]
+        while rem and is_zero(rem[-1]):
+            rem.pop()
+        return Polynomial._raw(ring, quo), Polynomial._raw(ring, rem)
+
+    def exact_div(self, g: "Polynomial") -> "Polynomial":
+        """The quotient f / g when g divides f exactly; InexactDivision otherwise."""
+        quo, rem = self.divmod(g)
+        if rem.coeffs:
+            if len(self.coeffs) < len(g.coeffs):
+                raise InexactDivision(f"degree of {self} is below degree of divisor")
             raise InexactDivision(f"{g} does not divide {self}")
-        while quo and is_zero(quo[-1]):
-            quo.pop()
-        return Polynomial._raw(ring, quo)
+        return quo
 
     def evaluate(self, x):
         """Value at a scalar of the same ring (Horner)."""

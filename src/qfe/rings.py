@@ -21,10 +21,17 @@ needs no synchronization.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .semigroup import divisors, euler_phi, is_prime
+from .semigroup import MAX_PRIME, divisors, is_prime
+
+# Largest cyclotomic order accepted from outside input: Phi_d and Q(z)
+# arithmetic cost grow with d, and d = 10**9 would not finish.
+MAX_CYCLOTOMIC_ORDER = 1000
+
+_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _as_rational(v):
@@ -36,6 +43,18 @@ def _as_rational(v):
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else v
     raise TypeError(f"not an exact rational value: {v!r}")
+
+
+def _scalar_from_json(obj, what: str, integral: bool = False):
+    """The one literal grammar: a JSON integer, or a string "a" or "a/b"."""
+    if type(obj) is int:  # not bool
+        return obj
+    if isinstance(obj, str):
+        m = _LITERAL.fullmatch(obj)
+        if m and not (integral and m.group(1)):
+            return _as_rational(Fraction(obj))
+    form = "\"a\"" if integral else "\"a\" or \"a/b\""
+    raise ValueError(f"{what} must be an integer or a string {form}, got {obj!r}")
 
 
 class Ring:
@@ -83,7 +102,7 @@ class Ring:
     # -- textual interface (seed files, reports) --
 
     def scalar_to_json(self, a):
-        raise NotImplementedError
+        return str(a)
 
     def scalar_from_json(self, obj):
         raise NotImplementedError
@@ -125,21 +144,13 @@ class RationalField(Ring):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        f = Fraction(1, 1) / a
-        return int(f) if f.denominator == 1 else f
+        return _as_rational(Fraction(1) / a)
 
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def scalar_to_json(self, a):
-        return str(a)
-
     def scalar_from_json(self, obj):
-        if isinstance(obj, int):
-            return obj
-        if isinstance(obj, str):
-            return _as_rational(Fraction(obj))
-        raise ValueError(f"rational scalar must be \"a/b\" or \"a\", got {obj!r}")
+        return _scalar_from_json(obj, "rational scalar")
 
     def coeff_display(self, a):
         return (a < 0, str(abs(a)))
@@ -197,15 +208,8 @@ class PrimeField(Ring):
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def scalar_to_json(self, a):
-        return str(a)
-
     def scalar_from_json(self, obj):
-        if isinstance(obj, int):
-            return obj % self.p
-        if isinstance(obj, str):
-            return int(obj, 10) % self.p
-        raise ValueError(f"GF({self.p}) scalar must be a decimal string, got {obj!r}")
+        return _scalar_from_json(obj, f"GF({self.p}) scalar", integral=True) % self.p
 
     def coeff_display(self, a):
         return (False, str(a))
@@ -221,91 +225,23 @@ class PrimeField(Ring):
         return f"GF({self.p})"
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
-    """Integer coefficients of the d-th cyclotomic polynomial, ascending.
-
-    Computed by the exact recursion (x^d - 1) / prod of lower-order factors.
-    """
-    if d < 1:
-        raise ValueError(f"cyclotomic index must be >= 1, got {d}")
-    num = [0] * (d + 1)
-    num[0], num[d] = -1, 1
-    for e in divisors(d):
-        if e == d:
-            continue
-        num = _int_poly_divexact(num, _cyclotomic_coeffs(e))
-    return tuple(num)
-
-
-def _int_poly_divexact(num: list[int], den) -> list[int]:
-    """Exact division of integer polynomials; den must be monic."""
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    quo = [0] * (dn - dd + 1)
-    for i in range(dn - dd, -1, -1):
-        c = num[i + dd]
-        if c:
-            quo[i] = c
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("division was not exact")
-    return quo
-
-
-def _frac_poly_divmod(num, den):
-    """Divide coefficient lists over the rationals; returns (quotient, remainder)."""
-    rem = list(num)
-    while rem and rem[-1] == 0:
-        rem.pop()
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(rem) < len(den):
-        return [], rem
-    lead_inv = Fraction(1, 1) / den[-1]
-    quo = [Fraction(0)] * (len(rem) - len(den) + 1)
-    for i in range(len(rem) - len(den), -1, -1):
-        c = rem[i + len(den) - 1] * lead_inv
-        if c:
-            quo[i] = c
-            for j, dj in enumerate(den):
-                rem[i + j] -= c * dj
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
-
-
 class CyclotomicField(Ring):
     """Q(z) for z a primitive d-th root of unity; Cyclotomic(1) is just Q."""
 
     kind = "cyclotomic"
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ValueError(f"cyclotomic index must be >= 1, got {d}")
         self.d = d
-        self.phi = euler_phi(d)
-        self.modulus = _cyclotomic_coeffs(d)
+        self.modulus = cyclotomic_polynomial(d).coeffs
+        self.phi = len(self.modulus) - 1  # deg Phi_d = euler_phi(d)
         self.zero = (0,) * self.phi
-        one = [0] * self.phi
-        one[0] = 1
-        self.one = tuple(one)
-        if self.phi == 1:
-            # z is rational: the root of the linear modulus x + c.
-            self.zeta = (_as_rational(-self.modulus[0]),)
-        else:
-            z = [0] * self.phi
-            z[1] = 1
-            self.zeta = tuple(z)
+        self.one = self.normalize(1)
+        # z is the class of x in Q[x]/Phi_d: the rational -c when Phi_d = x + c.
+        self.zeta = self.normalize([0, 1])
 
     def normalize(self, v):
         if isinstance(v, (int, Fraction)):
-            vec = [_as_rational(v)] + [0] * (self.phi - 1)
-            return tuple(vec)
+            v = [v]
         vec = [_as_rational(c) for c in v]
         if len(vec) > self.phi:
             vec = self._reduce(vec)
@@ -346,23 +282,17 @@ class CyclotomicField(Ring):
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        # Extended Euclid against the (irreducible) modulus.
-        old_r, r = [Fraction(x) for x in a], [Fraction(x) for x in self.modulus]
-        old_s, s = [Fraction(1)], [Fraction(0)]
-        while any(r):
-            quo, rem = _frac_poly_divmod(old_r, r)
+        from .poly import Polynomial, one, zero
+
+        # Extended Euclid over Q against the irreducible modulus: the last
+        # nonzero remainder is a nonzero constant g with s * a = g mod Phi_d.
+        old_r, r = Polynomial(QQ, a), Polynomial(QQ, self.modulus)
+        old_s, s = one(QQ), zero(QQ)
+        while not r.is_zero():
+            quo, rem = old_r.divmod(r)
             old_r, r = r, rem
-            prod = [Fraction(0)] * (len(quo) + len(s))
-            for i, qi in enumerate(quo):
-                if qi:
-                    for j, sj in enumerate(s):
-                        prod[i + j] += qi * sj
-            new_s = [x - y for x, y in zip(old_s + [Fraction(0)] * len(prod),
-                                           prod + [Fraction(0)] * len(old_s))]
-            old_s, s = s, new_s
-        g = next(x for x in old_r if x)
-        out = [x / g for x in old_s]
-        return self.normalize(out)
+            old_s, s = s, old_s - quo * s
+        return self.normalize(old_s.scale(QQ.inv(old_r.coeffs[0])).coeffs)
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
@@ -374,8 +304,8 @@ class CyclotomicField(Ring):
         if not isinstance(obj, list) or len(obj) != self.phi:
             raise ValueError(
                 f"cyclotomic({self.d}) scalar must be an array of {self.phi} "
-                f"rational strings, got {obj!r}")
-        return self.normalize([Fraction(str(c)) for c in obj])
+                f"rationals, got {obj!r}")
+        return self.normalize([_scalar_from_json(c, "coordinate") for c in obj])
 
     def coeff_display(self, a):
         if all(x == 0 for x in a[1:]):
@@ -420,24 +350,46 @@ def scalar_text(ring: Ring, a) -> str:
 
 
 def ring_from_descriptor(obj: dict) -> Ring:
-    """Build a ring from its JSON descriptor (see each ring's .descriptor)."""
+    """Build a ring from its JSON descriptor (see each ring's .descriptor).
+
+    The one path from outside input to a ring: p and d are JSON integers,
+    capped before any primality test or Phi_d runs.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"ring descriptor must be an object with a \"kind\": {obj!r}")
     kind = obj["kind"]
     if kind == "rational":
         return QQ
     if kind == "prime_field":
-        return PrimeField(int(obj["p"]))
+        return PrimeField(_capped_int(obj, "p", MAX_PRIME))
     if kind == "cyclotomic":
-        return CyclotomicField(int(obj["d"]))
+        return CyclotomicField(_capped_int(obj, "d", MAX_CYCLOTOMIC_ORDER))
     raise ValueError(f"unknown ring kind {kind!r}")
 
 
-def cyclotomic_polynomial(d: int):
-    """The d-th cyclotomic polynomial as a Polynomial over the rationals."""
-    from .poly import Polynomial
+def _capped_int(obj: dict, key: str, cap: int) -> int:
+    v = obj.get(key)
+    if type(v) is not int:  # bool is an int subclass
+        raise ValueError(f"{obj['kind']} {key} must be an integer, got {v!r}")
+    if v > cap:
+        raise ValueError(f"{obj['kind']} {key} must be at most {cap}")
+    return v
 
-    return Polynomial(QQ, list(_cyclotomic_coeffs(d)))
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(d: int):
+    """The d-th cyclotomic polynomial over the rationals (integer coefficients).
+
+    The exact recursion Phi_d = (q^d - 1) / prod of Phi_e over e | d, e < d.
+    """
+    from .poly import monomial, one
+
+    if d < 1:
+        raise ValueError(f"cyclotomic index must be >= 1, got {d}")
+    lower = one(QQ)
+    for e in divisors(d)[:-1]:
+        lower = lower * cyclotomic_polynomial(e)
+    return (monomial(QQ, d) - one(QQ)).exact_div(lower)
 
 
 def root_of_unity_order(ring: Ring, z) -> int | None:

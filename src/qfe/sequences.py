@@ -32,7 +32,7 @@ from . import poly
 from .poly import Polynomial, monomial, quantum_integer, scaled_quantum_integer
 from .rings import QQ, Ring, scalar_text
 from .semigroup import (ALL_PRIMES, PrimeSet, factorize, in_semigroup,
-                        is_prime, seed_gcd, support_members)
+                        is_prime, seed_gcd)
 
 
 def otimes(fm: Polynomial, fn: Polynomial, m: int) -> Polynomial:
@@ -46,8 +46,6 @@ def oplus(fm: Polynomial, fn: Polynomial, m: int) -> Polynomial:
     """fm (+) fn at left index m: fm(q) + q^m * fn(q)."""
     if m < 1:
         raise ValueError(f"left index must be >= 1, got {m}")
-    if fm.ring != fn.ring:
-        raise ValueError(f"ring mismatch: {fm.ring} vs {fn.ring}")
     return fm + fn.shift(m)
 
 
@@ -369,58 +367,42 @@ def assemble(t, lam, G: FESequence) -> FESequence:
 
     t is an exact nonnegative rational; t(n-1) must be a nonnegative integer
     for every evaluated support member (checked per evaluation, since t may
-    be a proper fraction such as 1/3 on sparse supports).  lam gives the
-    completely multiplicative scalar part, as either
-
-      * a mapping from support members to nonzero scalars -- checked for
-        multiplicativity on every tabulated pair and extended to missing
-        members from their prime factorization, or
-      * a callable n -> scalar -- spot-checked for multiplicativity on
-        sampled pairs of small support members.
+    be a proper fraction such as 1/3 on sparse supports).  lam is the
+    completely multiplicative scalar part as a mapping from support members
+    to nonzero scalars: checked for multiplicativity on every tabulated pair
+    and extended to missing members from their prime factorization, which
+    determines it.
     """
+    if not isinstance(lam, Mapping):
+        raise TypeError(f"lambda must be a mapping from support members to "
+                        f"scalars, got {type(lam).__name__}")
     t = Fraction(t)
     if t < 0:
         raise ValueError(f"exponent slope must be >= 0, got {t}")
     ring = G.ring
-
-    if callable(lam):
-        def lam_at(n: int):
-            v = ring.normalize(lam(n))
-            if ring.is_zero(v):
-                raise ValueError(f"lambda({n}) = 0 on the support")
-            return v
-
-        sample = support_members(G.support, 24)
-        for i, m in enumerate(sample):
-            for n in sample[i:]:
-                if lam_at(m * n) != ring.mul(lam_at(m), lam_at(n)):
+    table = {n: ring.normalize(v) for n, v in lam.items()}
+    for n, v in table.items():
+        if ring.is_zero(v):
+            raise ValueError(f"lambda({n}) = 0 on the support")
+    keys = sorted(table)
+    for i, m in enumerate(keys):
+        for n in keys[i:]:
+            if m * n in table:
+                if table[m * n] != ring.mul(table[m], table[n]):
                     raise ValueError(
                         f"lambda is not completely multiplicative: "
                         f"lambda({m})*lambda({n}) != lambda({m * n})")
-    else:
-        table = {n: ring.normalize(v) for n, v in lam.items()}
-        for n, v in table.items():
-            if ring.is_zero(v):
-                raise ValueError(f"lambda({n}) = 0 on the support")
-        keys = sorted(table)
-        for i, m in enumerate(keys):
-            for n in keys[i:]:
-                if m * n in table:
-                    if table[m * n] != ring.mul(table[m], table[n]):
-                        raise ValueError(
-                            f"lambda is not completely multiplicative: "
-                            f"lambda({m})*lambda({n}) != lambda({m * n})")
 
-        def lam_at(n: int):
-            got = table.get(n)
-            if got is not None:
-                return got
-            acc = ring.one
-            for p, e in factorize(n).factors:
-                if p not in table:
-                    raise ValueError(f"lambda table has no value for prime {p}")
-                acc = ring.mul(acc, ring.pow(table[p], e))
-            return acc
+    def lam_at(n: int):
+        got = table.get(n)
+        if got is not None:
+            return got
+        acc = ring.one
+        for p, e in factorize(n).factors:
+            if p not in table:
+                raise ValueError(f"lambda table has no value for prime {p}")
+            acc = ring.mul(acc, ring.pow(table[p], e))
+        return acc
 
     def rule(n: int) -> Polynomial:
         e = t * (n - 1)

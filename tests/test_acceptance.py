@@ -14,7 +14,7 @@ from qfe import (QQ, CyclotomicField, FESequence, PrimeField, PrimeSet,
                  ZetaAdmissibilityError, additive_sequence, assemble,
                  check_seed_commutativity, decompose, dilate_sequence,
                  enumerate_semigroup, exact_quotient_sequence, from_rationals,
-                 identity_sequence, monomial, monomial_sequence,
+                 identity_sequence, is_prime, monomial, monomial_sequence,
                  oplus, otimes, product_sequence, psi_substitute_sequence,
                  quantum_integer, quantum_sequence, rational_quotient,
                  reciprocal_sequence, scaled_quantum_integer, seed_gcd,
@@ -94,7 +94,8 @@ def test_criterion_05_decomposition_round_trip(seq_257):
         families = [
             quantum_sequence(),
             monomial_sequence(),
-            assemble(1, lambda n: n, quantum_sequence()),
+            assemble(1, {p: p for p in range(2, 201) if is_prime(p)},
+                     quantum_sequence()),
             seq_257,
         ]
         for F in families:

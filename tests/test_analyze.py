@@ -5,7 +5,7 @@ import pytest
 from qfe import (QQ, CyclotomicField, DecompositionError,
                  DeltaInconsistencyError, FESequence, PrimeSet, assemble,
                  check_quantum_forced, decompose, from_rationals, monomial,
-                 infer_degree_t, monomial_sequence, quantum_integer,
+                 infer_degree_t, is_prime, monomial_sequence, quantum_integer,
                  quantum_sequence, solve_delta, support_members,
                  uniqueness_oracle, verify_fe, zeta_admissibility)
 from qfe.cli import builtin_sequence
@@ -93,7 +93,8 @@ def test_decompose_monomial():
 
 
 def test_decompose_scaled_shifted_quantum():
-    F = assemble(1, lambda n: n, quantum_sequence())
+    F = assemble(1, {p: p for p in range(2, 41) if is_prime(p)},
+                 quantum_sequence())
     assert verify_fe(F, 20).ok
     dec = decompose(F, 40)
     assert dec.t == 1
@@ -112,7 +113,8 @@ def test_decompose_rejects_non_solutions():
 @pytest.mark.parametrize("build, bound", [
     (lambda s: quantum_sequence(), 100),
     (lambda s: monomial_sequence(), 100),
-    (lambda s: assemble(1, lambda n: n, quantum_sequence()), 60),
+    (lambda s: assemble(1, {p: p for p in range(2, 61) if is_prime(p)},
+                        quantum_sequence()), 60),
     (lambda s: s, 200),
 ])
 def test_decomposition_round_trip(build, bound, seq_257):

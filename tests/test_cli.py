@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -98,11 +100,46 @@ def test_malformed_inputs_exit_2(capsys, tmp_path):
          "seeds": {"2": [["1", "0"], ["1/0", "1"]]}},
         {"ring": {"kind": "prime_field", "p": float("inf")}, "primes": [2],
          "seeds": {"2": ["1"]}},
+        # Ring fields are JSON integers, capped before any work runs.
+        {"ring": {"kind": "prime_field", "p": 7.5}, "primes": [2],
+         "seeds": {"2": ["1"]}},
+        {"ring": {"kind": "prime_field", "p": "7"}, "primes": [2],
+         "seeds": {"2": ["1"]}},
+        {"ring": {"kind": "cyclotomic", "d": True}, "primes": [2],
+         "seeds": {"2": [["1"]]}},
+        {"ring": {"kind": "cyclotomic", "d": "12"}, "primes": [2],
+         "seeds": {"2": [["1", "0", "0", "0"]]}},
+        {"ring": {"kind": "cyclotomic", "d": 10**9}, "primes": [2],
+         "seeds": {"2": [["1"]]}},
+        {"ring": {"kind": "prime_field", "p": 2**61 - 1}, "primes": [2],
+         "seeds": {"2": ["1"]}},
+        {"ring": {"kind": "rational"}, "primes": [2**61 - 1],
+         "seeds": {str(2**61 - 1): ["1"]}},
+        # One literal grammar: a JSON integer or "a" / "a/b".
+        {"ring": {"kind": "rational"}, "primes": [2], "seeds": {"2": ["1e999999999"]}},
+        {"ring": {"kind": "rational"}, "primes": [2], "seeds": {"2": [" 7 "]}},
+        {"ring": {"kind": "rational"}, "primes": [2], "seeds": {"2": ["1_000"]}},
+        {"ring": {"kind": "rational"}, "primes": [2], "seeds": {"2": ["2.5"]}},
+        {"ring": {"kind": "rational"}, "primes": [2], "seeds": {"2": [True]}},
+        {"ring": {"kind": "prime_field", "p": 7}, "primes": [2],
+         "seeds": {"2": ["1/2"]}},
+        {"ring": {"kind": "cyclotomic", "d": 4}, "primes": [2],
+         "seeds": {"2": [[1.5, 0]]}},
     ):
         path = write_spec(tmp_path, "broken.json", broken)
-        code, _, err = run(capsys, "construct", path)
+        code, out, err = run(capsys, "construct", path)
         assert code == 2, broken
-        assert "error:" in err
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    # Decoder failures that are not JSONDecodeError: bytes that are not
+    # UTF-8, an integer over Python's digit limit, very deep nesting.
+    for raw in (b"\xff\xfe",
+                b'{"primes": [1' + b"0" * 5000 + b"]}",
+                b"[" * 100000 + b"]" * 100000):
+        bad_json.write_bytes(raw)
+        code, out, err = run(capsys, "verify", str(bad_json))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_noncommuting_seeds_exit_3(capsys, tmp_path):
@@ -233,13 +270,18 @@ def test_ring_flag_parsing():
     assert parse_ring_flag("rational") is QQ
     assert parse_ring_flag("gfp:5").p == 5
     assert parse_ring_flag("cyclotomic:12").d == 12
+    assert parse_ring_flag("cyclotomic:1000").d == 1000
+    assert parse_ring_flag("gfp:2147483647").p == 2**31 - 1
     for bad in ("float", "gfp:x", "gfp:4", "gfp:", "cyclotomic:x",
-                "cyclotomic:0"):
+                "cyclotomic:0", "gfp", "gfp:7.5", "gfp: 7", "gfp:+7",
+                "gfp:7_0", "cyclotomic:12.0", "cyclotomic:1001",
+                "gfp:2305843009213693951", "gfp:" + "9" * 5000):
         with pytest.raises(SeedSpecError):
             parse_ring_flag(bad)
 
 
-@pytest.mark.parametrize("flag", ["gfp:x", "gfp:4", "cyclotomic:x"])
+@pytest.mark.parametrize("flag", ["gfp:x", "gfp:4", "cyclotomic:x",
+                                  "cyclotomic:1001", "gfp:2305843009213693951"])
 def test_bad_ring_flag_exits_2(capsys, flag):
     code, out, err = run(capsys, "verify", "quantum", "--ring", flag)
     assert code == 2 and out == ""
@@ -267,10 +309,8 @@ def test_explicit_ring_must_match_seed_file(capsys, spec_p2, tmp_path):
     assert code == 0 and "fe_ok: true" in out
 
 
-# Numbers stay small: a huge p or d is costly to validate, which is a
-# separate open item, not a parse failure.
-json_scalars = (st.none() | st.booleans() | st.integers(-1000, 1000)
-                | st.floats(-1000, 1000) | st.text(max_size=6)
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6)
                 | st.sampled_from(["1", "-2", "3/4", "1/0", "0/0", "x", "7",
                                    float("inf"), float("nan")]))
 json_values = st.recursive(
@@ -293,6 +333,19 @@ seed_specs = json_values | st.fixed_dictionaries(
          st.sampled_from(["2", "3", "5", "02", "x"]) | st.text(max_size=3),
          coefficient_lists, max_size=3)})
 
+# Seed files of the documented shape, so that main also reaches exits 0 and 3.
+literals = st.integers(-2, 2) | st.sampled_from(["1", "-1", "3/4", "0", "0/5"])
+well_formed_specs = st.sampled_from([
+    ({"kind": "rational"}, literals),
+    ({"kind": "prime_field", "p": 3}, literals.filter(lambda c: "/" not in str(c))),
+    ({"kind": "cyclotomic", "d": 3}, st.lists(literals, min_size=2, max_size=2)),
+]).flatmap(lambda ring_scalars: st.fixed_dictionaries({
+    "ring": st.just(ring_scalars[0]),
+    "primes": st.just([2, 3]),
+    "seeds": st.fixed_dictionaries({
+        p: st.lists(ring_scalars[1], min_size=1, max_size=3) for p in ("2", "3")}),
+}))
+
 
 @settings(max_examples=300, deadline=None)
 @given(obj=seed_specs)
@@ -300,12 +353,43 @@ seed_specs = json_values | st.fixed_dictionaries(
               "seeds": {"2": ["1", "1/0"]}})
 @example(obj={"ring": {"kind": "cyclotomic", "d": float("inf")},
               "primes": [2], "seeds": {"2": [["1"]]}})
+@example(obj={"ring": {"kind": "cyclotomic", "d": 10**9},
+              "primes": [2], "seeds": {"2": [["1"]]}})
+@example(obj={"ring": {"kind": "prime_field", "p": 2**61 - 1},
+              "primes": [2], "seeds": {"2": ["1"]}})
+@example(obj={"ring": {"kind": "rational"}, "primes": [2**61 - 1],
+              "seeds": {str(2**61 - 1): ["1"]}})
+@example(obj={"ring": {"kind": "rational"}, "primes": [2],
+              "seeds": {"2": ["1e999999999"]}})
 def test_parse_seed_spec_returns_a_spec_or_raises_seed_spec_error(obj):
     try:
         spec = parse_seed_spec(obj)
     except SeedSpecError:
         return
     assert isinstance(spec, SeedSpec)
+
+
+@pytest.fixture(scope="module")
+def seed_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "seed.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=seed_specs | well_formed_specs)
+@example(obj={"ring": {"kind": "rational"}, "primes": [2], "seeds": {"2": ["1", "1"]}})
+@example(obj={"ring": {"kind": "cyclotomic", "d": 10**9},
+              "primes": [2], "seeds": {"2": [["1"]]}})
+@example(obj={"ring": {"kind": "rational"}, "primes": [2],
+              "seeds": {"2": ["1e999999999"]}})
+def test_main_never_raises_on_a_seed_file(obj, seed_path):
+    seed_path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(seed_path), "--upto", "8"])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 def test_verify_builtin_over_prime_field(capsys):

@@ -1,0 +1,68 @@
+"""Byte-for-byte guard on CLI output.
+
+Each case runs ``qfe.cli.main`` on a fixed argument list and compares the
+exit status and stdout with ``tests/golden/<case>.txt``, whose first line is
+``exit N`` and whose remainder is the captured stdout.  The files were
+captured before Q(zeta_d) was rebuilt on ``Polynomial``; decompose over
+Q(zeta_12) inverts field elements, so it covers that Euclid end to end.
+
+After a deliberate change of output, re-capture with
+``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from qfe.cli import BUILTIN_NAMES, DEMO_NAMES, main
+
+GOLDEN = Path(__file__).parent / "golden"
+# Seed-file inputs (also under golden/) and the --upto each is read to.
+SEED_FILES = {"seeds-257": 16, "seeds-z4": 27}
+RINGS = ("rational", "gfp:7", "cyclotomic:12")
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {f"demo-{name}": ["demo", name] for name in DEMO_NAMES}
+    cases["oracle-12"] = ["oracle", "--upto", "12"]
+    for stem, upto in SEED_FILES.items():
+        path = str(GOLDEN / f"{stem}.json")
+        cases[f"construct-{stem}"] = ["construct", path, "--upto", str(upto)]
+    for cmd in ("verify", "decompose"):
+        for fmt in ([], ["--json"]):
+            tag = "-".join([cmd] + [f[2:] for f in fmt])
+            for ring in RINGS:
+                for name in BUILTIN_NAMES:
+                    cases[f"{tag}-{name}-{ring.replace(':', '')}"] = [
+                        cmd, name, "--upto", "16", "--ring", ring, *fmt]
+            for stem, upto in SEED_FILES.items():
+                cases[f"{tag}-{stem}"] = [
+                    cmd, str(GOLDEN / f"{stem}.json"), "--upto", str(upto), *fmt]
+    return cases
+
+
+CASES = _cases()
+
+
+def capture(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return f"exit {code}\n{out.getvalue()}".encode("utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case):
+    expected = (GOLDEN / f"{case}.txt").read_bytes()
+    assert capture(CASES[case]) == expected
+
+
+if __name__ == "__main__":
+    for case, argv in sorted(CASES.items()):
+        (GOLDEN / f"{case}.txt").write_bytes(capture(argv))
+    print(f"wrote {len(CASES)} golden files to {GOLDEN}", file=sys.stderr)

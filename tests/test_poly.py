@@ -75,6 +75,18 @@ def test_exact_div_examples():
         from_rationals([1, 1]).exact_div(from_rationals([1, 0, 1]))
     with pytest.raises(ValueError):
         f.exact_div(zero(QQ))
+    # Errors in order of precedence: ring mismatch, zero divisor, degree
+    # below the divisor's, nonzero remainder.
+    g = from_rationals([1, 0, 1])
+    with pytest.raises(ValueError, match="ring mismatch"):
+        q1.exact_div(zero(PrimeField(2)))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        zero(QQ).exact_div(zero(QQ))
+    with pytest.raises(InexactDivision, match="below degree"):
+        q1.exact_div(g)
+    with pytest.raises(InexactDivision, match="does not divide"):
+        (g * q1 + one(QQ)).exact_div(g)
+    assert zero(QQ).exact_div(g) == zero(QQ)
 
 
 def test_quantum_integer_examples():
@@ -157,6 +169,35 @@ def test_valuation_is_additive(f, g):
 @given(f=polys, g=nonzero_polys)
 def test_exact_div_undoes_multiplication(f, g):
     assert (f * g).exact_div(g) == f
+
+
+def ring_polys(ring):
+    if isinstance(ring, CyclotomicField):
+        coords = st.sampled_from([-2, -1, 0, 0, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
+        scalars = st.lists(coords, min_size=ring.phi, max_size=ring.phi).map(ring.normalize)
+    elif isinstance(ring, PrimeField):
+        scalars = st.integers(0, ring.p - 1)
+    else:
+        scalars = st.fractions(-9, 9, max_denominator=6)
+    return st.lists(scalars, max_size=5).map(lambda cs: Polynomial(ring, cs))
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(7), CyclotomicField(12)], ids=str)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_divmod_is_division_with_remainder(ring, data):
+    g = data.draw(ring_polys(ring).filter(lambda p: not p.is_zero()), label="g")
+    # f = h g + r, with r often zero so that exact quotients come up too.
+    h, r = data.draw(ring_polys(ring), label="h"), data.draw(ring_polys(ring), label="r")
+    f = h * g + r
+    quo, rem = f.divmod(g)
+    assert quo * g + rem == f
+    assert rem.is_zero() or rem.degree < g.degree
+    if rem.is_zero():
+        assert f.exact_div(g) == quo
+    else:
+        with pytest.raises(InexactDivision):
+            f.exact_div(g)
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from qfe import (QQ, CyclotomicField, PrimeField, cyclotomic_polynomial,
                  euler_phi, from_rationals, ring_from_descriptor,
                  root_of_unity_order)
+from qfe.rings import MAX_CYCLOTOMIC_ORDER
+from qfe.semigroup import MAX_PRIME
 from qfe.poly import Polynomial, monomial, one
 
 rational_values = st.one_of(
@@ -113,8 +115,22 @@ def test_root_of_unity_orders():
 def test_ring_descriptors_round_trip():
     for ring in (QQ, PrimeField(7), CyclotomicField(12)):
         assert ring_from_descriptor(ring.descriptor) == ring
-    with pytest.raises(ValueError):
-        ring_from_descriptor({"kind": "padic"})
+    # p and d are JSON integers up to the caps, which are inclusive.
+    assert ring_from_descriptor({"kind": "prime_field", "p": MAX_PRIME}).p == MAX_PRIME
+    d = MAX_CYCLOTOMIC_ORDER
+    assert ring_from_descriptor({"kind": "cyclotomic", "d": d}).d == d
+    for bad in ({"kind": "padic"},
+                {"kind": "prime_field", "p": 7.5},
+                {"kind": "prime_field", "p": "7"},
+                {"kind": "prime_field", "p": True},
+                {"kind": "prime_field"},
+                {"kind": "prime_field", "p": 2**61 - 1},  # before is_prime runs
+                {"kind": "cyclotomic", "d": True},
+                {"kind": "cyclotomic", "d": "12"},
+                {"kind": "cyclotomic", "d": 12.0},
+                {"kind": "cyclotomic", "d": 10**9}):  # before Phi_d is built
+        with pytest.raises(ValueError):
+            ring_from_descriptor(bad)
 
 
 def test_scalar_json_round_trips():
@@ -128,6 +144,21 @@ def test_scalar_json_round_trips():
     assert K4.scalar_from_json(K4.scalar_to_json(z)) == z
     with pytest.raises(ValueError):
         K4.scalar_from_json(["1"])  # wrong length
+    # One literal grammar: a JSON integer, or a string -?[0-9]+(/[0-9]+)?;
+    # GF(p) takes no fractions.
+    assert QQ.scalar_from_json(7) == 7
+    assert QQ.scalar_from_json("-6/4") == Fraction(-3, 2)
+    assert PrimeField(7).scalar_from_json(-1) == 6
+    assert K4.scalar_from_json([1, "1/2"]) == (1, Fraction(1, 2))
+    for bad in (True, 2.5, None, "1e999999999", " 7 ", "1_000", "2.5", "+1",
+                "1/-2", "", "\u0663"):
+        with pytest.raises(ValueError):
+            QQ.scalar_from_json(bad)
+        with pytest.raises(ValueError):
+            K4.scalar_from_json([bad, "0"])
+    for bad in ("1/2", True, 1.0):
+        with pytest.raises(ValueError):
+            PrimeField(7).scalar_from_json(bad)
 
 
 @given(a=rational_values, b=rational_values, c=rational_values)
@@ -147,14 +178,15 @@ def test_prime_field_ring_axioms(a, b, c):
         assert F7.mul(a, F7.inv(a)) == 1
 
 
-K12 = CyclotomicField(12)
-
-
-@settings(max_examples=60)
-@given(a=cyclo_values(K12), b=cyclo_values(K12), c=cyclo_values(K12))
-def test_cyclotomic_ring_axioms(a, b, c):
-    assert K12.add(K12.add(a, b), c) == K12.add(a, K12.add(b, c))
-    assert K12.mul(a, K12.mul(b, c)) == K12.mul(K12.mul(a, b), c)
-    assert K12.mul(a, K12.add(b, c)) == K12.add(K12.mul(a, b), K12.mul(a, c))
-    if not K12.is_zero(a):
-        assert K12.mul(a, K12.inv(a)) == K12.one
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12, 15])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_cyclotomic_ring_axioms(d, data):
+    # d = 1, 2 (phi = 1) run the Euclid in inv against a linear modulus.
+    K = CyclotomicField(d)
+    a, b, c = (data.draw(cyclo_values(K)) for _ in range(3))
+    assert K.add(K.add(a, b), c) == K.add(a, K.add(b, c))
+    assert K.mul(a, K.mul(b, c)) == K.mul(K.mul(a, b), c)
+    assert K.mul(a, K.add(b, c)) == K.add(K.mul(a, b), K.mul(a, c))
+    if not K.is_zero(a):
+        assert K.mul(a, K.inv(a)) == K.one

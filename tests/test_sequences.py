@@ -9,8 +9,8 @@ from qfe import (ALL_PRIMES, QQ, CommutativityError, CyclotomicField,
                  ZetaAdmissibilityError, additive_sequence, assemble,
                  check_seed_commutativity, dilate_sequence,
                  enumerate_semigroup, exact_quotient_sequence, from_rationals,
-                 from_seeds, identity_sequence, monomial_sequence, oplus,
-                 otimes, product_sequence, psi_substitute_sequence,
+                 from_seeds, identity_sequence, is_prime, monomial_sequence,
+                 oplus, otimes, product_sequence, psi_substitute_sequence,
                  quantum_integer, quantum_sequence, rational_quotient,
                  reciprocal_sequence, scaled_quantum_integer, verify_fe,
                  zeta_scaled_sequence)
@@ -288,13 +288,14 @@ def test_rational_quotient_value_off_support():
 
 
 def test_assemble_monomial_times_quantum():
-    F = assemble(1, lambda n: 1, quantum_sequence())
+    F = assemble(1, {p: 1 for p in range(2, 21) if is_prime(p)},
+                 quantum_sequence())
     assert all(F.eval(n) == quantum_integer(n).shift(n - 1) for n in range(1, 21))
     assert verify_fe(F, 20).ok
 
 
 def test_assemble_identity_cases(seq_257):
-    same = assemble(0, lambda n: 1, seq_257)
+    same = assemble(0, {2: 1, 5: 1, 7: 1}, seq_257)
     for n in (1, 2, 10, 50):
         assert same.eval(n) == seq_257.eval(n)
 
@@ -318,6 +319,8 @@ def test_assemble_rejects_bad_data():
         assemble(-1, {1: 1}, base)
     with pytest.raises(ValueError):
         assemble(1, {1: 1}, base).eval(6)  # no lambda value for 2, 3
+    with pytest.raises(TypeError):
+        assemble(1, lambda n: 1, base)  # lambda is a table, not a callable
 
 
 def test_additive_sequence_examples():
