@@ -224,7 +224,9 @@ def decompose(F: FESequence, bound: int) -> Decomposition:
         f = F.eval(n)
         v = f.valuation()
         unit = ring.inv(f.coefficient(v))
-        return Polynomial(ring, f.coeffs[v:]).scale(unit)
+        # A slice of a normalized polynomial that keeps its last coefficient
+        # is normalized already.
+        return Polynomial._raw(ring, f.coeffs[v:]).scale(unit)
 
     G = FESequence(ring, F.support, core_rule, f"core({F.name})")
     return Decomposition(t, delta, lam, G)

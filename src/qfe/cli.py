@@ -2,13 +2,15 @@
 
 Outputs are deterministic: tables sorted by index, JSON keys sorted, no
 timestamps.  Exit statuses: 0 success / all checks confirmed, 1 a
-mathematical check failed, 2 malformed input, 3 seed commutativity failed.
+mathematical check failed, 2 malformed input, 3 seed commutativity failed,
+141 stdout was closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_MALFORMED = 2
 EXIT_COMMUTATIVITY = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 # Degrees grow like t * upto; this cap keeps the largest printed polynomial
 # well under ~10^5 terms for the sequences the tool builds.
@@ -73,10 +76,14 @@ def parse_seed_spec(obj) -> SeedSpec:
         raise SeedSpecError("seeds: must be an object keyed by prime strings")
     seeds: dict[int, Polynomial] = {}
     for key, coeffs in raw_seeds.items():
+        # Only the canonical decimal of a positive integer: int() alone
+        # would also read "+2", " 2", "0_2" and non-ASCII digits as 2.
         try:
             p = int(key, 10)
-        except ValueError as exc:
-            raise SeedSpecError(f"seeds: key {key!r} is not an integer") from exc
+        except ValueError:
+            p = 0
+        if p < 1 or str(p) != key:
+            raise SeedSpecError(f"seeds: key {key!r} is not a positive decimal integer")
         if not isinstance(coeffs, list) or not coeffs:
             raise SeedSpecError(f"seeds[{key}]: must be a nonempty array")
         try:
@@ -481,6 +488,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout (``qfe ... | head``).  Point stdout at
+        # devnull so that the interpreter's flush at exit stays quiet too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except CommutativityError as exc:
         fail = exc.failure
         print(f"error: seeds for ({fail.p1}, {fail.p2}) do not commute",

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -125,6 +129,9 @@ def test_malformed_inputs_exit_2(capsys, tmp_path):
          "seeds": {"2": ["1/2"]}},
         {"ring": {"kind": "cyclotomic", "d": 4}, "primes": [2],
          "seeds": {"2": [[1.5, 0]]}},
+        # Seed keys are the canonical decimal of a positive integer.
+        *({"ring": {"kind": "rational"}, "primes": [2], "seeds": {key: ["1", "1"]}}
+          for key in ("+2", " 2", "2 ", "0_2", "02", "\u0662", "0", "-2")),
     ):
         path = write_spec(tmp_path, "broken.json", broken)
         code, out, err = run(capsys, "construct", path)
@@ -361,12 +368,18 @@ well_formed_specs = st.sampled_from([
               "seeds": {str(2**61 - 1): ["1"]}})
 @example(obj={"ring": {"kind": "rational"}, "primes": [2],
               "seeds": {"2": ["1e999999999"]}})
+@example(obj={"ring": {"kind": "rational"}, "primes": [2], "seeds": {"+2": ["1"]}})
+@example(obj={"ring": {"kind": "rational"}, "primes": [2], "seeds": {" 2": ["1"]}})
+@example(obj={"ring": {"kind": "rational"}, "primes": [2], "seeds": {"0_2": ["1"]}})
+@example(obj={"ring": {"kind": "rational"}, "primes": [2], "seeds": {"\u0662": ["1"]}})
 def test_parse_seed_spec_returns_a_spec_or_raises_seed_spec_error(obj):
     try:
         spec = parse_seed_spec(obj)
     except SeedSpecError:
         return
     assert isinstance(spec, SeedSpec)
+    # Each key is the decimal text of the prime it seeds.
+    assert sorted(map(str, spec.seeds)) == sorted(obj["seeds"])
 
 
 @pytest.fixture(scope="module")
@@ -403,3 +416,21 @@ def test_builtin_seeds_match_ratio_definition():
     for p, h in SEEDS_257.items():
         assert h == quantum_integer(p).dilate(3).exact_div(quantum_integer(p))
     assert builtin_sequence("quantum").eval(3) == quantum_integer(3)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
+    # About 400 kB of output, far more than a pipe holds, printed line by line.
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "qfe", "decompose",
+            str(root / "tests" / "golden" / "seeds-257.json"), "--upto", "2000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == b"sequence: seeds(P={2,5,7})\n"
+    assert code == 141 and err == b""

@@ -5,6 +5,10 @@ exit status and stdout with ``tests/golden/<case>.txt``, whose first line is
 ``exit N`` and whose remainder is the captured stdout.  The files were
 captured before Q(zeta_d) was rebuilt on ``Polynomial``; decompose over
 Q(zeta_12) inverts field elements, so it covers that Euclid end to end.
+The ``seeds-23-frac`` files, captured before the packed kernels over Q
+were added, cover their Fraction path: the seeds are
+lambda(p) [p]_{q^5} / [p]_q on P = {2, 3} with lambda = 5/6 and -2/3, read
+to 150, far enough that products exceed 64 coefficient pairs.
 
 After a deliberate change of output, re-capture with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
@@ -23,7 +27,7 @@ from qfe.cli import BUILTIN_NAMES, DEMO_NAMES, main
 
 GOLDEN = Path(__file__).parent / "golden"
 # Seed-file inputs (also under golden/) and the --upto each is read to.
-SEED_FILES = {"seeds-257": 16, "seeds-z4": 27}
+SEED_FILES = {"seeds-257": 16, "seeds-z4": 27, "seeds-23-frac": 150}
 RINGS = ("rational", "gfp:7", "cyclotomic:12")
 
 
