@@ -8,20 +8,45 @@ it cannot slip into arithmetic the way -1 could).
 
 Polynomials are immutable values and every operation is pure.
 
-Multiplication is schoolbook convolution over the sparse operands, except
-over Q, where a product with more than PACK_MIN_OPS nonzero coefficient
-pairs goes through a packed big-integer kernel (Kronecker substitution)
-when it is dense (more than PACK_DENSE pairs per output coefficient) or
-carries Fractions (more than one pair per PACK_FRACTION output
-coefficients, read off the leading coefficients).  The kernel clears each
-operand to one common denominator and an int vector, packs the vector
-into one int at a width that provably holds every result coefficient,
-makes one bigint product, and unpacks.  Scaling over Q clears to one
-common denominator the same way when the scalar or the leading
-coefficient is a Fraction.  Exact division over Q, when the long division
-would take more than PACK_MIN_OPS steps (quotient length times nonzero
-divisor coefficients), packs both sides, takes one bigint quotient and accepts it only when the width
-proves it exact; otherwise it falls back to ``divmod``.
+Multiplication is schoolbook convolution over the nonzero coefficients,
+except for a product with more than PACK_MIN_OPS nonzero coefficient pairs
+that is dense (more than PACK_DENSE pairs per output coefficient) in any
+of the three rings, or that is not very sparse (more than one pair per
+PACK_FRACTION output coefficients) and has costly scalars: a Fraction
+leading coefficient over Q, or any product over Q(zeta_d).  Such a product
+goes through one packed big-integer kernel (Kronecker substitution).  It
+writes each operand as one int vector over one common denominator, packs
+the vector into one int at a width that provably holds every result slot,
+makes one bigint product, unpacks, and maps the slots back:
+
+* over Q a coefficient is one slot, and the slots are divided by the
+  product of the two denominators;
+* over GF(p) the residues are packed as they are (so the width is at most
+  2 bits(p - 1) + bits(min len) + 2) and the slots are reduced mod p;
+* over Q(zeta_d) a coefficient's phi coordinates take the first phi of a
+  row of 2 phi - 1 slots, so the product of two rows never spills into
+  the next: one bigint product gives the product in Z[q, z] before
+  reduction, and each result slot sums at most phi * min(len) products.
+  Every output row is then reduced modulo the monic integer Phi_d, top
+  slot first, and divided by the two denominators.  Q is the phi = 1
+  layout of the same kernel.
+
+Scaling over Q clears to one common denominator the same way when the
+scalar or the leading coefficient is a Fraction.  Exact division, when the
+long division would take more than PACK_MIN_OPS steps (quotient length
+times nonzero divisor coefficients), packs both sides over Q, takes one
+bigint quotient and accepts it only when the width proves it exact.  Over
+Q(zeta_d), when every divisor coefficient g lies in Q, it divides each
+coordinate polynomial f_j by g the same way: g divides f in Q(zeta_d)[q]
+exactly when it divides every f_j in Q[q], because g is rational and
+1, z, ..., z^(phi - 1) is a basis of Q(zeta_d) over Q.  Every other case,
+and every quotient the width does not prove, falls back to ``divmod``.
+
+Composition f(psi) splits f = lo + q^h hi with h a power of two, so that
+f(psi) = lo(psi) + psi^h hi(psi); each psi^(2^i) is squared once, and
+Horner runs only on pieces of at most COMPOSE_LEAF coefficients.  The
+products are then balanced and dense, where the linear Horner loop made
+deg f products of a growing accumulator by a short psi.
 """
 
 from __future__ import annotations
@@ -33,14 +58,17 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable
 
-from .rings import QQ, RationalField, Ring
+from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring
 
-# Packed-kernel selection over Q; see the module docstring.  Measured on a
-# 2-CPU x86 host with Python 3.11: a schoolbook pair costs about 0.08 us on
-# ints and 4 us on Fractions, a packed output coefficient about 0.2-0.3 us.
+# Packed-kernel selection; see the module docstring.  Measured on a 2-CPU
+# x86 host with Python 3.11: a schoolbook pair costs about 0.08 us on ints
+# and residues, 4 us on Fractions and 3 us on Q(zeta_12) coordinates; a
+# packed output coefficient about 0.2-0.3 us over Q and GF(p).
 PACK_MIN_OPS = 64
 PACK_DENSE = 4
 PACK_FRACTION = 16
+# Largest piece of f that compose evaluates by Horner.
+COMPOSE_LEAF = 8
 
 
 class InexactDivision(ArithmeticError):
@@ -130,25 +158,26 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial._raw(ring, [])
-        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-        # Skip zero coefficients up front: dilated operands are mostly zeros.
-        apairs = [(i, x) for i, x in enumerate(a) if not is_zero(x)]
-        bpairs = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+        zero = ring.zero
         n = len(a) + len(b) - 1
-        ops = len(apairs) * len(bpairs)
-        # Sparse integer products stay schoolbook: unpacking the packed
-        # product costs more than the few pairs do.
-        if (ops > PACK_MIN_OPS and isinstance(ring, RationalField)
-                and (ops > PACK_DENSE * n
-                     or (PACK_FRACTION * ops > n
-                         and (type(a[-1]) is Fraction or type(b[-1]) is Fraction)))):
-            return Polynomial._raw(ring, _packed_mul(a, b))
-        out = [ring.zero] * n
+        ops = (len(a) - a.count(zero)) * (len(b) - b.count(zero))
+        # Sparse products of cheap scalars stay schoolbook: unpacking the
+        # packed product costs more than the few pairs do.
+        if ops > PACK_MIN_OPS and (
+                ops > PACK_DENSE * n
+                or (PACK_FRACTION * ops > n and _costly_scalars(ring, a, b))):
+            return Polynomial._raw(ring, _packed_mul(ring, a, b))
+        add, mul = ring.add, ring.mul
+        # Skip zero coefficients: dilated operands are mostly zeros.  A
+        # normalized value is zero exactly when it equals ring.zero.
+        apairs = [(i, x) for i, x in enumerate(a) if x != zero]
+        bpairs = [(j, y) for j, y in enumerate(b) if y != zero]
+        out = [zero] * n
         for i, x in apairs:
             for j, y in bpairs:
                 k = i + j
                 out[k] = add(out[k], mul(x, y))
-        while out and is_zero(out[-1]):
+        while out and out[-1] == zero:
             out.pop()
         return Polynomial._raw(ring, out)
 
@@ -200,14 +229,23 @@ class Polynomial:
         return Polynomial._raw(self.ring, out)
 
     def compose(self, psi: "Polynomial") -> "Polynomial":
-        """f(psi(q)) by Horner evaluation in the polynomial ring."""
+        """f(psi(q)), by the balanced split of the module docstring."""
         self._check_ring(psi)
-        if not self.coeffs:
-            return self
-        acc = constant(self.ring, self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * psi + constant(self.ring, c)
-        return acc
+        ring = self.ring
+        squares = [psi]  # squares[i] = psi^(2^i)
+
+        def value(cs):
+            if len(cs) <= COMPOSE_LEAF:
+                acc = zero(ring)
+                for c in reversed(cs):
+                    acc = acc * psi + constant(ring, c)
+                return acc
+            i = (len(cs) - 1).bit_length() - 1  # h = 2^i < len(cs) <= 2h
+            while len(squares) <= i:
+                squares.append(squares[-1] * squares[-1])
+            h = 1 << i
+            return value(cs[:h]) + squares[i] * value(cs[h:])
+        return value(self.coeffs)
 
     def reciprocal(self) -> "Polynomial":
         """q**deg(f) * f(1/q): the coefficient-reversed polynomial."""
@@ -251,12 +289,13 @@ class Polynomial:
         self._check_ring(g)
         if not g.coeffs:
             raise ValueError("division by the zero polynomial")
+        ring = self.ring
         f, d = self.coeffs, g.coeffs
-        if (len(f) >= len(d) and isinstance(self.ring, RationalField)
-                and (len(f) - len(d) + 1) * (len(d) - d.count(0)) > PACK_MIN_OPS):
-            quo = _packed_quotient(f, d)
+        if (len(f) >= len(d)
+                and (len(f) - len(d) + 1) * (len(d) - d.count(ring.zero)) > PACK_MIN_OPS):
+            quo = _packed_div(ring, f, d)
             if quo is not None:
-                return Polynomial._raw(self.ring, quo)
+                return Polynomial._raw(ring, quo)
         quo, rem = self.divmod(g)
         if rem.coeffs:
             if len(self.coeffs) < len(g.coeffs):
@@ -295,20 +334,20 @@ class Polynomial:
             return "0"
         ring = self.ring
         parts = []
+        # (negative, magnitude, prefix before q) per distinct coefficient,
+        # () for zero: a value's coefficients repeat a few scalars.
+        shown = {}
         for i, c in enumerate(self.coeffs):
-            if ring.is_zero(c):
+            display = shown.get(c)
+            if display is None:
+                display = shown[c] = () if ring.is_zero(c) else _display(ring, c)
+            if not display:
                 continue
-            negative, mag = ring.coeff_display(c)
+            negative, mag, prefix = display
             if i == 0:
                 term = mag
             else:
-                var = "q" if i == 1 else f"q^{i}"
-                if mag == "1":
-                    term = var
-                elif mag.isdigit() or (mag.startswith("(") and mag.endswith(")")):
-                    term = mag + var
-                else:
-                    term = f"({mag}){var}"
+                term = prefix + ("q" if i == 1 else f"q^{i}")
             if not parts:
                 parts.append("-" + term if negative else term)
             else:
@@ -316,7 +355,19 @@ class Polynomial:
         return "".join(parts)
 
 
-# -- packed kernels over Q ----------------------------------------------------
+def _display(ring: Ring, c) -> tuple[bool, str, str]:
+    """(negative, magnitude, prefix of q) for a nonzero coefficient c."""
+    negative, mag = ring.coeff_display(c)
+    if mag == "1":
+        prefix = ""
+    elif mag.isdigit() or (mag.startswith("(") and mag.endswith(")")):
+        prefix = mag
+    else:
+        prefix = f"({mag})"
+    return negative, mag, prefix
+
+
+# -- packed kernels -------------------------------------------------------------
 #
 # An int vector v is packed at k bytes per slot as X = sum v_i 2^(8k i).  When
 # every |v_i| < 2^(8k-1) the slots are balanced digits: adding the bias
@@ -400,18 +451,85 @@ def _unpack(z: int, n: int, k: int) -> list[int]:
             for i in range(0, n * k, k)]
 
 
-def _packed_mul(a, b) -> list:
-    """The product of two nonzero coefficient tuples over Q, by one bigint product.
+def _costly_scalars(ring: Ring, a, b) -> bool:
+    """True when a schoolbook pair costs microseconds, not tens of nanoseconds."""
+    if isinstance(ring, RationalField):
+        return type(a[-1]) is Fraction or type(b[-1]) is Fraction
+    return isinstance(ring, CyclotomicField)
 
-    Each result coefficient is a sum of at most min(len) products, so it is
-    below 2^(bits(max|A|) + bits(max|B|) + bits(min len)) in magnitude and
+
+def _encode(ring: Ring, coeffs) -> tuple[int, list[int]]:
+    """(D, v): the coefficients as ints v over one common denominator D.
+
+    Over Q(zeta_d) coefficient i takes slots (2 phi - 1) i + j for its
+    coordinates j < phi; the padding after the last coefficient is dropped.
+    """
+    if isinstance(ring, PrimeField):
+        return 1, coeffs
+    if isinstance(ring, CyclotomicField):
+        w = 2 * ring.phi - 1
+        flat = [0] * (w * len(coeffs))
+        for j, column in enumerate(zip(*coeffs)):
+            flat[j::w] = column
+        del flat[len(flat) - w + ring.phi:]
+        coeffs = flat
+    return _clear(coeffs)
+
+
+def _decode(ring: Ring, v: list[int], den: int) -> list:
+    """The coefficients whose slots, over the denominator den, are v."""
+    if isinstance(ring, PrimeField):
+        p = ring.p
+        return [x % p for x in v]
+    if not isinstance(ring, CyclotomicField):
+        return _over(v, 1, den)
+    phi = ring.phi
+    w = 2 * phi - 1
+    # Row r holds the coordinates of z^0 .. z^(2 phi - 2) of coefficient r.
+    # With Phi_d = z^phi + sum m_j z^j, slot t >= phi of a row carries c z^t
+    # = -c sum m_j z^(t - phi + j); reduce the top slot first, all rows at once.
+    terms = [(j, m) for j, m in enumerate(ring.modulus[:phi]) if m]
+    for t in range(w - 1, phi - 1, -1):
+        top = v[t::w]
+        if any(top):
+            for j, m in terms:
+                s = t - phi + j
+                v[s::w] = [x - m * c for x, c in zip(v[s::w], top)]
+    return list(zip(*[_over(v[j::w], 1, den) for j in range(phi)]))
+
+
+def _packed_mul(ring: Ring, a, b) -> list:
+    """The product of two nonzero coefficient tuples by one bigint product.
+
+    Each result slot is a sum of at most phi * min(len) products of slots
+    (phi = 1 over Q and GF(p)), so it is below
+    2^(bits(max|A|) + bits(max|B|) + bits(phi * min(len))) in magnitude and
     the slots hold it.
     """
-    da, va = _clear(a)
-    db, vb = _clear(b)
-    k = _slot_bytes(_bits(va) + _bits(vb) + min(len(a), len(b)).bit_length() + 2)
+    da, va = _encode(ring, a)
+    db, vb = _encode(ring, b)
+    phi = ring.phi if isinstance(ring, CyclotomicField) else 1
+    terms = (phi * min(len(a), len(b))).bit_length()
+    k = _slot_bytes(_bits(va) + _bits(vb) + terms + 2)
     z = _pack(va, k) * _pack(vb, k)
-    return _over(_unpack(z, len(a) + len(b) - 1, k), 1, da * db)
+    return _decode(ring, _unpack(z, (len(a) + len(b) - 1) * (2 * phi - 1), k), da * db)
+
+
+def _packed_div(ring: Ring, f, g) -> list | None:
+    """f / g by bigint quotients, or None when that proves nothing."""
+    if isinstance(ring, RationalField):
+        return _packed_quotient(f, g)
+    if not isinstance(ring, CyclotomicField) or any(any(c[1:]) for c in g):
+        return None
+    # A rational divisor divides coordinate by coordinate.
+    g = [c[0] for c in g]
+    columns = []
+    for column in zip(*f):
+        h = _packed_quotient(column, g)
+        if h is None:
+            return None
+        columns.append(h)
+    return list(zip(*columns))
 
 
 def _packed_quotient(f, g) -> list | None:

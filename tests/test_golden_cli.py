@@ -8,7 +8,12 @@ Q(zeta_12) inverts field elements, so it covers that Euclid end to end.
 The ``seeds-23-frac`` files, captured before the packed kernels over Q
 were added, cover their Fraction path: the seeds are
 lambda(p) [p]_{q^5} / [p]_q on P = {2, 3} with lambda = 5/6 and -2/3, read
-to 150, far enough that products exceed 64 coefficient pairs.
+to 150, far enough that products exceed 64 coefficient pairs.  The
+``seeds-23-gf257`` and ``seeds-713-z12`` files, captured before the packed
+kernels over GF(p) and Q(zeta_d) were added, cover those: lambda(n) [n]_q^8
+on P = {2, 3} over GF(257), whose products are dense, and
+lambda(n) [n]_{z^2 q} [n]_{q^3} / [n]_q on P = {7, 13} over Q(zeta_12), with
+lambda(7) and lambda(13) of mixed denominators.
 
 After a deliberate change of output, re-capture with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
@@ -27,7 +32,8 @@ from qfe.cli import BUILTIN_NAMES, DEMO_NAMES, main
 
 GOLDEN = Path(__file__).parent / "golden"
 # Seed-file inputs (also under golden/) and the --upto each is read to.
-SEED_FILES = {"seeds-257": 16, "seeds-z4": 27, "seeds-23-frac": 150}
+SEED_FILES = {"seeds-257": 16, "seeds-z4": 27, "seeds-23-frac": 150,
+              "seeds-23-gf257": 64, "seeds-713-z12": 200}
 RINGS = ("rational", "gfp:7", "cyclotomic:12")
 
 
