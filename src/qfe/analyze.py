@@ -304,105 +304,65 @@ def _rational_roots(c: Polynomial) -> set[Fraction]:
     return roots
 
 
-def _pair_terms(n: int, k: int):
-    """Symbolic term of degree k on each side of f_n(q) f_2(q^n) = f_2(q) f_n(q^2).
+def _forced_coefficients(n: int, a, one):
+    """What f_n(q) f_2(q^n) = f_2(q) f_n(q^2) forces, degree by degree.
 
-    Terms are tagged ("b", j) for b_j, ("ab", j) for a*b_j, or ("a",); the
-    left side runs 1, b_1..b_{n-1}, a q^n, a b_j q^{n+j}, the right side
-    interleaves b_j at even degrees with a b_j at odd degrees.
+    Take f_2 = 1 + a q and f_n = b_0 + b_1 q + ... + b_{n-1} q^{n-1} with
+    b_0 = 1.  At degree k the left side is b_k for k < n and a b_{k-n} for
+    n <= k < 2n; the right side is b_{k//2} for even k and a b_{k//2} for
+    odd k; from degree 2n up both sides are zero.  So each k < n pins b_k
+    to an earlier coefficient, and each n <= k < 2n leaves diffs[k - n],
+    left minus right, which a solution must make zero.
+
+    a and one are values of one ring: the unknown and 1 in Q[a] (symbolic),
+    or a rational and 1 (numeric).  Returns (b, diffs).
     """
-    if k <= n - 1:
-        lhs = ("b", k)
-    elif k == n:
-        lhs = ("a",)
-    else:
-        lhs = ("ab", k - n)
-    rhs = ("b", k // 2) if k % 2 == 0 else ("ab", (k - 1) // 2)
-    return lhs, rhs
+    b = [one]
+
+    def right(k: int):
+        return b[k // 2] if k % 2 == 0 else a * b[k // 2]
+
+    for k in range(1, n):
+        b.append(right(k))
+    return b, [a * b[k - n] - right(k) for k in range(n, 2 * n)]
 
 
 def uniqueness_oracle(N: int) -> list[OracleFamily]:
     """Reconstruct, from scratch, all length-N solutions with deg f_n = n-1
     and f_n(0) = 1 over the rationals.
 
-    Works the coefficient constraint system directly.  f_2 = 1 + a q with a
-    symbolic nonzero unknown; for the smallest odd n >= 3 the constraints of
-    f_n(q) f_2(q^n) = f_2(q) f_n(q^2) are propagated degree by degree with
-    coefficients in Q[a], pinning each b_j and leaving polynomial constraints
-    on a alone (a^2 = a and friends).  The admissible values of a are the
-    common nonzero rational roots.  Each candidate is then propagated through
-    every odd n <= N over Q, extended to even indices by
-    f_{2m} = f_2(q) f_m(q^2), and kept only if all constraints close.
+    Works the coefficient recurrence of ``_forced_coefficients`` directly.
+    With f_2 = 1 + a q, the identity f_n(q) f_2(q^n) = f_2(q) f_n(q^2) pins
+    b_k = b_{k//2} (k even) or a b_{k//2} (k odd) for k < n and leaves the
+    differences a b_{k-n} - (b_{k//2} or a b_{k//2}) for n <= k < 2n.  At
+    n = 3 these are polynomials in the unknown a (a - a^2 and a^2 - a); the
+    admissible values of a are their common nonzero rational roots.  Each
+    candidate is then run through every odd n <= N over Q, extended to even
+    indices by f_{2m} = f_2(q) f_m(q^2), and kept only if every difference
+    vanishes.  b_{n-1} = a^popcount(n-1) is nonzero, so deg f_n = n-1 holds.
 
     Candidates that fail, and non-unique outcomes, are returned rather than
     suppressed.
     """
     if N < 3:
         raise ValueError(f"the constraint system needs N >= 3, got {N}")
-    a_sym = monomial(QQ, 1)
-
-    def propagate(n: int, a_val: Polynomial):
-        """Run the degree sweep for odd n with f_2 = 1 + a q, a = a_val.
-
-        a_val is a polynomial in the unknown (the unknown itself in the
-        symbolic phase, a constant in the numeric phase).  Returns the b
-        assignments and the list of unresolved constraints.
-        """
-        b: list[Polynomial | None] = [poly.one(QQ)] + [None] * (n - 1)
-        constraints = []
-
-        def term_value(term):
-            if term == ("a",):
-                return a_val
-            kind, j = term
-            if b[j] is None:
-                return None
-            return b[j] if kind == "b" else a_val * b[j]
-
-        for k in range(2 * n):
-            lhs_t, rhs_t = _pair_terms(n, k)
-            lhs_v, rhs_v = term_value(lhs_t), term_value(rhs_t)
-            if lhs_t[0] == "b" and lhs_v is None and rhs_v is not None:
-                b[lhs_t[1]] = rhs_v
-            elif lhs_v is not None and rhs_v is not None:
-                diff = lhs_v - rhs_v
-                if not diff.is_zero():
-                    constraints.append(diff)
-            else:
-                constraints.append(None)  # underdetermined degree
-        return b, constraints
-
-    # Symbolic phase on the smallest odd index: admissible values of a.
-    _, constraints = propagate(3, a_sym)
-    if not constraints or any(c is None for c in constraints):
-        raise AssertionError("constraint sweep left an unknown unpinned")
-    candidates: set[Fraction] | None = None
-    for c in constraints:
-        roots = {r for r in _rational_roots(c) if r != 0}
-        candidates = roots if candidates is None else candidates & roots
+    _, diffs = _forced_coefficients(3, monomial(QQ, 1), poly.one(QQ))
+    candidates = set.intersection(*({r for r in _rational_roots(c) if r != 0}
+                                    for c in diffs if not c.is_zero()))
 
     families = []
-    for a_val in sorted(candidates):
-        a_const = poly.constant(QQ, a_val)
-        fs: dict[int, Polynomial] = {1: poly.one(QQ),
-                                     2: poly.from_rationals([1, a_val])}
-        ok = True
+    for a in sorted(candidates):
+        fs = {1: poly.one(QQ), 2: poly.from_rationals([1, a])}
         for n in range(3, N + 1):
             if n % 2 == 0:
                 fs[n] = otimes(fs[2], fs[n // 2], 2)
                 continue
-            b, constraints = propagate(n, a_const)
-            if any(c is not None and not c.is_zero() for c in constraints) \
-                    or any(v is None for v in b):
-                ok = False
+            b, diffs = _forced_coefficients(n, a, QQ.one)
+            if any(diffs):
                 break
-            coeffs = [v.constant_term for v in b]
-            if coeffs[-1] == 0:
-                ok = False  # degree would drop below n-1
-                break
-            fs[n] = poly.from_rationals(coeffs)
-        if ok:
-            families.append(OracleFamily(a_val, fs))
+            fs[n] = poly.from_rationals(b)
+        else:
+            families.append(OracleFamily(a, fs))
     return families
 
 
@@ -417,9 +377,12 @@ def zeta_admissibility(primes, zeta, ring: Ring = QQ,
                        bound: int = 1000) -> ZetaAdmissibilityReport:
     """Decide zeta**d = 1 for d = gcd{p-1} and cross-validate exhaustively.
 
-    The algebraic verdict is checked against zeta**(m-1) = 1 for every
-    semigroup member m <= bound; the two must agree (a disagreement would be
-    a library defect, not an input property, and raises).
+    zeta**d = 1 exactly when zeta**(p-1) = 1 for every p in P.  Members m
+    with zeta**(m-1) = 1 are closed under products, so the first failing
+    member is the smallest failing prime.  The scan of zeta**(m-1) over
+    the semigroup members m <= bound must find that prime when it is at
+    most bound, and nothing otherwise (a disagreement would be a library
+    defect, not an input property, and raises).
     """
     P = primes if isinstance(primes, PrimeSet) else PrimeSet.of(primes)
     zeta = ring.normalize(zeta)
@@ -427,14 +390,16 @@ def zeta_admissibility(primes, zeta, ring: Ring = QQ,
         raise ValueError("scaling constant must be nonzero")
     d = seed_gcd(P)
     algebraic = ring.pow(zeta, d) == ring.one
+    failing = [p for p in P.primes if ring.pow(zeta, p - 1) != ring.one]
+    predicted = failing[0] if failing and failing[0] <= bound else None
     counterexample = None
     for m in enumerate_semigroup(P, bound):
         if ring.pow(zeta, m - 1) != ring.one:
             counterexample = m
             break
-    exhaustive = counterexample is None
-    if algebraic != exhaustive:
+    if algebraic == bool(failing) or counterexample != predicted:
         raise AssertionError(
             f"admissibility verdicts disagree: algebraic={algebraic}, "
+            f"failing primes={failing}, "
             f"exhaustive counterexample={counterexample}")
     return ZetaAdmissibilityReport(algebraic, d, counterexample)

@@ -178,29 +178,25 @@ def _check_upto(n: int, low: int = 1, high: int = MAX_UPTO) -> int:
 
 # -- construct --------------------------------------------------------------
 
-def table_rows(F: FESequence, upto: int) -> list[tuple]:
-    rows = []
+def write_table(F: FESequence, upto: int, fh) -> None:
+    """One tab-separated row per n <= upto, each written as it is built."""
     for n in range(1, upto + 1):
         f = F.eval(n)
         if f.is_zero():
-            rows.append((n, False, "-", "0"))
+            fh.write(f"{n}\tfalse\t-\t0\n")
         else:
-            rows.append((n, True, str(f.degree), f.pretty()))
-    return rows
+            fh.write(f"{n}\ttrue\t{f.degree}\t{f.pretty()}\n")
 
 
 def cmd_construct(args) -> int:
     upto = _check_upto(args.upto)
     spec = load_seed_spec(args.seed_file)
     F = from_seeds(spec.primes, spec.seeds)
-    lines = ["\t".join((str(n), "true" if ok else "false", deg, text))
-             for n, ok, deg, text in table_rows(F, upto)]
-    body = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+            write_table(F, upto, fh)
     else:
-        sys.stdout.write(body)
+        write_table(F, upto, sys.stdout)
     return EXIT_OK
 
 

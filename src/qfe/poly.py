@@ -32,7 +32,8 @@ makes one bigint product, unpacks, and maps the slots back:
   layout of the same kernel.
 
 Scaling over Q clears to one common denominator the same way when the
-scalar or the leading coefficient is a Fraction.  Exact division, when the
+scalar or the leading coefficient is a Fraction; scaling over Q(zeta_d) is
+the product with the constant polynomial.  Exact division, when the
 long division would take more than PACK_MIN_OPS steps (quotient length
 times nonzero divisor coefficients), packs both sides over Q, takes one
 bigint quotient and accepts it only when the width proves it exact.  Over
@@ -187,6 +188,8 @@ class Polynomial:
         c = ring.normalize(c)
         if ring.is_zero(c):
             return Polynomial._raw(ring, [])
+        if isinstance(ring, CyclotomicField):
+            return self * constant(ring, c)
         a = self.coeffs
         if (a and isinstance(ring, RationalField)
                 and (type(c) is Fraction or type(a[-1]) is Fraction)):

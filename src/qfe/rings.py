@@ -9,9 +9,10 @@ combine them:
   denominator.
 * ``PrimeField(p)`` -- residues ``0..p-1`` mod a prime p.
 * ``CyclotomicField(d)`` -- the rationals with a primitive d-th root of
-  unity ``z`` adjoined.  Values are length-phi(d) tuples of rationals:
-  coordinates on ``1, z, ..., z^(phi-1)``, reduced modulo the d-th
-  cyclotomic polynomial so that nonzero elements are invertible.
+  unity ``z`` adjoined.  Values are length-phi(d) tuples of rationals,
+  each normalized as over Q: coordinates on ``1, z, ..., z^(phi-1)``,
+  reduced modulo the d-th cyclotomic polynomial so that nonzero elements
+  are invertible.
 
 No floating point anywhere; equality of scalars is exact and decidable.
 Ring objects are stateless and all operations are pure, so concurrent use
@@ -262,10 +263,10 @@ class CyclotomicField(Ring):
         return [_as_rational(Fraction(x)) if not isinstance(x, int) else x for x in out]
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(_as_rational(x + y) for x, y in zip(a, b))
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(_as_rational(x - y) for x, y in zip(a, b))
 
     def neg(self, a):
         return tuple(-x for x in a)
@@ -277,7 +278,7 @@ class CyclotomicField(Ring):
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return tuple(self._reduce(prod) + [0] * max(0, self.phi - len(prod)))
+        return tuple(self._reduce(prod))
 
     def inv(self, a):
         if self.is_zero(a):

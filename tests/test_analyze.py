@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfe import (QQ, CyclotomicField, DecompositionError,
                  DeltaInconsistencyError, FESequence, PrimeSet, assemble,
@@ -8,7 +10,9 @@ from qfe import (QQ, CyclotomicField, DecompositionError,
                  infer_degree_t, is_prime, monomial_sequence, quantum_integer,
                  quantum_sequence, solve_delta, support_members,
                  uniqueness_oracle, verify_fe, zeta_admissibility)
+from qfe.analyze import _forced_coefficients
 from qfe.cli import builtin_sequence
+from qfe.sequences import otimes
 from qfe.poly import constant, one
 
 
@@ -172,6 +176,24 @@ def test_uniqueness_oracle_is_a_singleton(N):
         assert fam.polynomials[n] == quantum_integer(n)
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from(range(1, 26, 2)),
+       a=st.fractions(-6, 6, max_denominator=9).filter(bool))
+def test_forced_coefficients_are_the_identity_degree_by_degree(n, a):
+    # Expand f_n(q) f_2(q^n) - f_2(q) f_n(q^2) independently: it must vanish
+    # below degree n, equal diffs from n to 2n - 1, and stop there.
+    b, diffs = _forced_coefficients(n, a, QQ.one)
+    assert len(b) == n
+    fn, f2 = from_rationals(b), from_rationals([1, a])
+    gap = otimes(fn, f2, n) - otimes(f2, fn, 2)
+    assert [gap.coefficient(k) for k in range(2 * n)] == [0] * n + diffs
+    assert gap.degree is None or gap.degree < 2 * n
+    # The symbolic run, with a as the unknown of Q[a], agrees at this a.
+    sym_b, sym_diffs = _forced_coefficients(n, monomial(QQ, 1), one(QQ))
+    assert [c.evaluate(a) for c in sym_b] == b
+    assert [c.evaluate(a) for c in sym_diffs] == diffs
+
+
 def test_zeta_admissibility_cases():
     ok = zeta_admissibility([3], -1, QQ, 1000)
     assert ok.admissible and ok.d == 2 and ok.counterexample is None
@@ -185,6 +207,16 @@ def test_zeta_admissibility_cases():
     assert not report.admissible and report.counterexample == 5
     with pytest.raises(ValueError):
         zeta_admissibility([3], 0, QQ, 100)
+
+
+@pytest.mark.parametrize("bound, counterexample", [(1000, None), (1019, 1019)])
+def test_zeta_admissibility_witness_above_the_bound(bound, counterexample):
+    # i^(5-1) = 1 but i^(1019-1) = -1: the only witness is the prime 1019,
+    # so a scan to 1000 finds none while the algebraic verdict is still no.
+    K4 = CyclotomicField(4)
+    report = zeta_admissibility([5, 1019], K4.zeta, K4, bound)
+    assert not report.admissible and report.d == 2
+    assert report.counterexample == counterexample
 
 
 def test_zeta_admissibility_matches_direct_power_check():

@@ -418,13 +418,22 @@ def test_builtin_seeds_match_ratio_definition():
     assert builtin_sequence("quantum").eval(3) == quantum_integer(3)
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
-    # About 400 kB of output, far more than a pipe holds, printed line by line.
+DECOMPOSE_FIRST = b"sequence: seeds(P={2,5,7})\n"
+CONSTRUCT_FIRST = b"1\ttrue\t0\t1\n"
+
+
+@pytest.mark.parametrize("command, first_line, unbuffered", [
+    pytest.param("decompose", DECOMPOSE_FIRST, "", id="buffered"),
+    pytest.param("decompose", DECOMPOSE_FIRST, "1", id="unbuffered"),
+    pytest.param("construct", CONSTRUCT_FIRST, "", id="construct-buffered"),
+    pytest.param("construct", CONSTRUCT_FIRST, "1", id="construct-unbuffered"),
+])
+def test_closed_stdout_exits_141_without_a_traceback(command, first_line, unbuffered):
+    # About 400 kB of output, far more than a pipe holds, written line by line.
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONUNBUFFERED": unbuffered, "PYTHONPATH": path}
-    argv = [sys.executable, "-m", "qfe", "decompose",
+    argv = [sys.executable, "-m", "qfe", command,
             str(root / "tests" / "golden" / "seeds-257.json"), "--upto", "2000"]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env=env) as proc:
@@ -432,5 +441,5 @@ def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
-    assert first == b"sequence: seeds(P={2,5,7})\n"
+    assert first == first_line
     assert code == 141 and err == b""

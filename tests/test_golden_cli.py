@@ -13,7 +13,9 @@ to 150, far enough that products exceed 64 coefficient pairs.  The
 kernels over GF(p) and Q(zeta_d) were added, cover those: lambda(n) [n]_q^8
 on P = {2, 3} over GF(257), whose products are dense, and
 lambda(n) [n]_{z^2 q} [n]_{q^3} / [n]_q on P = {7, 13} over Q(zeta_12), with
-lambda(7) and lambda(13) of mixed denominators.
+lambda(7) and lambda(13) of mixed denominators.  ``oracle-3`` and
+``oracle-25``, the smallest and largest accepted ``--upto``, were captured
+before the uniqueness oracle was rewritten as the coefficient recurrence.
 
 After a deliberate change of output, re-capture with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
@@ -39,7 +41,8 @@ RINGS = ("rational", "gfp:7", "cyclotomic:12")
 
 def _cases() -> dict[str, list[str]]:
     cases = {f"demo-{name}": ["demo", name] for name in DEMO_NAMES}
-    cases["oracle-12"] = ["oracle", "--upto", "12"]
+    for upto in (3, 12, 25):
+        cases[f"oracle-{upto}"] = ["oracle", "--upto", str(upto)]
     for stem, upto in SEED_FILES.items():
         path = str(GOLDEN / f"{stem}.json")
         cases[f"construct-{stem}"] = ["construct", path, "--upto", str(upto)]

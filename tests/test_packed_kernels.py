@@ -332,6 +332,17 @@ def test_field_product_matches_schoolbook(data, ring, m):
     assert a * b.dilate(m) == schoolbook_mul(a, b.dilate(m))
 
 
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), ring=fields, reps=st.integers(1, 8))
+def test_field_scale_matches_schoolbook(data, ring, reps):
+    # Repeating the coefficients carries many operands past PACK_MIN_OPS
+    # nonzero pairs, so over Q(zeta_d) scale takes the packed product too.
+    f = data.draw(field_polys(ring))
+    f = Polynomial(ring, list(f.coeffs) * reps)
+    c = data.draw(field_scalars(ring))
+    assert f.scale(c) == schoolbook_mul(f, constant(ring, c))
+
+
 @pytest.mark.parametrize("d", [3, 5, 12])
 def test_cyclotomic_width_holds_the_fullest_slot(d):
     # Every coordinate at the same extreme makes the middle slot of each

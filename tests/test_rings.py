@@ -53,6 +53,18 @@ def test_cyclotomic_4_squares_to_minus_one():
     assert K.mul(z, z) == K.normalize(-1)
 
 
+def test_cyclotomic_add_and_sub_return_normalized_coordinates():
+    # int where a coordinate is integral, as normalize and the kernels give.
+    K = CyclotomicField(12)
+    a = (Fraction(1, 2), Fraction(3, 2), 0, 0)
+    b = (Fraction(-1, 2), Fraction(1, 2), 0, 0)
+    half = Fraction(3, 2)
+    for got, want in ((K.add(a, b), (0, 2, 0, 0)), (K.sub(a, b), (1, 1, 0, 0)),
+                      (K.add(a, K.one), (half, half, 0, 0))):
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
 def test_cyclotomic_rejects_bad_index():
     with pytest.raises(ValueError):
         CyclotomicField(0)
