@@ -12,7 +12,6 @@ constraints alone, with the scaling unknown treated symbolically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -21,8 +20,9 @@ from typing import Mapping
 from . import poly
 from .poly import Polynomial, monomial, quantum_integer
 from .rings import QQ, Ring
-from .semigroup import (PrimeSet, divisors, enumerate_semigroup, is_prime,
-                        seed_gcd, support_members)
+from .semigroup import (PrimeSet, divisors, enumerate_semigroup,
+                        first_nonmultiplicative, is_prime, seed_gcd,
+                        support_members)
 from .sequences import FESequence, first_noncommuting_pair, otimes
 
 
@@ -193,9 +193,10 @@ def decompose(F: FESequence, bound: int) -> Decomposition:
     """Split F into slope, multiplicative scalar part, and unit-constant core.
 
     Expects a sequence satisfying the functional equation up to the bound
-    (run verify_fe first when in doubt); a delta table off the t(n-1) line or
-    a non-multiplicative lambda means the input was not a solution, and
-    raises DecompositionError.
+    (run verify_fe first when in doubt); a delta table off the t(n-1) line,
+    or a member n whose lambda(n) is not the product of lambda(p)^e over
+    n = prod p^e, means the input was not a solution, and raises
+    DecompositionError naming the first such n.
     """
     ring = F.ring
     members = support_members(F.support, bound)
@@ -212,13 +213,10 @@ def decompose(F: FESequence, bound: int) -> Decomposition:
         t = solve_delta(delta)
     except (DeltaInconsistencyError, ValueError) as exc:
         raise DecompositionError(f"valuation table: {exc}") from exc
-    for i, m in enumerate(members):
-        for n in members[i:]:
-            mn = m * n
-            if mn in lam and lam[mn] != ring.mul(lam[m], lam[n]):
-                raise DecompositionError(
-                    f"lambda is not completely multiplicative at "
-                    f"({m}, {n}): lambda({mn}) != lambda({m})lambda({n})")
+    bad = first_nonmultiplicative(lam, ring.mul, ring.pow, ring.one)
+    if bad is not None:
+        raise DecompositionError(f"lambda is not completely multiplicative at "
+                                 f"{bad}: not the product over its primes")
 
     def core_rule(n: int) -> Polynomial:
         f = F.eval(n)
@@ -282,12 +280,7 @@ class OracleFamily:
 
 def _rational_roots(c: Polynomial) -> set[Fraction]:
     """All rational roots of a nonzero polynomial over the rationals."""
-    denom_lcm = 1
-    for x in c.coeffs:
-        if isinstance(x, Fraction):
-            denom_lcm = denom_lcm * x.denominator // math.gcd(
-                denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in c.coeffs]
+    _, ints = poly._clear(c.coeffs)
     while ints and ints[0] == 0:
         ints.pop(0)
     if not ints:

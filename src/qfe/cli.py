@@ -144,7 +144,7 @@ def builtin_sequence(name: str, ring: Ring = QQ) -> FESequence:
     if name == "identity":
         return identity_sequence(ring)
     if name == "constant2":
-        two = poly.constant(ring, ring.from_int(2))
+        two = poly.constant(ring, 2)
         return FESequence(ring, ALL_PRIMES, lambda n: two, "constant2")
     if name == "power7-third":
         base = identity_sequence(ring, PrimeSet.of([7]))
@@ -193,8 +193,11 @@ def cmd_construct(args) -> int:
     spec = load_seed_spec(args.seed_file)
     F = from_seeds(spec.primes, spec.seeds)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_table(F, upto, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                write_table(F, upto, fh)
+        except OSError as exc:
+            raise SeedSpecError(f"--out: {exc}") from exc
     else:
         write_table(F, upto, sys.stdout)
     return EXIT_OK
@@ -266,7 +269,10 @@ def cmd_decompose(args) -> int:
     if not report.ok:
         print_report(F.name, report, args.json)
         return EXIT_CHECK_FAILED
-    dec = analyze.decompose(F, upto)
+    try:
+        dec = analyze.decompose(F, upto)
+    except analyze.DecompositionError as exc:  # no support member in [2, upto]
+        raise SeedSpecError(f"--upto {upto}: {exc}") from exc
     members = support_members(F.support, upto)
     if args.json:
         print(json.dumps(decomposition_to_json(dec, F.ring, members),
@@ -284,8 +290,7 @@ def cmd_decompose(args) -> int:
 # -- oracle -----------------------------------------------------------------
 
 def cmd_oracle(args) -> int:
-    if not 3 <= args.upto <= 25:
-        raise SeedSpecError(f"--upto must be in [3, 25], got {args.upto}")
+    _check_upto(args.upto, 3, 25)
     families = analyze.uniqueness_oracle(args.upto)
     print(f"families: {len(families)}")
     for fam in families:

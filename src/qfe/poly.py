@@ -59,7 +59,7 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable
 
-from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring
+from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, power
 
 # Packed-kernel selection; see the module docstring.  Measured on a 2-CPU
 # x86 host with Python 3.11: a schoolbook pair costs about 0.08 us on ints
@@ -209,14 +209,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        acc = one(self.ring)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return power(self, k, Polynomial.__mul__, one(self.ring))
 
     # -- the operations the functional equation is built from --
 

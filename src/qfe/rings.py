@@ -58,6 +58,19 @@ def _scalar_from_json(obj, what: str, integral: bool = False):
     raise ValueError(f"{what} must be an integer or a string {form}, got {obj!r}")
 
 
+def power(x, k: int, mul, one):
+    """x**k for k >= 0 from the ring's mul and one, by square-and-multiply
+    that skips the unused square of the top bit's power."""
+    acc = one
+    while True:
+        if k & 1:
+            acc = mul(acc, x)
+        k >>= 1
+        if not k:
+            return acc
+        x = mul(x, x)
+
+
 class Ring:
     """Handle for exact arithmetic on one coefficient domain."""
 
@@ -82,23 +95,13 @@ class Ring:
         return self.add(a, self.neg(b))
 
     def pow(self, a, k: int):
-        """a**k for k >= 0 by repeated squaring."""
+        """a**k for k >= 0."""
         if k < 0:
             raise ValueError("negative exponent; invert first")
-        acc = self.one
-        base = a
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
+        return power(a, k, self.mul, self.one)
 
     def is_zero(self, a) -> bool:
         return a == self.zero
-
-    def from_int(self, k: int):
-        return self.normalize(k)
 
     # -- textual interface (seed files, reports) --
 
@@ -146,9 +149,6 @@ class RationalField(Ring):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return _as_rational(Fraction(1) / a)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def scalar_from_json(self, obj):
         return _scalar_from_json(obj, "rational scalar")
@@ -206,9 +206,6 @@ class PrimeField(Ring):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def scalar_from_json(self, obj):
         return _scalar_from_json(obj, f"GF({self.p}) scalar", integral=True) % self.p
 
@@ -259,8 +256,7 @@ class CyclotomicField(Ring):
                 for j in range(phi):
                     c[i - phi + j] -= t * mod[j]
                 c[i] = 0
-        out = c[:phi]
-        return [_as_rational(Fraction(x)) if not isinstance(x, int) else x for x in out]
+        return [_as_rational(x) for x in c[:phi]]
 
     def add(self, a, b):
         return tuple(_as_rational(x + y) for x, y in zip(a, b))
@@ -294,9 +290,6 @@ class CyclotomicField(Ring):
             old_r, r = r, rem
             old_s, s = s, old_s - quo * s
         return self.normalize(old_s.scale(QQ.inv(old_r.coeffs[0])).coeffs)
-
-    def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
 
     def scalar_to_json(self, a):
         return [str(Fraction(x)) for x in a]

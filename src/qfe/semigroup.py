@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 # Largest prime accepted from outside input (seed files, --ring): trial
 # division takes about sqrt(p)/3 steps, 15 000 here against 5 * 10**8 at
@@ -63,6 +63,28 @@ def factorize(n: int) -> Factorization:
     if m > 1:
         factors.append((m, 1))
     return Factorization(n, tuple(factors))
+
+
+def multiplicative_value(values: Mapping[int, object], n: int, mul, power, one):
+    """The product of values[p]**e over n = prod p**e (one at n = 1) in the
+    ring of mul, power and one; None when values lacks a prime factor of n."""
+    acc = one
+    for p, e in factorize(n).factors:
+        if p not in values:
+            return None
+        acc = mul(acc, power(values[p], e))
+    return acc
+
+
+def first_nonmultiplicative(values: Mapping[int, object], mul, power, one):
+    """The least n in values with values[n] != multiplicative_value(values, n).
+
+    None means values is completely multiplicative where tabulated.  On a
+    divisor-closed table that is values[mn] = values[m] values[n] for every
+    tabulated mn: induct on the factorization one way, expand it the other.
+    """
+    return next((n for n in sorted(values) if values[n]
+                 != multiplicative_value(values, n, mul, power, one)), None)
 
 
 def omega(n: int) -> int:

@@ -31,8 +31,9 @@ from typing import Callable, Iterable, Mapping
 from . import poly
 from .poly import Polynomial, monomial, quantum_integer, scaled_quantum_integer
 from .rings import QQ, Ring, scalar_text
-from .semigroup import (ALL_PRIMES, PrimeSet, factorize, in_semigroup,
-                        is_prime, seed_gcd)
+from .semigroup import (ALL_PRIMES, PrimeSet, factorize,
+                        first_nonmultiplicative, in_semigroup, is_prime,
+                        multiplicative_value, seed_gcd)
 
 
 def otimes(fm: Polynomial, fn: Polynomial, m: int) -> Polynomial:
@@ -274,12 +275,16 @@ def reciprocal_sequence(F: FESequence) -> FESequence:
                       f"reciprocal({F.name})")
 
 
-def product_sequence(F: FESequence, G: FESequence) -> FESequence:
-    """Value-wise product; solutions with equal support are closed under it."""
+def _check_agree(F: FESequence, G: FESequence) -> None:
     if F.ring != G.ring:
         raise ValueError(f"ring mismatch: {F.ring} vs {G.ring}")
     if F.support != G.support:
         raise ValueError(f"support mismatch: {F.support} vs {G.support}")
+
+
+def product_sequence(F: FESequence, G: FESequence) -> FESequence:
+    """Value-wise product; solutions with equal support are closed under it."""
+    _check_agree(F, G)
     return FESequence(F.ring, F.support, lambda n: F.eval(n) * G.eval(n),
                       f"product({F.name}, {G.name})")
 
@@ -290,10 +295,7 @@ def exact_quotient_sequence(F: FESequence, G: FESequence) -> FESequence:
     Recovers the cofactor when F is known to be a value-wise product with
     divisor G; eval raises InexactDivision at any index where it is not.
     """
-    if F.ring != G.ring:
-        raise ValueError(f"ring mismatch: {F.ring} vs {G.ring}")
-    if F.support != G.support:
-        raise ValueError(f"support mismatch: {F.support} vs {G.support}")
+    _check_agree(F, G)
     return FESequence(F.ring, F.support,
                       lambda n: F.eval(n).exact_div(G.eval(n)),
                       f"quotient({F.name}, {G.name})")
@@ -309,10 +311,7 @@ class RationalSequence:
     """
 
     def __init__(self, numerator: FESequence, denominator: FESequence):
-        if numerator.ring != denominator.ring:
-            raise ValueError("numerator and denominator must share a ring")
-        if numerator.support != denominator.support:
-            raise ValueError("numerator and denominator must share a support")
+        _check_agree(numerator, denominator)
         if numerator.support.is_all:
             raise ValueError("formal quotients need a finite support")
         self.numerator = numerator
@@ -369,9 +368,9 @@ def assemble(t, lam, G: FESequence) -> FESequence:
     for every evaluated support member (checked per evaluation, since t may
     be a proper fraction such as 1/3 on sparse supports).  lam is the
     completely multiplicative scalar part as a mapping from support members
-    to nonzero scalars: checked for multiplicativity on every tabulated pair
-    and extended to missing members from their prime factorization, which
-    determines it.
+    to nonzero scalars: each tabulated lambda(n) must be the product of
+    lambda(p)^e over n = prod p^e with every p tabulated, and members left
+    out are extended by that product, which determines them.
     """
     if not isinstance(lam, Mapping):
         raise TypeError(f"lambda must be a mapping from support members to "
@@ -384,25 +383,19 @@ def assemble(t, lam, G: FESequence) -> FESequence:
     for n, v in table.items():
         if ring.is_zero(v):
             raise ValueError(f"lambda({n}) = 0 on the support")
-    keys = sorted(table)
-    for i, m in enumerate(keys):
-        for n in keys[i:]:
-            if m * n in table:
-                if table[m * n] != ring.mul(table[m], table[n]):
-                    raise ValueError(
-                        f"lambda is not completely multiplicative: "
-                        f"lambda({m})*lambda({n}) != lambda({m * n})")
+    bad = first_nonmultiplicative(table, ring.mul, ring.pow, ring.one)
+    if bad is not None:
+        raise ValueError(f"lambda is not completely multiplicative: lambda({bad}) "
+                         f"is not the product over its tabulated primes")
 
     def lam_at(n: int):
         got = table.get(n)
-        if got is not None:
-            return got
-        acc = ring.one
-        for p, e in factorize(n).factors:
-            if p not in table:
-                raise ValueError(f"lambda table has no value for prime {p}")
-            acc = ring.mul(acc, ring.pow(table[p], e))
-        return acc
+        if got is None:
+            got = multiplicative_value(table, n, ring.mul, ring.pow, ring.one)
+            if got is None:
+                raise ValueError(
+                    f"lambda table has no value for a prime factor of {n}")
+        return got
 
     def rule(n: int) -> Polynomial:
         e = t * (n - 1)

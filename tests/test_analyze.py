@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfe import (QQ, CyclotomicField, DecompositionError,
+from qfe import (QQ, CyclotomicField, DecompositionError, PrimeField,
                  DeltaInconsistencyError, FESequence, PrimeSet, assemble,
                  check_quantum_forced, decompose, from_rationals, monomial,
                  infer_degree_t, is_prime, monomial_sequence, quantum_integer,
@@ -13,7 +13,8 @@ from qfe import (QQ, CyclotomicField, DecompositionError,
 from qfe.analyze import _forced_coefficients
 from qfe.cli import builtin_sequence
 from qfe.sequences import otimes
-from qfe.poly import constant, one
+from qfe.poly import Polynomial, constant, one
+from qfe.semigroup import omega
 
 
 def override(F, replacements):
@@ -112,6 +113,49 @@ def test_decompose_rejects_non_solutions():
     bad = override(monomial_sequence(), {4: monomial(QQ, 5)})
     with pytest.raises(DecompositionError):
         decompose(bad, 12)
+
+
+def pairwise_multiplicative(lam, ring) -> bool:
+    """The check decompose made before it checked each member against its
+    factorization: lambda(mn) = lambda(m) lambda(n) for every pair of
+    tabulated m <= n with mn tabulated."""
+    members = sorted(lam)
+    return all(lam[m * n] == ring.mul(lam[m], lam[n])
+               for i, m in enumerate(members) for n in members[i:]
+               if m * n in lam)
+
+
+@settings(max_examples=60)
+@given(ring=st.sampled_from([QQ, PrimeField(7), CyclotomicField(4)]),
+       primes=st.lists(st.sampled_from((2, 3, 5)), min_size=1, unique=True),
+       at=st.lists(st.sampled_from((1, -1, 2, 3)), min_size=3, max_size=3),
+       c=st.sampled_from((1, -1, 2)), every=st.booleans(), data=st.data())
+def test_decompose_refuses_exactly_what_the_pairwise_check_refused(
+        ring, primes, at, c, every, data):
+    # A solution with one member's trailing coefficient scaled by c, or
+    # every member n's by c^Omega(n), which keeps lambda multiplicative.
+    P = PrimeSet.of(primes)
+    F = assemble(1, {p: x for p, x in zip(P.primes, at)},
+                 quantum_sequence(ring, P))
+    bound = 40
+    members = support_members(P, bound)
+    target = data.draw(st.sampled_from(members))
+    c = ring.normalize(c)
+
+    def scaled(n):
+        cs = list(F.eval(n).coeffs)
+        v = F.eval(n).valuation()
+        cs[v] = ring.mul(ring.pow(c, omega(n) if every else int(n == target)), cs[v])
+        return Polynomial(ring, cs)
+    G = FESequence(ring, P, scaled, "scaled")
+    lam = {n: G.eval(n).coefficient(G.eval(n).valuation()) for n in members}
+    try:
+        decompose(G, bound)
+    except DecompositionError as exc:
+        assert not pairwise_multiplicative(lam, ring)
+        assert "not completely multiplicative" in str(exc)
+    else:
+        assert pairwise_multiplicative(lam, ring)
 
 
 @pytest.mark.parametrize("build, bound", [

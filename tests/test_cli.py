@@ -138,6 +138,21 @@ def test_malformed_inputs_exit_2(capsys, tmp_path):
         assert code == 2, broken
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
+    # An --out that cannot be opened for writing, and a decompose bound with
+    # no support member in [2, upto], which leaves t undetermined.
+    golden = Path(__file__).parent / "golden"
+    for argv in (
+        ("construct", str(golden / "seeds-257.json"), "--upto", "3",
+         "--out", str(tmp_path / "absent" / "x.tsv")),
+        ("construct", str(golden / "seeds-257.json"), "--upto", "3",
+         "--out", str(tmp_path)),
+        ("decompose", "power7-third", "--upto", "6"),
+        ("decompose", str(golden / "seeds-713-z12.json"), "--upto", "6"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1
+
     # Decoder failures that are not JSONDecodeError: bytes that are not
     # UTF-8, an integer over Python's digit limit, very deep nesting.
     for raw in (b"\xff\xfe",

@@ -200,6 +200,41 @@ def test_divmod_is_division_with_remainder(ring, data):
             f.exact_div(g)
 
 
+@pytest.mark.parametrize("ring", [QQ, PrimeField(7), CyclotomicField(12)], ids=str)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_powers_are_repeated_products(ring, data):
+    f = data.draw(ring_polys(ring), label="f")
+    x = f.coefficient(0)
+    acc, power = ring.one, one(ring)
+    for k in range(34):
+        assert ring.pow(x, k) == acc
+        assert f ** k == power
+        acc, power = ring.mul(acc, x), power * f
+    with pytest.raises(ValueError, match="invert first"):
+        ring.pow(x, -1)
+    with pytest.raises(ValueError, match="negative power"):
+        f ** -1
+
+
+def test_power_skips_the_unused_square(monkeypatch):
+    # psi^8 takes the squares psi^2, psi^4, psi^8 and one product into the
+    # accumulator; squaring psi^8 as well would be the largest product.
+    psi = from_rationals([1, 1, 0, 1])
+    expected = one(QQ)
+    for _ in range(8):
+        expected = expected * psi
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert psi ** 8 == expected
+    assert len(calls) <= 4
+
+
 @settings(max_examples=30, deadline=None)
 @given(f=polys, m=st.integers(1, 4))
 def test_compose_with_power_matches_dilate(f, m):

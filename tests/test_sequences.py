@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfe import (ALL_PRIMES, QQ, CommutativityError, CyclotomicField,
@@ -319,8 +319,51 @@ def test_assemble_rejects_bad_data():
         assemble(-1, {1: 1}, base)
     with pytest.raises(ValueError):
         assemble(1, {1: 1}, base).eval(6)  # no lambda value for 2, 3
+    # Refused when assembled: lambda(8) = 5 is not lambda(2)^3 although 4 is
+    # untabulated, and 4 is tabulated without its prime.
+    with pytest.raises(ValueError):
+        assemble(0, {2: 1, 8: 5}, quantum_sequence(QQ, PrimeSet.of([2])))
+    with pytest.raises(ValueError):
+        assemble(1, {1: 1, 4: 3}, base)
     with pytest.raises(TypeError):
         assemble(1, lambda n: 1, base)  # lambda is a table, not a callable
+
+
+@st.composite
+def lambda_tables(draw):
+    """(P, table, perturbed): a completely multiplicative lambda on S(P) up
+    to 30, kept at every prime of P and at a random set of other members,
+    then scaled at one kept member when perturbed."""
+    P = PrimeSet.of(draw(st.lists(st.sampled_from((2, 3, 5)), min_size=1,
+                                  unique=True)))
+    at = {p: draw(st.sampled_from((1, -1, 2, Fraction(-1, 3)))) for p in P.primes}
+
+    def lam(n):
+        v = Fraction(1)
+        for p in P.primes:
+            while n % p == 0:
+                v, n = v * at[p], n // p
+        return v
+    table = {n: lam(n) for n in enumerate_semigroup(P, 30)
+             if n in at or draw(st.booleans())}
+    perturbed = draw(st.booleans())
+    if perturbed:
+        n = draw(st.sampled_from(sorted(table)))
+        table[n] *= draw(st.sampled_from((-1, 2, Fraction(1, 3))))
+    return P, table, perturbed
+
+
+@settings(max_examples=80)
+@given(case=lambda_tables(), t=st.integers(0, 2))
+@example(case=(PrimeSet.of([2]), {2: 1, 8: 5}, True), t=0)
+def test_assemble_accepts_only_solutions(case, t):
+    P, table, perturbed = case
+    try:
+        F = assemble(t, table, quantum_sequence(QQ, P))
+    except ValueError:
+        assert perturbed
+        return
+    assert verify_fe(F, 30).fe_ok
 
 
 def test_additive_sequence_examples():

@@ -80,7 +80,7 @@ def assert_matches_reference(F, bound):
 def nonzero_scalars(draw, ring):
     if isinstance(ring, CyclotomicField):
         k = draw(st.integers(0, ring.d - 1))
-        return ring.mul(ring.pow(ring.zeta, k), ring.from_int(draw(
+        return ring.mul(ring.pow(ring.zeta, k), ring.normalize(draw(
             st.sampled_from((1, -1, 2)))))
     if ring is QQ:
         return draw(st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-3, 2))))
