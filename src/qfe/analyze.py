@@ -211,7 +211,7 @@ def decompose(F: FESequence, bound: int) -> Decomposition:
         lam[n] = f.coefficient(v)
     try:
         t = solve_delta(delta)
-    except (DeltaInconsistencyError, ValueError) as exc:
+    except ValueError as exc:
         raise DecompositionError(f"valuation table: {exc}") from exc
     bad = first_nonmultiplicative(lam, ring.mul, ring.pow, ring.one)
     if bad is not None:
@@ -246,18 +246,19 @@ class QuantumForcedReport:
 def check_quantum_forced(F: FESequence, bound: int) -> QuantumForcedReport:
     """Check the hypotheses and conclusion forcing f_n = [n]_q.
 
-    Hypotheses: the support contains 2 and an odd member > 1, and every
-    support member n <= bound has deg f_n = n-1 and constant term 1.  When
-    they hold, the conclusion f_n = [n]_q is asserted for every support
-    member <= bound.
+    Hypotheses: the support S(P) contains 2 and an odd member > 1, that is,
+    P is all primes or holds 2 and an odd prime, whatever the bound; and
+    every support member n <= bound has deg f_n = n-1 and constant term 1.
+    When they hold, the conclusion f_n = [n]_q is asserted for every
+    support member <= bound.
     """
-    members = support_members(F.support, bound)
-    if 2 not in members:
+    P = F.support
+    if not (P.is_all or 2 in P.primes):
         return QuantumForcedReport(False, "support does not contain 2", 2)
-    odd = next((n for n in members if n > 1 and n % 2 == 1), None)
-    if odd is None:
+    if not (P.is_all or P.primes[-1] > 2):
         return QuantumForcedReport(
             False, "support has no odd member greater than 1", None)
+    members = support_members(P, bound)
     for n in members:
         f = F.eval(n)
         if f.degree != n - 1:
@@ -281,10 +282,8 @@ class OracleFamily:
 def _rational_roots(c: Polynomial) -> set[Fraction]:
     """All rational roots of a nonzero polynomial over the rationals."""
     _, ints = poly._clear(c.coeffs)
-    while ints and ints[0] == 0:
+    while ints[0] == 0:
         ints.pop(0)
-    if not ints:
-        return set()
     roots = set()
     lead, const = ints[-1], ints[0]
     for p in divisors(abs(const)):

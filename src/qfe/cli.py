@@ -222,24 +222,17 @@ def report_to_json(name: str, report: analyze.VerificationReport) -> dict:
 
 
 def print_report(name: str, report: analyze.VerificationReport, as_json: bool):
+    """The fields of report_to_json, as sorted-key JSON or one line each."""
+    obj = report_to_json(name, report)
     if as_json:
-        print(json.dumps(report_to_json(name, report), sort_keys=True))
+        print(json.dumps(obj, sort_keys=True))
         return
-    print(f"sequence: {name}")
-    print(f"bound: {report.bound}")
-    print(f"fe_ok: {_yn(report.fe_ok)}")
-    print(f"commutativity_ok: {_yn(report.commutativity_ok)}")
-    print(f"support_ok: {_yn(report.support_ok)}")
-    if report.first_failure is None:
-        print("first_failure: none")
-    else:
-        fail = report.first_failure
-        print(f"first_failure: m={fail.m} n={fail.n} "
-              f"lhs={fail.lhs.pretty()} rhs={fail.rhs.pretty()}")
-
-
-def _yn(flag: bool) -> str:
-    return "true" if flag else "false"
+    for key, value in obj.items():
+        if isinstance(value, dict):  # a failure: m=.. n=.. lhs=.. rhs=..
+            value = " ".join(f"{k}={v}" for k, v in value.items())
+        elif isinstance(value, bool) or value is None:
+            value = str(value).lower()
+        print(f"{key}: {value}")
 
 
 def cmd_verify(args) -> int:

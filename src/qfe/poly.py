@@ -44,10 +44,9 @@ exactly when it divides every f_j in Q[q], because g is rational and
 and every quotient the width does not prove, falls back to ``divmod``.
 
 Composition f(psi) splits f = lo + q^h hi with h a power of two, so that
-f(psi) = lo(psi) + psi^h hi(psi); each psi^(2^i) is squared once, and
-Horner runs only on pieces of at most COMPOSE_LEAF coefficients.  The
-products are then balanced and dense, where the linear Horner loop made
-deg f products of a growing accumulator by a short psi.
+f(psi) = lo(psi) + psi^h hi(psi), down to single coefficients, which are
+constants; each psi^(2^i) is squared once.  The products are balanced and
+dense, not deg f products of a growing accumulator by a short psi.
 """
 
 from __future__ import annotations
@@ -68,8 +67,6 @@ from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, power
 PACK_MIN_OPS = 64
 PACK_DENSE = 4
 PACK_FRACTION = 16
-# Largest piece of f that compose evaluates by Horner.
-COMPOSE_LEAF = 8
 
 
 class InexactDivision(ArithmeticError):
@@ -178,8 +175,7 @@ class Polynomial:
             for j, y in bpairs:
                 k = i + j
                 out[k] = add(out[k], mul(x, y))
-        while out and out[-1] == zero:
-            out.pop()
+        # The top slot is a[-1] b[-1], nonzero in a field: nothing to strip.
         return Polynomial._raw(ring, out)
 
     def scale(self, c) -> "Polynomial":
@@ -231,11 +227,8 @@ class Polynomial:
         squares = [psi]  # squares[i] = psi^(2^i)
 
         def value(cs):
-            if len(cs) <= COMPOSE_LEAF:
-                acc = zero(ring)
-                for c in reversed(cs):
-                    acc = acc * psi + constant(ring, c)
-                return acc
+            if len(cs) < 2:
+                return Polynomial(ring, cs)
             i = (len(cs) - 1).bit_length() - 1  # h = 2^i < len(cs) <= 2h
             while len(squares) <= i:
                 squares.append(squares[-1] * squares[-1])
@@ -283,8 +276,6 @@ class Polynomial:
     def exact_div(self, g: "Polynomial") -> "Polynomial":
         """The quotient f / g when g divides f exactly; InexactDivision otherwise."""
         self._check_ring(g)
-        if not g.coeffs:
-            raise ValueError("division by the zero polynomial")
         ring = self.ring
         f, d = self.coeffs, g.coeffs
         if (len(f) >= len(d)

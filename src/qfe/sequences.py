@@ -368,13 +368,18 @@ def assemble(t, lam, G: FESequence) -> FESequence:
     for every evaluated support member (checked per evaluation, since t may
     be a proper fraction such as 1/3 on sparse supports).  lam is the
     completely multiplicative scalar part as a mapping from support members
-    to nonzero scalars: each tabulated lambda(n) must be the product of
-    lambda(p)^e over n = prod p^e with every p tabulated, and members left
-    out are extended by that product, which determines them.
+    to nonzero scalars: every key must be an int (not a bool) in S(P), each
+    tabulated lambda(n) must be the product of lambda(p)^e over
+    n = prod p^e with every p tabulated, and members left out are extended
+    by that product, which determines them.
     """
     if not isinstance(lam, Mapping):
         raise TypeError(f"lambda must be a mapping from support members to "
                         f"scalars, got {type(lam).__name__}")
+    for n in lam:
+        if type(n) is not int or n < 1 or not in_semigroup(n, G.support):
+            raise ValueError(f"lambda key {n!r} is not a member of the "
+                             f"support S({G.support})")
     t = Fraction(t)
     if t < 0:
         raise ValueError(f"exponent slope must be >= 0, got {t}")

@@ -13,8 +13,8 @@ from qfe import (QQ, CyclotomicField, DecompositionError, PrimeField,
 from qfe.analyze import _forced_coefficients
 from qfe.cli import builtin_sequence
 from qfe.sequences import otimes
-from qfe.poly import Polynomial, constant, one
-from qfe.semigroup import omega
+from qfe.poly import Polynomial, constant, one, zero
+from qfe.semigroup import ALL_PRIMES, omega
 
 
 def override(F, replacements):
@@ -28,6 +28,8 @@ def test_verify_fe_quantum():
     report = verify_fe(quantum_sequence(), 16)
     assert report.fe_ok and report.commutativity_ok and report.support_ok
     assert report.first_failure is None
+    with pytest.raises(ValueError, match=r"^bound must be >= 2, got 1$"):
+        verify_fe(quantum_sequence(), 1)
 
 
 def test_verify_fe_footnote_constant_two():
@@ -79,6 +81,9 @@ def test_infer_degree_t_examples(seq_257):
     assert infer_degree_t(monomial_sequence(), 40) == 1
     assert infer_degree_t(quantum_sequence(), 40) == 1
     assert infer_degree_t(seq_257, 100) == 2
+    hole = override(quantum_sequence(), {4: zero(QQ)})
+    with pytest.raises(ValueError, match=r"^f_4 is zero on the declared support$"):
+        infer_degree_t(hole, 12)
 
 
 def test_decompose_quantum():
@@ -113,6 +118,10 @@ def test_decompose_rejects_non_solutions():
     bad = override(monomial_sequence(), {4: monomial(QQ, 5)})
     with pytest.raises(DecompositionError):
         decompose(bad, 12)
+    hole = override(quantum_sequence(), {4: zero(QQ)})
+    with pytest.raises(DecompositionError,
+                       match=r"^f_4 is zero on the declared support$"):
+        decompose(hole, 12)
 
 
 def pairwise_multiplicative(lam, ring) -> bool:
@@ -198,6 +207,12 @@ def test_check_quantum_forced_reports_hypothesis_failures(seq_257):
     no_odd = check_quantum_forced(quantum_sequence(QQ, PrimeSet.of([2])), 20)
     assert not no_odd.confirmed
     assert no_odd.failed_hypothesis == "support has no odd member greater than 1"
+
+    # The support hypotheses are properties of P, not of the members <= bound.
+    for support, bound in ((PrimeSet.of([2, 7]), 6), (ALL_PRIMES, 2),
+                           (ALL_PRIMES, 1)):
+        report = check_quantum_forced(quantum_sequence(QQ, support), bound)
+        assert (report.confirmed, report.failed_hypothesis) == (True, None)
 
 
 def test_uniqueness_oracle_small_cases():

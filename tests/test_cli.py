@@ -131,12 +131,14 @@ def test_malformed_inputs_exit_2(capsys, tmp_path):
          "seeds": {"2": [[1.5, 0]]}},
         # Seed keys are the canonical decimal of a positive integer.
         *({"ring": {"kind": "rational"}, "primes": [2], "seeds": {key: ["1", "1"]}}
-          for key in ("+2", " 2", "2 ", "0_2", "02", "\u0662", "0", "-2")),
+          for key in ("+2", " 2", "2 ", "0_2", "02", "\u0662", "0", "-2", "two")),
     ):
         path = write_spec(tmp_path, "broken.json", broken)
         code, out, err = run(capsys, "construct", path)
         assert code == 2, broken
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    # The last key, "two", is no decimal at all.
+    assert err == "error: seeds: key 'two' is not a positive decimal integer\n"
 
     # An --out that cannot be opened for writing, and a decompose bound with
     # no support member in [2, upto], which leaves t undetermined.

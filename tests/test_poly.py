@@ -108,6 +108,16 @@ def test_scaled_quantum_integer_examples():
         scaled_quantum_integer(3, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: one(QQ).shift(-1), "shift exponent must be >= 0"),
+    (lambda: monomial(QQ, -1), "monomial degree must be >= 0"),
+    (lambda: scaled_quantum_integer(0, 1), "index must be >= 1, got 0"),
+], ids=["shift", "monomial", "scaled_quantum_integer"])
+def test_out_of_range_exponents_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_degree_of_zero_is_none():
     assert zero(QQ).degree is None
     assert constant(QQ, 0).degree is None

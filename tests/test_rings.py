@@ -40,6 +40,17 @@ def test_prime_field_arithmetic():
         F5.inv(0)
 
 
+@pytest.mark.parametrize("ring", [QQ, PrimeField(7), CyclotomicField(12)], ids=str)
+def test_inverse_of_zero_raises(ring):
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+        ring.inv(ring.zero)
+
+
+def test_prime_field_rejects_a_denominator_divisible_by_p():
+    with pytest.raises(ZeroDivisionError, match="^denominator divisible by 7$"):
+        PrimeField(7).normalize(Fraction(1, 7))
+
+
 def test_prime_field_requires_prime_modulus():
     with pytest.raises(ValueError):
         PrimeField(6)

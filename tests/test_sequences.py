@@ -22,6 +22,8 @@ def test_otimes_examples():
     assert otimes(monomial(QQ, 1), monomial(QQ, 2), 2) == monomial(QQ, 5)
     f = from_rationals([3, 1, 4])
     assert otimes(one(QQ), f, 1) == f
+    with pytest.raises(ValueError, match=r"^left index must be >= 1, got 0$"):
+        otimes(f, f, 0)
 
 
 def test_oplus_examples():
@@ -30,6 +32,8 @@ def test_oplus_examples():
     assert oplus(f, zero(QQ), 3) == f
     h = from_rationals([1, 1])
     assert oplus(h, h, 1) == from_rationals([1, 2, 1])
+    with pytest.raises(ValueError, match=r"^left index must be >= 1, got 0$"):
+        oplus(h, h, 0)
 
 
 def test_quantum_sequence_values():
@@ -81,6 +85,9 @@ def test_from_seeds_rejects_bad_input():
         from_seeds([2, 3], {2: from_rationals([1, 1])})
     with pytest.raises(ValueError):
         from_seeds(ALL_PRIMES, {})
+    with pytest.raises(ValueError, match=r"^seed polynomials must share one ring$"):
+        from_seeds([2, 3], {2: quantum_integer(2),
+                            3: quantum_integer(3, PrimeField(3))})
 
 
 def test_from_seeds_empty_prime_set():
@@ -216,6 +223,8 @@ def test_psi_substitute_rejects_bad_psi():
         psi_substitute_sequence(quantum_sequence(), from_rationals([1, 1]))
     ok = psi_substitute_sequence(quantum_sequence(), monomial(QQ, 3))
     assert ok.eval(2) == quantum_integer(2).dilate(3)
+    with pytest.raises(ValueError, match=r"^ring mismatch: GF\(2\) vs Q$"):
+        psi_substitute_sequence(base, Polynomial(PrimeField(2), [0, 1]))
 
 
 def test_reciprocal_sequence_values(seq_257):
@@ -266,6 +275,10 @@ def test_rational_quotient_group_laws():
     assert (num, den) == (from_rationals([1, 1]), monomial(QQ, 1))
     inv = rational_quotient(F, G).inverse()
     assert inv.value(2) == (monomial(QQ, 1), from_rationals([1, 1]))
+    assert not inv.equals(rational_quotient(F, G), 64)  # differs at n = 2
+    P3 = PrimeSet.of([3])
+    other = rational_quotient(quantum_sequence(QQ, P3), monomial_sequence(QQ, P3))
+    assert not rational_quotient(F, G).equals(other, 64)  # another support
     with pytest.raises(ValueError):
         rational_quotient(quantum_sequence(), monomial_sequence())
 
@@ -327,6 +340,14 @@ def test_assemble_rejects_bad_data():
         assemble(1, {1: 1, 4: 3}, base)
     with pytest.raises(TypeError):
         assemble(1, lambda n: 1, base)  # lambda is a table, not a callable
+    # Every key must be a member of S(P), even one no evaluation would read.
+    on_two = quantum_sequence(QQ, PrimeSet.of([2]))
+    for table, key in (({3: 5, 9: 25}, "3"), ({1: 1, 6: 5}, "6"),
+                       ({0: 5}, "0"), ({-2: 5}, "-2"), ({True: 1}, "True"),
+                       ({2.0: 1}, "2.0"), ({"2": 1}, "'2'")):
+        with pytest.raises(ValueError, match=rf"^lambda key {key} is not a "
+                                             r"member of the support S\(\{2\}\)$"):
+            assemble(0, table, on_two)
 
 
 @st.composite
