@@ -376,7 +376,7 @@ def zeta_admissibility(primes, zeta, ring: Ring = QQ,
     most bound, and nothing otherwise (a disagreement would be a library
     defect, not an input property, and raises).
     """
-    P = primes if isinstance(primes, PrimeSet) else PrimeSet.of(primes)
+    P = PrimeSet.of(primes)
     zeta = ring.normalize(zeta)
     if ring.is_zero(zeta):
         raise ValueError("scaling constant must be nonzero")

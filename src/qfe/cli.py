@@ -39,8 +39,6 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal
 MAX_UPTO = 5000
 
 BUILTIN_NAMES = ("quantum", "monomial", "identity", "constant2", "power7-third")
-DEMO_NAMES = ("nathanson-257", "zeta-neg1-p3", "additive", "frobenius-gf2",
-              "reciprocal")
 
 
 class SeedSpecError(ValueError):
@@ -424,6 +422,7 @@ DEMOS = {
     "frobenius-gf2": demo_frobenius_gf2,
     "reciprocal": demo_reciprocal,
 }
+DEMO_NAMES = tuple(DEMOS)
 
 
 def cmd_demo(args) -> int:

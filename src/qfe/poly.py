@@ -12,12 +12,14 @@ Multiplication is schoolbook convolution over the nonzero coefficients,
 except for a product with more than PACK_MIN_OPS nonzero coefficient pairs
 that is dense (more than PACK_DENSE pairs per output coefficient) in any
 of the three rings, or that is not very sparse (more than one pair per
-PACK_FRACTION output coefficients) and has costly scalars: a Fraction
-leading coefficient over Q, or any product over Q(zeta_d).  Such a product
-goes through one packed big-integer kernel (Kronecker substitution).  It
-writes each operand as one int vector over one common denominator, packs
-the vector into one int at a width that provably holds every result slot,
-makes one bigint product, unpacks, and maps the slots back:
+PACK_FRACTION output coefficients) and has costly scalars: a leading
+coefficient that is not an int, that is, a Fraction over Q or any
+Q(zeta_d) value (GF(p) residues and integers over Q are ints).  Such a
+product goes through one packed big-integer kernel (Kronecker
+substitution).  It writes each operand as one int vector over one common
+denominator, packs the vector into one int at a width that provably holds
+every result slot, makes one bigint product, unpacks, and maps the slots
+back:
 
 * over Q a coefficient is one slot, and the slots are divided by the
   product of the two denominators;
@@ -163,7 +165,8 @@ class Polynomial:
         # packed product costs more than the few pairs do.
         if ops > PACK_MIN_OPS and (
                 ops > PACK_DENSE * n
-                or (PACK_FRACTION * ops > n and _costly_scalars(ring, a, b))):
+                or (PACK_FRACTION * ops > n
+                    and (type(a[-1]) is not int or type(b[-1]) is not int))):
             return Polynomial._raw(ring, _packed_mul(ring, a, b))
         add, mul = ring.add, ring.mul
         # Skip zero coefficients: dilated operands are mostly zeros.  A
@@ -436,13 +439,6 @@ def _unpack(z: int, n: int, k: int) -> list[int]:
         return slots.tolist()
     return [int.from_bytes(raw[i:i + k], "little", signed=True)
             for i in range(0, n * k, k)]
-
-
-def _costly_scalars(ring: Ring, a, b) -> bool:
-    """True when a schoolbook pair costs microseconds, not tens of nanoseconds."""
-    if isinstance(ring, RationalField):
-        return type(a[-1]) is Fraction or type(b[-1]) is Fraction
-    return isinstance(ring, CyclotomicField)
 
 
 def _encode(ring: Ring, coeffs) -> tuple[int, list[int]]:

@@ -74,8 +74,6 @@ def power(x, k: int, mul, one):
 class Ring:
     """Handle for exact arithmetic on one coefficient domain."""
 
-    kind: str
-
     def normalize(self, v):
         raise NotImplementedError
 
@@ -90,9 +88,6 @@ class Ring:
 
     def inv(self, a):
         raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def pow(self, a, k: int):
         """a**k for k >= 0."""
@@ -120,13 +115,11 @@ class Ring:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self._key() == other._key()
+        return self is other or (isinstance(other, Ring)
+                                 and self.descriptor == other.descriptor)
 
     def __hash__(self):
-        return hash(self._key())
-
-    def _key(self):
-        raise NotImplementedError
+        return hash(tuple(self.descriptor.items()))
 
     def __repr__(self):
         return str(self)
@@ -135,7 +128,6 @@ class Ring:
 class RationalField(Ring):
     """The field of rationals; the default coefficient domain."""
 
-    kind = "rational"
     zero = 0
     one = 1
 
@@ -160,9 +152,6 @@ class RationalField(Ring):
     def descriptor(self):
         return {"kind": "rational"}
 
-    def _key(self):
-        return ("rational",)
-
     def __str__(self):
         return "Q"
 
@@ -173,8 +162,6 @@ QQ = RationalField()
 class PrimeField(Ring):
     """GF(p): integers mod a prime, residues in [0, p)."""
 
-    kind = "prime_field"
-
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"prime field modulus must be prime, got {p}")
@@ -183,11 +170,12 @@ class PrimeField(Ring):
         self.one = 1 % p
 
     def normalize(self, v):
+        v = _as_rational(v)
         if isinstance(v, Fraction):
             if v.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return v.numerator * pow(v.denominator, -1, self.p) % self.p
-        return int(v) % self.p
+        return v % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -216,17 +204,12 @@ class PrimeField(Ring):
     def descriptor(self):
         return {"kind": "prime_field", "p": self.p}
 
-    def _key(self):
-        return ("prime_field", self.p)
-
     def __str__(self):
         return f"GF({self.p})"
 
 
 class CyclotomicField(Ring):
     """Q(z) for z a primitive d-th root of unity; Cyclotomic(1) is just Q."""
-
-    kind = "cyclotomic"
 
     def __init__(self, d: int):
         self.d = d
@@ -310,9 +293,6 @@ class CyclotomicField(Ring):
     @property
     def descriptor(self):
         return {"kind": "cyclotomic", "d": self.d}
-
-    def _key(self):
-        return ("cyclotomic", self.d)
 
     def __str__(self):
         return f"Q(zeta_{self.d})"

@@ -127,7 +127,10 @@ class PrimeSet:
                 raise ValueError(f"{p} is not prime")
 
     @classmethod
-    def of(cls, primes: Iterable[int]) -> "PrimeSet":
+    def of(cls, primes: Iterable[int] | PrimeSet) -> PrimeSet:
+        """The set of the given primes; a PrimeSet is returned unchanged."""
+        if isinstance(primes, PrimeSet):
+            return primes
         return cls(tuple(sorted(set(primes))))
 
     @property
@@ -173,10 +176,10 @@ def in_semigroup(n: int, P: PrimeSet) -> bool:
 
 def enumerate_semigroup(P: PrimeSet, bound: int) -> list[int]:
     """All members of S(P) up to bound, ascending, starting with 1."""
-    if P.is_all:
-        raise ValueError("cannot enumerate S(all primes); use range(1, bound+1)")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
+    if P.is_all:
+        raise ValueError("cannot enumerate S(all primes); use range(1, bound+1)")
     members = [1]
     for p in P.primes:
         grown = []
@@ -191,7 +194,7 @@ def enumerate_semigroup(P: PrimeSet, bound: int) -> list[int]:
 
 def support_members(P: PrimeSet, bound: int) -> list[int]:
     """Members of the support semigroup up to bound (all of 1..bound for N)."""
-    if P.is_all:
+    if P.is_all and bound >= 1:
         return list(range(1, bound + 1))
     return enumerate_semigroup(P, bound)
 

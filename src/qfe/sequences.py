@@ -24,16 +24,15 @@ polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
 from . import poly
 from .poly import Polynomial, monomial, quantum_integer, scaled_quantum_integer
 from .rings import QQ, Ring, scalar_text
-from .semigroup import (ALL_PRIMES, PrimeSet, factorize,
-                        first_nonmultiplicative, in_semigroup, is_prime,
-                        multiplicative_value, seed_gcd)
+from .semigroup import (ALL_PRIMES, PrimeSet, first_nonmultiplicative,
+                        in_semigroup, is_prime, multiplicative_value,
+                        seed_gcd)
 
 
 def otimes(fm: Polynomial, fn: Polynomial, m: int) -> Polynomial:
@@ -154,16 +153,15 @@ def check_seed_commutativity(
 def from_seeds(primes, seeds: Mapping[int, Polynomial]) -> FESequence:
     """The unique solution with support S(P) and f_p equal to the given seeds.
 
-    Evaluation splits off the largest prime power last:
+    Evaluation splits off the smallest prime p dividing n:
 
-        f_{p^k}(q) = f_p(q) f_{p^{k-1}}(q^p)
-        f_n(q)     = f_{n'}(q) f_{p^a}(q^{n'})   with n = n' p^a, p the
-                                                 largest prime dividing n
+        f_1 = 1,   f_n(q) = f_p(q) f_{n/p}(q^p)
 
-    Once the seeds commute pairwise, any other split yields the same value;
-    fixing this one makes memoization deterministic.
+    which is the law at (p, n/p).  Once the seeds commute pairwise, any
+    other split yields the same value; fixing this one makes memoization
+    deterministic.
     """
-    P = primes if isinstance(primes, PrimeSet) else PrimeSet.of(primes)
+    P = PrimeSet.of(primes)
     if P.is_all:
         raise ValueError("seed construction needs a finite prime set")
     if set(seeds) != set(P.primes):
@@ -180,14 +178,8 @@ def from_seeds(primes, seeds: Mapping[int, Polynomial]) -> FESequence:
     def rule(n: int) -> Polynomial:
         if n == 1:
             return poly.one(ring)
-        factors = factorize(n).factors
-        p, a = factors[-1]
-        if len(factors) == 1:
-            if a == 1:
-                return seeds[p]
-            return otimes(seeds[p], seq.eval(p ** (a - 1)), p)
-        rest = n // p ** a
-        return otimes(seq.eval(rest), seq.eval(p ** a), rest)
+        p = next(p for p in P.primes if n % p == 0)
+        return otimes(seeds[p], seq.eval(n // p), p)
 
     seq = FESequence(ring, P, rule, f"seeds(P={P})")
     return seq
@@ -210,7 +202,7 @@ def zeta_scaled_sequence(primes, zeta, ring: Ring = QQ) -> FESequence:
     Refusal is exact: when zeta**d != 1 the sequence genuinely fails the
     functional equation, so construction raises instead of producing it.
     """
-    P = primes if isinstance(primes, PrimeSet) else PrimeSet.of(primes)
+    P = PrimeSet.of(primes)
     zeta = ring.normalize(zeta)
     if ring.is_zero(zeta):
         raise ValueError("scaling constant must be nonzero")
@@ -380,7 +372,7 @@ def assemble(t, lam, G: FESequence) -> FESequence:
         if type(n) is not int or n < 1 or not in_semigroup(n, G.support):
             raise ValueError(f"lambda key {n!r} is not a member of the "
                              f"support S({G.support})")
-    t = Fraction(t)
+    t = QQ.normalize(t)
     if t < 0:
         raise ValueError(f"exponent slope must be >= 0, got {t}")
     ring = G.ring

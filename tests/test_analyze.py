@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfe import (QQ, CyclotomicField, DecompositionError, PrimeField,
-                 DeltaInconsistencyError, FESequence, PrimeSet, assemble,
-                 check_quantum_forced, decompose, from_rationals, monomial,
-                 infer_degree_t, is_prime, monomial_sequence, quantum_integer,
-                 quantum_sequence, solve_delta, support_members,
-                 uniqueness_oracle, verify_fe, zeta_admissibility)
+from qfe import (ALL_PRIMES, QQ, CyclotomicField, DecompositionError,
+                 PrimeField, DeltaInconsistencyError, FESequence, PrimeSet,
+                 assemble, check_quantum_forced, decompose, from_rationals,
+                 monomial, infer_degree_t, is_prime, monomial_sequence,
+                 quantum_integer, quantum_sequence, solve_delta,
+                 support_members, uniqueness_oracle, verify_fe,
+                 zeta_admissibility)
 from qfe.analyze import _forced_coefficients
 from qfe.cli import builtin_sequence
 from qfe.sequences import otimes
@@ -187,6 +188,17 @@ def test_check_quantum_forced_confirms_quantum():
     report = check_quantum_forced(quantum_sequence(), 48)
     assert report.confirmed
     assert report.failed_hypothesis is None
+
+
+@pytest.mark.parametrize("support", [ALL_PRIMES, PrimeSet.of([2, 3])], ids=str)
+@pytest.mark.parametrize("bound", [0, -1])
+def test_a_bound_below_one_is_refused_on_every_support(support, bound):
+    # An empty sweep would confirm the conclusion vacuously.
+    message = rf"^bound must be >= 1, got {bound}$"
+    with pytest.raises(ValueError, match=message):
+        support_members(support, bound)
+    with pytest.raises(ValueError, match=message):
+        check_quantum_forced(quantum_sequence(QQ, support), bound)
 
 
 def test_check_quantum_forced_reports_hypothesis_failures(seq_257):

@@ -435,6 +435,32 @@ def test_builtin_seeds_match_ratio_definition():
     assert builtin_sequence("quantum").eval(3) == quantum_integer(3)
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def subprocess_env(**extra) -> dict:
+    """This environment with the source tree first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
+
+
+def test_scripts_run_and_write_the_golden_seed_file(tmp_path):
+    def run(*args):
+        return subprocess.run([sys.executable, *map(str, args)], capture_output=True,
+                              env=subprocess_env(), timeout=60)
+
+    demos = run(ROOT / "scripts" / "run_demos.py")
+    assert demos.returncode == 0, demos.stderr
+    headers = [line for line in demos.stdout.decode().splitlines()
+               if line.startswith("--- ")]
+    assert headers == [f"--- {name}" for name in DEMO_NAMES]
+
+    seed_file = tmp_path / "s.json"
+    made = run(ROOT / "scripts" / "make_seed_file.py", seed_file)
+    assert made.returncode == 0, made.stderr
+    assert seed_file.read_bytes() == (ROOT / "tests" / "golden" / "seeds-257.json").read_bytes()
+
+
 DECOMPOSE_FIRST = b"sequence: seeds(P={2,5,7})\n"
 CONSTRUCT_FIRST = b"1\ttrue\t0\t1\n"
 
@@ -447,13 +473,10 @@ CONSTRUCT_FIRST = b"1\ttrue\t0\t1\n"
 ])
 def test_closed_stdout_exits_141_without_a_traceback(command, first_line, unbuffered):
     # About 400 kB of output, far more than a pipe holds, written line by line.
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered, "PYTHONPATH": path}
     argv = [sys.executable, "-m", "qfe", command,
-            str(root / "tests" / "golden" / "seeds-257.json"), "--upto", "2000"]
+            str(ROOT / "tests" / "golden" / "seeds-257.json"), "--upto", "2000"]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=env) as proc:
+                          env=subprocess_env(PYTHONUNBUFFERED=unbuffered)) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()

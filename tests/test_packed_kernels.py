@@ -332,6 +332,20 @@ def test_field_product_matches_schoolbook(data, ring, m):
     assert a * b.dilate(m) == schoolbook_mul(a, b.dilate(m))
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), ring=fields)
+def test_field_difference_is_the_coefficientwise_sub(data, ring):
+    a = data.draw(field_polys(ring))
+    b = data.draw(field_polys(ring))
+    diff = a - b
+    assert diff + b == a
+    n = max(len(a.coeffs), len(b.coeffs))
+    want = [ring.sub(a.coefficient(i), b.coefficient(i)) for i in range(n)]
+    while want and ring.is_zero(want[-1]):
+        want.pop()
+    assert diff.coeffs == tuple(want)
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), ring=fields, reps=st.integers(1, 8))
 def test_field_scale_matches_schoolbook(data, ring, reps):

@@ -51,6 +51,16 @@ def test_prime_field_rejects_a_denominator_divisible_by_p():
         PrimeField(7).normalize(Fraction(1, 7))
 
 
+def test_prime_field_normalizes_exact_rationals_only():
+    F7 = PrimeField(7)
+    for v in (2.5, 0.5, "3"):
+        with pytest.raises(TypeError, match="^not an exact rational value: "):
+            F7.normalize(v)
+    assert [F7.normalize(v) for v in (9, -1, True, False)] == [2, 6, 1, 0]
+    assert [F7.normalize(v) for v in (Fraction(1, 2), Fraction(14, 2))] == [4, 0]
+    assert all(type(F7.normalize(v)) is int for v in (True, Fraction(14, 2)))
+
+
 def test_prime_field_requires_prime_modulus():
     with pytest.raises(ValueError):
         PrimeField(6)

@@ -66,7 +66,9 @@ def test_prime_set_validation():
         PrimeSet((4,))
     with pytest.raises(ValueError):
         PrimeSet((3, 2))
-    assert PrimeSet.of([7, 2, 2]).primes == (2, 7)
+    P = PrimeSet.of([7, 2, 2])
+    assert P.primes == (2, 7)
+    assert PrimeSet.of(P) is P and PrimeSet.of(ALL_PRIMES) is ALL_PRIMES
 
 
 def test_prime_set_json_round_trip():

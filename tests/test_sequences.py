@@ -8,12 +8,12 @@ from qfe import (ALL_PRIMES, QQ, CommutativityError, CyclotomicField,
                  PrimeField, PrimeSet, PsiIdentityError,
                  ZetaAdmissibilityError, additive_sequence, assemble,
                  check_seed_commutativity, dilate_sequence,
-                 enumerate_semigroup, exact_quotient_sequence, from_rationals,
-                 from_seeds, identity_sequence, is_prime, monomial_sequence,
-                 oplus, otimes, product_sequence, psi_substitute_sequence,
-                 quantum_integer, quantum_sequence, rational_quotient,
-                 reciprocal_sequence, scaled_quantum_integer, verify_fe,
-                 zeta_scaled_sequence)
+                 enumerate_semigroup, exact_quotient_sequence, factorize,
+                 from_rationals, from_seeds, identity_sequence, is_prime,
+                 monomial_sequence, oplus, otimes, product_sequence,
+                 psi_substitute_sequence, quantum_integer, quantum_sequence,
+                 rational_quotient, reciprocal_sequence,
+                 scaled_quantum_integer, verify_fe, zeta_scaled_sequence)
 from qfe.poly import Polynomial, monomial, one, zero
 
 
@@ -112,15 +112,17 @@ def test_from_seeds_257_values(seq_257):
 
 
 def test_from_seeds_is_split_order_independent(seeds_257):
-    # Independent oracle: recompute f_n by splitting off the SMALLEST prime
-    # power first instead of the largest-last rule the library fixes.
+    # Two independent oracles for the smallest-prime split the library
+    # fixes: split off the SMALLEST prime power first, and the two-case rule
+    #     f_{p^k}(q) = f_p(q) f_{p^(k-1)}(q^p),
+    #     f_n(q) = f_{n'}(q) f_{p^a}(q^{n'})  with n = n' p^a, p the largest
+    # prime dividing n, that is, the LARGEST prime power split off last.
     P = PrimeSet.of([2, 5, 7])
     F = from_seeds(P, seeds_257)
 
     def small_first(n):
         if n == 1:
             return one(QQ)
-        from qfe import factorize
         p, a = factorize(n).factors[0]
         if p**a == n:
             if a == 1:
@@ -129,8 +131,20 @@ def test_from_seeds_is_split_order_independent(seeds_257):
         rest = n // p**a
         return otimes(small_first(p**a), small_first(rest), p**a)
 
+    def large_last(n):
+        if n == 1:
+            return one(QQ)
+        factors = factorize(n).factors
+        p, a = factors[-1]
+        if len(factors) == 1:
+            if a == 1:
+                return seeds_257[p]
+            return otimes(seeds_257[p], large_last(p**(a - 1)), p)
+        rest = n // p**a
+        return otimes(large_last(rest), large_last(p**a), rest)
+
     for n in enumerate_semigroup(P, 150):
-        assert F.eval(n) == small_first(n)
+        assert F.eval(n) == small_first(n) == large_last(n)
 
     # Evaluation order does not change values either.
     cold = from_seeds(P, seeds_257)
@@ -340,6 +354,9 @@ def test_assemble_rejects_bad_data():
         assemble(1, {1: 1, 4: 3}, base)
     with pytest.raises(TypeError):
         assemble(1, lambda n: 1, base)  # lambda is a table, not a callable
+    for t in (0.1, 1.0, "1/2"):  # the slope is exact: int or Fraction only
+        with pytest.raises(TypeError, match="^not an exact rational value: "):
+            assemble(t, {1: 1}, base)
     # Every key must be a member of S(P), even one no evaluation would read.
     on_two = quantum_sequence(QQ, PrimeSet.of([2]))
     for table, key in (({3: 5, 9: 25}, "3"), ({1: 1, 6: 5}, "6"),
