@@ -11,9 +11,10 @@ prime fields, and cyclotomic fields.
 from .analyze import (Decomposition, DecompositionError,
                       DeltaInconsistencyError, FailedIdentity, OracleFamily,
                       QuantumForcedReport, VerificationReport,
-                      ZetaAdmissibilityReport, check_quantum_forced,
-                      decompose, infer_degree_t, solve_delta,
-                      uniqueness_oracle, verify_fe, zeta_admissibility)
+                      ZetaAdmissibilityReport, additive_law_holds,
+                      check_quantum_forced, decompose, infer_degree_t,
+                      solve_delta, uniqueness_oracle, verify_fe,
+                      zeta_admissibility)
 from .poly import (InexactDivision, Polynomial, constant, from_rationals,
                    monomial, one, quantum_integer, scaled_quantum_integer,
                    zero)
@@ -42,8 +43,9 @@ __all__ = [
     "Polynomial", "PrimeField", "PrimeSet", "PsiIdentityError", "QQ",
     "QuantumForcedReport", "RationalField", "RationalSequence", "Ring",
     "VerificationReport", "ZetaAdmissibilityError", "ZetaAdmissibilityReport",
-    "additive_sequence", "assemble", "check_quantum_forced",
-    "check_seed_commutativity", "constant", "cyclotomic_polynomial",
+    "additive_law_holds", "additive_sequence", "assemble",
+    "check_quantum_forced", "check_seed_commutativity", "constant",
+    "cyclotomic_polynomial",
     "decompose", "dilate_sequence", "enumerate_semigroup", "euler_phi",
     "exact_quotient_sequence", "factorize", "from_rationals", "from_seeds",
     "identity_sequence", "in_semigroup", "infer_degree_t", "is_prime",

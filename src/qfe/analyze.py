@@ -1,13 +1,16 @@
 """Verification and classification of functional-equation sequences.
 
 This module is the other half of a dual-route design: sequences are built
-by construction rules in ``sequences`` and then checked here by exhaustive
-exact-identity sweeps.  Nothing in this module trusts a construction --
-``verify_fe`` expands both sides of every identity that its own law sweep
-does not already decide, ``decompose`` recovers the canonical
-(t, lambda, G) factorization from raw coefficient data, and
-``uniqueness_oracle`` re-derives the quantum integers from the coefficient
-constraints alone, with the scaling unknown treated symbolically.
+by construction rules in ``sequences`` and then checked here by exact
+identities.  Nothing in this module trusts a construction -- ``verify_fe``
+first compares every value up to the bound with a quantum-type form that it
+builds itself from ``poly`` and, when no such form fits, expands both sides
+of every identity that its own law sweep does not already decide;
+``additive_law_holds`` checks the additive law at its generator pairs;
+``decompose`` recovers the canonical (t, lambda, G) factorization from raw
+coefficient data, and ``uniqueness_oracle`` re-derives the quantum integers
+from the coefficient constraints alone, with the scaling unknown treated
+symbolically.
 """
 
 from __future__ import annotations
@@ -15,15 +18,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import poly
-from .poly import Polynomial, monomial, quantum_integer
-from .rings import QQ, Ring
+from .poly import InexactDivision, Polynomial, monomial, quantum_integer
+from .rings import QQ, CyclotomicField, PrimeField, Ring
 from .semigroup import (PrimeSet, divisors, enumerate_semigroup,
-                        first_nonmultiplicative, is_prime, seed_gcd,
-                        support_members)
-from .sequences import FESequence, first_noncommuting_pair, otimes
+                        first_nonmultiplicative, is_prime,
+                        multiplicative_value, seed_gcd, support_members)
+from .sequences import FESequence, first_noncommuting_pair, oplus, otimes
+
+
+# The most peels, and the largest exponent, that the quantum-type
+# certificate tries when it reads e from f_p (see _peel_exponents).  The
+# paper's constructions need one or two of each.
+PEEL_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -50,9 +59,14 @@ class VerificationReport:
 
 
 def verify_fe(F: FESequence, bound: int) -> VerificationReport:
-    """Exhaustively check a sequence up to an index bound.
+    """Exactly check a sequence up to an index bound.
 
-    Three sweeps, all exact:
+    First a quantum-type certificate (``_quantum_type_certificate``): when
+    every value up to the bound equals lambda(n) q^(t(n-1)) prod_u
+    [n]_{q^u}^(e_u) for one completely multiplicative lambda, one slope t
+    and one exponent vector e, and vanishes off the support, the three
+    checks below all pass, and the report says so without expanding any
+    pair.  Otherwise three sweeps, all exact:
       * the multiplicative law f_{mn} = f_m(q) f_n(q^m) for every ordered
         pair with mn <= bound (mn <= bound rather than m,n <= bound keeps
         expanded degrees at desk scale without losing coverage per bound);
@@ -77,6 +91,8 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
+    if _quantum_type_certificate(F, bound):
+        return VerificationReport(bound, True, True, True, None)
     fe_ok = True
     first_failure = None
     for m in range(1, bound + 1):
@@ -122,6 +138,144 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
                      for n in range(1, bound + 1))
     return VerificationReport(bound, fe_ok, commutativity_ok, support_ok,
                               first_failure)
+
+
+def _quantum_type_certificate(F: FESequence, bound: int) -> bool:
+    """True when every f_n, n <= bound, has the quantum-type form below.
+
+    With lambda completely multiplicative on S(P), a slope t and integer
+    exponents e_u over dilations u, write
+        N_n = prod_{e_u < 0} [n]_{q^u}^(-e_u),
+        P_n = lambda(n) q^(t(n-1)) prod_{e_u > 0} [n]_{q^u}^(e_u).
+    The certificate holds when f_n = 0 off the support and f_n N_n = P_n
+    at every member n <= bound.  Both N and P satisfy the law for all m, n,
+    as polynomial identities: [mn]_{q^u} = [m]_{q^u} [n]_{q^(um)} =
+    [n]_{q^u} [m]_{q^(un)}, q^(t(mn-1)) = q^(t(m-1)) (q^m)^(t(n-1)) and
+    lambda(mn) = lambda(m) lambda(n).  So for members m, n <= bound
+        f_m(q) f_n(q^m) N_m(q) N_n(q^m) = P_m(q) P_n(q^m)
+                                        = P_n(q) P_m(q^n)
+                                        = f_n(q) f_m(q^n) N_n(q) N_m(q^n),
+    and N_m(q) N_n(q^m) = N_n(q) N_m(q^n) is nonzero (each [k]_{q^u} has
+    constant term 1), so it cancels: every member pair commutes, and when
+    mn <= bound both sides also equal f_mn N_mn, so the law holds there.
+    A pair with a non-member has a non-member product, since S(P) is
+    divisor-closed, so both sides of its law identity are 0.  P_n is
+    nonzero, so every member's value is nonzero and the support law holds.
+
+    lambda, t and e are read from the values, and only as a guess: the
+    comparison is the proof.  lambda(p) is the trailing coefficient of f_p,
+    t = val(f_p0)/(p0 - 1) at the smallest prime p0 of the support, and e
+    is peeled from f_p0 / q^val(f_p0) (``_peel_exponents``).  Any doubt
+    returns False.
+    """
+    ring = F.ring
+    members = support_members(F.support, bound)
+    primes = [p for p in members if is_prime(p)]
+    if not primes:
+        return False
+    p0 = primes[0]
+    f = F.eval(p0)
+    if f.is_zero():
+        return False
+    v = f.valuation()
+    t = Fraction(v, p0 - 1)
+    e = _peel_exponents(Polynomial._raw(ring, f.coeffs[v:]), p0)
+    if e is None:
+        return False
+
+    member_set, prime_set = set(members), set(primes)
+    lam = {}
+    for n in range(1, bound + 1):
+        f = F.eval(n)
+        if n not in member_set:
+            if not f.is_zero():
+                return False
+            continue
+        if f.is_zero():
+            return False
+        if n in prime_set:
+            lam[n] = f.coefficient(f.valuation())
+        s = t * (n - 1)
+        if s.denominator != 1:
+            return False
+        quantum = quantum_integer(n, ring)
+        lhs, rhs = f, poly.one(ring)
+        for u, k in e.items():
+            factor = quantum.dilate(u)
+            if abs(k) > 1:
+                factor **= abs(k)
+            if k < 0:
+                lhs = lhs * factor
+            else:
+                rhs = rhs * factor if rhs.degree else factor
+        lam_n = multiplicative_value(lam, n, ring.mul, ring.pow, ring.one)
+        if lhs != rhs.scale(lam_n).shift(int(s)):
+            return False
+    return True
+
+
+def _peel_exponents(g: Polynomial, p: int) -> dict[int, int] | None:
+    """A guess at e with g = g(0) prod_u [p]_{q^u}^(e_u), for g(0) != 0.
+
+    [p]_{q^u}^c = 1 + c q^u + (higher terms), so the lowest non-constant
+    term g(0) c q^u of g gives e_u = c; dividing out [p]_{q^u}^c (or
+    multiplying in [p]_{q^u}^(-c)) clears it, and the next lowest term sits
+    at a larger u.  Repeat until g is constant.
+
+    A wrong guess must stay cheap: give up (None) when c is not an integer,
+    when |c| or the number of peels would pass min(deg g, PEEL_LIMIT), when
+    a peel would take the degree below 0 or above twice the starting
+    degree, or when a division is inexact.  So there are at most
+    PEEL_LIMIT products or quotients of degree at most 2 deg g, with
+    coefficients that grow by at most PEEL_LIMIT factors of [p]_{q^u} each.
+    """
+    ring = g.ring
+    unit = ring.inv(g.coeffs[0])
+    cap, top = min(g.degree, PEEL_LIMIT), 2 * g.degree
+    e = {}
+    while g.degree:
+        u = next(i for i in range(1, len(g.coeffs))
+                 if not ring.is_zero(g.coeffs[i]))
+        c = _integer_value(ring, ring.mul(g.coeffs[u], unit))
+        if c is None or abs(c) > cap or len(e) == cap:
+            return None
+        if not 0 <= g.degree - c * u * (p - 1) <= top:
+            return None
+        factor = quantum_integer(p, ring).dilate(u) ** abs(c)
+        try:
+            g = g.exact_div(factor) if c > 0 else g * factor
+        except InexactDivision:
+            return None
+        e[u] = c
+    return e
+
+
+def _integer_value(ring: Ring, c) -> int | None:
+    """The integer c stands for, if any: c over Q, a rational coordinate of
+    Q(zeta_d), and over GF(l) the balanced residue in (-l/2, l/2]."""
+    if isinstance(ring, PrimeField):
+        return c if 2 * c <= ring.p else c - ring.p
+    if isinstance(ring, CyclotomicField):
+        if any(c[1:]):
+            return None
+        c = c[0]
+    return int(c) if c.denominator == 1 else None
+
+
+def additive_law_holds(value: Callable[[int], Polynomial], bound: int) -> bool:
+    """f_{m+n} = f_m(q) + q^m f_n(q) for every m, n >= 1 with m + n <= bound.
+
+    ``value(k)`` supplies f_k.  Only the generator pairs (k, 1), k < bound,
+    are expanded.  Write x_k = (f_k, k) in the monoid
+    (a, m)(b, n) = (a + q^m b, m + n), which is associative:
+    (a + q^m b) + q^(m+n) c = a + q^m (b + q^n c).  The law at (m, n) says
+    x_{m+n} = x_m x_n.  The pairs (k, 1) give x_k = x_1^k for k <= bound by
+    induction, so x_m x_n = x_1^(m+n) = x_{m+n} whenever m + n <= bound;
+    and they are themselves law pairs, so the two checks agree.
+    """
+    f1 = value(1)
+    return all(value(k + 1) == oplus(value(k), f1, k)
+               for k in range(1, bound))
 
 
 class DeltaInconsistencyError(ValueError):

@@ -410,11 +410,15 @@ class AdditiveSequence:
     def __init__(self, h: Polynomial):
         self.h = h
         self.ring = h.ring
+        self._memo: dict[int, Polynomial] = {}
 
     def eval(self, n: int) -> Polynomial:
         if n < 1:
             raise ValueError(f"sequence index must be >= 1, got {n}")
-        return self.h * quantum_integer(n, self.ring)
+        got = self._memo.get(n)
+        if got is None:
+            got = self._memo[n] = self.h * quantum_integer(n, self.ring)
+        return got
 
     def __repr__(self):
         return f"AdditiveSequence(h={self.h})"

@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 from qfe import (ALL_PRIMES, QQ, CyclotomicField, DecompositionError,
                  PrimeField, DeltaInconsistencyError, FESequence, PrimeSet,
-                 assemble, check_quantum_forced, decompose, from_rationals,
+                 additive_law_holds, additive_sequence, assemble,
+                 check_quantum_forced, decompose, from_rationals,
                  monomial, infer_degree_t, is_prime, monomial_sequence,
                  quantum_integer, quantum_sequence, solve_delta,
                  support_members, uniqueness_oracle, verify_fe,
                  zeta_admissibility)
 from qfe.analyze import _forced_coefficients
 from qfe.cli import builtin_sequence
-from qfe.sequences import otimes
+from qfe.sequences import oplus, otimes
 from qfe.poly import Polynomial, constant, one, zero
 from qfe.semigroup import ALL_PRIMES, omega
 
@@ -299,3 +300,22 @@ def test_zeta_admissibility_matches_direct_power_check():
         brute = all(ring.pow(ring.normalize(zeta), m - 1) == ring.one
                     for m in enumerate_semigroup(PrimeSet.of(primes), 500))
         assert report.admissible == brute
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.lists(st.integers(-3, 3), max_size=4),
+       c=st.integers(1, 62), k=st.integers(0, 64),
+       coef=st.sampled_from((1, -1, 2, Fraction(1, 2))),
+       bound=st.integers(1, 60))
+def test_additive_law_holds_matches_all_pairs(h, c, k, coef, bound):
+    """The generator-pair check agrees with the law at every pair m + n <=
+    bound, on h(q) [n]_q with f_c moved by a monomial (a solution when c is
+    past the bound)."""
+    F = additive_sequence(from_rationals(h))
+    delta = monomial(QQ, k, coef)
+
+    def value(n):
+        return F.eval(n) + delta if n == c else F.eval(n)
+    all_pairs = all(value(m + n) == oplus(value(m), value(n), m)
+                    for m in range(1, bound) for n in range(1, bound - m + 1))
+    assert additive_law_holds(value, bound) == all_pairs

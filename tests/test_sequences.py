@@ -415,6 +415,12 @@ def test_additive_sequence_examples():
     assert F.eval(2) == oplus(F.eval(1), F.eval(1), 1)
 
 
+def test_additive_sequence_eval_is_memoized():
+    F = additive_sequence(from_rationals([1, 1]))
+    assert F.eval(5) is F.eval(5)
+    assert F.eval(5) == from_rationals([1, 2, 2, 2, 2, 1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(1, 40), n=st.integers(1, 40))
 def test_additive_law_for_scaled_sequences(m, n):

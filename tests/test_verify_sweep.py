@@ -1,24 +1,33 @@
 """verify_fe against the all-pairs reference sweep, and the work it does.
 
-``reference_verify_fe`` is the verifier before the commutation sweep was
-cut down to prime pairs: it expands the commutation identity for every
-unordered pair of support members.  The fast sweep must agree with it on
-every report field, failure sides included, for solutions and for
-non-solutions alike.
+``reference_verify_fe`` is the verifier before the quantum-type certificate
+and before the commutation sweep was cut down to prime pairs: it expands
+the law at every pair and the commutation identity for every unordered
+pair of support members.  verify_fe must agree with it on every report
+field, failure sides included, for solutions and for non-solutions alike,
+whichever route (certificate or sweeps) decides the report.
 """
 
+import math
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfe import (ALL_PRIMES, QQ, CyclotomicField, FESequence, FailedIdentity,
-                 PrimeField, PrimeSet, VerificationReport, analyze,
-                 dilate_sequence, from_seeds, is_prime, monomial,
-                 monomial_sequence, product_sequence, quantum_integer,
-                 quantum_sequence, reciprocal_sequence, sequences,
-                 support_members, verify_fe)
+                 PrimeField, PrimeSet, VerificationReport, analyze, assemble,
+                 dilate_sequence, exact_quotient_sequence, from_seeds,
+                 is_prime, monomial, monomial_sequence, product_sequence,
+                 psi_substitute_sequence, quantum_integer, quantum_sequence,
+                 reciprocal_sequence, sequences, support_members, verify_fe)
+from qfe.analyze import _quantum_type_certificate
+from qfe.cli import builtin_sequence, load_seed_spec
+from qfe.semigroup import divisors
 from qfe.sequences import otimes
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SMALL_PRIMES = (2, 3, 5, 7, 11)
 
@@ -95,25 +104,44 @@ def supports(draw):
                                     min_size=1, max_size=3)))
 
 
+def quotient_seed(p, a, ring):
+    """[p]_{q^a} / [p]_q, a polynomial when p does not divide a."""
+    return quantum_integer(p, ring).dilate(a).exact_div(quantum_integer(p, ring))
+
+
 @st.composite
 def seed_solutions(draw, ring):
-    """from_seeds with h_p = lambda_p q^(t(p-1)) [p]_{q^a}; these seeds
-    commute for any nonzero lambda_p, any t >= 0 and any a >= 1."""
+    """from_seeds with h_p = lambda_p q^(t(p-1)) [p]_{q^a}, or that divided
+    by [p]_q when a is prime to P (a negative exponent, as in the
+    seed-tables benchmark families).  These seeds commute for any nonzero
+    lambda_p, any a >= 1 and any t >= 0 with t(p-1) an integer, so t may be
+    a fraction whose denominator divides gcd{p-1} (t = 1/3 on S({7}))."""
     P = PrimeSet.of(draw(st.sets(st.sampled_from(SMALL_PRIMES),
                                  min_size=1, max_size=3)))
-    t = draw(st.integers(0, 2))
+    step = math.gcd(*(p - 1 for p in P.primes))
+    t = Fraction(draw(st.integers(0, 2)), draw(st.sampled_from(divisors(step))))
     a = draw(st.integers(1, 3))
-    seeds = {p: quantum_integer(p, ring).dilate(a).shift(t * (p - 1))
-             .scale(draw(nonzero_scalars(ring)))
-             for p in P.primes}
-    return from_seeds(P, seeds)
+    quotient = a > 1 and all(a % p for p in P.primes) and draw(st.booleans())
+
+    def seed(p):
+        h = quotient_seed(p, a, ring) if quotient else quantum_integer(p, ring).dilate(a)
+        return h.shift(int(t * (p - 1))).scale(draw(nonzero_scalars(ring)))
+    return from_seeds(P, {p: seed(p) for p in P.primes})
+
+
+def power_sequence(ring, support, k):
+    """n -> [n]_q^k, as a value-wise product of k quantum sequences."""
+    F = quantum_sequence(ring, support)
+    for _ in range(k - 1):
+        F = product_sequence(F, quantum_sequence(ring, support))
+    return F
 
 
 @st.composite
 def solutions(draw):
     ring, max_bound = draw(st.sampled_from(RINGS))
     kind = draw(st.sampled_from(("quantum", "monomial", "dilate",
-                                 "reciprocal", "product", "seeds")))
+                                 "reciprocal", "product", "power", "seeds")))
     if kind == "seeds":
         F = draw(seed_solutions(ring))
     else:
@@ -127,17 +155,37 @@ def solutions(draw):
             F = reciprocal_sequence(dilate_sequence(F, 2))
         elif kind == "product":
             F = product_sequence(F, monomial_sequence(ring, support))
+        elif kind == "power":
+            # Over GF(l), [n]_q^l = [n]_{q^l}, and l - 1 reads as -1.
+            ks = (2, 3)
+            if isinstance(ring, PrimeField):
+                ks = tuple(k for k in (ring.p - 1, ring.p, ring.p + 1) if k > 1)
+            F = power_sequence(ring, support, draw(st.sampled_from(ks)))
+            max_bound = min(max_bound, 16)
     return F, draw(st.integers(max_bound // 3, max_bound))
+
+
+def tampered(F, c, delta):
+    """F with f_c replaced by f_c + delta."""
+    def rule(n):
+        return F.eval(n) + delta if n == c else F.eval(n)
+    return FESequence(F.ring, F.support, rule, f"tampered({F.name}, {c})")
 
 
 def tampered_quantum(ring, c, k, coef):
     """The quantum solution with f_c replaced by [c]_q + coef q^k."""
-    delta = monomial(ring, k, coef)
+    return tampered(quantum_sequence(ring), c, monomial(ring, k, coef))
 
-    def rule(n):
-        f = quantum_integer(n, ring)
-        return f + delta if n == c else f
-    return FESequence(ring, ALL_PRIMES, rule, f"tampered({c})")
+
+class Misdeclared(FESequence):
+    """The values of F at every index, under a narrower declared support."""
+
+    def __init__(self, F, support):
+        super().__init__(F.ring, support, F.eval, f"misdeclared({F.name})")
+        self.values = F
+
+    def eval(self, n):
+        return self.values.eval(n)
 
 
 @st.composite
@@ -159,11 +207,92 @@ def tamperings(draw, prime_above_half):
     return tampered_quantum(ring, c, k, draw(nonzero_scalars(ring))), B, c
 
 
+@st.composite
+def tampered_solutions(draw):
+    """(F, B): a drawn solution with one member's value moved by a nonzero
+    monomial, at f_1, at a prime, at a composite, or at exactly f_B (the
+    largest member, made the bound, so all values below it still fit)."""
+    F, B = draw(solutions())
+    members = support_members(F.support, B)
+    where = draw(st.sampled_from(("one", "prime", "composite", "last")))
+    if where == "last" and members[-1] > 1:
+        B = members[-1]
+    choices = {"one": [1],
+               "prime": [n for n in members if is_prime(n)],
+               "composite": [n for n in members if n > 1 and not is_prime(n)],
+               "last": [members[-1]]}[where]
+    c = draw(st.sampled_from(choices or members))
+    k = draw(st.integers(0, c + 2))
+    return tampered(F, c, monomial(F.ring, k, draw(nonzero_scalars(F.ring)))), B
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=solutions())
 def test_sweep_matches_reference_on_solutions(case):
     F, bound = case
     assert assert_matches_reference(F, bound).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tampered_solutions())
+def test_verify_matches_reference_on_tampered_solutions(case):
+    assert_matches_reference(*case)
+
+
+def seed_quotient_sequence(ring, primes, a, lam, t):
+    """lambda q^(t(n-1)) [n]_{q^a} / [n]_q on S(P), lambda constant on P."""
+    return from_seeds(primes, {
+        p: quotient_seed(p, a, ring).shift(t * (p - 1)).scale(lam)
+        for p in primes})
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(7), CyclotomicField(3)],
+                         ids=str)
+@pytest.mark.parametrize("make", [
+    lambda ring: quantum_sequence(ring),
+    lambda ring: assemble(1, {p: 2 for p in range(2, 31) if is_prime(p)},
+                          product_sequence(quantum_sequence(ring),
+                                           dilate_sequence(quantum_sequence(ring), 2))),
+], ids=["quantum", "scaled-product"])
+@pytest.mark.parametrize("c", [1, 23, 24, 29, 30])
+def test_verify_matches_reference_at_each_tampered_index(ring, make, c):
+    """f_1, a prime in the middle, a composite, the last prime <= B and
+    f_B itself: a certificate that skipped any of them would pass."""
+    F = tampered(make(ring), c, monomial(ring, 2, 3))
+    assert not assert_matches_reference(F, 30).ok
+
+
+@pytest.mark.parametrize("ring, bound", RINGS, ids=str)
+def test_verify_matches_reference_on_support_violations(ring, bound):
+    """Nonzero values off the declared support, and a zero on it."""
+    report = assert_matches_reference(
+        Misdeclared(quantum_sequence(ring), PrimeSet.of([2, 3])), bound)
+    assert report.fe_ok and not report.support_ok
+    F = quantum_sequence(ring)
+    assert not assert_matches_reference(
+        tampered(F, 4, -F.eval(4)), bound).support_ok
+
+
+def test_certificate_covers_the_quantum_type_constructions():
+    """The route that skips every pair sweep must not go unused: it accepts
+    the builtins of that form, the library transforms of the verify-full
+    benchmark, a seed-tables family and quantum over the other rings."""
+    qs = quantum_sequence
+    cases = [builtin_sequence(name) for name in
+             ("quantum", "monomial", "identity", "power7-third")]
+    cases += [
+        dilate_sequence(qs(), 3),
+        reciprocal_sequence(dilate_sequence(qs(), 2)),
+        product_sequence(qs(), dilate_sequence(qs(), 2)),
+        psi_substitute_sequence(qs(), monomial(QQ, 2)),
+        exact_quotient_sequence(product_sequence(qs(), dilate_sequence(qs(), 2)),
+                                dilate_sequence(qs(), 2)),
+        seed_quotient_sequence(QQ, [2, 3], 5, Fraction(5, 6), 2),
+        qs(PrimeField(257)),
+        qs(CyclotomicField(12)),
+    ]
+    for F in cases:
+        assert _quantum_type_certificate(F, 60), F
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,12 +311,11 @@ def test_sweep_matches_reference_when_the_law_fails(case):
     assert not assert_matches_reference(F, bound).fe_ok
 
 
-def test_sweep_work_is_the_law_pairs_plus_large_prime_pairs(monkeypatch):
-    """verify_fe expands the law at every (m, n) with mn <= B and the
-    commutation identity only at prime pairs with p1 p2 > B.
+def count_otimes(monkeypatch):
+    """A one-item list that counts otimes calls from here on.
 
     otimes is wrapped in every module that binds it, so the count covers
-    both sweeps; quantum values are built without otimes."""
+    both sweeps."""
     calls = [0]
     real = sequences.otimes
 
@@ -197,10 +325,35 @@ def test_sweep_work_is_the_law_pairs_plus_large_prime_pairs(monkeypatch):
 
     for module in (analyze, sequences):
         monkeypatch.setattr(module, "otimes", counted)
+    return calls
+
+
+def test_certificate_expands_no_identity(monkeypatch):
+    """The quantum sequence passes the certificate: no otimes at all."""
+    calls = count_otimes(monkeypatch)
+    assert verify_fe(quantum_sequence(), 200).ok
+    assert calls[0] == 0
+
+
+def test_sweep_work_is_the_law_pairs_plus_large_prime_pairs(monkeypatch):
+    """Past the certificate, verify_fe expands the law at every (m, n) with
+    mn <= B and the commutation identity only at prime pairs with
+    p1 p2 > B.
+
+    The sequence has [p]_{zeta q}-type seeds over Q(zeta_12), which the
+    certificate does not cover; its values are built before counting,
+    since from_seeds builds them with otimes."""
+    spec = load_seed_spec(str(GOLDEN / "seeds-713-z12.json"))
+    F = from_seeds(spec.primes, spec.seeds)
     B = 64
-    assert verify_fe(quantum_sequence(), B).ok
+    for n in range(1, B + 1):
+        F.eval(n)
+    assert not _quantum_type_certificate(F, B)
+    calls = count_otimes(monkeypatch)
+    assert verify_fe(F, B).ok
     law_pairs = sum(B // m for m in range(1, B + 1))
-    primes = [p for p in range(2, B + 1) if is_prime(p)]
+    primes = [p for p in support_members(F.support, B) if is_prime(p)]
     large_prime_pairs = sum(1 for i, p1 in enumerate(primes)
                             for p2 in primes[i + 1:] if p1 * p2 > B)
+    assert large_prime_pairs == 1
     assert calls[0] <= law_pairs + 2 * large_prime_pairs
