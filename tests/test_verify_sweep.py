@@ -172,11 +172,6 @@ def tampered(F, c, delta):
     return FESequence(F.ring, F.support, rule, f"tampered({F.name}, {c})")
 
 
-def tampered_quantum(ring, c, k, coef):
-    """The quantum solution with f_c replaced by [c]_q + coef q^k."""
-    return tampered(quantum_sequence(ring), c, monomial(ring, k, coef))
-
-
 class Misdeclared(FESequence):
     """The values of F at every index, under a narrower declared support."""
 
@@ -204,7 +199,8 @@ def tamperings(draw, prime_above_half):
                    if not is_prime(c) or 2 * c <= B]
     c = draw(st.sampled_from(choices))
     k = draw(st.integers(0, c + 2))
-    return tampered_quantum(ring, c, k, draw(nonzero_scalars(ring))), B, c
+    delta = monomial(ring, k, draw(nonzero_scalars(ring)))
+    return tampered(quantum_sequence(ring), c, delta), B, c
 
 
 @st.composite
