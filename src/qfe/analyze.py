@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import mul
 from typing import Callable, Mapping
 
 from . import poly
 from .poly import InexactDivision, Polynomial, monomial, quantum_integer
-from .rings import QQ, CyclotomicField, PrimeField, Ring
+from .rings import QQ, Ring
 from .semigroup import (PrimeSet, divisors, enumerate_semigroup,
                         first_nonmultiplicative, is_prime,
                         multiplicative_value, seed_gcd, support_members)
@@ -32,7 +34,7 @@ from .sequences import FESequence, first_noncommuting_pair, oplus, otimes
 # The most peels, and the largest exponent, that the quantum-type
 # certificate tries when it reads e from f_p (see _peel_exponents).  The
 # paper's constructions need one or two of each.
-PEEL_LIMIT = 16
+_PEEL_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -199,16 +201,11 @@ def _quantum_type_certificate(F: FESequence, bound: int) -> bool:
         if s.denominator != 1:
             return False
         quantum = quantum_integer(n, ring)
-        lhs, rhs = f, poly.one(ring)
-        for u, k in e.items():
-            factor = quantum.dilate(u)
-            if abs(k) > 1:
-                factor **= abs(k)
-            if k < 0:
-                lhs = lhs * factor
-            else:
-                rhs = rhs * factor if rhs.degree else factor
         lam_n = multiplicative_value(lam, n, ring.mul, ring.pow, ring.one)
+        num = [quantum.dilate(u) ** k for u, k in e.items() if k > 0]
+        den = [quantum.dilate(u) ** -k for u, k in e.items() if k < 0]
+        lhs = reduce(mul, den, f)
+        rhs = reduce(mul, num) if num else poly.one(ring)
         if lhs != rhs.scale(lam_n).shift(int(s)):
             return False
     return True
@@ -222,22 +219,28 @@ def _peel_exponents(g: Polynomial, p: int) -> dict[int, int] | None:
     multiplying in [p]_{q^u}^(-c)) clears it, and the next lowest term sits
     at a larger u.  Repeat until g is constant.
 
-    A wrong guess must stay cheap: give up (None) when c is not an integer,
-    when |c| or the number of peels would pass min(deg g, PEEL_LIMIT), when
-    a peel would take the degree below 0 or above twice the starting
-    degree, or when a division is inexact.  So there are at most
-    PEEL_LIMIT products or quotients of degree at most 2 deg g, with
-    coefficients that grow by at most PEEL_LIMIT factors of [p]_{q^u} each.
+    A wrong guess must stay cheap: give up (None) when c is not an integer
+    k with |k| <= min(deg g, _PEEL_LIMIT) (over GF(l) the k of least |k|,
+    the balanced residue), when the number of peels would pass that cap,
+    when a peel would take the degree below 0 or above twice the starting
+    degree, or when a division is inexact.  Each rule bounds a different
+    growth: without the cap a dense seed with coefficients -1, -2, -3
+    reads a large c and divides by [p]_q^c, and without the degree window
+    1 - q^D, which peels c = -1 at u = D, pD, p^2 D, ..., reaches degree
+    p^cap D.  With both there are at most _PEEL_LIMIT products or quotients
+    of degree at most 2 deg g.
     """
     ring = g.ring
     unit = ring.inv(g.coeffs[0])
-    cap, top = min(g.degree, PEEL_LIMIT), 2 * g.degree
+    cap, top = min(g.degree, _PEEL_LIMIT), 2 * g.degree
     e = {}
     while g.degree:
         u = next(i for i in range(1, len(g.coeffs))
                  if not ring.is_zero(g.coeffs[i]))
-        c = _integer_value(ring, ring.mul(g.coeffs[u], unit))
-        if c is None or abs(c) > cap or len(e) == cap:
+        x = ring.mul(g.coeffs[u], unit)
+        c = next((k for k in sorted(range(cap, -cap - 1, -1), key=abs)
+                  if k and ring.normalize(k) == x), None)
+        if c is None or len(e) == cap:
             return None
         if not 0 <= g.degree - c * u * (p - 1) <= top:
             return None
@@ -248,18 +251,6 @@ def _peel_exponents(g: Polynomial, p: int) -> dict[int, int] | None:
             return None
         e[u] = c
     return e
-
-
-def _integer_value(ring: Ring, c) -> int | None:
-    """The integer c stands for, if any: c over Q, a rational coordinate of
-    Q(zeta_d), and over GF(l) the balanced residue in (-l/2, l/2]."""
-    if isinstance(ring, PrimeField):
-        return c if 2 * c <= ring.p else c - ring.p
-    if isinstance(ring, CyclotomicField):
-        if any(c[1:]):
-            return None
-        c = c[0]
-    return int(c) if c.denominator == 1 else None
 
 
 def additive_law_holds(value: Callable[[int], Polynomial], bound: int) -> bool:

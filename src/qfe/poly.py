@@ -208,7 +208,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        return power(self, k, Polynomial.__mul__, one(self.ring))
+        return power(self, k, Polynomial.__mul__) if k else one(self.ring)
 
     # -- the operations the functional equation is built from --
 

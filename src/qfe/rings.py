@@ -58,13 +58,16 @@ def _scalar_from_json(obj, what: str, integral: bool = False):
     raise ValueError(f"{what} must be an integer or a string {form}, got {obj!r}")
 
 
-def power(x, k: int, mul, one):
+def power(x, k: int, mul, one=None):
     """x**k for k >= 0 from the ring's mul and one, by square-and-multiply
-    that skips the unused square of the top bit's power."""
+    that skips the unused square of the top bit's power.
+
+    Without one (k >= 1 only) the product starts from the first factor, so
+    x**1 is x itself and no product is spent on one * x."""
     acc = one
     while True:
         if k & 1:
-            acc = mul(acc, x)
+            acc = x if acc is None else mul(acc, x)
         k >>= 1
         if not k:
             return acc

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 from qfe import (ALL_PRIMES, QQ, CyclotomicField, FESequence, FailedIdentity,
                  PrimeField, PrimeSet, VerificationReport, analyze, assemble,
-                 dilate_sequence, exact_quotient_sequence, from_seeds,
-                 is_prime, monomial, monomial_sequence, product_sequence,
-                 psi_substitute_sequence, quantum_integer, quantum_sequence,
-                 reciprocal_sequence, sequences, support_members, verify_fe)
+                 dilate_sequence, exact_quotient_sequence, from_rationals,
+                 from_seeds, is_prime, monomial, monomial_sequence,
+                 product_sequence, psi_substitute_sequence, quantum_integer,
+                 quantum_sequence, reciprocal_sequence, sequences,
+                 support_members, verify_fe, zeta_scaled_sequence)
 from qfe.analyze import _quantum_type_certificate
 from qfe.cli import builtin_sequence, load_seed_spec
 from qfe.semigroup import divisors
@@ -291,6 +292,30 @@ def test_certificate_covers_the_quantum_type_constructions():
         assert _quantum_type_certificate(F, 60), F
 
 
+def test_peel_gives_up_within_its_limits(monkeypatch):
+    """The peel stops at an exponent past its cap, and before a peel would
+    double the degree: 1 - q^4 on S({2}) peels c = -1 at u = 4, 8, 16, ...
+    without end.  Either way verify_fe falls back to the sweeps and matches
+    the reference."""
+    too_high = power_sequence(QQ, PrimeSet.of([2, 3]), analyze._PEEL_LIMIT + 1)
+    assert analyze._peel_exponents(too_high.eval(2), 2) is None
+    growing = from_seeds([2], {2: from_rationals([1, 0, 0, 0, -1])})
+    peels = [0]
+    real = analyze.quantum_integer
+
+    def counted(*args):
+        peels[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(analyze, "quantum_integer", counted)
+    assert analyze._peel_exponents(growing.eval(2), 2) is None
+    assert peels[0] == 1
+    monkeypatch.undo()
+    for F, B in ((too_high, 12), (growing, 16)):
+        assert not _quantum_type_certificate(F, B)
+        assert assert_matches_reference(F, B).ok
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=tamperings(prime_above_half=True))
 def test_sweep_matches_reference_past_the_law_sweep(case):
@@ -336,20 +361,25 @@ def test_sweep_work_is_the_law_pairs_plus_large_prime_pairs(monkeypatch):
     mn <= B and the commutation identity only at prime pairs with
     p1 p2 > B.
 
-    The sequence has [p]_{zeta q}-type seeds over Q(zeta_12), which the
-    certificate does not cover; its values are built before counting,
-    since from_seeds builds them with otimes."""
+    Neither sequence is covered by the certificate: the [p]_{zeta q}-type
+    seeds of seeds-713-z12 over Q(zeta_12), and [n]_{iq} on the primes
+    = 1 mod 4 below 50 over Q(i).  Each bound leaves prime pairs with
+    p1 p2 <= B, whose expansion the count would show.  Values are built
+    before counting, since from_seeds builds them with otimes."""
     spec = load_seed_spec(str(GOLDEN / "seeds-713-z12.json"))
-    F = from_seeds(spec.primes, spec.seeds)
-    B = 64
-    for n in range(1, B + 1):
-        F.eval(n)
-    assert not _quantum_type_certificate(F, B)
-    calls = count_otimes(monkeypatch)
-    assert verify_fe(F, B).ok
-    law_pairs = sum(B // m for m in range(1, B + 1))
-    primes = [p for p in support_members(F.support, B) if is_prime(p)]
-    large_prime_pairs = sum(1 for i, p1 in enumerate(primes)
-                            for p2 in primes[i + 1:] if p1 * p2 > B)
-    assert large_prime_pairs == 1
-    assert calls[0] <= law_pairs + 2 * large_prime_pairs
+    gaussian = [p for p in range(5, 50, 4) if is_prime(p)]
+    cases = [(from_seeds(spec.primes, spec.seeds), 100),
+             (zeta_scaled_sequence(gaussian, [0, 1], CyclotomicField(4)), 200)]
+    for F, B in cases:
+        for n in range(1, B + 1):
+            F.eval(n)
+        assert not _quantum_type_certificate(F, B)
+        calls = count_otimes(monkeypatch)
+        assert verify_fe(F, B).ok
+        law_pairs = sum(B // m for m in range(1, B + 1))
+        primes = [p for p in support_members(F.support, B) if is_prime(p)]
+        prime_pairs = [(p1, p2) for i, p1 in enumerate(primes)
+                       for p2 in primes[i + 1:]]
+        large_prime_pairs = sum(1 for p1, p2 in prime_pairs if p1 * p2 > B)
+        assert large_prime_pairs < len(prime_pairs)
+        assert calls[0] == law_pairs + 2 * large_prime_pairs
