@@ -3,9 +3,9 @@
 This module is the other half of a dual-route design: sequences are built
 by construction rules in ``sequences`` and then checked here by exact
 identities.  Nothing in this module trusts a construction -- ``verify_fe``
-first compares every value up to the bound with a quantum-type form that it
-builds itself from ``poly`` and, when no such form fits, expands both sides
-of every identity that its own law sweep does not already decide;
+compares every value up to the bound with a quantum-type form that it
+builds itself from ``poly``, and expands both sides of exactly the
+identities that this per-index profile does not decide;
 ``additive_law_holds`` checks the additive law at its generator pairs;
 ``decompose`` recovers the canonical (t, lambda, G) factorization from raw
 coefficient data, and ``uniqueness_oracle`` re-derives the quantum integers
@@ -26,14 +26,14 @@ from . import poly
 from .poly import InexactDivision, Polynomial, monomial, quantum_integer
 from .rings import QQ, Ring
 from .semigroup import (PrimeSet, divisors, enumerate_semigroup,
-                        first_nonmultiplicative, is_prime,
-                        multiplicative_value, seed_gcd, support_members)
+                        first_nonmultiplicative, is_prime, seed_gcd,
+                        support_members)
 from .sequences import FESequence, first_noncommuting_pair, oplus, otimes
 
 
-# The most peels, and the largest exponent, that the quantum-type
-# certificate tries when it reads e from f_p (see _peel_exponents).  The
-# paper's constructions need one or two of each.
+# The most peels, and the largest exponent, that verify_fe's profile tries
+# when it reads its shape e from f_p (see _peel_exponents).  The paper's
+# constructions need one or two of each.
 _PEEL_LIMIT = 16
 
 
@@ -63,12 +63,7 @@ class VerificationReport:
 def verify_fe(F: FESequence, bound: int) -> VerificationReport:
     """Exactly check a sequence up to an index bound.
 
-    First a quantum-type certificate (``_quantum_type_certificate``): when
-    every value up to the bound equals lambda(n) q^(t(n-1)) prod_u
-    [n]_{q^u}^(e_u) for one completely multiplicative lambda, one slope t
-    and one exponent vector e, and vanishes off the support, the three
-    checks below all pass, and the report says so without expanding any
-    pair.  Otherwise three sweeps, all exact:
+    Three checks, all exact:
       * the multiplicative law f_{mn} = f_m(q) f_n(q^m) for every ordered
         pair with mn <= bound (mn <= bound rather than m,n <= bound keeps
         expanded degrees at desk scale without losing coverage per bound);
@@ -78,27 +73,72 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
         at (1,1));
       * the support law: the nonzero indices <= bound must be exactly the
         declared semigroup.
+    Both pair sweeps run in lexicographic order and stop at their first
+    failure, which is returned with both sides; failures are report
+    content, not errors.
 
-    The commutation identity is expanded only where the law sweep does not
-    already decide it.  When the law holds up to the bound, only the pairs
-    of primes p1 < p2 <= bound in the support with p1 p2 > bound are
-    expanded, in lexicographic order: every other member pair commutes
-    whenever those do, and a failing member pair implies a failing prime
-    pair no later in that order (proof in the body).  When the law fails,
-    every member pair is expanded.  Either way ``commutativity_ok`` and
-    ``first_failure`` are those of the sweep over all member pairs.
+    A pair is expanded only when a per-index profile does not decide it.
+    The profile reads a shape e, integer exponents over dilations u, by
+    peeling the first prime member's value that peels (``_peel_exponents``;
+    e = {} when none does), and sets
+        N_n = prod_{e_u < 0} [n]_{q^u}^(-e_u),   P_n = prod_{e_u > 0} [n]_{q^u}^(e_u).
+    Index n is regular when f_n N_n = c_n q^(s_n) P_n, with c_n and s_n the
+    trailing coefficient and valuation of f_n, or when n is not a support
+    member and f_n = 0; every other index n <= bound is exceptional.  The
+    shape is only a guess: the comparison at each n is the proof.  N and P
+    satisfy the law identically, [mn]_{q^u} = [m]_{q^u} [n]_{q^(um)} =
+    [n]_{q^u} [m]_{q^(un)}, and each [k]_{q^u} has constant term 1, so N
+    and P cancel from any identity between regular nonzero values.  Hence:
+      * zero rule: when f_m or f_n is a regular zero and so is f_mn, both
+        sides of the law at (m, n) are 0;
+      * law rule: when m, n and mn are regular and nonzero, the law holds at
+        (m, n) iff c_mn = c_m c_n and s_mn = s_m + m s_n;
+      * slope rule: for regular members m < n the commutation identity holds
+        iff s_m + m s_n = s_n + n s_m, that is s_m (n-1) = s_n (m-1), since
+        the scalars commute.
+    Pairs that a rule proves are skipped; every other pair is expanded.  A
+    skipped pair holds, so the first failure and its sides are those of
+    the full sweep.  A solution with no exceptional index expands nothing.
 
-    Failures are report content, not errors; the first counterexample is
-    returned with both sides.
+    When the law holds up to the bound, the commutation sweep is cut down
+    further, to the prime pairs p1 < p2 <= bound with p1 p2 > bound.  Write
+    x_n = (f_n, n) in the monoid (a, m)(b, n) = (a(q) b(q^m), mn), so the
+    commutation identity at (m, n) says x_m x_n = x_n x_m, and the law gives
+    x_{mn} = x_m x_n whenever mn <= bound.  So pairs (1, n) commute; a
+    member k <= bound is the product of x_p over its prime factors p, all
+    support members <= bound; the centraliser {y : x y = y x} is a
+    submonoid, so x_m and x_n commute once x_p and x_r do for all primes
+    p | m, r | n; and a prime pair with p1 p2 <= bound commutes, as
+    x_{p1} x_{p2} = x_{p1 p2} = x_{p2} x_{p1}.  If (m, n) fails, some primes
+    p | m, r | n with p != r fail, and (min(p, r), max(p, r)) is
+    lexicographically <= (m, n): min <= m, and min = m forces p = m prime
+    and max = r <= n.  So the first failing member pair is a prime pair
+    with p1 p2 > bound.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    if _quantum_type_certificate(F, bound):
-        return VerificationReport(bound, True, True, True, None)
+    ring = F.ring
+    profile = _profile(F, bound)
+
+    def law_proven(m: int, n: int) -> bool:
+        # An exceptional index reads as (), a regular zero as None.
+        x, y, z = (profile.get(k, ()) for k in (m, n, m * n))
+        if z is None:
+            return x is None or y is None
+        return bool(x and y and z) and z == (ring.mul(x[0], y[0]),
+                                             x[1] + m * y[1])
+
+    def commutation_proven(m: int, n: int) -> bool:
+        x, y = profile.get(m), profile.get(n)
+        return (x is not None and y is not None
+                and x[1] * (n - 1) == y[1] * (m - 1))
+
     fe_ok = True
     first_failure = None
     for m in range(1, bound + 1):
         for n in range(1, bound // m + 1):
+            if law_proven(m, n):
+                continue
             lhs = F.eval(m * n)
             rhs = otimes(F.eval(m), F.eval(n), m)
             if lhs != rhs:
@@ -110,27 +150,13 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
 
     members = support_members(F.support, bound)
     if fe_ok:
-        # Write x_n = (f_n, n) in the monoid (a, m)(b, n) = (a(q) b(q^m), mn),
-        # so the commutation identity at (m, n) says x_m x_n = x_n x_m.  The
-        # law sweep passed, so x_{mn} = x_m x_n whenever mn <= bound, hence:
-        #   * pairs (1, n) commute: x_1 x_n = x_n = x_n x_1;
-        #   * a member k <= bound is the product of x_p over its prime
-        #     factors p, all support members <= bound;
-        #   * the centraliser {y : x y = y x} is a submonoid, so x_m and x_n
-        #     commute once x_p and x_r commute for all primes p | m, r | n;
-        #   * a prime pair with p1 p2 <= bound commutes:
-        #     x_{p1} x_{p2} = x_{p1 p2} = x_{p2} x_{p1}.
-        # If (m, n) fails, some primes p | m, r | n with p != r fail, and
-        # (min(p, r), max(p, r)) is lexicographically <= (m, n): min <= m,
-        # and min = m forces p = m prime and max = r <= n.  So the first
-        # failing member pair is a prime pair with p1 p2 > bound, and
-        # sweeping only those pairs finds the same pair with the same sides.
         primes = [p for p in members if is_prime(p)]
         pairs = ((p1, p2) for p1, p2 in combinations(primes, 2)
                  if p1 * p2 > bound)
     else:
         pairs = combinations(members, 2)
-    hit = first_noncommuting_pair(pairs, F.eval)
+    hit = first_noncommuting_pair(
+        (pair for pair in pairs if not commutation_proven(*pair)), F.eval)
     commutativity_ok = hit is None
     if first_failure is None and hit is not None:
         first_failure = FailedIdentity(*hit)
@@ -142,95 +168,59 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
                               first_failure)
 
 
-def _quantum_type_certificate(F: FESequence, bound: int) -> bool:
-    """True when every f_n, n <= bound, has the quantum-type form below.
+def _profile(F: FESequence, bound: int) -> dict:
+    """The regular indices n <= bound of ``verify_fe``'s profile.
 
-    With lambda completely multiplicative on S(P), a slope t and integer
-    exponents e_u over dilations u, write
-        N_n = prod_{e_u < 0} [n]_{q^u}^(-e_u),
-        P_n = lambda(n) q^(t(n-1)) prod_{e_u > 0} [n]_{q^u}^(e_u).
-    The certificate holds when f_n = 0 off the support and f_n N_n = P_n
-    at every member n <= bound.  Both N and P satisfy the law for all m, n,
-    as polynomial identities: [mn]_{q^u} = [m]_{q^u} [n]_{q^(um)} =
-    [n]_{q^u} [m]_{q^(un)}, q^(t(mn-1)) = q^(t(m-1)) (q^m)^(t(n-1)) and
-    lambda(mn) = lambda(m) lambda(n).  So for members m, n <= bound
-        f_m(q) f_n(q^m) N_m(q) N_n(q^m) = P_m(q) P_n(q^m)
-                                        = P_n(q) P_m(q^n)
-                                        = f_n(q) f_m(q^n) N_n(q) N_m(q^n),
-    and N_m(q) N_n(q^m) = N_n(q) N_m(q^n) is nonzero (each [k]_{q^u} has
-    constant term 1), so it cancels: every member pair commutes, and when
-    mn <= bound both sides also equal f_mn N_mn, so the law holds there.
-    A pair with a non-member has a non-member product, since S(P) is
-    divisor-closed, so both sides of its law identity are 0.  P_n is
-    nonzero, so every member's value is nonzero and the support law holds.
-
-    lambda, t and e are read from the values, and only as a guess: the
-    comparison is the proof.  lambda(p) is the trailing coefficient of f_p,
-    t = val(f_p0)/(p0 - 1) at the smallest prime p0 of the support, and e
-    is peeled from f_p0 / q^val(f_p0) (``_peel_exponents``).  Any doubt
-    returns False.
+    Maps n to (c_n, s_n) when f_n is regular and nonzero, and to None when
+    n is a non-member with f_n = 0; exceptional indices are absent.
     """
     ring = F.ring
     members = support_members(F.support, bound)
-    primes = [p for p in members if is_prime(p)]
-    if not primes:
-        return False
-    p0 = primes[0]
-    f = F.eval(p0)
-    if f.is_zero():
-        return False
-    v = f.valuation()
-    t = Fraction(v, p0 - 1)
-    e = _peel_exponents(Polynomial._raw(ring, f.coeffs[v:]), p0)
-    if e is None:
-        return False
-
-    member_set, prime_set = set(members), set(primes)
-    lam = {}
+    peels = (_peel_exponents(F.eval(p), p) for p in members if is_prime(p))
+    e = next((e for e in peels if e is not None), {})
+    member_set = set(members)
+    profile = {}
     for n in range(1, bound + 1):
         f = F.eval(n)
-        if n not in member_set:
-            if not f.is_zero():
-                return False
-            continue
         if f.is_zero():
-            return False
-        if n in prime_set:
-            lam[n] = f.coefficient(f.valuation())
-        s = t * (n - 1)
-        if s.denominator != 1:
-            return False
+            if n not in member_set:
+                profile[n] = None
+            continue
+        s = f.valuation()
+        c = f.coefficient(s)
         quantum = quantum_integer(n, ring)
-        lam_n = multiplicative_value(lam, n, ring.mul, ring.pow, ring.one)
         num = [quantum.dilate(u) ** k for u, k in e.items() if k > 0]
         den = [quantum.dilate(u) ** -k for u, k in e.items() if k < 0]
-        lhs = reduce(mul, den, f)
         rhs = reduce(mul, num) if num else poly.one(ring)
-        if lhs != rhs.scale(lam_n).shift(int(s)):
-            return False
-    return True
+        if reduce(mul, den, f) == rhs.scale(c).shift(s):
+            profile[n] = (c, s)
+    return profile
 
 
 def _peel_exponents(g: Polynomial, p: int) -> dict[int, int] | None:
-    """A guess at e with g = g(0) prod_u [p]_{q^u}^(e_u), for g(0) != 0.
+    """A guess at e with g = a q^v prod_u [p]_{q^u}^(e_u), for some a != 0.
 
-    [p]_{q^u}^c = 1 + c q^u + (higher terms), so the lowest non-constant
-    term g(0) c q^u of g gives e_u = c; dividing out [p]_{q^u}^c (or
-    multiplying in [p]_{q^u}^(-c)) clears it, and the next lowest term sits
-    at a larger u.  Repeat until g is constant.
+    Strip the trailing term a q^v first.  [p]_{q^u}^c = 1 + c q^u + (higher
+    terms), so the lowest non-constant term a c q^u of what is left gives
+    e_u = c; dividing out [p]_{q^u}^c (or multiplying in [p]_{q^u}^(-c))
+    clears it, and the next lowest term sits at a larger u.  Repeat until
+    g is constant.
 
-    A wrong guess must stay cheap: give up (None) when c is not an integer
-    k with |k| <= min(deg g, _PEEL_LIMIT) (over GF(l) the k of least |k|,
-    the balanced residue), when the number of peels would pass that cap,
-    when a peel would take the degree below 0 or above twice the starting
-    degree, or when a division is inexact.  Each rule bounds a different
-    growth: without the cap a dense seed with coefficients -1, -2, -3
-    reads a large c and divides by [p]_q^c, and without the degree window
-    1 - q^D, which peels c = -1 at u = D, pD, p^2 D, ..., reaches degree
-    p^cap D.  With both there are at most _PEEL_LIMIT products or quotients
-    of degree at most 2 deg g.
+    A wrong guess must stay cheap: give up (None) when g = 0, when c is not
+    an integer k with |k| <= min(deg g, _PEEL_LIMIT) (over GF(l) the k of
+    least |k|, the balanced residue), when the number of peels would pass
+    that cap, when a peel would take the degree below 0 or above twice the
+    starting degree, or when a division is inexact.  Each rule bounds a
+    different growth: without the cap a dense seed with coefficients -1,
+    -2, -3 reads a large c and divides by [p]_q^c, and without the degree
+    window 1 - q^D, which peels c = -1 at u = D, pD, p^2 D, ..., reaches
+    degree p^cap D.  With both there are at most _PEEL_LIMIT products or
+    quotients of degree at most 2 deg g.
     """
+    if g.is_zero():
+        return None
     ring = g.ring
+    g = Polynomial._raw(ring, g.coeffs[g.valuation():])
     unit = ring.inv(g.coeffs[0])
     cap, top = min(g.degree, _PEEL_LIMIT), 2 * g.degree
     e = {}

@@ -185,6 +185,8 @@ class Polynomial:
         """Multiply by a scalar of the same ring."""
         ring = self.ring
         c = ring.normalize(c)
+        if c == ring.one:
+            return self
         if ring.is_zero(c):
             return Polynomial._raw(ring, [])
         if isinstance(ring, CyclotomicField):

@@ -245,6 +245,24 @@ def test_power_skips_the_unused_square(monkeypatch):
     assert len(calls) <= 4
 
 
+@pytest.mark.parametrize("ring", [QQ, PrimeField(7), CyclotomicField(12)],
+                         ids=str)
+def test_scale_by_one_returns_an_equal_value_without_a_product(ring, monkeypatch):
+    # Over Q(zeta_d) a scale is a product with the constant; by one it is
+    # not needed, so scale(1) multiplies nothing over any ring.
+    f = quantum_integer(200, ring).scale(3)
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert f.scale(1) == f
+    assert f.scale(ring.one) == f
+    assert not calls
+
+
 @settings(max_examples=30, deadline=None)
 @given(f=polys, m=st.integers(1, 4))
 def test_compose_with_power_matches_dilate(f, m):

@@ -1,11 +1,11 @@
 """verify_fe against the all-pairs reference sweep, and the work it does.
 
-``reference_verify_fe`` is the verifier before the quantum-type certificate
-and before the commutation sweep was cut down to prime pairs: it expands
-the law at every pair and the commutation identity for every unordered
-pair of support members.  verify_fe must agree with it on every report
-field, failure sides included, for solutions and for non-solutions alike,
-whichever route (certificate or sweeps) decides the report.
+``reference_verify_fe`` is the verifier before the per-index profile and
+before the commutation sweep was cut down to prime pairs: it expands the
+law at every pair and the commutation identity for every unordered pair of
+support members.  verify_fe must agree with it on every report field,
+failure sides included, for solutions and for non-solutions alike, however
+many pairs its profile decides without expanding them.
 """
 
 import math
@@ -23,7 +23,7 @@ from qfe import (ALL_PRIMES, QQ, CyclotomicField, FESequence, FailedIdentity,
                  product_sequence, psi_substitute_sequence, quantum_integer,
                  quantum_sequence, reciprocal_sequence, sequences,
                  support_members, verify_fe, zeta_scaled_sequence)
-from qfe.analyze import _quantum_type_certificate
+from qfe.analyze import _profile
 from qfe.cli import builtin_sequence, load_seed_spec
 from qfe.semigroup import divisors
 from qfe.sequences import otimes
@@ -139,8 +139,8 @@ def power_sequence(ring, support, k):
 
 
 @st.composite
-def solutions(draw):
-    ring, max_bound = draw(st.sampled_from(RINGS))
+def solutions(draw, rings=RINGS):
+    ring, max_bound = draw(st.sampled_from(rings))
     kind = draw(st.sampled_from(("quantum", "monomial", "dilate",
                                  "reciprocal", "product", "power", "seeds")))
     if kind == "seeds":
@@ -164,6 +164,13 @@ def solutions(draw):
             F = power_sequence(ring, support, draw(st.sampled_from(ks)))
             max_bound = min(max_bound, 16)
     return F, draw(st.integers(max_bound // 3, max_bound))
+
+
+def scaled_at(F, c, a, k=0):
+    """F with f_c replaced by a q^k f_c."""
+    def rule(n):
+        return F.eval(n).scale(a).shift(k) if n == c else F.eval(n)
+    return FESequence(F.ring, F.support, rule, f"scaled({F.name}, {c})")
 
 
 def tampered(F, c, delta):
@@ -236,6 +243,26 @@ def test_verify_matches_reference_on_tampered_solutions(case):
     assert_matches_reference(*case)
 
 
+@st.composite
+def scalar_tamperings(draw, ring_bound):
+    """(F, B): a drawn solution with one to three members' values f_c
+    replaced by a q^k f_c, a nonzero, 0 <= k <= 3.  Such values stay
+    regular in verify_fe's profile, so only its scalar rules can tell
+    them apart from the solution."""
+    F, B = draw(solutions(rings=(ring_bound,)))
+    members = support_members(F.support, B)
+    for c in draw(st.sets(st.sampled_from(members), min_size=1, max_size=3)):
+        F = scaled_at(F, c, draw(nonzero_scalars(F.ring)), draw(st.integers(0, 3)))
+    return F, B
+
+
+@pytest.mark.parametrize("ring_bound", RINGS, ids=lambda rb: str(rb[0]))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_verify_matches_reference_on_scalar_tamperings(ring_bound, data):
+    assert_matches_reference(*data.draw(scalar_tamperings(ring_bound)))
+
+
 def seed_quotient_sequence(ring, primes, a, lam, t):
     """lambda q^(t(n-1)) [n]_{q^a} / [n]_q on S(P), lambda constant on P."""
     return from_seeds(primes, {
@@ -261,19 +288,27 @@ def test_verify_matches_reference_at_each_tampered_index(ring, make, c):
 
 @pytest.mark.parametrize("ring, bound", RINGS, ids=str)
 def test_verify_matches_reference_on_support_violations(ring, bound):
-    """Nonzero values off the declared support, and a zero on it."""
+    """Nonzero values off the declared support, a zero on it, and a nonzero
+    f_10 off S({2, 3}), whose law pair (2, 5) has f_5 = 0 on one side."""
     report = assert_matches_reference(
         Misdeclared(quantum_sequence(ring), PrimeSet.of([2, 3])), bound)
     assert report.fe_ok and not report.support_ok
     F = quantum_sequence(ring)
     assert not assert_matches_reference(
         tampered(F, 4, -F.eval(4)), bound).support_ok
+    S23 = PrimeSet.of([2, 3])
+    Q = quantum_sequence(ring, S23)
+    F = FESequence(ring, ALL_PRIMES,
+                   lambda n: monomial(ring, 0) if n == 10 else Q.eval(n), "f10")
+    report = assert_matches_reference(Misdeclared(F, S23), bound)
+    assert not report.fe_ok and (report.first_failure.m,
+                                 report.first_failure.n) == (2, 5)
 
 
-def test_certificate_covers_the_quantum_type_constructions():
-    """The route that skips every pair sweep must not go unused: it accepts
-    the builtins of that form, the library transforms of the verify-full
-    benchmark, a seed-tables family and quantum over the other rings."""
+def test_profile_has_no_exception_on_the_quantum_type_constructions():
+    """Every index is regular, so no pair is expanded, on the builtins of
+    quantum type, the library transforms of the verify-full benchmark, a
+    seed-tables family and quantum over the other rings."""
     qs = quantum_sequence
     cases = [builtin_sequence(name) for name in
              ("quantum", "monomial", "identity", "power7-third")]
@@ -289,14 +324,13 @@ def test_certificate_covers_the_quantum_type_constructions():
         qs(CyclotomicField(12)),
     ]
     for F in cases:
-        assert _quantum_type_certificate(F, 60), F
+        assert _profile(F, 60).keys() == set(range(1, 61)), F
 
 
 def test_peel_gives_up_within_its_limits(monkeypatch):
     """The peel stops at an exponent past its cap, and before a peel would
     double the degree: 1 - q^4 on S({2}) peels c = -1 at u = 4, 8, 16, ...
-    without end.  Either way verify_fe falls back to the sweeps and matches
-    the reference."""
+    without end.  Either way verify_fe still matches the reference."""
     too_high = power_sequence(QQ, PrimeSet.of([2, 3]), analyze._PEEL_LIMIT + 1)
     assert analyze._peel_exponents(too_high.eval(2), 2) is None
     growing = from_seeds([2], {2: from_rationals([1, 0, 0, 0, -1])})
@@ -312,7 +346,6 @@ def test_peel_gives_up_within_its_limits(monkeypatch):
     assert peels[0] == 1
     monkeypatch.undo()
     for F, B in ((too_high, 12), (growing, 16)):
-        assert not _quantum_type_certificate(F, B)
         assert assert_matches_reference(F, B).ok
 
 
@@ -349,21 +382,22 @@ def count_otimes(monkeypatch):
     return calls
 
 
-def test_certificate_expands_no_identity(monkeypatch):
-    """The quantum sequence passes the certificate: no otimes at all."""
+def test_regular_solution_expands_no_identity(monkeypatch):
+    """Every index of the quantum sequence is regular: no otimes at all."""
     calls = count_otimes(monkeypatch)
     assert verify_fe(quantum_sequence(), 200).ok
     assert calls[0] == 0
 
 
 def test_sweep_work_is_the_law_pairs_plus_large_prime_pairs(monkeypatch):
-    """Past the certificate, verify_fe expands the law at every (m, n) with
-    mn <= B and the commutation identity only at prime pairs with
-    p1 p2 > B.
+    """Where every member but 1 is exceptional, verify_fe expands the law at
+    every member pair (m, n) with mn <= B but (1, 1), and the commutation
+    identity only at prime pairs with p1 p2 > B.
 
-    Neither sequence is covered by the certificate: the [p]_{zeta q}-type
-    seeds of seeds-713-z12 over Q(zeta_12), and [n]_{iq} on the primes
-    = 1 mod 4 below 50 over Q(i).  Each bound leaves prime pairs with
+    No prime's value peels, and no member's value but f_1 is a monomial,
+    in the [p]_{zeta q}-type seeds of seeds-713-z12 over Q(zeta_12) and
+    [n]_{iq} on the primes = 1 mod 4 below 50 over Q(i).  Law pairs with a
+    non-member have two regular zeros.  Each bound leaves prime pairs with
     p1 p2 <= B, whose expansion the count would show.  Values are built
     before counting, since from_seeds builds them with otimes."""
     spec = load_seed_spec(str(GOLDEN / "seeds-713-z12.json"))
@@ -373,13 +407,38 @@ def test_sweep_work_is_the_law_pairs_plus_large_prime_pairs(monkeypatch):
     for F, B in cases:
         for n in range(1, B + 1):
             F.eval(n)
-        assert not _quantum_type_certificate(F, B)
+        members = support_members(F.support, B)
+        assert [n for n in members if n in _profile(F, B)] == [1]
         calls = count_otimes(monkeypatch)
         assert verify_fe(F, B).ok
-        law_pairs = sum(B // m for m in range(1, B + 1))
-        primes = [p for p in support_members(F.support, B) if is_prime(p)]
+        law_pairs = sum(1 for m in members for n in members if m * n <= B)
+        primes = [p for p in members if is_prime(p)]
         prime_pairs = [(p1, p2) for i, p1 in enumerate(primes)
                        for p2 in primes[i + 1:]]
         large_prime_pairs = sum(1 for p1, p2 in prime_pairs if p1 * p2 > B)
         assert large_prime_pairs < len(prime_pairs)
-        assert calls[0] == law_pairs + 2 * large_prime_pairs
+        assert calls[0] == law_pairs - 1 + 2 * large_prime_pairs
+
+
+@pytest.mark.parametrize("make, expanded, failure", [
+    (lambda: builtin_sequence("constant2"), 1, (1, 1)),
+    (lambda: scaled_at(quantum_sequence(), 6, 3), 1, (2, 3)),
+    (lambda: tampered(quantum_sequence(), 151, monomial(QQ, 1)), 4, (2, 151)),
+    (lambda: tampered(quantum_sequence(), 199, monomial(QQ, 1)), 4, (2, 199)),
+    (lambda: tampered(quantum_sequence(), 150, monomial(QQ, 1)), 6, (2, 75)),
+], ids=["constant2", "f6-times-3", "f151-plus-q", "f199-plus-q", "f150-plus-q"])
+def test_non_solutions_expand_only_the_pairs_at_an_exception(
+        monkeypatch, make, expanded, failure):
+    """At B = 200.  constant2 and 3 f_6 are regular everywhere: only the
+    law pair where the scalars disagree, (1, 1) or (2, 3), is expanded.
+    f_c + q makes c exceptional.  For a prime c the law holds, with (1, c)
+    and (c, 1) expanded, and the first commutation pair touching c, (2, c),
+    fails.  For c = 150 the law fails at (2, 75) after (1, 150), and the
+    member pairs (1, 150) and (2, 150) are expanded, the second failing."""
+    F = make()
+    for n in range(1, 201):
+        F.eval(n)
+    calls = count_otimes(monkeypatch)
+    report = verify_fe(F, 200)
+    assert (report.first_failure.m, report.first_failure.n) == failure
+    assert calls[0] == expanded
