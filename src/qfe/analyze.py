@@ -28,7 +28,7 @@ from .rings import QQ, Ring
 from .semigroup import (PrimeSet, divisors, enumerate_semigroup,
                         first_nonmultiplicative, is_prime, seed_gcd,
                         support_members)
-from .sequences import FESequence, first_noncommuting_pair, oplus, otimes
+from .sequences import FESequence, first_failing_pair, oplus, otimes
 
 
 # The most peels, and the largest exponent, that verify_fe's profile tries
@@ -81,24 +81,21 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
     The profile reads a shape e, integer exponents over dilations u, by
     peeling the first prime member's value that peels (``_peel_exponents``;
     e = {} when none does), and sets
-        N_n = prod_{e_u < 0} [n]_{q^u}^(-e_u),   P_n = prod_{e_u > 0} [n]_{q^u}^(e_u).
-    Index n is regular when f_n N_n = c_n q^(s_n) P_n, with c_n and s_n the
-    trailing coefficient and valuation of f_n, or when n is not a support
-    member and f_n = 0; every other index n <= bound is exceptional.  The
-    shape is only a guess: the comparison at each n is the proof.  N and P
-    satisfy the law identically, [mn]_{q^u} = [m]_{q^u} [n]_{q^(um)} =
-    [n]_{q^u} [m]_{q^(un)}, and each [k]_{q^u} has constant term 1, so N
-    and P cancel from any identity between regular nonzero values.  Hence:
-      * zero rule: when f_m or f_n is a regular zero and so is f_mn, both
-        sides of the law at (m, n) are 0;
-      * law rule: when m, n and mn are regular and nonzero, the law holds at
-        (m, n) iff c_mn = c_m c_n and s_mn = s_m + m s_n;
-      * slope rule: for regular members m < n the commutation identity holds
-        iff s_m + m s_n = s_n + n s_m, that is s_m (n-1) = s_n (m-1), since
-        the scalars commute.
-    Pairs that a rule proves are skipped; every other pair is expanded.  A
-    skipped pair holds, so the first failure and its sides are those of
-    the full sweep.  A solution with no exceptional index expands nothing.
+        G_n = prod_u [n]_{q^u}^(e_u).
+    Index n is regular when f_n = c_n q^(s_n) G_n, with c_n and s_n the
+    trailing coefficient and valuation of f_n (compared with the factors
+    of e_u < 0 moved to the left, so nothing is divided), or when n is not
+    a support member and f_n = 0; every other index n <= bound is
+    exceptional.  The shape is only a guess: the comparison at each n is
+    the proof.  G satisfies the law identically, [mn]_{q^u} =
+    [m]_{q^u} [n]_{q^(um)} = [n]_{q^u} [m]_{q^(un)}, and each [k]_{q^u} has
+    constant term 1, so dividing out G maps f_m(q) f_n(q^m) to the monomial
+    (c_m c_n, s_m + m s_n), or to 0 when f_m or f_n is a regular zero.  So
+    an identity between regular values holds iff it holds between their
+    monomials.  Pairs whose monomials agree are skipped; every other pair
+    is expanded.  A skipped pair holds, so the first failure and its sides
+    are those of the full sweep.  A solution with no exceptional index
+    expands nothing.
 
     When the law holds up to the bound, the commutation sweep is cut down
     further, to the prime pairs p1 < p2 <= bound with p1 p2 > bound.  Write
@@ -118,73 +115,67 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     ring = F.ring
-    profile = _profile(F, bound)
-
-    def law_proven(m: int, n: int) -> bool:
-        # An exceptional index reads as (), a regular zero as None.
-        x, y, z = (profile.get(k, ()) for k in (m, n, m * n))
-        if z is None:
-            return x is None or y is None
-        return bool(x and y and z) and z == (ring.mul(x[0], y[0]),
-                                             x[1] + m * y[1])
-
-    def commutation_proven(m: int, n: int) -> bool:
-        x, y = profile.get(m), profile.get(n)
-        return (x is not None and y is not None
-                and x[1] * (n - 1) == y[1] * (m - 1))
-
-    fe_ok = True
-    first_failure = None
-    for m in range(1, bound + 1):
-        for n in range(1, bound // m + 1):
-            if law_proven(m, n):
-                continue
-            lhs = F.eval(m * n)
-            rhs = otimes(F.eval(m), F.eval(n), m)
-            if lhs != rhs:
-                fe_ok = False
-                first_failure = FailedIdentity(m, n, lhs, rhs)
-                break
-        if not fe_ok:
-            break
-
     members = support_members(F.support, bound)
+    profile, support_ok = _profile(F, members, bound)
+
+    def times(m: int, n: int):
+        """The monomial of f_m(q) f_n(q^m), or None when it is unknown."""
+        x, y = profile.get(m), profile.get(n)
+        if x == 0 or y == 0:
+            return 0
+        if x is None or y is None:
+            return None
+        return ring.mul(x[0], y[0]), x[1] + m * y[1]
+
+    law = first_failing_pair(
+        ((m, n) for m in range(1, bound + 1) for n in range(1, bound // m + 1)
+         if (x := times(m, n)) is None or x != profile.get(m * n)),
+        lambda m, n: (F.eval(m * n), otimes(F.eval(m), F.eval(n), m)))
+    fe_ok = law is None
+
     if fe_ok:
         primes = [p for p in members if is_prime(p)]
         pairs = ((p1, p2) for p1, p2 in combinations(primes, 2)
                  if p1 * p2 > bound)
     else:
         pairs = combinations(members, 2)
-    hit = first_noncommuting_pair(
-        (pair for pair in pairs if not commutation_proven(*pair)), F.eval)
-    commutativity_ok = hit is None
-    if first_failure is None and hit is not None:
-        first_failure = FailedIdentity(*hit)
 
-    member_set = set(members)
-    support_ok = all((n in member_set) == (not F.eval(n).is_zero())
-                     for n in range(1, bound + 1))
-    return VerificationReport(bound, fe_ok, commutativity_ok, support_ok,
-                              first_failure)
+    def commutation(m: int, n: int):
+        fm, fn = F.eval(m), F.eval(n)
+        return otimes(fm, fn, m), otimes(fn, fm, n)
+
+    hit = first_failing_pair(
+        ((m, n) for m, n in pairs
+         if (x := times(m, n)) is None or x != times(n, m)), commutation)
+    first = law or hit
+    return VerificationReport(
+        bound, fe_ok, hit is None, support_ok,
+        None if first is None else FailedIdentity(*first))
 
 
-def _profile(F: FESequence, bound: int) -> dict:
-    """The regular indices n <= bound of ``verify_fe``'s profile.
+def _profile(F: FESequence, members: list[int], bound: int
+             ) -> tuple[dict, bool]:
+    """``verify_fe``'s profile of the indices n <= bound, and the support law.
 
-    Maps n to (c_n, s_n) when f_n is regular and nonzero, and to None when
-    n is a non-member with f_n = 0; exceptional indices are absent.
+    The profile maps n to 0 when n is not a support member and f_n = 0, and
+    to the monomial (c_n, s_n) of f_n / G_n when that quotient is one;
+    exceptional indices are absent.  ``members`` are the support members
+    <= bound, and the flag says whether they are exactly the indices with
+    f_n != 0.
     """
     ring = F.ring
-    members = support_members(F.support, bound)
     peels = (_peel_exponents(F.eval(p), p) for p in members if is_prime(p))
     e = next((e for e in peels if e is not None), {})
     member_set = set(members)
     profile = {}
+    support_ok = True
     for n in range(1, bound + 1):
         f = F.eval(n)
-        if f.is_zero():
-            if n not in member_set:
-                profile[n] = None
+        zero, member = f.is_zero(), n in member_set
+        support_ok &= zero != member
+        if zero:
+            if not member:
+                profile[n] = 0
             continue
         s = f.valuation()
         c = f.coefficient(s)
@@ -194,7 +185,7 @@ def _profile(F: FESequence, bound: int) -> dict:
         rhs = reduce(mul, num) if num else poly.one(ring)
         if reduce(mul, den, f) == rhs.scale(c).shift(s):
             profile[n] = (c, s)
-    return profile
+    return profile, support_ok
 
 
 def _peel_exponents(g: Polynomial, p: int) -> dict[int, int] | None:

@@ -9,6 +9,7 @@ mathematical check failed, 2 malformed input, 3 seed commutativity failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -433,6 +434,7 @@ def cmd_demo(args) -> int:
 
 # -- entry point ------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfe",

@@ -115,19 +115,20 @@ class CommutativityError(ValueError):
             f"{failure.lhs} != {failure.rhs}")
 
 
-def first_noncommuting_pair(
-        pairs: Iterable[tuple[int, int]], value: Callable[[int], Polynomial]
+def first_failing_pair(
+        pairs: Iterable[tuple[int, int]],
+        sides: Callable[[int, int], tuple[Polynomial, Polynomial]]
 ) -> tuple[int, int, Polynomial, Polynomial] | None:
-    """The first pair (m, n) with f_m(q) f_n(q^m) != f_n(q) f_m(q^n).
+    """The first pair (m, n) whose identity lhs = rhs fails.
 
-    ``value(k)`` supplies f_k.  Pairs are expanded in the order given and
-    the sweep stops at the first failure, returned as (m, n, lhs, rhs);
-    None when every pair commutes.
+    ``sides(m, n)`` expands both sides of the identity at (m, n).  Pairs
+    are expanded in the order given and the sweep stops at the first
+    failure, returned as (m, n, lhs, rhs); None when every pair holds.
+    The law and commutation sweeps of ``verify_fe`` and the seed check
+    ``check_seed_commutativity`` all expand their identities here.
     """
     for m, n in pairs:
-        fm, fn = value(m), value(n)
-        lhs = otimes(fm, fn, m)
-        rhs = otimes(fn, fm, n)
+        lhs, rhs = sides(m, n)
         if lhs != rhs:
             return m, n, lhs, rhs
     return None
@@ -146,7 +147,10 @@ def check_seed_commutativity(
             raise ValueError(f"seed key {p} is not prime")
         if seeds[p].is_zero():
             raise ValueError(f"seed polynomial for {p} is zero")
-    hit = first_noncommuting_pair(combinations(primes, 2), seeds.__getitem__)
+    hit = first_failing_pair(
+        combinations(primes, 2),
+        lambda m, n: (otimes(seeds[m], seeds[n], m),
+                      otimes(seeds[n], seeds[m], n)))
     return None if hit is None else CommutativityFailure(*hit)
 
 

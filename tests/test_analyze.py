@@ -213,6 +213,13 @@ def test_check_quantum_forced_reports_hypothesis_failures(seq_257):
     assert report.failed_hypothesis == "degree is not n-1"
     assert report.witness == 2
 
+    # The hypotheses hold but the conclusion does not: (1 + q)^2 has degree
+    # 2 and constant term 1, and is not [3]_q.
+    F = override(quantum_sequence(), {3: from_rationals([1, 2, 1])})
+    report = check_quantum_forced(F, 10)
+    assert (report.confirmed, report.failed_hypothesis, report.witness) == (
+        False, "conclusion fails", 3)
+
     no_two = check_quantum_forced(quantum_sequence(QQ, PrimeSet.of([3])), 20)
     assert not no_two.confirmed
     assert no_two.failed_hypothesis == "support does not contain 2"

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from qfe import QQ, quantum_integer
 from qfe.cli import (DEMO_NAMES, SEEDS_257, SeedSpec, SeedSpecError,
-                     builtin_sequence, main, parse_ring_flag, parse_seed_spec)
+                     build_parser, builtin_sequence, main, parse_ring_flag,
+                     parse_seed_spec)
 from tests.conftest import SEED_COEFFS_257
 
 
@@ -164,6 +165,20 @@ def test_malformed_inputs_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, "verify", str(bad_json))
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    # The parser is built once; a malformed argv after a good run still
+    # exits 2 with the same usage error.
+    assert build_parser() is build_parser()
+
+    def usage_error():
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "quantum", "--upto", "x"])
+        assert exit_info.value.code == 2
+        return capsys.readouterr().err
+
+    first = usage_error()
+    assert run(capsys, "verify", "quantum", "--upto", "8")[0] == 0
+    assert usage_error() == first and "invalid int value: 'x'" in first
 
 
 def test_noncommuting_seeds_exit_3(capsys, tmp_path):

@@ -288,14 +288,20 @@ def test_verify_matches_reference_at_each_tampered_index(ring, make, c):
 
 @pytest.mark.parametrize("ring, bound", RINGS, ids=str)
 def test_verify_matches_reference_on_support_violations(ring, bound):
-    """Nonzero values off the declared support, a zero on it, and a nonzero
-    f_10 off S({2, 3}), whose law pair (2, 5) has f_5 = 0 on one side."""
+    """Nonzero values off the declared support, a zero on it (at f_4, and
+    at the prime f_2, which the peel must give up on and pass over), and a
+    nonzero f_10 off S({2, 3}), whose law pair (2, 5) has f_5 = 0 on one
+    side."""
     report = assert_matches_reference(
         Misdeclared(quantum_sequence(ring), PrimeSet.of([2, 3])), bound)
     assert report.fe_ok and not report.support_ok
     F = quantum_sequence(ring)
     assert not assert_matches_reference(
         tampered(F, 4, -F.eval(4)), bound).support_ok
+    report = assert_matches_reference(tampered(F, 2, -F.eval(2)), bound)
+    assert (report.fe_ok, report.commutativity_ok, report.support_ok) == (
+        False, True, False)
+    assert (report.first_failure.m, report.first_failure.n) == (2, 2)
     S23 = PrimeSet.of([2, 3])
     Q = quantum_sequence(ring, S23)
     F = FESequence(ring, ALL_PRIMES,
@@ -324,7 +330,8 @@ def test_profile_has_no_exception_on_the_quantum_type_constructions():
         qs(CyclotomicField(12)),
     ]
     for F in cases:
-        assert _profile(F, 60).keys() == set(range(1, 61)), F
+        profile, _ = _profile(F, support_members(F.support, 60), 60)
+        assert profile.keys() == set(range(1, 61)), F
 
 
 def test_peel_gives_up_within_its_limits(monkeypatch):
@@ -408,7 +415,8 @@ def test_sweep_work_is_the_law_pairs_plus_large_prime_pairs(monkeypatch):
         for n in range(1, B + 1):
             F.eval(n)
         members = support_members(F.support, B)
-        assert [n for n in members if n in _profile(F, B)] == [1]
+        profile, _ = _profile(F, members, B)
+        assert [n for n in members if n in profile] == [1]
         calls = count_otimes(monkeypatch)
         assert verify_fe(F, B).ok
         law_pairs = sum(1 for m in members for n in members if m * n <= B)
