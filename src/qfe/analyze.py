@@ -119,13 +119,12 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
     profile, support_ok = _profile(F, members, bound)
 
     def times(m: int, n: int):
-        """The monomial of f_m(q) f_n(q^m), or None when it is unknown."""
+        """The monomial of f_m(q) f_n(q^m); 0 when f_m or f_n is a regular
+        zero, None when it is unknown."""
         x, y = profile.get(m), profile.get(n)
-        if x == 0 or y == 0:
-            return 0
-        if x is None or y is None:
-            return None
-        return ring.mul(x[0], y[0]), x[1] + m * y[1]
+        if x and y:
+            return ring.mul(x[0], y[0]), x[1] + m * y[1]
+        return 0 if x == 0 or y == 0 else None
 
     law = first_failing_pair(
         ((m, n) for m in range(1, bound + 1) for n in range(1, bound // m + 1)
