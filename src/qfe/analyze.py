@@ -407,8 +407,7 @@ class OracleFamily:
 def _rational_roots(c: Polynomial) -> set[Fraction]:
     """All rational roots of a nonzero polynomial over the rationals."""
     _, ints = poly._clear(c.coeffs)
-    while ints[0] == 0:
-        ints.pop(0)
+    ints = ints[c.valuation():]
     roots = set()
     lead, const = ints[-1], ints[0]
     for p in divisors(abs(const)):

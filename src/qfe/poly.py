@@ -8,30 +8,25 @@ it cannot slip into arithmetic the way -1 could).
 
 Polynomials are immutable values and every operation is pure.
 
-Multiplication is schoolbook convolution over the nonzero coefficients,
-except for a product with more than PACK_MIN_OPS nonzero coefficient pairs
-that is dense (more than PACK_DENSE pairs per output coefficient) in any
-of the three rings, or that is not very sparse (more than one pair per
-PACK_FRACTION output coefficients) and has costly scalars: a leading
-coefficient that is not an int, that is, a Fraction over Q or any
-Q(zeta_d) value (GF(p) residues and integers over Q are ints).  Such a
-product goes through one packed big-integer kernel (Kronecker
-substitution).  It writes each operand as one int vector over one common
-denominator, packs the vector into one int at a width that provably holds
-every result slot, makes one bigint product, unpacks, and maps the slots
-back:
+Every product runs on int slots, in all three rings.  It writes each
+operand as one int vector over one common denominator, convolves the two
+vectors and maps the result slots back:
 
 * over Q a coefficient is one slot, and the slots are divided by the
   product of the two denominators;
-* over GF(p) the residues are packed as they are (so the width is at most
-  2 bits(p - 1) + bits(min len) + 2) and the slots are reduced mod p;
+* over GF(p) the residues are the slots, and the result is reduced mod p;
 * over Q(zeta_d) a coefficient's phi coordinates take the first phi of a
   row of 2 phi - 1 slots, so the product of two rows never spills into
-  the next: one bigint product gives the product in Z[q, z] before
-  reduction, and each result slot sums at most phi * min(len) products.
-  Every output row is then reduced modulo the monic integer Phi_d, top
-  slot first, and divided by the two denominators.  Q is the phi = 1
-  layout of the same kernel.
+  the next: the convolution gives the product in Z[q, z] before
+  reduction.  Every result row is then reduced modulo the monic integer
+  Phi_d, top slot first, and divided by the two denominators.  Q is the
+  phi = 1 layout of the same encoding.
+
+One rule, counted on slots, picks the convolution in every ring: more
+than PACK_MIN_OPS nonzero slot pairs, and more than PACK_DENSE of them per
+result slot, make one bigint product (Kronecker substitution) at a width
+that provably holds every result slot.  Any other product goes pair by
+pair over the nonzero slots, so the zeros of a dilated operand make none.
 
 Scaling over Q clears to one common denominator the same way when the
 scalar or the leading coefficient is a Fraction; scaling over Q(zeta_d) is
@@ -56,19 +51,18 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import attrgetter
-from typing import Iterable
+from operator import attrgetter, is_
+from typing import Iterable, Sequence
 
 from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, power
 
-# Packed-kernel selection; see the module docstring.  Measured on a 2-CPU
-# x86 host with Python 3.11: a schoolbook pair costs about 0.08 us on ints
-# and residues, 4 us on Fractions and 3 us on Q(zeta_12) coordinates; a
-# packed output coefficient about 0.2-0.3 us over Q and GF(p).
+# Product selection, on slots; see the module docstring.  Measured on a
+# 2-CPU x86 host with Python 3.11: an int slot pair costs about 0.08 us
+# pair by pair, a packed result slot about 0.2-0.3 us.
 PACK_MIN_OPS = 64
 PACK_DENSE = 4
-PACK_FRACTION = 16
 
 
 class InexactDivision(ArithmeticError):
@@ -158,28 +152,8 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial._raw(ring, [])
-        zero = ring.zero
-        n = len(a) + len(b) - 1
-        ops = (len(a) - a.count(zero)) * (len(b) - b.count(zero))
-        # Sparse products of cheap scalars stay schoolbook: unpacking the
-        # packed product costs more than the few pairs do.
-        if ops > PACK_MIN_OPS and (
-                ops > PACK_DENSE * n
-                or (PACK_FRACTION * ops > n
-                    and (type(a[-1]) is not int or type(b[-1]) is not int))):
-            return Polynomial._raw(ring, _packed_mul(ring, a, b))
-        add, mul = ring.add, ring.mul
-        # Skip zero coefficients: dilated operands are mostly zeros.  A
-        # normalized value is zero exactly when it equals ring.zero.
-        apairs = [(i, x) for i, x in enumerate(a) if x != zero]
-        bpairs = [(j, y) for j, y in enumerate(b) if y != zero]
-        out = [zero] * n
-        for i, x in apairs:
-            for j, y in bpairs:
-                k = i + j
-                out[k] = add(out[k], mul(x, y))
         # The top slot is a[-1] b[-1], nonzero in a field: nothing to strip.
-        return Polynomial._raw(ring, out)
+        return Polynomial._raw(ring, _product(ring, a, b))
 
     def scale(self, c) -> "Polynomial":
         """Multiply by a scalar of the same ring."""
@@ -359,7 +333,7 @@ def _display(ring: Ring, c) -> tuple[bool, str, str]:
     return negative, mag, prefix
 
 
-# -- packed kernels -------------------------------------------------------------
+# -- int-slot kernels -----------------------------------------------------------
 #
 # An int vector v is packed at k bytes per slot as X = sum v_i 2^(8k i).  When
 # every |v_i| < 2^(8k-1) the slots are balanced digits: adding the bias
@@ -375,8 +349,19 @@ _denominator = attrgetter("denominator")
 _SLOT_CODES = {array(code).itemsize: code for code in "bhilq"}
 
 
-def _clear(coeffs) -> tuple[int, list[int]]:
-    """(D, v) with coeffs[i] = v[i] / D and D the lcm of the denominators."""
+def _ints(values) -> bool:
+    """Whether every value is an int; stops at the first that is not."""
+    return all(map(is_, map(type, values), repeat(int)))
+
+
+def _clear(coeffs) -> tuple[int, Sequence[int]]:
+    """(D, v) with coeffs[i] = v[i] / D and D the lcm of the denominators.
+
+    All-int coefficients come back unchanged, not copied.  The test is on
+    types: a sum over Q may hold Fraction(k, 1), whose denominator is 1.
+    """
+    if _ints(coeffs):
+        return 1, coeffs
     den = lcm(*set(map(_denominator, coeffs)))
     if den == 1:
         return 1, list(map(_numerator, coeffs))
@@ -443,31 +428,38 @@ def _unpack(z: int, n: int, k: int) -> list[int]:
             for i in range(0, n * k, k)]
 
 
-def _encode(ring: Ring, coeffs) -> tuple[int, list[int]]:
-    """(D, v): the coefficients as ints v over one common denominator D.
+def _encode(ring: Ring, a, b) -> tuple[int, Sequence[int], Sequence[int]]:
+    """(D, u, v): a = u / D_a and b = v / D_b as int vectors, D = D_a D_b.
 
     Over Q(zeta_d) coefficient i takes slots (2 phi - 1) i + j for its
     coordinates j < phi; the padding after the last coefficient is dropped.
     """
-    if isinstance(ring, PrimeField):
-        return 1, coeffs
     if isinstance(ring, CyclotomicField):
-        w = 2 * ring.phi - 1
-        flat = [0] * (w * len(coeffs))
-        for j, column in enumerate(zip(*coeffs)):
-            flat[j::w] = column
-        del flat[len(flat) - w + ring.phi:]
-        coeffs = flat
-    return _clear(coeffs)
+        a, b = _rows(ring.phi, a), _rows(ring.phi, b)
+    elif isinstance(ring, PrimeField) or _ints(a + b):
+        return 1, a, b
+    da, u = _clear(a)
+    db, v = _clear(b)
+    return da * db, u, v
+
+
+def _rows(phi: int, coeffs) -> list:
+    """Q(zeta_d) coefficients laid out in rows of 2 phi - 1 slots."""
+    w = 2 * phi - 1
+    flat = [0] * (w * len(coeffs))
+    for j, column in enumerate(zip(*coeffs)):
+        flat[j::w] = column
+    del flat[len(flat) - w + phi:]
+    return flat
 
 
 def _decode(ring: Ring, v: list[int], den: int) -> list:
     """The coefficients whose slots, over the denominator den, are v."""
+    if isinstance(ring, RationalField):
+        return _over(v, 1, den)
     if isinstance(ring, PrimeField):
         p = ring.p
         return [x % p for x in v]
-    if not isinstance(ring, CyclotomicField):
-        return _over(v, 1, den)
     phi = ring.phi
     w = 2 * phi - 1
     # Row r holds the coordinates of z^0 .. z^(2 phi - 2) of coefficient r.
@@ -483,21 +475,28 @@ def _decode(ring: Ring, v: list[int], den: int) -> list:
     return list(zip(*[_over(v[j::w], 1, den) for j in range(phi)]))
 
 
-def _packed_mul(ring: Ring, a, b) -> list:
-    """The product of two nonzero coefficient tuples by one bigint product.
+def _product(ring: Ring, a, b) -> list:
+    """The product of two nonzero coefficient tuples, on int slots.
 
-    Each result slot is a sum of at most phi * min(len) products of slots
-    (phi = 1 over Q and GF(p)), so it is below
-    2^(bits(max|A|) + bits(max|B|) + bits(phi * min(len))) in magnitude and
-    the slots hold it.
+    When packed, each result slot sums at most min(nnz) products of slots,
+    so it is below 2^(bits(max|u|) + bits(max|v|) + bits(min(nnz))) in
+    magnitude and the packed slots hold it.
     """
-    da, va = _encode(ring, a)
-    db, vb = _encode(ring, b)
-    phi = ring.phi if isinstance(ring, CyclotomicField) else 1
-    terms = (phi * min(len(a), len(b))).bit_length()
-    k = _slot_bytes(_bits(va) + _bits(vb) + terms + 2)
-    z = _pack(va, k) * _pack(vb, k)
-    return _decode(ring, _unpack(z, (len(a) + len(b) - 1) * (2 * phi - 1), k), da * db)
+    den, u, v = _encode(ring, a, b)
+    n = len(u) + len(v) - 1
+    nu, nv = len(u) - u.count(0), len(v) - v.count(0)
+    ops = nu * nv
+    if ops > PACK_MIN_OPS and ops > PACK_DENSE * n:
+        k = _slot_bytes(_bits(u) + _bits(v) + min(nu, nv).bit_length() + 2)
+        out = _unpack(_pack(u, k) * _pack(v, k), n, k)
+    else:
+        out = [0] * n
+        js = list(compress(range(len(v)), v))
+        for i in compress(range(len(u)), u):
+            x = u[i]
+            for j in js:
+                out[i + j] += x * v[j]
+    return _decode(ring, out, den)
 
 
 def _packed_div(ring: Ring, f, g) -> list | None:

@@ -1,18 +1,18 @@
-"""The packed big-integer kernels and the balanced compose against frozen
-reference loops.
+"""The int-slot product, the packed big-integer kernels and the balanced
+compose against frozen reference loops.
 
-``Polynomial.__mul__`` packs dense products over Q, GF(p) and Q(zeta_d),
-and Fraction or Q(zeta_d) products that are not very sparse, into one
-bigint product; ``scale`` over Q clears to one common denominator;
-``exact_div`` tries one bigint quotient over Q, and one per coordinate
-over Q(zeta_d) when the divisor is rational, before falling back to
-``divmod``; ``compose`` splits f in balanced halves.  The loops below are
-the schoolbook product, the long division and the Horner composition as
-they stood before the kernels; production keeps the first two for sparse
-products of cheap scalars and as the fallback, and here all three are
-frozen as oracles.  Inputs cover solution values and perturbed
-non-solutions, negative coefficients and coordinates, values above 2^64,
-mixed denominators, sparse and dilated operands, and divisors that are not
+``Polynomial.__mul__`` encodes both operands as int vectors over Q, GF(p)
+and Q(zeta_d), and convolves them by one bigint product when dense or pair
+by pair over the nonzero slots; ``scale`` over Q clears to one common
+denominator; ``exact_div`` tries one bigint quotient over Q, and one per
+coordinate over Q(zeta_d) when the divisor is rational, before falling back
+to ``divmod``; ``compose`` splits f in balanced halves.  The loops below
+are the schoolbook product over ring scalars, the long division and the
+Horner composition as they stood before the kernels; production keeps only
+the long division, as the fallback, and here all three are frozen as
+oracles.  Inputs cover solution values and perturbed non-solutions,
+negative coefficients and coordinates, values above 2^64, mixed
+denominators, sparse and dilated operands, and divisors that are not
 monic.
 """
 
@@ -120,6 +120,11 @@ entries = st.one_of(st.just(0), st.just(0), scalars)
 _H = {p: (quantum_integer(p).dilate(5).exact_div(quantum_integer(p))).scale(lam)
       for p, lam in ((2, Fraction(5, 6)), (3, Fraction(-2, 3)))}
 SOLUTION = from_seeds(PrimeSet.of([2, 3]), _H)
+# Over Q a sum may hold Fraction(k, 1): 1/2 + 1/2 is Fraction(1, 1), so
+# DOUBLED's constant term is a Fraction with denominator 1, not an int.  A
+# kernel must not read a denominator of 1 as an int.
+_HALF = from_rationals([Fraction(1, 2)] + [1] * 15)
+DOUBLED = _HALF + _HALF
 members = st.sampled_from([2 ** i * 3 ** j for i in range(6) for j in range(4)
                            if 2 ** i * 3 ** j <= 48])
 
@@ -147,6 +152,8 @@ def rational_polys(draw, nonzero=False):
 
 @settings(max_examples=150, deadline=None)
 @given(a=rational_polys(), b=rational_polys(), m=st.integers(1, 6))
+@example(a=DOUBLED, b=DOUBLED, m=1)
+@example(a=DOUBLED, b=_HALF, m=2)
 def test_product_matches_schoolbook(a, b, m):
     assert_same(a * b, schoolbook_mul(a, b))
     assert_same(a * b.dilate(m), schoolbook_mul(a, b.dilate(m)))
@@ -154,9 +161,12 @@ def test_product_matches_schoolbook(a, b, m):
 
 @settings(max_examples=150, deadline=None)
 @given(a=rational_polys(), c=nonzero_scalars)
+@example(a=DOUBLED, c=3)
+@example(a=DOUBLED, c=Fraction(-2, 3))
 def test_scale_matches_coefficientwise_product(a, c):
     want = Polynomial._raw(QQ, [c * x for x in a.coeffs])
     assert_same(a.scale(c), want)
+    assert_same(a.scale(c), schoolbook_mul(a, constant(QQ, c)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -229,47 +239,55 @@ def test_inexact_division_keeps_its_message(divmod_calls):
 
 @pytest.fixture
 def packed_calls(monkeypatch):
+    """The slot count of every operand packed, two entries per packed product."""
     calls = []
-    original = poly._packed_mul
+    original = poly._pack
 
-    def counting(ring, a, b):
-        calls.append((str(ring), len(a), len(b)))
-        return original(ring, a, b)
-    monkeypatch.setattr(poly, "_packed_mul", counting)
+    def counting(ints, k):
+        calls.append(len(ints))
+        return original(ints, k)
+    monkeypatch.setattr(poly, "_pack", counting)
     return calls
 
 
 def test_product_selection(packed_calls):
+    # One rule in every ring, counted on slots: pack above PACK_MIN_OPS
+    # nonzero slot pairs when there are more than PACK_DENSE per result slot.
     q64 = quantum_integer(64)
     third = Fraction(1, 3)
-    # Sparse integer products stay schoolbook: [m]_q [n]_{q^m}.
+    # Sparse products go pair by pair: [m]_q [n]_{q^m}.
     assert q64 * q64.dilate(64) == quantum_integer(64 * 64)
-    # Few pairs stay schoolbook whatever the coefficients.
+    # Few pairs go pair by pair whatever the coefficients.
     assert (quantum_integer(8) * quantum_integer(8).scale(third)).degree == 14
     assert packed_calls == []
-    # Dense integer products, and Fraction products that are not very
-    # sparse, are packed.
+    # Dense products are packed, Fraction ones as well.
     assert q64 * q64 == schoolbook_mul(q64, q64)
     f = q64.scale(third)
     assert_same(f * f.dilate(8), schoolbook_mul(f, f.dilate(8)))
-    assert len(packed_calls) == 2
-    # GF(p) follows the integer rule: dense products are packed and the
-    # sparse [m]_q [n]_{q^m} stays schoolbook.
+    assert packed_calls == [64, 64, 64, 505]
+    # GF(p) follows the same rule.
     gf = PrimeField(7)
     g = quantum_integer(64, gf)
     assert g * g.dilate(64) == quantum_integer(64 * 64, gf)
-    assert len(packed_calls) == 2
+    assert len(packed_calls) == 4
     assert g * g == schoolbook_mul(g, g)
-    assert packed_calls[2:] == [("GF(7)", 64, 64)]
-    # Q(zeta_12) scalars are costly: above PACK_MIN_OPS pairs, even the
-    # sparse [m]_q [n]_{q^m} is packed, but few pairs stay schoolbook.
+    assert packed_calls[4:] == [64, 64]
+    # Over Q(zeta_12) a coefficient is a row of 2 phi - 1 = 7 slots.  The
+    # 8 powers of z hold 10 nonzero coordinates: 100 slot pairs over 105
+    # result slots go pair by pair, and so does the sparse [m]_q [n]_{q^m}.
     k12 = CyclotomicField(12)
     c8 = scaled_quantum_integer(8, k12.zeta, k12)
     assert c8 * c8 == schoolbook_mul(c8, c8)
-    assert len(packed_calls) == 3
     c64 = quantum_integer(64, k12)
     assert c64 * c64.dilate(64) == quantum_integer(64 * 64, k12)
-    assert packed_calls[3:] == [("Q(zeta_12)", 64, 4033)]
+    assert len(packed_calls) == 6
+    assert c64 * c64 == schoolbook_mul(c64, c64)
+    assert packed_calls[6:] == [445, 445]
+    # Slots, not coefficients: 8 coefficients 1 + 2z + 3z^2 + 4z^3 make 64
+    # coefficient pairs but 1024 slot pairs over 105 slots, so it packs.
+    full = Polynomial(k12, [k12.normalize([1, 2, 3, 4])] * 8)
+    assert full * full == schoolbook_mul(full, full)
+    assert packed_calls[8:] == [53, 53]
 
 
 # -- GF(p) and Q(zeta_d) ----------------------------------------------------------
@@ -350,7 +368,7 @@ def test_field_difference_is_the_coefficientwise_sub(data, ring):
 @given(data=st.data(), ring=fields, reps=st.integers(1, 8))
 def test_field_scale_matches_schoolbook(data, ring, reps):
     # Repeating the coefficients carries many operands past PACK_MIN_OPS
-    # nonzero pairs, so over Q(zeta_d) scale takes the packed product too.
+    # nonzero slot pairs, so over Q(zeta_d) scale takes the packed product too.
     f = data.draw(field_polys(ring))
     f = Polynomial(ring, list(f.coeffs) * reps)
     c = data.draw(field_scalars(ring))

@@ -122,6 +122,8 @@ def test_degree_of_zero_is_none():
     assert zero(QQ).degree is None
     assert constant(QQ, 0).degree is None
     assert one(QQ).degree == 0
+    with pytest.raises(IndexError, match="negative degree"):
+        one(QQ).coefficient(-1)
 
 
 def test_ring_mismatch_raises():

@@ -136,6 +136,10 @@ def test_root_of_unity_orders():
     assert root_of_unity_order(QQ, 2) is None
     K6 = CyclotomicField(6)
     assert root_of_unity_order(K6, K6.zeta) == 6
+    # GF(p) searches up to p - 1: 3 generates GF(7)*, 6 = -1.
+    assert root_of_unity_order(PrimeField(7), 3) == 6
+    assert root_of_unity_order(PrimeField(7), 6) == 2
+    assert root_of_unity_order(PrimeField(2), 1) == 1
     # cross-check by direct powers
     acc = K6.one
     for k in range(1, 6):

@@ -28,6 +28,9 @@ def test_in_semigroup_examples():
     assert not in_semigroup(6, P)
     assert in_semigroup(1, PrimeSet.of([]))
     assert in_semigroup(123456, ALL_PRIMES)
+    for support in (P, ALL_PRIMES):
+        with pytest.raises(ValueError, match="requires n >= 1, got 0"):
+            in_semigroup(0, support)
 
 
 def test_enumerate_semigroup_examples():

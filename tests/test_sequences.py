@@ -413,6 +413,8 @@ def test_additive_sequence_examples():
     F = additive_sequence(h)
     assert F.eval(2) == from_rationals([1, 2, 1])
     assert F.eval(2) == oplus(F.eval(1), F.eval(1), 1)
+    with pytest.raises(ValueError, match="sequence index must be >= 1, got 0"):
+        F.eval(0)
 
 
 def test_additive_sequence_eval_is_memoized():
