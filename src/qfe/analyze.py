@@ -15,6 +15,7 @@ symbolically.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -111,6 +112,19 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
     lexicographically <= (m, n): min <= m, and min = m forces p = m prime
     and max = r <= n.  So the first failing member pair is a prime pair
     with p1 p2 > bound.
+
+    When the law fails the report names the law's pair, so the commutation
+    sweep only decides ``commutativity_ok``, and it visits only the rows
+    of the first two regular members r1 < r2 and the pairs with an
+    exceptional end, in lexicographic order.  Regular members m < n
+    commute iff their monomials agree, as the scalars commute: iff
+    s_m + m s_n = s_n + n s_m, that is s_m (n - 1) = s_n (m - 1).  So if
+    every regular member commutes with r1 and r2, every regular pair
+    commutes.  When r1 > 1, r1's row gives s_n = sigma (n - 1) for every
+    regular n, with sigma = s_r1 / (r1 - 1), and then
+    s_m (n - 1) = sigma (m - 1)(n - 1) = s_n (m - 1).  When r1 = 1, its
+    row forces s_1 = 0, which commutes with everything, and r2's row
+    fixes sigma = s_r2 / (r2 - 1) for every regular n > 1 the same way.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
@@ -137,7 +151,13 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
         pairs = ((p1, p2) for p1, p2 in combinations(primes, 2)
                  if p1 * p2 > bound)
     else:
-        pairs = combinations(members, 2)
+        # The rows of the first two regular members, and every pair with
+        # an exceptional end; see the docstring.
+        anchors = [n for n in members if n in profile][:2]
+        exceptions = [n for n in members if n not in profile]
+        pairs = ((m, n) for i, m in enumerate(members)
+                 for n in (members[i + 1:] if m in anchors or m not in profile
+                           else exceptions[bisect(exceptions, m):]))
 
     def commutation(m: int, n: int):
         fm, fn = F.eval(m), F.eval(n)

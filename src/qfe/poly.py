@@ -40,10 +40,12 @@ exactly when it divides every f_j in Q[q], because g is rational and
 1, z, ..., z^(phi - 1) is a basis of Q(zeta_d) over Q.  Every other case,
 and every quotient the width does not prove, falls back to ``divmod``.
 
-Composition f(psi) splits f = lo + q^h hi with h a power of two, so that
-f(psi) = lo(psi) + psi^h hi(psi), down to single coefficients, which are
-constants; each psi^(2^i) is squared once.  The products are balanced and
-dense, not deg f products of a growing accumulator by a short psi.
+Composition f(psi) = sum c_i psi^i = sum (c_2i + c_2i+1 psi) (psi^2)^i
+pairs the terms, starting from the coefficients of f, and composes what is
+left with psi^2 the same way, until one term is left; an odd last term is
+carried up unpaired.  psi is squared only while more than one term
+remains, so level i multiplies by psi^(2^i).  The products are balanced
+and dense, not deg f products of a growing accumulator by a short psi.
 """
 
 from __future__ import annotations
@@ -200,20 +202,17 @@ class Polynomial:
         return Polynomial._raw(self.ring, out)
 
     def compose(self, psi: "Polynomial") -> "Polynomial":
-        """f(psi(q)), by the balanced split of the module docstring."""
+        """f(psi(q)), by the pairing of the module docstring."""
         self._check_ring(psi)
         ring = self.ring
-        squares = [psi]  # squares[i] = psi^(2^i)
-
-        def value(cs):
-            if len(cs) < 2:
-                return Polynomial(ring, cs)
-            i = (len(cs) - 1).bit_length() - 1  # h = 2^i < len(cs) <= 2h
-            while len(squares) <= i:
-                squares.append(squares[-1] * squares[-1])
-            h = 1 << i
-            return value(cs[:h]) + squares[i] * value(cs[h:])
-        return value(self.coeffs)
+        terms = [Polynomial._raw(ring, [] if ring.is_zero(c) else [c])
+                 for c in self.coeffs]
+        while len(terms) > 1:
+            paired = [lo + psi * hi for lo, hi in zip(terms[::2], terms[1::2])]
+            terms = paired + terms[2 * len(paired):]  # and the odd last term
+            if len(terms) > 1:
+                psi = psi * psi
+        return terms[0] if terms else self
 
     def reciprocal(self) -> "Polynomial":
         """q**deg(f) * f(1/q): the coefficient-reversed polynomial."""

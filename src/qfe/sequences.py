@@ -244,23 +244,26 @@ def psi_substitute_sequence(F: FESequence, psi: Polynomial) -> FESequence:
     Checking the generators of S(P) suffices: if psi(x)^m = psi(x^m) and
     psi(x)^k = psi(x^k) hold identically then
     psi(x)^{mk} = (psi(x)^m)^k = psi(x^m)^k = psi((x^m)^k), so the identity
-    propagates to all products of generators.  Over full support N no finite
-    generator check exists, so only psi = q^t is admitted there.
+    propagates to all products of generators.  psi = q^t (t >= 1) is the
+    dilation: its checks hold identically, so it is admitted on any support
+    and built as ``dilate_sequence`` builds it.  No finite check exists over
+    full support N, so every other psi (c q^t with c != 1 too) needs a
+    finite one, where it is checked and composed.
     """
     if psi.ring != F.ring:
         raise ValueError(f"ring mismatch: {psi.ring} vs {F.ring}")
+    t = psi.degree
+    if t and psi == monomial(F.ring, t):
+        return FESequence(F.ring, F.support, lambda n: F.eval(n).dilate(t),
+                          f"substitute({F.name})")
     if F.support.is_all:
-        deg = psi.degree
-        if deg is None or deg < 1 or psi != monomial(F.ring, deg):
-            raise ValueError(
-                "over full support only the substitutions psi = q^t are "
-                "admissible; use dilate_sequence")
-    else:
-        for p in F.support.primes:
-            lhs = psi ** p
-            rhs = psi.dilate(p)
-            if lhs != rhs:
-                raise PsiIdentityError(p, lhs, rhs)
+        raise ValueError("over full support only the substitutions psi = q^t "
+                         "are admissible; use dilate_sequence")
+    for p in F.support.primes:
+        lhs = psi ** p
+        rhs = psi.dilate(p)
+        if lhs != rhs:
+            raise PsiIdentityError(p, lhs, rhs)
     return FESequence(F.ring, F.support, lambda n: F.eval(n).compose(psi),
                       f"substitute({F.name})")
 

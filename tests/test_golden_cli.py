@@ -16,6 +16,9 @@ lambda(n) [n]_{z^2 q} [n]_{q^3} / [n]_q on P = {7, 13} over Q(zeta_12), with
 lambda(7) and lambda(13) of mixed denominators.  ``oracle-3`` and
 ``oracle-25``, the smallest and largest accepted ``--upto``, were captured
 before the uniqueness oracle was rewritten as the coefficient recurrence.
+The two ``constant2-rational-2000`` files, captured before the commutation
+sweep after a law failure was cut to two rows and the exceptional pairs,
+pin that report at a bound the ``--upto 16`` files never reach.
 
 After a deliberate change of output, re-capture with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
@@ -56,6 +59,10 @@ def _cases() -> dict[str, list[str]]:
             for stem, upto in SEED_FILES.items():
                 cases[f"{tag}-{stem}"] = [
                     cmd, str(GOLDEN / f"{stem}.json"), "--upto", str(upto), *fmt]
+    for fmt in ([], ["--json"]):
+        tag = "-".join(["verify"] + [f[2:] for f in fmt])
+        cases[f"{tag}-constant2-rational-2000"] = [
+            "verify", "constant2", "--upto", "2000", *fmt]
     return cases
 
 

@@ -202,11 +202,33 @@ def test_dilate_sequence_values():
         dilate_sequence(base, 0)
 
 
-def test_psi_substitute_matches_dilate_for_monomials():
+def test_psi_substitute_matches_dilate_for_monomials(monkeypatch):
     F = quantum_sequence(QQ, PrimeSet.of([2, 3]))
     sub = psi_substitute_sequence(F, monomial(QQ, 2))
     dil = dilate_sequence(F, 2)
     assert all(sub.eval(n) == dil.eval(n) for n in range(1, 33))
+    # psi = q^t is the dilation in every ring and on every support: its
+    # values are those of the composition route, built without a compose.
+    compose, calls = Polynomial.compose, []
+    monkeypatch.setattr(Polynomial, "compose",
+                        lambda f, psi: calls.append(psi) or compose(f, psi))
+    for ring in (QQ, PrimeField(7), CyclotomicField(12)):
+        for support in (ALL_PRIMES, PrimeSet.of([2, 3])):
+            Q = quantum_sequence(ring, support)
+            F = product_sequence(Q, reciprocal_sequence(product_sequence(Q, Q)))
+            for t in (1, 2, 3):
+                psi = monomial(ring, t)
+                sub = psi_substitute_sequence(F, psi)
+                values = [sub.eval(n) for n in range(1, 25)]
+                assert calls == []
+                assert values == [compose(F.eval(n), psi) for n in range(1, 25)]
+    # Every other psi still composes: -q over Q(zeta_2), 1 + q + q^3 over GF(2).
+    K, F2 = CyclotomicField(2), PrimeField(2)
+    for psi, p in ((Polynomial(K, [K.zero, K.zeta]), 3),
+                   (Polynomial(F2, [1, 1, 0, 1]), 2)):
+        base = quantum_sequence(psi.ring, PrimeSet.of([p]))
+        psi_substitute_sequence(base, psi).eval(p ** 2)
+        assert calls[-1] is psi
 
 
 def test_psi_substitute_frobenius_over_gf2():
