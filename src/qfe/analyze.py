@@ -15,7 +15,6 @@ symbolically.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -115,8 +114,8 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
 
     When the law fails the report names the law's pair, so the commutation
     sweep only decides ``commutativity_ok``, and it visits only the rows
-    of the first two regular members r1 < r2 and the pairs with an
-    exceptional end, in lexicographic order.  Regular members m < n
+    of the first two regular members r1 < r2 and of every exceptional
+    member, in lexicographic order.  Regular members m < n
     commute iff their monomials agree, as the scalars commute: iff
     s_m + m s_n = s_n + n s_m, that is s_m (n - 1) = s_n (m - 1).  So if
     every regular member commutes with r1 and r2, every regular pair
@@ -125,6 +124,19 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
     s_m (n - 1) = sigma (m - 1)(n - 1) = s_n (m - 1).  When r1 = 1, its
     row forces s_1 = 0, which commutes with everything, and r2's row
     fixes sigma = s_r2 / (r2 - 1) for every regular n > 1 the same way.
+    The pairs left out, a regular member that is neither r1 nor r2 against
+    an exceptional n, cannot decide ``commutativity_ok`` either.  f_n = 0
+    commutes with everything, and a nonzero f_n commutes with no regular
+    r >= 2.  If it did, dividing f_r(q) f_n(q^r) = f_n(q) f_r(q^n) by
+    G_r(q) G_n(q^r) = G_n(q) G_r(q^n) would give
+    q^(s_r) h(q^r) = q^(n s_r) h(q) for the Laurent series h = f_n / G_n
+    (G_n(0) = 1).  With h = a q^k u and u(0) = 1 this says
+    r k + s_r = k + n s_r and u(q^r) = u(q).  The lowest term u_j q^j of
+    u with j >= 1 would equal the coefficient of q^j in u(q^r): zero when
+    r does not divide j, and u_(j/r) = 0 with 0 < j/r < j when it does.
+    So u = 1 and f_n = a q^k G_n, that is, n would be regular.  Such an n
+    therefore fails against r1 or r2, one of which is >= 2, and that pair
+    lies in the row of the anchor or of n.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
@@ -151,13 +163,11 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
         pairs = ((p1, p2) for p1, p2 in combinations(primes, 2)
                  if p1 * p2 > bound)
     else:
-        # The rows of the first two regular members, and every pair with
-        # an exceptional end; see the docstring.
+        # The rows of the first two regular members and of every
+        # exceptional member; see the docstring.
         anchors = [n for n in members if n in profile][:2]
-        exceptions = [n for n in members if n not in profile]
         pairs = ((m, n) for i, m in enumerate(members)
-                 for n in (members[i + 1:] if m in anchors or m not in profile
-                           else exceptions[bisect(exceptions, m):]))
+                 if m in anchors or m not in profile for n in members[i + 1:])
 
     def commutation(m: int, n: int):
         fm, fn = F.eval(m), F.eval(n)
@@ -230,14 +240,14 @@ def _peel_exponents(g: Polynomial, p: int) -> dict[int, int] | None:
     if g.is_zero():
         return None
     ring = g.ring
-    g = Polynomial._raw(ring, g.coeffs[g.valuation():])
-    unit = ring.inv(g.coeffs[0])
+    g = g.unshift(g.valuation())
+    unit = ring.inv(g.constant_term)
     cap, top = min(g.degree, _PEEL_LIMIT), 2 * g.degree
     e = {}
     while g.degree:
-        u = next(i for i in range(1, len(g.coeffs))
-                 if not ring.is_zero(g.coeffs[i]))
-        x = ring.mul(g.coeffs[u], unit)
+        P = g.primitive
+        u = next(i for i in range(1, len(P)) if not ring.is_zero(P[i]))
+        x = ring.mul(g.coefficient(u), unit)
         c = next((k for k in sorted(range(cap, -cap - 1, -1), key=abs)
                   if k and ring.normalize(k) == x), None)
         if c is None or len(e) == cap:
@@ -367,9 +377,7 @@ def decompose(F: FESequence, bound: int) -> Decomposition:
         f = F.eval(n)
         v = f.valuation()
         unit = ring.inv(f.coefficient(v))
-        # A slice of a normalized polynomial that keeps its last coefficient
-        # is normalized already.
-        return Polynomial._raw(ring, f.coeffs[v:]).scale(unit)
+        return f.unshift(v).scale(unit)
 
     G = FESequence(ring, F.support, core_rule, f"core({F.name})")
     return Decomposition(t, delta, lam, G)
@@ -426,8 +434,7 @@ class OracleFamily:
 
 def _rational_roots(c: Polynomial) -> set[Fraction]:
     """All rational roots of a nonzero polynomial over the rationals."""
-    _, ints = poly._clear(c.coeffs)
-    ints = ints[c.valuation():]
+    ints = c.unshift(c.valuation()).primitive
     roots = set()
     lead, const = ints[-1], ints[0]
     for p in divisors(abs(const)):

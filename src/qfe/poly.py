@@ -1,10 +1,24 @@
 """Dense exact univariate polynomials in q.
 
-A polynomial is a ring handle plus a tuple of coefficients in ascending
-degree order.  The representation is always normalized: the last
-coefficient is nonzero and the zero polynomial is the empty tuple.  The
-degree of the zero polynomial is None (a true "minus infinity" sentinel:
-it cannot slip into arithmetic the way -1 could).
+A polynomial is a ring handle and one stored pair (content, primitive):
+a nonzero scalar c and a tuple P of ring elements in ascending degree
+order, with value c P.  P is normalized: its last entry is nonzero, and
+the zero polynomial is (ring.one, ()).  The degree of the zero polynomial
+is None (a true "minus infinity" sentinel: it cannot slip into arithmetic
+the way -1 could).
+
+Over Q the pair is canonical: P is a primitive int tuple (gcd 1, last
+entry positive) and c is a nonzero rational, an int when integral.  Each
+rational polynomial has exactly one such pair, so ``==`` and ``hash``
+compare pairs.  Gauss's lemma (a product of primitive int polynomials is
+primitive) makes the pair of a product (c_a c_b, P_a P_b), with no common
+denominator and no gcd, and the pair of an exact quotient
+(c_f / c_g, P_f / P_g), where P_f / P_g is an int polynomial.  Scaling,
+negation, dilation, shifts and the reciprocal change c, or its sign, and
+keep or rearrange P.  Over GF(p) and Q(zeta_d) the content is ring.one
+and P is the coefficient tuple.  ``coeffs`` is the tuple of coefficients
+c P_i, normalized as the ring normalizes scalars; over Q it is P itself
+when c = 1.
 
 Polynomials are immutable values and every operation is pure.
 
@@ -12,15 +26,13 @@ Every product runs on int slots, in all three rings.  It writes each
 operand as one int vector over one common denominator, convolves the two
 vectors and maps the result slots back:
 
-* over Q a coefficient is one slot, and the slots are divided by the
-  product of the two denominators;
+* over Q the slots are the entries of the primitive parts;
 * over GF(p) the residues are the slots, and the result is reduced mod p;
 * over Q(zeta_d) a coefficient's phi coordinates take the first phi of a
   row of 2 phi - 1 slots, so the product of two rows never spills into
   the next: the convolution gives the product in Z[q, z] before
   reduction.  Every result row is then reduced modulo the monic integer
-  Phi_d, top slot first, and divided by the two denominators.  Q is the
-  phi = 1 layout of the same encoding.
+  Phi_d, top slot first, and divided by the two denominators.
 
 One rule, counted on slots, picks the convolution in every ring: more
 than PACK_MIN_OPS nonzero slot pairs, and more than PACK_DENSE of them per
@@ -28,15 +40,14 @@ result slot, make one bigint product (Kronecker substitution) at a width
 that provably holds every result slot.  Any other product goes pair by
 pair over the nonzero slots, so the zeros of a dilated operand make none.
 
-Scaling over Q clears to one common denominator the same way when the
-scalar or the leading coefficient is a Fraction; scaling over Q(zeta_d) is
-the product with the constant polynomial.  Exact division, when the
-long division would take more than PACK_MIN_OPS steps (quotient length
-times nonzero divisor coefficients), packs both sides over Q, takes one
-bigint quotient and accepts it only when the width proves it exact.  Over
-Q(zeta_d), when every divisor coefficient g lies in Q, it divides each
-coordinate polynomial f_j by g the same way: g divides f in Q(zeta_d)[q]
-exactly when it divides every f_j in Q[q], because g is rational and
+Scaling over Q(zeta_d) is the product with the constant polynomial.
+Exact division, when the long division would take more than
+PACK_MIN_OPS steps (quotient length times nonzero divisor coefficients),
+takes one bigint quotient of the packed primitive parts over Q and
+accepts it only when the width proves it exact.  Over Q(zeta_d), when
+every divisor coefficient g lies in Q, it divides each coordinate
+polynomial f_j by g the same way: g divides f in Q(zeta_d)[q] exactly
+when it divides every f_j in Q[q], because g is rational and
 1, z, ..., z^(phi - 1) is a basis of Q(zeta_d) over Q.  Every other case,
 and every quotient the width does not prove, falls back to ``divmod``.
 
@@ -55,7 +66,7 @@ from array import array
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import attrgetter, is_
+from operator import attrgetter, is_, ne
 from typing import Iterable, Sequence
 
 from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, power
@@ -72,21 +83,29 @@ class InexactDivision(ArithmeticError):
 
 
 class Polynomial:
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "content", "primitive")
 
     def __init__(self, ring: Ring, coeffs: Iterable = ()):
         vals = [ring.normalize(c) for c in coeffs]
         while vals and ring.is_zero(vals[-1]):
             vals.pop()
+        content, primitive = _split(ring, vals)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", tuple(vals))
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "primitive", primitive)
 
     @classmethod
-    def _raw(cls, ring: Ring, vals: Iterable) -> "Polynomial":
-        # Internal fast path: vals already normalized, trailing zeros stripped.
+    def _raw(cls, ring: Ring, vals: Sequence) -> "Polynomial":
+        # Internal: vals already normalized, trailing zeros stripped.
+        return cls._pair(ring, *_split(ring, vals))
+
+    @classmethod
+    def _pair(cls, ring: Ring, content, primitive: tuple) -> "Polynomial":
+        # Internal: (content, primitive) already in the stored form.
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", tuple(vals))
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "primitive", primitive)
         return self
 
     def __setattr__(self, name, value):
@@ -95,17 +114,29 @@ class Polynomial:
     # -- basic structure --
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients in ascending degree order, content times P."""
+        c = self.content
+        if c == self.ring.one:
+            return self.primitive
+        return tuple(_over(self.primitive, c.numerator, c.denominator))
+
+    @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.primitive) - 1 if self.primitive else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.primitive
 
     def coefficient(self, i: int):
         if i < 0:
             raise IndexError("negative degree")
-        return self.coeffs[i] if i < len(self.coeffs) else self.ring.zero
+        P, ring = self.primitive, self.ring
+        if i >= len(P):
+            return ring.zero
+        c = self.content
+        return P[i] if c == ring.one else ring.normalize(ring.mul(c, P[i]))
 
     @property
     def constant_term(self):
@@ -113,13 +144,9 @@ class Polynomial:
 
     def valuation(self) -> int:
         """Largest power of q dividing the polynomial (index of first nonzero)."""
-        if not self.coeffs:
+        if not self.primitive:
             raise ValueError("the zero polynomial has no valuation")
-        is_zero = self.ring.is_zero
-        for i, c in enumerate(self.coeffs):
-            if not is_zero(c):
-                return i
-        raise AssertionError("unnormalized polynomial")
+        return next(_nonzero(self.ring, self.primitive))
 
     # -- arithmetic --
 
@@ -130,7 +157,25 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
         ring = self.ring
-        a, b = self.coeffs, other.coeffs
+        a, b = self.primitive, other.primitive
+        if not b:
+            return self
+        if not a:
+            return other
+        if isinstance(ring, RationalField):
+            # c_a a + c_b b = (k_a a + k_b b) / D over D = lcm of the denominators.
+            ca, cb = self.content, other.content
+            den = lcm(ca.denominator, cb.denominator)
+            ka = ca.numerator * (den // ca.denominator)
+            kb = cb.numerator * (den // cb.denominator)
+            if len(a) < len(b):
+                a, b, ka, kb = b, a, kb, ka
+            out = [x * ka for x in a]
+            for i in compress(range(len(b)), b):
+                out[i] += kb * b[i]
+            while out and not out[-1]:
+                out.pop()
+            return Polynomial._pair(ring, *_primitive(out, den)) if out else zero(ring)
         if len(a) < len(b):
             a, b = b, a
         add = ring.add
@@ -139,11 +184,14 @@ class Polynomial:
             out[i] = add(out[i], c)
         while out and ring.is_zero(out[-1]):
             out.pop()
-        return Polynomial._raw(ring, out)
+        return Polynomial._pair(ring, ring.one, tuple(out))
 
     def __neg__(self) -> "Polynomial":
-        neg = self.ring.neg
-        return Polynomial._raw(self.ring, [neg(c) for c in self.coeffs])
+        ring, P = self.ring, self.primitive
+        if isinstance(ring, RationalField):
+            return Polynomial._pair(ring, -self.content, P) if P else self
+        neg = ring.neg
+        return Polynomial._pair(ring, ring.one, tuple([neg(c) for c in P]))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -151,37 +199,48 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
         ring = self.ring
-        a, b = self.coeffs, other.coeffs
+        a, b = self.primitive, other.primitive
         if not a or not b:
-            return Polynomial._raw(ring, [])
+            return zero(ring)
+        if isinstance(ring, RationalField):
+            # Gauss: P_a P_b is primitive, with a positive last entry.
+            return Polynomial._pair(ring, ring.normalize(self.content * other.content),
+                                    tuple(_convolve(a, b)))
         # The top slot is a[-1] b[-1], nonzero in a field: nothing to strip.
-        return Polynomial._raw(ring, _product(ring, a, b))
+        return Polynomial._pair(ring, ring.one, tuple(_product(ring, a, b)))
 
     def scale(self, c) -> "Polynomial":
         """Multiply by a scalar of the same ring."""
         ring = self.ring
         c = ring.normalize(c)
-        if c == ring.one:
+        if c == ring.one or not self.primitive:
             return self
         if ring.is_zero(c):
-            return Polynomial._raw(ring, [])
+            return zero(ring)
+        if isinstance(ring, RationalField):
+            return Polynomial._pair(ring, ring.normalize(c * self.content), self.primitive)
         if isinstance(ring, CyclotomicField):
             return self * constant(ring, c)
-        a = self.coeffs
-        if (a and isinstance(ring, RationalField)
-                and (type(c) is Fraction or type(a[-1]) is Fraction)):
-            den, ints = _clear(a)
-            return Polynomial._raw(ring, _over(ints, c.numerator, den * c.denominator))
         mul = ring.mul
-        return Polynomial._raw(ring, [mul(c, x) for x in a])
+        return Polynomial._pair(ring, ring.one, tuple([mul(c, x) for x in self.primitive]))
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by q**k."""
         if k < 0:
             raise ValueError("shift exponent must be >= 0")
-        if not self.coeffs:
+        if not k or not self.primitive:
             return self
-        return Polynomial._raw(self.ring, [self.ring.zero] * k + list(self.coeffs))
+        return Polynomial._pair(self.ring, self.content,
+                                (self.ring.zero,) * k + self.primitive)
+
+    def unshift(self, k: int) -> "Polynomial":
+        """Divide by q**k, which must divide the polynomial."""
+        if not k or not self.primitive:
+            return self
+        if k < 0 or self.valuation() < k:
+            raise ValueError(f"q^{k} does not divide {self}")
+        # P without leading zeros is still primitive: the content is kept.
+        return Polynomial._pair(self.ring, self.content, self.primitive[k:])
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -194,19 +253,18 @@ class Polynomial:
         """The substitution q -> q**m."""
         if m < 1:
             raise ValueError(f"dilation exponent must be >= 1, got {m}")
-        if m == 1 or not self.coeffs:
+        P = self.primitive
+        if m == 1 or not P:
             return self
-        out = [self.ring.zero] * ((len(self.coeffs) - 1) * m + 1)
-        for i, c in enumerate(self.coeffs):
-            out[m * i] = c
-        return Polynomial._raw(self.ring, out)
+        out = [self.ring.zero] * ((len(P) - 1) * m + 1)
+        out[::m] = P
+        return Polynomial._pair(self.ring, self.content, tuple(out))
 
     def compose(self, psi: "Polynomial") -> "Polynomial":
         """f(psi(q)), by the pairing of the module docstring."""
         self._check_ring(psi)
         ring = self.ring
-        terms = [Polynomial._raw(ring, [] if ring.is_zero(c) else [c])
-                 for c in self.coeffs]
+        terms = [_constant(ring, c) for c in self.coeffs]
         while len(terms) > 1:
             paired = [lo + psi * hi for lo, hi in zip(terms[::2], terms[1::2])]
             terms = paired + terms[2 * len(paired):]  # and the odd last term
@@ -216,29 +274,32 @@ class Polynomial:
 
     def reciprocal(self) -> "Polynomial":
         """q**deg(f) * f(1/q): the coefficient-reversed polynomial."""
-        if not self.coeffs:
+        if not self.primitive:
             raise ValueError("the zero polynomial has no reciprocal")
-        out = list(reversed(self.coeffs))
-        while out and self.ring.is_zero(out[-1]):
-            out.pop()
-        return Polynomial._raw(self.ring, out)
+        ring, c = self.ring, self.content
+        out = self.primitive[self.valuation():][::-1]
+        if isinstance(ring, RationalField) and out[-1] < 0:
+            return Polynomial._pair(ring, -c, tuple([-x for x in out]))
+        return Polynomial._pair(ring, c, out)
 
     def divmod(self, g: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """(quo, rem) with f = quo * g + rem and rem zero or of lower degree than g.
 
         The one general long division; every nonzero scalar is a unit here.
+        It divides P_f by P_g: with P_f = Q P_g + R, f = (c_f / c_g) Q g + c_f R.
         """
         self._check_ring(g)
-        if not g.coeffs:
+        if not g.primitive:
             raise ValueError("division by the zero polynomial")
         ring = self.ring
-        dd = len(g.coeffs) - 1
-        if len(self.coeffs) <= dd:
-            return Polynomial._raw(ring, []), self
-        rem = list(self.coeffs)
+        dd = len(g.primitive) - 1
+        if len(self.primitive) <= dd:
+            return zero(ring), self
+        rem = list(self.primitive)
+        divisor = g.primitive
         sub, mul, is_zero = ring.sub, ring.mul, ring.is_zero
-        lead_inv = ring.inv(g.coeffs[-1])
-        g_pairs = [(j, y) for j, y in enumerate(g.coeffs) if not is_zero(y)]
+        lead_inv = ring.inv(divisor[-1])
+        g_pairs = [(j, y) for j, y in enumerate(divisor) if not is_zero(y)]
         quo = [ring.zero] * (len(rem) - dd)
         for i in range(len(rem) - dd - 1, -1, -1):
             c = mul(rem[i + dd], lead_inv)
@@ -249,21 +310,24 @@ class Polynomial:
         del rem[dd:]
         while rem and is_zero(rem[-1]):
             rem.pop()
-        return Polynomial._raw(ring, quo), Polynomial._raw(ring, rem)
+        quo, rem, c = Polynomial._raw(ring, quo), Polynomial._raw(ring, rem), self.content
+        if c != g.content:
+            quo = quo.scale(mul(c, ring.inv(g.content)))
+        return quo, rem.scale(c)
 
     def exact_div(self, g: "Polynomial") -> "Polynomial":
         """The quotient f / g when g divides f exactly; InexactDivision otherwise."""
         self._check_ring(g)
         ring = self.ring
-        f, d = self.coeffs, g.coeffs
+        f, d = self.primitive, g.primitive
         if (len(f) >= len(d)
                 and (len(f) - len(d) + 1) * (len(d) - d.count(ring.zero)) > PACK_MIN_OPS):
-            quo = _packed_div(ring, f, d)
+            quo = _packed_div(self, g)
             if quo is not None:
-                return Polynomial._raw(ring, quo)
+                return quo
         quo, rem = self.divmod(g)
-        if rem.coeffs:
-            if len(self.coeffs) < len(g.coeffs):
+        if rem.primitive:
+            if len(f) < len(d):
                 raise InexactDivision(f"degree of {self} is below degree of divisor")
             raise InexactDivision(f"{g} does not divide {self}")
         return quo
@@ -273,19 +337,21 @@ class Polynomial:
         ring = self.ring
         x = ring.normalize(x)
         acc = ring.zero
-        for c in reversed(self.coeffs):
+        for c in reversed(self.primitive):
             acc = ring.add(ring.mul(acc, x), c)
-        return acc
+        c = self.content
+        return acc if c == ring.one else ring.normalize(ring.mul(c, acc))
 
     # -- equality, hashing, display --
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.ring == other.ring
-                and self.coeffs == other.coeffs)
+                and self.content == other.content
+                and self.primitive == other.primitive)
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self.content, self.primitive))
 
     def __str__(self):
         return self.pretty()
@@ -295,28 +361,26 @@ class Polynomial:
 
     def pretty(self) -> str:
         """Ascending terms joined with " + " / " - "; unit coefficients elided."""
-        if not self.coeffs:
+        P = self.primitive
+        if not P:
             return "0"
-        ring = self.ring
-        parts = []
-        # (negative, magnitude, prefix before q) per distinct coefficient,
-        # () for zero: a value's coefficients repeat a few scalars.
-        shown = {}
-        for i, c in enumerate(self.coeffs):
-            display = shown.get(c)
-            if display is None:
-                display = shown[c] = () if ring.is_zero(c) else _display(ring, c)
-            if not display:
-                continue
-            negative, mag, prefix = display
-            if i == 0:
-                term = mag
-            else:
-                term = prefix + ("q" if i == 1 else f"q^{i}")
-            if not parts:
-                parts.append("-" + term if negative else term)
-            else:
-                parts.append((" - " if negative else " + ") + term)
+        ring, c = self.ring, self.content
+        scaled = c != ring.one
+        # (negative, magnitude, prefix before q) per distinct nonzero entry
+        # of P: a value's coefficients repeat a few scalars.
+        shown = {x: _display(ring, ring.normalize(ring.mul(c, x)) if scaled else x)
+                 for x in set(P) if not ring.is_zero(x)}
+        indices = _nonzero(ring, P)
+        i = next(indices)
+        negative, mag, prefix = shown[P[i]]
+        head = mag if i == 0 else prefix + ("q" if i == 1 else f"q^{i}")
+        parts = ["-" + head if negative else head]
+        # Every later term has i >= 1: its sign, prefix and q^i.
+        joined = {x: (" - " if neg else " + ") + pre
+                  for x, (neg, _, pre) in shown.items()}
+        for i in indices:
+            s = joined[P[i]]
+            parts.append(f"{s}q^{i}" if i > 1 else s + "q")
         return "".join(parts)
 
 
@@ -330,6 +394,35 @@ def _display(ring: Ring, c) -> tuple[bool, str, str]:
     else:
         prefix = f"({mag})"
     return negative, mag, prefix
+
+
+def _nonzero(ring: Ring, P):
+    """The indices of the nonzero entries of P, ascending."""
+    if isinstance(ring, CyclotomicField):  # a zero tuple is truthy
+        return compress(range(len(P)), map(ne, P, repeat(ring.zero)))
+    return compress(range(len(P)), P)
+
+
+def _split(ring: Ring, vals: Sequence) -> tuple:
+    """The stored pair of the normalized coefficients vals (no trailing zero)."""
+    if not vals:
+        return ring.one, ()
+    if isinstance(ring, RationalField):
+        den, ints = _clear(vals)
+        return _primitive(ints, den)
+    return ring.one, tuple(vals)
+
+
+def _primitive(ints: Sequence[int], den: int = 1) -> tuple:
+    """(c, P) with ints / den = c P, P primitive with a positive last entry.
+
+    ints must end in a nonzero entry; den > 0.
+    """
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    P = tuple(ints) if g == 1 else tuple([x // g for x in ints])
+    return (g if den == 1 else QQ.normalize(Fraction(g, den))), P
 
 
 # -- int-slot kernels -----------------------------------------------------------
@@ -357,7 +450,7 @@ def _clear(coeffs) -> tuple[int, Sequence[int]]:
     """(D, v) with coeffs[i] = v[i] / D and D the lcm of the denominators.
 
     All-int coefficients come back unchanged, not copied.  The test is on
-    types: a sum over Q may hold Fraction(k, 1), whose denominator is 1.
+    types: a rational sum may hold Fraction(k, 1), whose denominator is 1.
     """
     if _ints(coeffs):
         return 1, coeffs
@@ -433,12 +526,10 @@ def _encode(ring: Ring, a, b) -> tuple[int, Sequence[int], Sequence[int]]:
     Over Q(zeta_d) coefficient i takes slots (2 phi - 1) i + j for its
     coordinates j < phi; the padding after the last coefficient is dropped.
     """
-    if isinstance(ring, CyclotomicField):
-        a, b = _rows(ring.phi, a), _rows(ring.phi, b)
-    elif isinstance(ring, PrimeField) or _ints(a + b):
+    if isinstance(ring, PrimeField):
         return 1, a, b
-    da, u = _clear(a)
-    db, v = _clear(b)
+    da, u = _clear(_rows(ring.phi, a))
+    db, v = _clear(_rows(ring.phi, b))
     return da * db, u, v
 
 
@@ -454,8 +545,6 @@ def _rows(phi: int, coeffs) -> list:
 
 def _decode(ring: Ring, v: list[int], den: int) -> list:
     """The coefficients whose slots, over the denominator den, are v."""
-    if isinstance(ring, RationalField):
-        return _over(v, 1, den)
     if isinstance(ring, PrimeField):
         p = ring.p
         return [x % p for x in v]
@@ -475,63 +564,73 @@ def _decode(ring: Ring, v: list[int], den: int) -> list:
 
 
 def _product(ring: Ring, a, b) -> list:
-    """The product of two nonzero coefficient tuples, on int slots.
+    """The product of two nonzero GF(p) or Q(zeta_d) coefficient tuples."""
+    den, u, v = _encode(ring, a, b)
+    return _decode(ring, _convolve(u, v), den)
+
+
+def _convolve(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    """The product of two nonzero int vectors.
 
     When packed, each result slot sums at most min(nnz) products of slots,
     so it is below 2^(bits(max|u|) + bits(max|v|) + bits(min(nnz))) in
     magnitude and the packed slots hold it.
     """
-    den, u, v = _encode(ring, a, b)
     n = len(u) + len(v) - 1
     nu, nv = len(u) - u.count(0), len(v) - v.count(0)
     ops = nu * nv
     if ops > PACK_MIN_OPS and ops > PACK_DENSE * n:
         k = _slot_bytes(_bits(u) + _bits(v) + min(nu, nv).bit_length() + 2)
-        out = _unpack(_pack(u, k) * _pack(v, k), n, k)
-    else:
-        out = [0] * n
-        js = list(compress(range(len(v)), v))
-        for i in compress(range(len(u)), u):
-            x = u[i]
-            for j in js:
-                out[i + j] += x * v[j]
-    return _decode(ring, out, den)
+        return _unpack(_pack(u, k) * _pack(v, k), n, k)
+    out = [0] * n
+    js = list(compress(range(len(v)), v))
+    for i in compress(range(len(u)), u):
+        x = u[i]
+        for j in js:
+            out[i + j] += x * v[j]
+    return out
 
 
-def _packed_div(ring: Ring, f, g) -> list | None:
+def _packed_div(f: Polynomial, g: Polynomial) -> Polynomial | None:
     """f / g by bigint quotients, or None when that proves nothing."""
+    ring = f.ring
     if isinstance(ring, RationalField):
-        return _packed_quotient(f, g)
-    if not isinstance(ring, CyclotomicField) or any(any(c[1:]) for c in g):
-        return None
-    # A rational divisor divides coordinate by coordinate.
-    g = [c[0] for c in g]
-    columns = []
-    for column in zip(*f):
-        h = _packed_quotient(column, g)
+        h = _packed_quotient(f.primitive, g.primitive)
         if h is None:
             return None
-        columns.append(h)
-    return list(zip(*columns))
+        # Gauss: P_g h = P_f is primitive, so h is, with a positive last entry.
+        return Polynomial._pair(ring, ring.normalize(Fraction(f.content) / g.content),
+                                tuple(h))
+    d = g.primitive
+    if not isinstance(ring, CyclotomicField) or any(any(c[1:]) for c in d):
+        return None
+    # A rational divisor c_g P_g divides coordinate by coordinate: the column
+    # v / D_f is c_g P_g h / (D_f c_g), with h an int polynomial.
+    cg, vg = _split(QQ, [c[0] for c in d])
+    columns = []
+    for column in zip(*f.primitive):
+        den, vf = _clear(column)
+        h = _packed_quotient(vf, vg)
+        if h is None:
+            return None
+        r = Fraction(1, den) / cg
+        columns.append(_over(h, r.numerator, r.denominator))
+    return Polynomial._pair(ring, ring.one, tuple(zip(*columns)))
 
 
-def _packed_quotient(f, g) -> list | None:
-    """f / g over Q by one bigint division, or None when that proves nothing.
+def _packed_quotient(vf: Sequence[int], vg: Sequence[int]) -> list[int] | None:
+    """vf / vg for a primitive vg by one bigint division, or None when that
+    proves nothing.
 
-    With F = v_f / D_f and G = c v_g / D_g, v_g primitive, Gauss's lemma makes
-    v_f / v_g an int polynomial H whenever G divides F, and then packing maps
-    v_f = v_g H to X = Y * pack(H) at any width.  So a nonzero remainder of
-    X / Y means G does not divide F.  A zero remainder is accepted once the
-    slots hold every coefficient of v_f and of v_g H: the two sides are then
-    equal as polynomials because their packed values are.
+    By Gauss's lemma vf / vg is an int polynomial H whenever vg divides vf
+    over Q, and then packing maps vf = vg H to X = Y * pack(H) at any width.
+    So a nonzero remainder of X / Y means vg does not divide vf.  A zero
+    remainder is accepted once the slots hold every coefficient of vf and
+    of vg H: the two sides are then equal as polynomials because their
+    packed values are.
     """
-    df, vf = _clear(f)
-    dg, vg = _clear(g)
-    content = gcd(*vg)
-    if content != 1:
-        vg = [y // content for y in vg]
-    nq = len(f) - len(g) + 1
-    terms = min(len(g), nq).bit_length()
+    nq = len(vf) - len(vg) + 1
+    terms = min(len(vg), nq).bit_length()
     bf, bg = _bits(vf), _bits(vg)
     k = _slot_bytes(bf + bg + terms + 2)
     quo, rem = divmod(_pack(vf, k), _pack(vg, k))
@@ -543,20 +642,28 @@ def _packed_quotient(f, g) -> list | None:
         return None
     if bg + _bits(h) + terms >= 8 * k or bf >= 8 * k:
         return None
-    return _over(h, dg, df * content)
+    return h
+
+
+def _constant(ring: Ring, c) -> Polynomial:
+    """The constant polynomial of a normalized scalar c."""
+    if ring.is_zero(c):
+        return zero(ring)
+    if isinstance(ring, RationalField):
+        return Polynomial._pair(ring, c, (1,))
+    return Polynomial._pair(ring, ring.one, (c,))
 
 
 def zero(ring: Ring) -> Polynomial:
-    return Polynomial._raw(ring, [])
+    return Polynomial._pair(ring, ring.one, ())
 
 
 def one(ring: Ring) -> Polynomial:
-    return Polynomial._raw(ring, [ring.one])
+    return Polynomial._pair(ring, ring.one, (ring.one,))
 
 
 def constant(ring: Ring, c) -> Polynomial:
-    c = ring.normalize(c)
-    return Polynomial._raw(ring, [] if ring.is_zero(c) else [c])
+    return _constant(ring, ring.normalize(c))
 
 
 def monomial(ring: Ring, k: int, coeff=None) -> Polynomial:
@@ -564,16 +671,14 @@ def monomial(ring: Ring, k: int, coeff=None) -> Polynomial:
     if k < 0:
         raise ValueError("monomial degree must be >= 0")
     c = ring.one if coeff is None else ring.normalize(coeff)
-    if ring.is_zero(c):
-        return Polynomial._raw(ring, [])
-    return Polynomial._raw(ring, [ring.zero] * k + [c])
+    return _constant(ring, c).shift(k)
 
 
 def quantum_integer(n: int, ring: Ring = QQ) -> Polynomial:
     """1 + q + ... + q**(n-1): the polynomial that counts to n at q = 1."""
     if n < 1:
         raise ValueError(f"quantum integer index must be >= 1, got {n}")
-    return Polynomial._raw(ring, [ring.one] * n)
+    return Polynomial._pair(ring, ring.one, (ring.one,) * n)
 
 
 def scaled_quantum_integer(n: int, zeta, ring: Ring = QQ) -> Polynomial:

@@ -275,7 +275,7 @@ class CyclotomicField(Ring):
             quo, rem = old_r.divmod(r)
             old_r, r = r, rem
             old_s, s = s, old_s - quo * s
-        return self.normalize(old_s.scale(QQ.inv(old_r.coeffs[0])).coeffs)
+        return self.normalize(old_s.scale(QQ.inv(old_r.constant_term)).coeffs)
 
     def scalar_to_json(self, a):
         return [str(Fraction(x)) for x in a]

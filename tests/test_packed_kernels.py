@@ -1,24 +1,28 @@
-"""The int-slot product, the packed big-integer kernels and the pairing
-compose against frozen reference loops.
+"""The int-slot product, the packed big-integer kernels, the pairing
+compose and the printer against frozen reference loops, and the stored
+(content, primitive) pair over Q.
 
-``Polynomial.__mul__`` encodes both operands as int vectors over Q, GF(p)
-and Q(zeta_d), and convolves them by one bigint product when dense or pair
-by pair over the nonzero slots; ``scale`` over Q clears to one common
-denominator; ``exact_div`` tries one bigint quotient over Q, and one per
+``Polynomial.__mul__`` convolves the primitive int tuples over Q and the
+encoded int vectors over GF(p) and Q(zeta_d), by one bigint product when
+dense or pair by pair over the nonzero slots; ``scale`` over Q changes only
+the content; ``exact_div`` tries one bigint quotient over Q, and one per
 coordinate over Q(zeta_d) when the divisor is rational, before falling back
-to ``divmod``; ``compose`` pairs terms level by level.  The loops below
-are the schoolbook product over ring scalars, the long division and the
-Horner composition as they stood before the kernels; production keeps only
-the long division, as the fallback, and here all three are frozen as
-oracles.  Inputs cover solution values and perturbed non-solutions,
-negative coefficients and coordinates, values above 2^64, mixed
-denominators, sparse and dilated operands, and divisors that are not
-monic.
+to ``divmod``; ``compose`` pairs terms level by level; ``pretty`` displays
+each distinct entry of the primitive part once.  The loops below are the
+schoolbook product over ring scalars, the long division, the Horner
+composition and the coefficient-by-coefficient printer as they stood
+before; production keeps only the long division, as the fallback, and
+here all four are frozen as oracles.  Over Q every route to a value must
+reach the same canonical pair.  Inputs cover solution values and
+perturbed non-solutions, negative coefficients and coordinates, values
+above 2^64, mixed denominators, sparse and dilated operands, and divisors
+that are not monic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -91,15 +95,38 @@ def reference_exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     return quo
 
 
-def assert_same(got: Polynomial, want: Polynomial):
-    """Equal coefficients, each of the oracle's type or of its normalized type.
+def reference_pretty(f: Polynomial) -> str:
+    """The printer as it stood before the stored pair: one pass over the
+    coefficients, each distinct one displayed once."""
+    if not f.coeffs:
+        return "0"
+    ring = f.ring
+    parts = []
+    shown = {}
+    for i, c in enumerate(f.coeffs):
+        display = shown.get(c)
+        if display is None:
+            display = shown[c] = () if ring.is_zero(c) else poly._display(ring, c)
+        if not display:
+            continue
+        negative, mag, prefix = display
+        if i == 0:
+            term = mag
+        else:
+            term = prefix + ("q" if i == 1 else f"q^{i}")
+        if not parts:
+            parts.append("-" + term if negative else term)
+        else:
+            parts.append((" - " if negative else " + ") + term)
+    return "".join(parts)
 
-    The kernels return int where a value is integral and Fraction in lowest
-    terms otherwise; the frozen loop may return Fraction(k, 1) instead.
-    """
+
+def assert_same(got: Polynomial, want: Polynomial):
+    """Equal coefficients of equal types: int where a value is integral,
+    Fraction in lowest terms otherwise, on both sides."""
     assert got.coeffs == want.coeffs
     for x, y in zip(got.coeffs, want.coeffs):
-        assert type(x) in (type(y), type(QQ.normalize(y))), (x, y)
+        assert type(x) is type(y) is type(QQ.normalize(x)), (x, y)
 
 
 # -- inputs -------------------------------------------------------------------
@@ -120,9 +147,8 @@ entries = st.one_of(st.just(0), st.just(0), scalars)
 _H = {p: (quantum_integer(p).dilate(5).exact_div(quantum_integer(p))).scale(lam)
       for p, lam in ((2, Fraction(5, 6)), (3, Fraction(-2, 3)))}
 SOLUTION = from_seeds(PrimeSet.of([2, 3]), _H)
-# Over Q a sum may hold Fraction(k, 1): 1/2 + 1/2 is Fraction(1, 1), so
-# DOUBLED's constant term is a Fraction with denominator 1, not an int.  A
-# kernel must not read a denominator of 1 as an int.
+# A sum whose coefficient 1/2 + 1/2 is integral: DOUBLED's constant term
+# must be the int 1, not Fraction(1, 1).
 _HALF = from_rationals([Fraction(1, 2)] + [1] * 15)
 DOUBLED = _HALF + _HALF
 members = st.sampled_from([2 ** i * 3 ** j for i in range(6) for j in range(4)
@@ -485,3 +511,91 @@ def compose_cases(draw):
 def test_compose_matches_horner(case):
     f, psi = case
     assert f.compose(psi) == horner_compose(f, psi)
+
+
+# -- the stored pair over Q ---------------------------------------------------------
+
+def assert_canonical(f: Polynomial):
+    """P primitive with a positive last entry, the content an int when
+    integral, and the pair rebuilt from the coefficients."""
+    c, P = f.content, f.primitive
+    if not P:
+        assert (c, type(c)) == (1, int)
+    else:
+        assert all(type(x) is int for x in P)
+        assert gcd(*P) == 1 and P[-1] > 0
+        assert c != 0 and type(c) is type(QQ.normalize(c))
+    for x in f.coeffs:
+        assert type(x) is type(QQ.normalize(x)), x
+    rebuilt = Polynomial(QQ, f.coeffs)
+    assert (rebuilt.content, rebuilt.primitive) == (c, P)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=rational_polys(), g=rational_polys(nonzero=True), c=nonzero_scalars)
+@example(f=_HALF, g=_HALF, c=2)
+def test_every_route_reaches_the_same_pair(f, g, c):
+    # Every route yields f's value (the tests above check the arithmetic);
+    # the form is canonical when every route also yields f's pair.
+    routes = [
+        from_rationals(list(f.coeffs)),
+        Polynomial(QQ, [Fraction(x) for x in f.coeffs]),
+        f.scale(c).scale(1 / Fraction(c)),
+        f.scale(c) * constant(QQ, 1 / Fraction(c)),
+        (f + g) - g,
+        -(-f),
+        (f * g).exact_div(g),
+        schoolbook_mul(f, g).exact_div(g),
+    ]
+    if not f.is_zero():
+        routes.append(f.reciprocal().reciprocal().shift(f.valuation()))
+    for r in routes:
+        assert_canonical(r)
+        assert r == f and hash(r) == hash(f)
+    product = f * g
+    assert_canonical(product)
+    assert product == schoolbook_mul(f, g) and hash(product) == hash(schoolbook_mul(f, g))
+    assert f + f == f.scale(2) and hash(f + f) == hash(f.scale(2))
+    assert_canonical(f + g)
+    assert_canonical(f.scale(c))
+
+
+def test_integral_coefficients_are_ints():
+    a = from_rationals([Fraction(1, 2), 1])
+    assert repr(a + a) == "Polynomial(Q, [1, 2])"
+    third = quantum_integer(5).scale(Fraction(1, 3))
+    for f in (a + a, a * a.scale(2), a.scale(4), third * constant(QQ, 3),
+              third + third + third, (third * third).exact_div(third.scale(Fraction(1, 3))),
+              DOUBLED, DOUBLED * _HALF, DOUBLED.exact_div(_HALF.scale(2))):
+        assert_canonical(f)
+    assert [type(x) for x in (third + third + third).coeffs] == [int] * 5
+
+
+def nonzero_field_scalars(ring):
+    return field_scalars(ring).filter(lambda c: not ring.is_zero(c))
+
+
+PRINT_RINGS = [QQ, PrimeField(2), PrimeField(7), CyclotomicField(3), CyclotomicField(4)]
+
+
+def test_pretty_matches_the_coefficient_loop_on_contents_other_than_1():
+    cases = [quantum_integer(7).scale(Fraction(-2, 3)), from_rationals([0, 0, -4, 6]),
+             from_rationals([Fraction(-1, 2), 0, Fraction(3, 4), -1]),
+             from_rationals([0, Fraction(5, 6)] * 4)]
+    assert [f.content for f in cases] == [Fraction(-2, 3), 2, Fraction(-1, 4), Fraction(5, 6)]
+    for f in cases:
+        assert f.pretty() == reference_pretty(f)
+    assert cases[2].pretty() == "-1/2 + (3/4)q^2 - q^3"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ring=st.sampled_from(PRINT_RINGS))
+def test_pretty_matches_the_coefficient_loop(data, ring):
+    if ring is QQ:
+        f = data.draw(rational_polys())
+        cases = [f, f.scale(data.draw(nonzero_scalars)), -f]
+    else:
+        f = data.draw(field_polys(ring))
+        cases = [f, f.scale(data.draw(nonzero_field_scalars(ring))), -f]
+    for f in cases:
+        assert f.pretty() == reference_pretty(f)

@@ -118,6 +118,17 @@ def test_out_of_range_exponents_raise(call, message):
         call()
 
 
+def test_unshift_undoes_shift():
+    f = from_rationals([Fraction(-3, 2), 0, 6])
+    assert f.shift(4).unshift(4) == f
+    assert f.shift(4).unshift(1) == f.shift(3)
+    assert zero(QQ).unshift(3) == zero(QQ)
+    with pytest.raises(ValueError, match=r"^q\^1 does not divide -3/2 \+ 6q\^2$"):
+        f.unshift(1)
+    with pytest.raises(ValueError):
+        f.unshift(-1)
+
+
 def test_degree_of_zero_is_none():
     assert zero(QQ).degree is None
     assert constant(QQ, 0).degree is None

@@ -450,3 +450,36 @@ def test_non_solutions_expand_only_the_pairs_at_an_exception(
     report = verify_fe(F, 200)
     assert (report.first_failure.m, report.first_failure.n) == failure
     assert calls[0] == expanded
+
+
+def test_commutation_rows_after_a_law_failure(monkeypatch):
+    """After a law failure the commutation sweep visits the rows of the
+    first two regular members and of every exceptional member, and no
+    other pair.
+
+    3 f_6 fails the law at (2, 3) and is regular; f_7 = 0 on the support is
+    exceptional and commutes with everything, so the sweep runs to the end.
+    It expands (1, 7) and (2, 7) in the anchor rows and all of 7's row, and
+    leaves out (m, 7) for the regular members 3 <= m <= 6."""
+    B = 20
+    F = scaled_at(scaled_at(quantum_sequence(), 6, 3), 7, 0)
+    for n in range(1, B + 1):
+        F.eval(n)
+    sweeps = []
+    real = analyze.first_failing_pair
+
+    def recording(pairs, sides):
+        seen = []
+        sweeps.append(seen)
+        return real((seen.append(pair) or pair for pair in pairs), sides)
+
+    monkeypatch.setattr(analyze, "first_failing_pair", recording)
+    calls = count_otimes(monkeypatch)
+    report = verify_fe(F, B)
+    assert not report.fe_ok and report.commutativity_ok and not report.support_ok
+    assert (report.first_failure.m, report.first_failure.n) == (2, 3)
+    law, commutation = sweeps
+    assert law == [(1, 7), (2, 3)]
+    assert commutation == [(1, 7), (2, 7)] + [(7, n) for n in range(8, B + 1)]
+    assert calls[0] == len(law) + 2 * len(commutation)
+    assert report == assert_matches_reference(F, B)
