@@ -49,7 +49,8 @@ every divisor coefficient g lies in Q, it divides each coordinate
 polynomial f_j by g the same way: g divides f in Q(zeta_d)[q] exactly
 when it divides every f_j in Q[q], because g is rational and
 1, z, ..., z^(phi - 1) is a basis of Q(zeta_d) over Q.  Every other case,
-and every quotient the width does not prove, falls back to ``divmod``.
+and every quotient the width does not prove, falls back to ``divmod``,
+the long division, which over Q also divides the primitive parts in ints.
 
 Composition f(psi) = sum c_i psi^i = sum (c_2i + c_2i+1 psi) (psi^2)^i
 pairs the terms, starting from the coefficients of f, and composes what is
@@ -90,9 +91,9 @@ class Polynomial:
         while vals and ring.is_zero(vals[-1]):
             vals.pop()
         content, primitive = _split(ring, vals)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "content", content)
-        object.__setattr__(self, "primitive", primitive)
+        _set_ring(self, ring)
+        _set_content(self, content)
+        _set_primitive(self, primitive)
 
     @classmethod
     def _raw(cls, ring: Ring, vals: Sequence) -> "Polynomial":
@@ -103,9 +104,9 @@ class Polynomial:
     def _pair(cls, ring: Ring, content, primitive: tuple) -> "Polynomial":
         # Internal: (content, primitive) already in the stored form.
         self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "content", content)
-        object.__setattr__(self, "primitive", primitive)
+        _set_ring(self, ring)
+        _set_content(self, content)
+        _set_primitive(self, primitive)
         return self
 
     def __setattr__(self, name, value):
@@ -286,7 +287,8 @@ class Polynomial:
         """(quo, rem) with f = quo * g + rem and rem zero or of lower degree than g.
 
         The one general long division; every nonzero scalar is a unit here.
-        It divides P_f by P_g: with P_f = Q P_g + R, f = (c_f / c_g) Q g + c_f R.
+        Over Q it divides the primitive parts in ints (``_int_divmod``):
+        D P_f = Q P_g + R gives f = (c_f / (c_g D)) Q g + (c_f / D) R.
         """
         self._check_ring(g)
         if not g.primitive:
@@ -295,6 +297,15 @@ class Polynomial:
         dd = len(g.primitive) - 1
         if len(self.primitive) <= dd:
             return zero(ring), self
+        if isinstance(ring, RationalField):
+            den, quo, rem = _int_divmod(self.primitive, g.primitive)
+            c = self.content
+            cq, quo = _primitive(quo, den)
+            quo = Polynomial._pair(ring, ring.normalize(Fraction(c) * cq / g.content), quo)
+            if not rem:
+                return quo, zero(ring)
+            cr, rem = _primitive(rem, den)
+            return quo, Polynomial._pair(ring, ring.normalize(c * cr), rem)
         rem = list(self.primitive)
         divisor = g.primitive
         sub, mul, is_zero = ring.sub, ring.mul, ring.is_zero
@@ -310,10 +321,7 @@ class Polynomial:
         del rem[dd:]
         while rem and is_zero(rem[-1]):
             rem.pop()
-        quo, rem, c = Polynomial._raw(ring, quo), Polynomial._raw(ring, rem), self.content
-        if c != g.content:
-            quo = quo.scale(mul(c, ring.inv(g.content)))
-        return quo, rem.scale(c)
+        return Polynomial._raw(ring, quo), Polynomial._raw(ring, rem)
 
     def exact_div(self, g: "Polynomial") -> "Polynomial":
         """The quotient f / g when g divides f exactly; InexactDivision otherwise."""
@@ -384,6 +392,12 @@ class Polynomial:
         return "".join(parts)
 
 
+# The slots' own setters, which __setattr__ does not reach.
+_set_ring = Polynomial.ring.__set__
+_set_content = Polynomial.content.__set__
+_set_primitive = Polynomial.primitive.__set__
+
+
 def _display(ring: Ring, c) -> tuple[bool, str, str]:
     """(negative, magnitude, prefix of q) for a nonzero coefficient c."""
     negative, mag = ring.coeff_display(c)
@@ -423,6 +437,35 @@ def _primitive(ints: Sequence[int], den: int = 1) -> tuple:
         g = -g
     P = tuple(ints) if g == 1 else tuple([x // g for x in ints])
     return (g if den == 1 else QQ.normalize(Fraction(g, den))), P
+
+
+def _int_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """(D, q, r) with D f = q g + r for int vectors, r shorter than g and
+    without trailing zeros, for g with a positive last entry.
+
+    Before each step the long division scales what is left of f, and q so
+    far, by the least factor that makes the leading term divisible by g's,
+    so a monic g never scales and every step stays in ints.
+    """
+    lead, dd = g[-1], len(g) - 1
+    g_pairs = [(j, y) for j, y in enumerate(g) if y]
+    rem, quo, den = list(f), [0] * (len(f) - dd), 1
+    for i in range(len(quo) - 1, -1, -1):
+        t = rem[i + dd]
+        if t:
+            s = lead // gcd(t, lead)
+            if s != 1:
+                rem = [x * s for x in rem]
+                quo = [x * s for x in quo]
+                den *= s
+            c = rem[i + dd] // lead
+            quo[i] = c
+            for j, y in g_pairs:
+                rem[i + j] -= c * y
+    del rem[dd:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return den, quo, rem
 
 
 # -- int-slot kernels -----------------------------------------------------------

@@ -220,6 +220,17 @@ def test_exact_div_matches_long_division(f, g, r):
         assert_same(num.exact_div(g), want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(f=rational_polys(), g=rational_polys(nonzero=True), m=st.integers(1, 3))
+def test_divmod_matches_long_division(f, g, m):
+    # Over Q divmod divides the primitive int parts, scaling as it goes.
+    for num in (f, schoolbook_mul(f, g.dilate(m)) + g):
+        got, want = num.divmod(g), long_divmod(num, g)
+        for x, y in zip(got, want):
+            assert_same(x, y)
+            assert_canonical(x)
+
+
 # -- fixed cases ----------------------------------------------------------------
 
 @pytest.fixture
