@@ -15,6 +15,7 @@ symbolically.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -75,7 +76,10 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
         declared semigroup.
     Both pair sweeps run in lexicographic order and stop at their first
     failure, which is returned with both sides; failures are report
-    content, not errors.
+    content, not errors.  Once the support law holds, the law sweep visits
+    only pairs of support members: S(P) is closed under divisors, so when
+    m or n is not a member neither is mn, and f_m(q) f_n(q^m) and f_mn are
+    both regular zeros, a pair the profile below already decides.
 
     A pair is expanded only when a per-index profile does not decide it.
     The profile reads a shape e, integer exponents over dilations u, by
@@ -152,8 +156,10 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
             return ring.mul(x[0], y[0]), x[1] + m * y[1]
         return 0 if x == 0 or y == 0 else None
 
+    # Once the support law holds, only member pairs can fail; see the docstring.
+    idx = members if support_ok else range(1, bound + 1)
     law = first_failing_pair(
-        ((m, n) for m in range(1, bound + 1) for n in range(1, bound // m + 1)
+        ((m, n) for m in idx for n in idx[:bisect(idx, bound // m)]
          if (x := times(m, n)) is None or x != profile.get(m * n)),
         lambda m, n: (F.eval(m * n), otimes(F.eval(m), F.eval(n), m)))
     fe_ok = law is None

@@ -39,6 +39,8 @@ than PACK_MIN_OPS nonzero slot pairs, and more than PACK_DENSE of them per
 result slot, make one bigint product (Kronecker substitution) at a width
 that provably holds every result slot.  Any other product goes pair by
 pair over the nonzero slots, so the zeros of a dilated operand make none.
+A packed square packs its operand once, and CPython squares an int
+faster than it multiplies two.
 
 Scaling over Q(zeta_d) is the product with the constant polynomial.
 Exact division, when the long division would take more than
@@ -53,11 +55,22 @@ and every quotient the width does not prove, falls back to ``divmod``,
 the long division, which over Q also divides the primitive parts in ints.
 
 Composition f(psi) = sum c_i psi^i = sum (c_2i + c_2i+1 psi) (psi^2)^i
-pairs the terms, starting from the coefficients of f, and composes what is
-left with psi^2 the same way, until one term is left; an odd last term is
-carried up unpaired.  psi is squared only while more than one term
-remains, so level i multiplies by psi^(2^i).  The products are balanced
-and dense, not deg f products of a growing accumulator by a short psi.
+runs level by level on int slots.  f and psi are encoded once, as a
+product encodes them (over Q the primitive part times the content's
+numerator, over its denominator; over Q(zeta_d) in full rows), and the
+result is decoded once.  Level i holds its terms, polynomials of fewer
+than w coefficients, as blocks of one slot vector.  It lays the odd terms
+out as blocks of width w + deg psi_i, with psi_i = psi^(2^i): each block's
+product with psi_i has degree below that width, so one convolution of the
+vector with psi_i makes every product of the level, none overlapping the
+next.  The even terms, laid out the same way and scaled by psi_i's
+denominator, are added as one vector, which also carries an odd last term
+up unpaired.  The level's slots are then reduced (mod p, or each row
+modulo Phi_d), and psi_i is squared only while more than one term
+remains.  So f of length N costs about 2 log2 N convolutions, not one
+product per pair of terms.  Blocks move by slice assignment, one slice per
+row or one per block, whichever is fewer.  A constant psi is a scalar:
+f(psi) is then f evaluated there.
 """
 
 from __future__ import annotations
@@ -67,7 +80,7 @@ from array import array
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import attrgetter, is_, ne
+from operator import add, attrgetter, is_, ne
 from typing import Iterable, Sequence
 
 from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, power
@@ -262,16 +275,45 @@ class Polynomial:
         return Polynomial._pair(self.ring, self.content, tuple(out))
 
     def compose(self, psi: "Polynomial") -> "Polynomial":
-        """f(psi(q)), by the pairing of the module docstring."""
+        """f(psi(q)), level by level on int slots; see the module docstring."""
         self._check_ring(psi)
-        ring = self.ring
-        terms = [_constant(ring, c) for c in self.coeffs]
-        while len(terms) > 1:
-            paired = [lo + psi * hi for lo, hi in zip(terms[::2], terms[1::2])]
-            terms = paired + terms[2 * len(paired):]  # and the odd last term
-            if len(terms) > 1:
-                psi = psi * psi
-        return terms[0] if terms else self
+        ring, n = self.ring, len(self.primitive)
+        if n < 2:
+            return self
+        d = len(psi.primitive) - 1
+        if d < 1:
+            return constant(ring, self.evaluate(psi.constant_term))
+        # Slots per coefficient: a row of 2 phi - 1 over Q(zeta_d), else 1.
+        r = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
+        # The top coefficient of f(psi), c_(n-1) lead(psi)^(n-1), is nonzero.
+        top = r * ((n - 1) * d + 1)
+        den, v = _slots(ring, self)  # the n terms, w = 1 coefficient each
+        den_psi, s = _slots(ring, psi)  # psi_i = s / den_psi, of degree d
+        w = 1
+        while n > 1:
+            half, b, B = n // 2, r * w, r * (w + d)
+            # Block j of odd * psi_i has degree below w + d: it fills
+            # [j B, j B + B) and nothing past half B.
+            odd = _relay(v, b, 2 * b, half, b, B)
+            del odd[len(odd) - B + b:]
+            prod = _convolve(odd, s)
+            v = _relay(v, 0, 2 * b, n - half, b, B)  # and the odd last term
+            if den_psi != 1:
+                v = [x * den_psi for x in v]
+            v[:half * B] = map(add, v[:half * B], prod)
+            v = _reduce(ring, v)
+            den *= den_psi
+            n, w = n - half, w + d
+            if n > 1:
+                s = _convolve(s, s)
+                del s[r * (2 * d + 1):]
+                s = _reduce(ring, s)
+                den_psi *= den_psi
+                d *= 2
+        del v[top:]
+        if isinstance(ring, RationalField):
+            return Polynomial._pair(ring, *_primitive(v, den))
+        return Polynomial._pair(ring, ring.one, tuple(_decode(ring, v, den)))
 
     def reciprocal(self) -> "Polynomial":
         """q**deg(f) * f(1/q): the coefficient-reversed polynomial."""
@@ -568,10 +610,13 @@ def _encode(ring: Ring, a, b) -> tuple[int, Sequence[int], Sequence[int]]:
 
     Over Q(zeta_d) coefficient i takes slots (2 phi - 1) i + j for its
     coordinates j < phi; the padding after the last coefficient is dropped.
+    A square (b is a) encodes once, and v is u.
     """
     if isinstance(ring, PrimeField):
         return 1, a, b
     da, u = _clear(_rows(ring.phi, a))
+    if b is a:
+        return da * da, u, u
     db, v = _clear(_rows(ring.phi, b))
     return da * db, u, v
 
@@ -593,17 +638,66 @@ def _decode(ring: Ring, v: list[int], den: int) -> list:
         return [x % p for x in v]
     phi = ring.phi
     w = 2 * phi - 1
-    # Row r holds the coordinates of z^0 .. z^(2 phi - 2) of coefficient r.
-    # With Phi_d = z^phi + sum m_j z^j, slot t >= phi of a row carries c z^t
-    # = -c sum m_j z^(t - phi + j); reduce the top slot first, all rows at once.
-    terms = [(j, m) for j, m in enumerate(ring.modulus[:phi]) if m]
-    for t in range(w - 1, phi - 1, -1):
-        top = v[t::w]
-        if any(top):
-            for j, m in terms:
-                s = t - phi + j
-                v[s::w] = [x - m * c for x, c in zip(v[s::w], top)]
+    _reduce(ring, v)
     return list(zip(*[_over(v[j::w], 1, den) for j in range(phi)]))
+
+
+def _reduce(ring: Ring, v: list[int]) -> list[int]:
+    """The slots v with each coefficient reduced: mod p over GF(p); over
+    Q(zeta_d) each row to its first phi slots, in place; as they are over Q.
+    """
+    if isinstance(ring, PrimeField):
+        p = ring.p
+        return [x % p for x in v]
+    if isinstance(ring, CyclotomicField):
+        phi = ring.phi
+        w = 2 * phi - 1
+        # Row r holds the coordinates of z^0 .. z^(2 phi - 2) of coefficient
+        # r.  With Phi_d = z^phi + sum m_j z^j, slot t >= phi of a row carries
+        # c z^t = -c sum m_j z^(t - phi + j); reduce the top slot first, all
+        # rows at once.
+        terms = [(j, m) for j, m in enumerate(ring.modulus[:phi]) if m]
+        for t in range(w - 1, phi - 1, -1):
+            top = v[t::w]
+            if any(top):
+                for j, m in terms:
+                    s = t - phi + j
+                    v[s::w] = [x - m * c for x, c in zip(v[s::w], top)]
+                v[t::w] = [0] * len(top)
+    return v
+
+
+def _slots(ring: Ring, f: Polynomial) -> tuple[int, Sequence[int]]:
+    """(D, v) with f = v / D on slots: over Q the primitive part times the
+    content's numerator, over GF(p) the residues, over Q(zeta_d) full rows
+    of 2 phi - 1 slots.  f must be nonzero."""
+    P = f.primitive
+    if isinstance(ring, RationalField):
+        c = f.content
+        if type(c) is int:
+            return 1, (P if c == 1 else [c * x for x in P])
+        return c.denominator, [c.numerator * x for x in P]
+    if isinstance(ring, PrimeField):
+        return 1, P
+    den, v = _clear(_rows(ring.phi, P))
+    return den, v + [0] * (ring.phi - 1)
+
+
+def _relay(v: Sequence[int], start: int, step: int, count: int, width: int,
+           stride: int) -> list[int]:
+    """count blocks of width slots, read from v at start + j step and laid
+    out at j stride over zeros: one slice per row or one per block,
+    whichever is fewer."""
+    out = [0] * (count * stride)
+    if width < count:
+        end = start + count * step
+        for t in range(width):
+            out[t::stride] = v[start + t:end + t:step]
+    else:
+        for j in range(count):
+            a = start + j * step
+            out[j * stride:j * stride + width] = v[a:a + width]
+    return out
 
 
 def _product(ring: Ring, a, b) -> list:
@@ -613,7 +707,7 @@ def _product(ring: Ring, a, b) -> list:
 
 
 def _convolve(u: Sequence[int], v: Sequence[int]) -> list[int]:
-    """The product of two nonzero int vectors.
+    """The product of two nonempty int vectors; a square (v is u) packs once.
 
     When packed, each result slot sums at most min(nnz) products of slots,
     so it is below 2^(bits(max|u|) + bits(max|v|) + bits(min(nnz))) in
@@ -624,7 +718,8 @@ def _convolve(u: Sequence[int], v: Sequence[int]) -> list[int]:
     ops = nu * nv
     if ops > PACK_MIN_OPS and ops > PACK_DENSE * n:
         k = _slot_bytes(_bits(u) + _bits(v) + min(nu, nv).bit_length() + 2)
-        return _unpack(_pack(u, k) * _pack(v, k), n, k)
+        x = _pack(u, k)
+        return _unpack(x * (x if v is u else _pack(v, k)), n, k)
     out = [0] * n
     js = list(compress(range(len(v)), v))
     for i in compress(range(len(u)), u):

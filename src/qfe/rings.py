@@ -47,12 +47,16 @@ def _as_rational(v):
 
 
 def _scalar_from_json(obj, what: str, integral: bool = False):
-    """The one literal grammar: a JSON integer, or a string "a" or "a/b"."""
+    """The one literal grammar: a JSON integer, or a string "a" or "a/b".
+
+    "a" parses straight to an int; only "a/b" builds a Fraction."""
     if type(obj) is int:  # not bool
         return obj
     if isinstance(obj, str):
         m = _LITERAL.fullmatch(obj)
-        if m and not (integral and m.group(1)):
+        if m and not m.group(1):
+            return int(obj)
+        if m and not integral:
             return _as_rational(Fraction(obj))
     form = "\"a\"" if integral else "\"a\" or \"a/b\""
     raise ValueError(f"{what} must be an integer or a string {form}, got {obj!r}")

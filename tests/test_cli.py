@@ -126,6 +126,8 @@ def test_malformed_inputs_exit_2(capsys, tmp_path):
         {"ring": {"kind": "rational"}, "primes": [2], "seeds": {"2": ["1_000"]}},
         {"ring": {"kind": "rational"}, "primes": [2], "seeds": {"2": ["2.5"]}},
         {"ring": {"kind": "rational"}, "primes": [2], "seeds": {"2": [True]}},
+        # Past the interpreter's cap on int digits, as a string literal.
+        {"ring": {"kind": "rational"}, "primes": [2], "seeds": {"2": ["1", "9" * 5000]}},
         {"ring": {"kind": "prime_field", "p": 7}, "primes": [2],
          "seeds": {"2": ["1/2"]}},
         {"ring": {"kind": "cyclotomic", "d": 4}, "primes": [2],

@@ -297,18 +297,20 @@ def test_product_selection(packed_calls):
     # Few pairs go pair by pair whatever the coefficients.
     assert (quantum_integer(8) * quantum_integer(8).scale(third)).degree == 14
     assert packed_calls == []
-    # Dense products are packed, Fraction ones as well.
+    # Dense products are packed, Fraction ones as well; a square packs its
+    # one operand once.
     assert q64 * q64 == schoolbook_mul(q64, q64)
     f = q64.scale(third)
     assert_same(f * f.dilate(8), schoolbook_mul(f, f.dilate(8)))
-    assert packed_calls == [64, 64, 64, 505]
+    assert packed_calls == [64, 64, 505]
     # GF(p) follows the same rule.
     gf = PrimeField(7)
     g = quantum_integer(64, gf)
     assert g * g.dilate(64) == quantum_integer(64 * 64, gf)
-    assert len(packed_calls) == 4
+    assert len(packed_calls) == 3
     assert g * g == schoolbook_mul(g, g)
-    assert packed_calls[4:] == [64, 64]
+    assert g * g.scale(3) == schoolbook_mul(g, g.scale(3))
+    assert packed_calls[3:] == [64, 64, 64]
     # Over Q(zeta_12) a coefficient is a row of 2 phi - 1 = 7 slots.  The
     # 8 powers of z hold 10 nonzero coordinates: 100 slot pairs over 105
     # result slots go pair by pair, and so does the sparse [m]_q [n]_{q^m}.
@@ -319,12 +321,14 @@ def test_product_selection(packed_calls):
     assert c64 * c64.dilate(64) == quantum_integer(64 * 64, k12)
     assert len(packed_calls) == 6
     assert c64 * c64 == schoolbook_mul(c64, c64)
-    assert packed_calls[6:] == [445, 445]
+    assert packed_calls[6:] == [445]
     # Slots, not coefficients: 8 coefficients 1 + 2z + 3z^2 + 4z^3 make 64
     # coefficient pairs but 1024 slot pairs over 105 slots, so it packs.
     full = Polynomial(k12, [k12.normalize([1, 2, 3, 4])] * 8)
     assert full * full == schoolbook_mul(full, full)
-    assert packed_calls[8:] == [53, 53]
+    zfull = full.scale(k12.zeta)
+    assert full * zfull == schoolbook_mul(full, zfull)
+    assert packed_calls[7:] == [53, 53, 53]
 
 
 # -- GF(p) and Q(zeta_d) ----------------------------------------------------------
@@ -495,6 +499,17 @@ ALL_RINGS = [QQ] + FIELDS
 
 @st.composite
 def compose_cases(draw):
+    if draw(st.integers(0, 7)) == 0:
+        # A few long ones: GF(p), psi of degree 1 to 3 and up to 2^10 + 1
+        # terms, so that levels lay blocks out both ways, by row and by block.
+        ring = draw(st.sampled_from(FIELDS[:3]))
+        rng = draw(st.randoms(use_true_random=False))
+        n = draw(st.one_of(st.sampled_from([2 ** 10 + 1, 2 ** 9]),
+                           st.integers(2, 2 ** 10 + 1)))
+        d = draw(st.integers(1, 3))
+        psi = [rng.randrange(ring.p) for _ in range(d)] + [rng.randrange(1, ring.p)]
+        return (Polynomial(ring, [rng.randrange(ring.p) for _ in range(n)]),
+                Polynomial(ring, psi))
     ring = draw(st.sampled_from(ALL_RINGS))
     scalar = scalars.map(QQ.normalize) if ring is QQ else field_scalars(ring)
     k = draw(st.integers(4, 6))
@@ -519,9 +534,33 @@ def compose_cases(draw):
 @example(case=(Polynomial(QQ, [3, -1, 2]), Polynomial(QQ, [1, 2])))
 @example(case=(Polynomial(QQ, [3, -1, 2, 5, 1, 4]), Polynomial(QQ, [1, 2])))
 @example(case=(Polynomial(QQ, [3, -1, 2, 5, 1, 4, 7]), Polynomial(QQ, [1, 2])))
+# 2^10 + 1 terms leave an odd term unpaired at every level.
+@example(case=(quantum_integer(2 ** 10 + 1, PrimeField(2)), Polynomial(PrimeField(2), [1, 1])))
 def test_compose_matches_horner(case):
     f, psi = case
     assert f.compose(psi) == horner_compose(f, psi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 700])
+def test_compose_makes_one_product_per_level(monkeypatch, n):
+    # ceil(log2 n) levels, each one product with psi^(2^i), and a square of
+    # psi between levels: at most 2 ceil(log2 n) products of int slots.
+    calls = []
+    original = poly._convolve
+
+    def counting(u, v):
+        calls.append((len(u), len(v)))
+        return original(u, v)
+    monkeypatch.setattr(poly, "_convolve", counting)
+    for ring in [PrimeField(7)] + ([QQ, CyclotomicField(12)] if n < 100 else []):
+        f = scaled_quantum_integer(n, ring.normalize(3), ring)
+        psi = Polynomial(ring, [1, 1, 0, 3])
+        calls.clear()
+        got = f.compose(psi)
+        assert len(calls) <= 2 * (n - 1).bit_length()
+        assert got.degree == 3 * (n - 1)
+        if n < 100:
+            assert got == horner_compose(f, psi)
 
 
 # -- the stored pair over Q ---------------------------------------------------------
