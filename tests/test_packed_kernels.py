@@ -1,4 +1,4 @@
-"""The int-slot product, the packed big-integer kernels, the pairing
+"""The int-slot product, the packed big-integer kernels, the level-by-level
 compose and the printer against frozen reference loops, and the stored
 (content, primitive) pair over Q.
 
@@ -7,8 +7,8 @@ encoded int vectors over GF(p) and Q(zeta_d), by one bigint product when
 dense or pair by pair over the nonzero slots; ``scale`` over Q changes only
 the content; ``exact_div`` tries one bigint quotient over Q, and one per
 coordinate over Q(zeta_d) when the divisor is rational, before falling back
-to ``divmod``; ``compose`` pairs terms level by level; ``pretty`` displays
-each distinct entry of the primitive part once.  The loops below are the
+to ``divmod``; ``compose`` makes one convolution of int slots per level;
+``pretty`` displays each distinct entry of the primitive part once.  The loops below are the
 schoolbook product over ring scalars, the long division, the Horner
 composition and the coefficient-by-coefficient printer as they stood
 before; production keeps only the long division, as the fallback, and
@@ -549,7 +549,7 @@ def test_compose_makes_one_product_per_level(monkeypatch, n):
     original = poly._convolve
 
     def counting(u, v):
-        calls.append((len(u), len(v)))
+        calls.append(len(u))
         return original(u, v)
     monkeypatch.setattr(poly, "_convolve", counting)
     for ring in [PrimeField(7)] + ([QQ, CyclotomicField(12)] if n < 100 else []):
