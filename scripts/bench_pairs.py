@@ -4,13 +4,15 @@
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_16.json
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  For each
-workload of CHANGE_DIR's BENCHMARK.json and each of --pairs seeds, the
-script runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-once in each checkout, one after the other, and alternates which side goes
-first from pair to pair.  Runs are sequential, one process at a time.  It
-writes the end-to-end metrics of every run in the layout of BENCH_15.json:
-per side the runs, the median and the quartiles, and per metric the pairs
-the change wins and loses.  Neither checkout is modified.
+workload of CHANGE_DIR's BENCHMARK.json and each of PAIRS seeds, counting
+up from --seed, the script runs ``perfbench/run.py --workload W --seed S
+--seconds T --trace 0`` once in each checkout, one after the other, with T
+the benchmark's run_seconds, and alternates which side goes first from pair
+to pair.  Runs are sequential, one process at a time.  It writes the
+end-to-end metrics of every run in the layout of BENCH_15.json: per side
+the runs, the median and the quartiles, and per metric the pairs the change
+wins and loses.  A claimed gain is in jobs_per_s.  Neither checkout is
+modified.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10
 METHOD = ("Each side runs from its own checkout. One seed per pair; the parent "
           "runs first in even-numbered pairs (counting from 0) and the change "
           "first in odd ones. Quartiles are statistics.quantiles(n=4, "
@@ -67,15 +70,15 @@ def git_sha(checkout: Path) -> str:
 
 def bench(parent: Path, change: Path, args) -> dict:
     spec = json.loads((change / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    seeds = list(range(args.seed, args.seed + args.pairs))
+    seconds = spec["run_seconds"]
+    seeds = list(range(args.seed, args.seed + PAIRS))
     sides = {"parent": parent, "change": change}
     host, out = {}, {}
-    for workload in workloads:
+    for workload in [w["name"] for w in spec["workloads"]]:
         results = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                line, result = run_once(sides[side], workload, seed, args.seconds)
+                line, result = run_once(sides[side], workload, seed, seconds)
                 host.setdefault(workload, {}).setdefault(side, line)
                 results[side].append(result)
                 print(f"{workload} seed {seed} {side}: "
@@ -89,15 +92,15 @@ def bench(parent: Path, change: Path, args) -> dict:
                                  better=m["better"], bound=m["bound"], unit=m["unit"])
         out[workload] = {"correct": {side: all(r["correct"] for r in results[side])
                                      for side in sides},
-                         "metrics": metrics, "pairs": args.pairs, "seeds": seeds}
+                         "metrics": metrics, "pairs": PAIRS, "seeds": seeds}
     report = {"change": args.describe, "change_sha": git_sha(change),
               "parent_sha": git_sha(parent),
               "command": (f"python3 perfbench/run.py --workload <workload> --seed <seed> "
-                          f"--seconds {args.seconds:g} --trace 0"),
+                          f"--seconds {seconds} --trace 0"),
               "host": host, "host_note": args.host_note, "method": METHOD,
               "workloads": out}
     if args.claim_workload:
-        report["claimed_metric"] = {"claim": args.claim, "metric": args.claim_metric,
+        report["claimed_metric"] = {"claim": args.claim, "metric": "jobs_per_s",
                                     "workload": args.claim_workload}
     return report
 
@@ -107,18 +110,12 @@ def main(argv=None) -> int:
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
     p.add_argument("change", type=Path, help="checkout of the change")
     p.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    p.add_argument("--seconds", type=float, default=30)
-    p.add_argument("--workloads", nargs="*", help="default: every BENCHMARK.json workload")
     p.add_argument("--describe", default="", help="one line on what the change does")
     p.add_argument("--host-note", default="", help="one line on the host")
-    p.add_argument("--claim-workload", help="the workload of a claimed gain")
-    p.add_argument("--claim-metric", default="jobs_per_s")
+    p.add_argument("--claim-workload", help="the workload of a claimed jobs_per_s gain")
     p.add_argument("--claim", default="", help="the claim, in words")
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2 for quartiles")
     report = bench(args.parent.resolve(), args.change.resolve(), args)
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0

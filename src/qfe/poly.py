@@ -610,13 +610,10 @@ def _encode(ring: Ring, a, b) -> tuple[int, Sequence[int], Sequence[int]]:
 
     Over Q(zeta_d) coefficient i takes slots (2 phi - 1) i + j for its
     coordinates j < phi; the padding after the last coefficient is dropped.
-    A square (b is a) encodes once, and v is u.
     """
     if isinstance(ring, PrimeField):
         return 1, a, b
     da, u = _clear(_rows(ring.phi, a))
-    if b is a:
-        return da * da, u, u
     db, v = _clear(_rows(ring.phi, b))
     return da * db, u, v
 

@@ -321,14 +321,12 @@ def test_product_selection(packed_calls):
     assert c64 * c64.dilate(64) == quantum_integer(64 * 64, k12)
     assert len(packed_calls) == 6
     assert c64 * c64 == schoolbook_mul(c64, c64)
-    assert packed_calls[6:] == [445]
+    assert packed_calls[6:] == [445, 445]
     # Slots, not coefficients: 8 coefficients 1 + 2z + 3z^2 + 4z^3 make 64
     # coefficient pairs but 1024 slot pairs over 105 slots, so it packs.
     full = Polynomial(k12, [k12.normalize([1, 2, 3, 4])] * 8)
     assert full * full == schoolbook_mul(full, full)
-    zfull = full.scale(k12.zeta)
-    assert full * zfull == schoolbook_mul(full, zfull)
-    assert packed_calls[7:] == [53, 53, 53]
+    assert packed_calls[8:] == [53, 53]
 
 
 # -- GF(p) and Q(zeta_d) ----------------------------------------------------------
