@@ -24,11 +24,11 @@ from operator import mul
 from typing import Callable, Mapping
 
 from . import poly
-from .poly import InexactDivision, Polynomial, monomial, quantum_integer
-from .rings import QQ, Ring
-from .semigroup import (PrimeSet, divisors, enumerate_semigroup,
-                        first_nonmultiplicative, is_prime, seed_gcd,
-                        support_members)
+from .poly import (InexactDivision, Polynomial, monomial, quantum_integer,
+                   scaled_quantum_integer)
+from .rings import QQ, Ring, first_inadmissible_prime, root_of_unity_order
+from .semigroup import (PrimeSet, divisors, first_nonmultiplicative, is_prime,
+                        seed_gcd, support_members)
 from .sequences import FESequence, first_failing_pair, oplus, otimes
 
 
@@ -82,24 +82,27 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
     both regular zeros, a pair the profile below already decides.
 
     A pair is expanded only when a per-index profile does not decide it.
-    The profile reads a shape e, integer exponents over dilations u, by
-    peeling the first prime member's value that peels (``_peel_exponents``;
-    e = {} when none does), and sets
-        G_n = prod_u [n]_{q^u}^(e_u).
-    Index n is regular when f_n = c_n q^(s_n) G_n, with c_n and s_n the
-    trailing coefficient and valuation of f_n (compared with the factors
-    of e_u < 0 moved to the left, so nothing is divided), or when n is not
-    a support member and f_n = 0; every other index n <= bound is
+    The profile reads a shape e, an exponent e_u and a root of unity
+    zeta_u for each dilation u, by peeling the first prime member's value
+    that peels (``_peel_exponents``), and sets
+        G_n = prod_u [n]_{zeta_u q^u}^(e_u).
+    e = {} when no value peels, or when some zeta_u^(p-1) != 1 at a prime
+    member p <= bound (``first_inadmissible_prime``).  So zeta_u^(m-1) = 1
+    at every member m <= bound, a product of such p, and on members G
+    satisfies the law and the commutation identity identically:
+    [mn]_{zeta q^u} = [m]_{zeta q^u} [n]_{zeta^m q^(um)} with zeta^m = zeta.
+    Index n is regular when n is a member and f_n = c_n q^(s_n) G_n, with
+    c_n and s_n the trailing coefficient and valuation of f_n (compared
+    with the factors of e_u < 0 moved to the left, so nothing is divided),
+    or when n is not a member and f_n = 0; every other index n <= bound is
     exceptional.  The shape is only a guess: the comparison at each n is
-    the proof.  G satisfies the law identically, [mn]_{q^u} =
-    [m]_{q^u} [n]_{q^(um)} = [n]_{q^u} [m]_{q^(un)}, and each [k]_{q^u} has
-    constant term 1, so dividing out G maps f_m(q) f_n(q^m) to the monomial
-    (c_m c_n, s_m + m s_n), or to 0 when f_m or f_n is a regular zero.  So
-    an identity between regular values holds iff it holds between their
-    monomials.  Pairs whose monomials agree are skipped; every other pair
-    is expanded.  A skipped pair holds, so the first failure and its sides
-    are those of the full sweep.  A solution with no exceptional index
-    expands nothing.
+    the proof.  Each [k]_{zeta q^u} has constant term 1, so dividing out G
+    maps f_m(q) f_n(q^m) to the monomial (c_m c_n, s_m + m s_n), or to 0
+    when f_m or f_n is a regular zero.  So an identity between regular
+    values holds iff it holds between their monomials.  Pairs whose
+    monomials agree are skipped; every other pair is expanded.  A skipped
+    pair holds, so the first failure and its sides are those of the full
+    sweep.  A solution with no exceptional index expands nothing.
 
     When the law holds up to the bound, the commutation sweep is cut down
     further, to the prime pairs p1 < p2 <= bound with p1 p2 > bound.  Write
@@ -129,18 +132,19 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
     row forces s_1 = 0, which commutes with everything, and r2's row
     fixes sigma = s_r2 / (r2 - 1) for every regular n > 1 the same way.
     The pairs left out, a regular member that is neither r1 nor r2 against
-    an exceptional n, cannot decide ``commutativity_ok`` either.  f_n = 0
-    commutes with everything, and a nonzero f_n commutes with no regular
-    r >= 2.  If it did, dividing f_r(q) f_n(q^r) = f_n(q) f_r(q^n) by
-    G_r(q) G_n(q^r) = G_n(q) G_r(q^n) would give
-    q^(s_r) h(q^r) = q^(n s_r) h(q) for the Laurent series h = f_n / G_n
-    (G_n(0) = 1).  With h = a q^k u and u(0) = 1 this says
-    r k + s_r = k + n s_r and u(q^r) = u(q).  The lowest term u_j q^j of
-    u with j >= 1 would equal the coefficient of q^j in u(q^r): zero when
-    r does not divide j, and u_(j/r) = 0 with 0 < j/r < j when it does.
-    So u = 1 and f_n = a q^k G_n, that is, n would be regular.  Such an n
-    therefore fails against r1 or r2, one of which is >= 2, and that pair
-    lies in the row of the anchor or of n.
+    an exceptional member n, cannot decide ``commutativity_ok`` either.
+    f_n = 0 commutes with everything, and a nonzero f_n commutes with no
+    regular r >= 2.  If it did, dividing f_r(q) f_n(q^r) = f_n(q) f_r(q^n)
+    by G_r(q) G_n(q^r) = G_n(q) G_r(q^n), which holds as r and n are
+    members, would give q^(s_r) h(q^r) = q^(n s_r) h(q) for the Laurent
+    series h = f_n / G_n (G_n(0) = 1).  With h = a q^k u and u(0) = 1
+    this says r k + s_r = k + n s_r and u(q^r) = u(q).  The lowest term
+    u_j q^j of u with j >= 1 would equal the coefficient of q^j in
+    u(q^r): zero when r does not divide j, and u_(j/r) = 0 with
+    0 < j/r < j when it does.  So u = 1 and f_n = a q^k G_n, that is, the
+    member n would be regular.  Such an n therefore fails against r1 or
+    r2, one of which is >= 2, and that pair lies in the row of the anchor
+    or of n.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
@@ -193,14 +197,17 @@ def _profile(F: FESequence, members: list[int], bound: int
     """``verify_fe``'s profile of the indices n <= bound, and the support law.
 
     The profile maps n to 0 when n is not a support member and f_n = 0, and
-    to the monomial (c_n, s_n) of f_n / G_n when that quotient is one;
-    exceptional indices are absent.  ``members`` are the support members
+    a member n to the monomial (c_n, s_n) of f_n / G_n when that quotient
+    is one; exceptional indices are absent.  ``members`` are the support members
     <= bound, and the flag says whether they are exactly the indices with
     f_n != 0.
     """
     ring = F.ring
-    peels = (_peel_exponents(F.eval(p), p) for p in members if is_prime(p))
+    primes = [p for p in members if is_prime(p)]
+    peels = (_peel_exponents(F.eval(p), p) for p in primes)
     e = next((e for e in peels if e is not None), {})
+    if any(first_inadmissible_prime(primes, z, ring) for _, z in e.values()):
+        e = {}
     member_set = set(members)
     profile = {}
     support_ok = True
@@ -208,40 +215,44 @@ def _profile(F: FESequence, members: list[int], bound: int
         f = F.eval(n)
         zero, member = f.is_zero(), n in member_set
         support_ok &= zero != member
-        if zero:
-            if not member:
-                profile[n] = 0
+        if zero and not member:
+            profile[n] = 0
+        if zero or not member:
             continue
         s = f.valuation()
         c = f.coefficient(s)
-        quantum = quantum_integer(n, ring)
-        num = [quantum.dilate(u) ** k for u, k in e.items() if k > 0]
-        den = [quantum.dilate(u) ** -k for u, k in e.items() if k < 0]
+        factors = [(scaled_quantum_integer(n, z, ring).dilate(u), k)
+                   for u, (k, z) in e.items()]
+        num = [g ** k for g, k in factors if k > 0]
+        den = [g ** -k for g, k in factors if k < 0]
         rhs = reduce(mul, num) if num else poly.one(ring)
         if reduce(mul, den, f) == rhs.scale(c).shift(s):
             profile[n] = (c, s)
     return profile, support_ok
 
 
-def _peel_exponents(g: Polynomial, p: int) -> dict[int, int] | None:
-    """A guess at e with g = a q^v prod_u [p]_{q^u}^(e_u), for some a != 0.
+def _peel_exponents(g: Polynomial, p: int) -> dict[int, tuple] | None:
+    """A guess at e: u -> (e_u, zeta_u) with g = a q^v prod_u
+    [p]_{zeta_u q^u}^(e_u), for some a != 0.
 
-    Strip the trailing term a q^v first.  [p]_{q^u}^c = 1 + c q^u + (higher
-    terms), so the lowest non-constant term a c q^u of what is left gives
-    e_u = c; dividing out [p]_{q^u}^c (or multiplying in [p]_{q^u}^(-c))
-    clears it, and the next lowest term sits at a larger u.  Repeat until
-    g is constant.
+    Strip the trailing term a q^v first.  [p]_{zeta q^u}^c = 1 + c zeta q^u
+    + (higher terms), so the lowest non-constant term a x q^u of what is
+    left gives e_u = c, zeta_u = 1 when x is an integer c, and else e_u = 1,
+    zeta_u = x when x is a root of unity; dividing out [p]_{zeta q^u}^c (or
+    multiplying in [p]_{q^u}^(-c)) clears it, and the next lowest term sits
+    at a larger u.  Repeat until g is constant.
 
-    A wrong guess must stay cheap: give up (None) when g = 0, when c is not
-    an integer k with |k| <= min(deg g, _PEEL_LIMIT) (over GF(l) the k of
-    least |k|, the balanced residue), when the number of peels would pass
-    that cap, when a peel would take the degree below 0 or above twice the
-    starting degree, or when a division is inexact.  Each rule bounds a
-    different growth: without the cap a dense seed with coefficients -1,
-    -2, -3 reads a large c and divides by [p]_q^c, and without the degree
-    window 1 - q^D, which peels c = -1 at u = D, pD, p^2 D, ..., reaches
-    degree p^cap D.  With both there are at most _PEEL_LIMIT products or
-    quotients of degree at most 2 deg g.
+    A wrong guess must stay cheap: give up (None) when g = 0, when x is
+    neither an integer k with |k| <= min(deg g, _PEEL_LIMIT) (over GF(l)
+    the k of least |k|, the balanced residue) nor a root of unity of the
+    ring, when the number of peels would pass that cap, when a peel would
+    take the degree below 0 or above twice the starting degree, or when a
+    division is inexact.  Each rule bounds a different growth: without the
+    cap a dense seed with coefficients -1, -2, -3 reads a large c and
+    divides by [p]_q^c, and without the degree window 1 - q^D, which peels
+    c = -1 at u = D, pD, p^2 D, ..., reaches degree p^cap D.  With both
+    there are at most _PEEL_LIMIT products or quotients of degree at most
+    2 deg g.
     """
     if g.is_zero():
         return None
@@ -256,16 +267,19 @@ def _peel_exponents(g: Polynomial, p: int) -> dict[int, int] | None:
         x = ring.mul(g.coefficient(u), unit)
         c = next((k for k in sorted(range(cap, -cap - 1, -1), key=abs)
                   if k and ring.normalize(k) == x), None)
+        zeta = ring.one
+        if c is None and root_of_unity_order(ring, x):
+            c, zeta = 1, x
         if c is None or len(e) == cap:
             return None
         if not 0 <= g.degree - c * u * (p - 1) <= top:
             return None
-        factor = quantum_integer(p, ring).dilate(u) ** abs(c)
+        factor = scaled_quantum_integer(p, zeta, ring).dilate(u) ** abs(c)
         try:
             g = g.exact_div(factor) if c > 0 else g * factor
         except InexactDivision:
             return None
-        e[u] = c
+        e[u] = c, zeta
     return e
 
 
@@ -524,31 +538,12 @@ class ZetaAdmissibilityReport:
 
 def zeta_admissibility(primes, zeta, ring: Ring = QQ,
                        bound: int = 1000) -> ZetaAdmissibilityReport:
-    """Decide zeta**d = 1 for d = gcd{p-1} and cross-validate exhaustively.
-
-    zeta**d = 1 exactly when zeta**(p-1) = 1 for every p in P.  Members m
-    with zeta**(m-1) = 1 are closed under products, so the first failing
-    member is the smallest failing prime.  The scan of zeta**(m-1) over
-    the semigroup members m <= bound must find that prime when it is at
-    most bound, and nothing otherwise (a disagreement would be a library
-    defect, not an input property, and raises).
-    """
+    """Decide zeta**d = 1 for d = gcd{p-1}, that is, zeta**(p-1) = 1 at
+    every p in P.  The counterexample is the least member m <= bound with
+    zeta**(m-1) != 1: the least such prime, as the m with zeta**(m-1) = 1
+    are closed under products."""
     P = PrimeSet.of(primes)
-    zeta = ring.normalize(zeta)
-    if ring.is_zero(zeta):
-        raise ValueError("scaling constant must be nonzero")
     d = seed_gcd(P)
-    algebraic = ring.pow(zeta, d) == ring.one
-    failing = [p for p in P.primes if ring.pow(zeta, p - 1) != ring.one]
-    predicted = failing[0] if failing and failing[0] <= bound else None
-    counterexample = None
-    for m in enumerate_semigroup(P, bound):
-        if ring.pow(zeta, m - 1) != ring.one:
-            counterexample = m
-            break
-    if algebraic == bool(failing) or counterexample != predicted:
-        raise AssertionError(
-            f"admissibility verdicts disagree: algebraic={algebraic}, "
-            f"failing primes={failing}, "
-            f"exhaustive counterexample={counterexample}")
-    return ZetaAdmissibilityReport(algebraic, d, counterexample)
+    p = first_inadmissible_prime(P.primes, ring.normalize(zeta), ring)
+    return ZetaAdmissibilityReport(p is None, d,
+                                   p if p is not None and p <= bound else None)

@@ -817,18 +817,20 @@ def quantum_integer(n: int, ring: Ring = QQ) -> Polynomial:
 
 
 def scaled_quantum_integer(n: int, zeta, ring: Ring = QQ) -> Polynomial:
-    """sum of zeta**i q**i for i < n; equals quantum_integer(n) at zeta = 1."""
+    """sum of zeta**i q**i for i < n, with the powers of zeta multiplied out
+    only until one returns to ring.one: from there they repeat."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     zeta = ring.normalize(zeta)
     if ring.is_zero(zeta):
         raise ValueError("scaling constant must be nonzero")
-    vals = [ring.one]
-    acc = ring.one
-    for _ in range(n - 1):
+    if zeta == ring.one:
+        return quantum_integer(n, ring)
+    powers, acc = [ring.one], zeta
+    while len(powers) < n and acc != ring.one:
+        powers.append(acc)
         acc = ring.mul(acc, zeta)
-        vals.append(acc)
-    return Polynomial(ring, vals)
+    return Polynomial._raw(ring, (powers * (n // len(powers) + 1))[:n])
 
 
 def from_rationals(coeffs: Iterable[int | Fraction]) -> Polynomial:

@@ -374,22 +374,26 @@ def cyclotomic_polynomial(d: int):
 
 
 def root_of_unity_order(ring: Ring, z) -> int | None:
-    """Least l >= 1 with z**l = 1, or None if none exists within the bound.
+    """Least l >= 1 with z**l = 1, or None if z is not a root of unity.
 
-    The search bound is 4d in a cyclotomic field (any root of unity there has
-    order dividing lcm(2, d)), p - 1 in GF(p), and 2 over the rationals.
+    Every root of unity of the ring has order dividing 2d in a cyclotomic
+    field, p - 1 in GF(p) and 2 over the rationals, so only the divisors of
+    that exponent are tried, each by one power.
     """
     if ring.is_zero(z):
         raise ValueError("zero is not a root of unity")
     if isinstance(ring, CyclotomicField):
-        bound = 4 * ring.d
+        exponent = 2 * ring.d
     elif isinstance(ring, PrimeField):
-        bound = ring.p - 1
+        exponent = ring.p - 1
     else:
-        bound = 2
-    acc = z
-    for order in range(1, bound + 1):
-        if acc == ring.one:
-            return order
-        acc = ring.mul(acc, z)
-    return None
+        exponent = 2
+    return next((k for k in divisors(exponent) if ring.pow(z, k) == ring.one),
+                None)
+
+
+def first_inadmissible_prime(primes, zeta, ring: Ring) -> int | None:
+    """The first p of primes with zeta**(p-1) != 1, or None: the one rule
+    for [n]_{zeta q} to satisfy the law on S(primes)."""
+    order = root_of_unity_order(ring, zeta)
+    return next((p for p in primes if order is None or (p - 1) % order), None)

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping
 
 from . import poly
 from .poly import Polynomial, monomial, quantum_integer, scaled_quantum_integer
-from .rings import QQ, Ring, scalar_text
+from .rings import QQ, Ring, first_inadmissible_prime, scalar_text
 from .semigroup import (ALL_PRIMES, PrimeSet, first_nonmultiplicative,
                         in_semigroup, is_prime, multiplicative_value,
                         seed_gcd)
@@ -208,10 +208,8 @@ def zeta_scaled_sequence(primes, zeta, ring: Ring = QQ) -> FESequence:
     """
     P = PrimeSet.of(primes)
     zeta = ring.normalize(zeta)
-    if ring.is_zero(zeta):
-        raise ValueError("scaling constant must be nonzero")
     d = seed_gcd(P)
-    if ring.pow(zeta, d) != ring.one:
+    if first_inadmissible_prime(P.primes, zeta, ring) is not None:
         raise ZetaAdmissibilityError(scalar_text(ring, zeta), d)
     return FESequence(ring, P,
                       lambda n: scaled_quantum_integer(n, zeta, ring),

@@ -11,12 +11,13 @@ from qfe import (ALL_PRIMES, QQ, CyclotomicField, DecompositionError,
                  monomial, infer_degree_t, is_prime, monomial_sequence,
                  quantum_integer, quantum_sequence, solve_delta,
                  support_members, uniqueness_oracle, verify_fe,
-                 zeta_admissibility)
+                 zeta_admissibility, zeta_scaled_sequence)
 from qfe.analyze import _forced_coefficients
 from qfe.cli import builtin_sequence
 from qfe.sequences import oplus, otimes
 from qfe.poly import Polynomial, constant, one, zero
-from qfe.semigroup import ALL_PRIMES, omega
+from qfe.semigroup import ALL_PRIMES, enumerate_semigroup, omega, seed_gcd
+from qfe.sequences import ZetaAdmissibilityError
 
 
 def override(F, replacements):
@@ -307,6 +308,50 @@ def test_zeta_admissibility_matches_direct_power_check():
         brute = all(ring.pow(ring.normalize(zeta), m - 1) == ring.one
                     for m in enumerate_semigroup(PrimeSet.of(primes), 500))
         assert report.admissible == brute
+
+
+def first_failing_member(primes, zeta, ring, bound):
+    """The least member m <= bound of S(primes) with zeta**(m-1) != 1, by
+    scanning the members: the oracle for zeta_admissibility's witness."""
+    return next((m for m in enumerate_semigroup(PrimeSet.of(primes), bound)
+                 if ring.pow(zeta, m - 1) != ring.one), None)
+
+
+@st.composite
+def scalings(draw):
+    """(ring, zeta): roots of unity and non-roots over Q, Q(zeta_4),
+    Q(zeta_12) and GF(13)."""
+    ring = draw(st.sampled_from((QQ, CyclotomicField(4), CyclotomicField(12),
+                                 PrimeField(13))))
+    if isinstance(ring, CyclotomicField):
+        root = ring.pow(ring.zeta, draw(st.integers(0, ring.d - 1)))
+        return ring, ring.mul(root, ring.normalize(draw(st.sampled_from((1, -1, 2)))))
+    if ring is QQ:
+        return ring, draw(st.sampled_from((1, -1, 2, Fraction(1, 2))))
+    return ring, draw(st.integers(1, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scaling=scalings(),
+       primes=st.sets(st.sampled_from((2, 3, 5, 7, 13, 37, 61, 1019)),
+                      min_size=1, max_size=3),
+       bound=st.integers(1, 1100))
+def test_zeta_admissibility_matches_the_member_scan(scaling, primes, bound):
+    """The verdict is zeta**d = 1 for d = gcd{p-1}, the witness is the first
+    failing member <= bound, and zeta_scaled_sequence refuses exactly the
+    inadmissible zeta."""
+    ring, zeta = scaling
+    report = zeta_admissibility(primes, zeta, ring, bound)
+    z = ring.normalize(zeta)
+    assert report.d == seed_gcd(PrimeSet.of(primes))
+    assert report.admissible == (ring.pow(z, report.d) == ring.one)
+    assert report.counterexample == first_failing_member(primes, z, ring, bound)
+    try:
+        zeta_scaled_sequence(primes, zeta, ring)
+        refused = False
+    except ZetaAdmissibilityError as exc:
+        refused = exc.d == report.d
+    assert refused == (not report.admissible)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfe import (QQ, CyclotomicField, InexactDivision, PrimeField,
-                 from_rationals, quantum_integer, scaled_quantum_integer)
+                 RationalField, from_rationals, quantum_integer,
+                 root_of_unity_order, scaled_quantum_integer)
 from qfe.poly import Polynomial, constant, monomial, one, zero
 
 polys = st.lists(st.integers(-9, 9), max_size=8).map(from_rationals)
@@ -106,6 +107,48 @@ def test_scaled_quantum_integer_examples():
     assert f == Polynomial(K, [K.one, K.zeta])
     with pytest.raises(ValueError):
         scaled_quantum_integer(3, 0)
+
+
+def counted_mul(ring):
+    """A one-item list that counts ring.mul calls on this ring object."""
+    calls = [0]
+    real = ring.mul
+
+    def mul(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    ring.mul = mul
+    return calls
+
+
+def _scalings():
+    """(ring, zeta): every z^k in Q(zeta_12), -1 over Q, every residue of
+    GF(13), and the non-roots 2 over Q and 1 + z in Q(zeta_12).  Each ring
+    is its own object, so counting its products touches no other test."""
+    K = CyclotomicField(12)
+    yield from ((CyclotomicField(12), K.pow(K.zeta, k)) for k in range(12))
+    yield RationalField(), -1
+    yield from ((PrimeField(13), x) for x in range(1, 13))
+    yield RationalField(), 2
+    yield CyclotomicField(12), K.normalize([1, 1])
+
+
+@pytest.mark.parametrize("ring, zeta", _scalings(), ids=str)
+def test_scaled_quantum_integer_matches_products(ring, zeta):
+    """[n]_{zeta q} for n <= 50 against the powers of zeta multiplied out
+    one by one.  A root of unity of order l costs min(n, l) - 1 products,
+    as its powers repeat from zeta^l = 1 on; any other zeta costs n - 1."""
+    order = root_of_unity_order(ring, ring.normalize(zeta))
+    calls = counted_mul(ring)
+    for n in range(1, 51):
+        powers = [ring.one]
+        for _ in range(n - 1):
+            powers.append(ring.mul(powers[-1], ring.normalize(zeta)))
+        expected = Polynomial(ring, powers)
+        calls[0] = 0
+        assert scaled_quantum_integer(n, zeta, ring) == expected
+        assert calls[0] == (n if order is None else min(n, order)) - 1
 
 
 @pytest.mark.parametrize("call, message", [

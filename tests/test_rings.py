@@ -149,6 +149,33 @@ def test_root_of_unity_orders():
         root_of_unity_order(QQ, 0)
 
 
+def test_root_of_unity_order_is_the_least_power_that_is_one():
+    """Against powers multiplied out one by one up to the exponent of the
+    roots of unity (2d, p - 1, 2), on every z^k and the non-roots 1 + z and
+    2 z in Q(zeta_12), every residue of GF(13), and -1, 2, 1/2 over Q; and
+    in GF(MAX_PRIME), where 7 has order p - 1, which a search through the
+    powers would not reach in time."""
+    K = CyclotomicField(12)
+    cases = [(K, K.pow(K.zeta, k), 24) for k in range(12)]
+    cases += [(K, K.normalize([1, 1]), 24), (K, K.normalize([0, 2]), 24)]
+    cases += [(PrimeField(13), x, 12) for x in range(1, 13)]
+    cases += [(QQ, x, 2) for x in (1, -1, 2, Fraction(1, 2))]
+    for ring, z, exponent in cases:
+        acc, least = z, None
+        for k in range(1, exponent + 1):
+            if acc == ring.one:
+                least = k
+                break
+            acc = ring.mul(acc, z)
+        assert root_of_unity_order(ring, z) == least
+    F = PrimeField(MAX_PRIME)
+    assert MAX_PRIME - 1 == 2 * 3**2 * 7 * 11 * 31 * 151 * 331
+    assert all(pow(7, (MAX_PRIME - 1) // r, MAX_PRIME) != 1
+               for r in (2, 3, 7, 11, 31, 151, 331))
+    assert root_of_unity_order(F, 7) == MAX_PRIME - 1
+    assert root_of_unity_order(F, F.normalize(-1)) == 2
+
+
 def test_ring_descriptors_round_trip():
     for ring in (QQ, PrimeField(7), CyclotomicField(12)):
         assert ring_from_descriptor(ring.descriptor) == ring

@@ -21,8 +21,9 @@ from qfe import (ALL_PRIMES, QQ, CyclotomicField, FESequence, FailedIdentity,
                  dilate_sequence, exact_quotient_sequence, from_rationals,
                  from_seeds, is_prime, monomial, monomial_sequence,
                  product_sequence, psi_substitute_sequence, quantum_integer,
-                 quantum_sequence, reciprocal_sequence, sequences,
-                 support_members, verify_fe, zeta_scaled_sequence)
+                 quantum_sequence, reciprocal_sequence, root_of_unity_order,
+                 scaled_quantum_integer, sequences, support_members, verify_fe,
+                 zeta_scaled_sequence)
 from qfe.analyze import _profile
 from qfe.cli import builtin_sequence, load_seed_spec
 from qfe.semigroup import divisors
@@ -342,13 +343,13 @@ def test_peel_gives_up_within_its_limits(monkeypatch):
     assert analyze._peel_exponents(too_high.eval(2), 2) is None
     growing = from_seeds([2], {2: from_rationals([1, 0, 0, 0, -1])})
     peels = [0]
-    real = analyze.quantum_integer
+    real = analyze.scaled_quantum_integer
 
     def counted(*args):
         peels[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(analyze, "quantum_integer", counted)
+    monkeypatch.setattr(analyze, "scaled_quantum_integer", counted)
     assert analyze._peel_exponents(growing.eval(2), 2) is None
     assert peels[0] == 1
     monkeypatch.undo()
@@ -401,16 +402,15 @@ def test_sweep_work_is_the_law_pairs_plus_large_prime_pairs(monkeypatch):
     every member pair (m, n) with mn <= B but (1, 1), and the commutation
     identity only at prime pairs with p1 p2 > B.
 
-    No prime's value peels, and no member's value but f_1 is a monomial,
-    in the [p]_{zeta q}-type seeds of seeds-713-z12 over Q(zeta_12) and
-    [n]_{iq} on the primes = 1 mod 4 below 50 over Q(i).  Law pairs with a
-    non-member have two regular zeros.  Each bound leaves prime pairs with
-    p1 p2 <= B, whose expansion the count would show.  Values are built
-    before counting, since from_seeds builds them with otimes."""
-    spec = load_seed_spec(str(GOLDEN / "seeds-713-z12.json"))
-    gaussian = [p for p in range(5, 50, 4) if is_prime(p)]
-    cases = [(from_seeds(spec.primes, spec.seeds), 100),
-             (zeta_scaled_sequence(gaussian, [0, 1], CyclotomicField(4)), 200)]
+    [n]_{2q} is a solution over GF(7) on S({13, 19}) and over GF(5) on
+    S({5, 13, 17}), as 2 has order 3 and 4 there.  No prime's value peels:
+    its term 2q reads as the integer exponent 2, and [p]_q^2 has twice the
+    degree of f_p.  No member's value but f_1 is a monomial.  Law pairs
+    with a non-member have two regular zeros.  Each bound leaves prime
+    pairs with p1 p2 <= B, whose expansion the count would show.  Values
+    are built before counting."""
+    cases = [(zeta_scaled_sequence([13, 19], 2, PrimeField(7)), 250),
+             (zeta_scaled_sequence([5, 13, 17], 2, PrimeField(5)), 100)]
     for F, B in cases:
         for n in range(1, B + 1):
             F.eval(n)
@@ -426,6 +426,140 @@ def test_sweep_work_is_the_law_pairs_plus_large_prime_pairs(monkeypatch):
         large_prime_pairs = sum(1 for p1, p2 in prime_pairs if p1 * p2 > B)
         assert large_prime_pairs < len(prime_pairs)
         assert calls[0] == law_pairs - 1 + 2 * large_prime_pairs
+
+
+def gaussian_quantum(B):
+    """[n]_{iq} over Q(i) on the primes = 1 mod 4 up to B, values built."""
+    K = CyclotomicField(4)
+    F = zeta_scaled_sequence([p for p in range(5, B + 1, 4) if is_prime(p)],
+                             K.zeta, K)
+    for n in range(1, B + 1):
+        F.eval(n)
+    return F
+
+
+def record_sweeps(monkeypatch):
+    """The pairs each sweep of verify_fe expands, one list per sweep."""
+    sweeps = []
+    real = analyze.first_failing_pair
+
+    def recording(pairs, sides):
+        seen = []
+        sweeps.append(seen)
+        return real((seen.append(pair) or pair for pair in pairs), sides)
+
+    monkeypatch.setattr(analyze, "first_failing_pair", recording)
+    return sweeps
+
+
+def test_twisted_solution_expands_no_identity(monkeypatch):
+    """f_5 = [5]_{iq} peels as the twisted shape {1: (1, i)}, and i^(p-1) = 1
+    at every prime p = 1 mod 4, so every index is regular."""
+    F = gaussian_quantum(200)
+    calls = count_otimes(monkeypatch)
+    assert verify_fe(F, 200).ok
+    assert calls[0] == 0
+
+
+def test_twisted_tampering_expands_only_pairs_at_five(monkeypatch):
+    """With f_5 scaled by 3, 5 stays regular and only pairs that touch it
+    are expanded: the law fails at (5, 5), whose monomials are (9, 0) and
+    (1, 0), and the commutation rows of the anchors 1 and 5 agree."""
+    F = scaled_at(gaussian_quantum(200), 5, 3)
+    for n in range(1, 201):
+        F.eval(n)
+    sweeps = record_sweeps(monkeypatch)
+    calls = count_otimes(monkeypatch)
+    report = verify_fe(F, 200)
+    assert (report.fe_ok, report.commutativity_ok, report.support_ok) == (
+        False, True, True)
+    assert (report.first_failure.m, report.first_failure.n) == (5, 5)
+    law, commutation = sweeps
+    assert law and all(5 in pair for pair in law + commutation)
+    assert calls[0] == len(law) + 2 * len(commutation)
+
+
+def test_inadmissible_twisted_shape_is_dropped():
+    """[n]_{iq} declared on S({3, 5}) peels as {1: (1, i)} at f_3, but
+    i^(3-1) = -1: kept, the shape would make 3 and 9 regular and skip the
+    failing law pair (3, 3)."""
+    K = CyclotomicField(4)
+    F = FESequence(K, PrimeSet.of([3, 5]),
+                   lambda n: scaled_quantum_integer(n, K.zeta, K), "iq-on-3-5")
+    assert analyze._peel_exponents(F.eval(3), 3) == {1: (1, K.zeta)}
+    members = support_members(F.support, 27)
+    assert [n for n in members if n in _profile(F, members, 27)[0]] == [1]
+    report = assert_matches_reference(F, 27)
+    assert (report.first_failure.m, report.first_failure.n) == (3, 3)
+
+
+def test_twisted_shape_keeps_non_members_exceptional():
+    """[n]_{iq} at every n, declared on S({5, 13}).  i^(p-1) = 1 at 5 and
+    13, so the shape is kept, but [4]_{iq} != [2]_{iq}(q) [2]_{iq}(q^2):
+    the non-members 2 and 4 must not be read as regular."""
+    K = CyclotomicField(4)
+    F = FESequence(K, ALL_PRIMES,
+                   lambda n: scaled_quantum_integer(n, K.zeta, K), "iq")
+    report = assert_matches_reference(Misdeclared(F, PrimeSet.of([5, 13])), 30)
+    assert (report.first_failure.m, report.first_failure.n) == (2, 2)
+
+
+# Rings with roots of unity beyond -1, each with the largest bound the
+# reference sweeps quickly on the sparse supports drawn below.
+TWIST_RINGS = (
+    (CyclotomicField(4), 70),
+    (CyclotomicField(12), 40),
+    (PrimeField(7), 60),
+    (PrimeField(13), 60),
+)
+
+
+@st.composite
+def twisted_sequences(draw, admissible=True):
+    """(F, B): [n]_{zeta q} on S(P), for a root of unity zeta of the ring,
+    with one to three primes P below 40.  Admissible ones are the
+    solutions zeta_scaled_sequence builds; inadmissible ones declare the
+    values directly, and some p in P has zeta^(p-1) != 1."""
+    ring, max_bound = draw(st.sampled_from(TWIST_RINGS))
+    if isinstance(ring, CyclotomicField):
+        zeta = ring.pow(ring.zeta, draw(st.integers(1, ring.d - 1)))
+    else:
+        zeta = draw(st.integers(2, ring.p - 1))
+    order = root_of_unity_order(ring, zeta)
+    fits = [p for p in range(2, 40) if is_prime(p) and (p - 1) % order == 0]
+    misfits = [p for p in range(2, 40) if is_prime(p) and (p - 1) % order]
+    if admissible:
+        P = draw(st.sets(st.sampled_from(fits), min_size=1, max_size=3))
+        F = zeta_scaled_sequence(P, zeta, ring)
+    else:
+        P = (draw(st.sets(st.sampled_from(fits), max_size=2))
+             | draw(st.sets(st.sampled_from(misfits), min_size=1, max_size=2)))
+        F = FESequence(ring, PrimeSet.of(P),
+                       lambda n: scaled_quantum_integer(n, zeta, ring),
+                       "inadmissible")
+    return F, draw(st.integers(max_bound // 2, max_bound))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=twisted_sequences())
+def test_verify_matches_reference_on_twisted_solutions(case):
+    assert assert_matches_reference(*case).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=twisted_sequences(), data=st.data())
+def test_verify_matches_reference_on_twisted_scalar_tamperings(case, data):
+    """One member's value f_c replaced by a q^k f_c."""
+    F, B = case
+    c = data.draw(st.sampled_from(support_members(F.support, B)))
+    a = data.draw(nonzero_scalars(F.ring))
+    assert_matches_reference(scaled_at(F, c, a, data.draw(st.integers(0, 3))), B)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=twisted_sequences(admissible=False))
+def test_verify_matches_reference_on_inadmissible_twists(case):
+    assert_matches_reference(*case)
 
 
 @pytest.mark.parametrize("make, expanded, failure", [
