@@ -198,16 +198,17 @@ def _profile(F: FESequence, members: list[int], bound: int
 
     The profile maps n to 0 when n is not a support member and f_n = 0, and
     a member n to the monomial (c_n, s_n) of f_n / G_n when that quotient
-    is one; exceptional indices are absent.  ``members`` are the support members
-    <= bound, and the flag says whether they are exactly the indices with
-    f_n != 0.
+    is one; exceptional indices are absent.  ``members`` are the support
+    members <= bound, and the flag says whether they are exactly the
+    indices with f_n != 0.
     """
     ring = F.ring
     primes = [p for p in members if is_prime(p)]
     peels = (_peel_exponents(F.eval(p), p) for p in primes)
     e = next((e for e in peels if e is not None), {})
-    if any(first_inadmissible_prime(primes, z, ring) for _, z in e.values()):
-        e = {}
+    zetas = {z for _, z in e.values()}
+    if any(first_inadmissible_prime(primes, z, ring) for z in zetas):
+        e, zetas = {}, set()
     member_set = set(members)
     profile = {}
     support_ok = True
@@ -221,10 +222,9 @@ def _profile(F: FESequence, members: list[int], bound: int
             continue
         s = f.valuation()
         c = f.coefficient(s)
-        factors = [(scaled_quantum_integer(n, z, ring).dilate(u), k)
-                   for u, (k, z) in e.items()]
-        num = [g ** k for g, k in factors if k > 0]
-        den = [g ** -k for g, k in factors if k < 0]
+        base = {z: scaled_quantum_integer(n, z, ring) for z in zetas}
+        num = [base[z].dilate(u) ** k for u, (k, z) in e.items() if k > 0]
+        den = [base[z].dilate(u) ** -k for u, (k, z) in e.items() if k < 0]
         rhs = reduce(mul, num) if num else poly.one(ring)
         if reduce(mul, den, f) == rhs.scale(c).shift(s):
             profile[n] = (c, s)

@@ -821,11 +821,11 @@ def scaled_quantum_integer(n: int, zeta, ring: Ring = QQ) -> Polynomial:
     only until one returns to ring.one: from there they repeat."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
+    if zeta == ring.one:
+        return quantum_integer(n, ring)
     zeta = ring.normalize(zeta)
     if ring.is_zero(zeta):
         raise ValueError("scaling constant must be nonzero")
-    if zeta == ring.one:
-        return quantum_integer(n, ring)
     powers, acc = [ring.one], zeta
     while len(powers) < n and acc != ring.one:
         powers.append(acc)
