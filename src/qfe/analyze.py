@@ -203,11 +203,11 @@ def _profile(F: FESequence, members: list[int], bound: int
     indices with f_n != 0.
     """
     ring = F.ring
-    primes = [p for p in members if is_prime(p)]
-    peels = (_peel_exponents(F.eval(p), p) for p in primes)
+    peels = (_peel_exponents(F.eval(p), p) for p in members if is_prime(p))
     e = next((e for e in peels if e is not None), {})
     zetas = {z for _, z in e.values()}
-    if any(first_inadmissible_prime(primes, z, ring) for z in zetas):
+    if any(first_inadmissible_prime(filter(is_prime, members), z, ring)
+           for z in zetas - {ring.one}):
         e, zetas = {}, set()
     member_set = set(members)
     profile = {}
