@@ -599,15 +599,7 @@ def test_commutation_rows_after_a_law_failure(monkeypatch):
     F = scaled_at(scaled_at(quantum_sequence(), 6, 3), 7, 0)
     for n in range(1, B + 1):
         F.eval(n)
-    sweeps = []
-    real = analyze.first_failing_pair
-
-    def recording(pairs, sides):
-        seen = []
-        sweeps.append(seen)
-        return real((seen.append(pair) or pair for pair in pairs), sides)
-
-    monkeypatch.setattr(analyze, "first_failing_pair", recording)
+    sweeps = record_sweeps(monkeypatch)
     calls = count_otimes(monkeypatch)
     report = verify_fe(F, B)
     assert not report.fe_ok and report.commutativity_ok and not report.support_ok
