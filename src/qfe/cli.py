@@ -22,7 +22,7 @@ from .poly import Polynomial, quantum_integer
 from .rings import (QQ, CyclotomicField, PrimeField, Ring,
                     ring_from_descriptor, scalar_text)
 from .semigroup import (ALL_PRIMES, PrimeSet, enumerate_semigroup,
-                        primeset_from_json, seed_gcd, support_members)
+                        primeset_from_json, seed_gcd)
 from .sequences import (CommutativityError, FESequence, additive_sequence,
                         assemble, from_seeds, identity_sequence,
                         monomial_sequence, psi_substitute_sequence,
@@ -239,18 +239,17 @@ def cmd_verify(args) -> int:
     F = resolve_sequence(args.sequence, args.ring)
     report = analyze.verify_fe(F, upto)
     print_report(F.name, report, args.json)
-    return EXIT_OK if report.fe_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
 # -- decompose --------------------------------------------------------------
 
-def decomposition_to_json(dec: analyze.Decomposition, ring: Ring,
-                          members: list[int]) -> dict:
+def decomposition_to_json(dec: analyze.Decomposition, ring: Ring) -> dict:
     return {
         "t": str(dec.t),
-        "delta": {str(n): dec.delta[n] for n in members},
-        "lambda": {str(n): ring.scalar_to_json(dec.lam[n]) for n in members},
-        "g": {str(n): dec.G.eval(n).pretty() for n in members},
+        "delta": {str(n): d for n, d in dec.delta.items()},
+        "lambda": {str(n): ring.scalar_to_json(x) for n, x in dec.lam.items()},
+        "g": {str(n): dec.G.eval(n).pretty() for n in dec.delta},
     }
 
 
@@ -265,17 +264,15 @@ def cmd_decompose(args) -> int:
         dec = analyze.decompose(F, upto)
     except analyze.DecompositionError as exc:  # no support member in [2, upto]
         raise SeedSpecError(f"--upto {upto}: {exc}") from exc
-    members = support_members(F.support, upto)
     if args.json:
-        print(json.dumps(decomposition_to_json(dec, F.ring, members),
-                         sort_keys=True))
+        print(json.dumps(decomposition_to_json(dec, F.ring), sort_keys=True))
         return EXIT_OK
     print(f"sequence: {F.name}")
     print(f"t: {dec.t}")
     print("n\tdelta\tlambda\tg")
-    for n in members:
+    for n, d in dec.delta.items():
         lam_text = scalar_text(F.ring, dec.lam[n])
-        print(f"{n}\t{dec.delta[n]}\t{lam_text}\t{dec.G.eval(n).pretty()}")
+        print(f"{n}\t{d}\t{lam_text}\t{dec.G.eval(n).pretty()}")
     return EXIT_OK
 
 

@@ -22,17 +22,21 @@ when c = 1.
 
 Polynomials are immutable values and every operation is pure.
 
-Every product runs on int slots, in all three rings.  It writes each
-operand as one int vector over one common denominator, convolves the two
-vectors and maps the result slots back:
+Every product and every composition runs on int slots, in all three
+rings, through one codec: ``_slots`` writes a polynomial as one int vector
+over one denominator, a convolution combines the vectors, and ``_decode``
+reduces the result slots and maps them back over the denominators:
 
-* over Q the slots are the entries of the primitive parts;
+* over Q the slots are the primitive part times the content's numerator,
+  over its denominator.  A product skips the codec: by Gauss's lemma it
+  is (c_a c_b, P_a P_b), with no denominator and no gcd;
 * over GF(p) the residues are the slots, and the result is reduced mod p;
 * over Q(zeta_d) a coefficient's phi coordinates take the first phi of a
   row of 2 phi - 1 slots, so the product of two rows never spills into
   the next: the convolution gives the product in Z[q, z] before
-  reduction.  Every result row is then reduced modulo the monic integer
-  Phi_d, top slot first, and divided by the two denominators.
+  reduction.  The last row stops after its phi coordinates, so a product
+  has whole rows.  Each result row is reduced modulo the monic integer
+  Phi_d, top slot first, and divided by the denominators.
 
 One rule, counted on slots, picks the convolution in every ring: more
 than PACK_MIN_OPS nonzero slot pairs, and more than PACK_DENSE of them per
@@ -55,22 +59,20 @@ and every quotient the width does not prove, falls back to ``divmod``,
 the long division, which over Q also divides the primitive parts in ints.
 
 Composition f(psi) = sum c_i psi^i = sum (c_2i + c_2i+1 psi) (psi^2)^i
-runs level by level on int slots.  f and psi are encoded once, as a
-product encodes them (over Q the primitive part times the content's
-numerator, over its denominator; over Q(zeta_d) in full rows), and the
-result is decoded once.  Level i holds its terms, polynomials of fewer
-than w coefficients, as blocks of one slot vector.  It lays the odd terms
-out as blocks of width w + deg psi_i, with psi_i = psi^(2^i): each block's
-product with psi_i has degree below that width, so one convolution of the
-vector with psi_i makes every product of the level, none overlapping the
-next.  The even terms, laid out the same way and scaled by psi_i's
-denominator, are added as one vector, which also carries an odd last term
-up unpaired.  The level's slots are then reduced (mod p, or each row
-modulo Phi_d), and psi_i is squared only while more than one term
-remains.  So f of length N costs about 2 log2 N convolutions, not one
-product per pair of terms.  Blocks move by slice assignment, one slice per
-row or one per block, whichever is fewer.  A constant psi is a scalar:
-f(psi) is then f evaluated there.
+runs level by level on int slots.  f and psi are encoded once, padded to
+whole rows over Q(zeta_d), and the result is decoded once.  Level i holds
+its terms, polynomials of fewer than w coefficients, as blocks of one slot
+vector.  It lays the odd terms out as blocks of width w + deg psi_i, with
+psi_i = psi^(2^i): each block's product with psi_i has degree below that
+width, so one convolution of the vector with psi_i makes every product of
+the level, none overlapping the next.  The even terms, laid out the same
+way and scaled by psi_i's denominator, are added as one vector, which also
+carries an odd last term up unpaired.  The level's slots are then reduced
+(mod p, or each row modulo Phi_d), and psi_i is squared only while more
+than one term remains.  So f of length N costs about 2 log2 N
+convolutions, not one product per pair of terms.  Blocks move by slice
+assignment, one slice per row or one per block, whichever is fewer.  A
+constant psi is a scalar: f(psi) is then f evaluated there.
 """
 
 from __future__ import annotations
@@ -221,7 +223,9 @@ class Polynomial:
             return Polynomial._pair(ring, ring.normalize(self.content * other.content),
                                     tuple(_convolve(a, b)))
         # The top slot is a[-1] b[-1], nonzero in a field: nothing to strip.
-        return Polynomial._pair(ring, ring.one, tuple(_product(ring, a, b)))
+        da, u = _slots(ring, self)
+        db, v = _slots(ring, other)
+        return _decode(ring, _convolve(u, v), da * db)
 
     def scale(self, c) -> "Polynomial":
         """Multiply by a scalar of the same ring."""
@@ -289,6 +293,8 @@ class Polynomial:
         top = r * ((n - 1) * d + 1)
         den, v = _slots(ring, self)  # the n terms, w = 1 coefficient each
         den_psi, s = _slots(ring, psi)  # psi_i = s / den_psi, of degree d
+        if r > 1:  # whole rows: _slots stops the last after phi coordinates
+            v, s = v + [0] * (r // 2), s + [0] * (r // 2)
         w = 1
         while n > 1:
             half, b, B = n // 2, r * w, r * (w + d)
@@ -311,9 +317,7 @@ class Polynomial:
                 den_psi *= den_psi
                 d *= 2
         del v[top:]
-        if isinstance(ring, RationalField):
-            return Polynomial._pair(ring, *_primitive(v, den))
-        return Polynomial._pair(ring, ring.one, tuple(_decode(ring, v, den)))
+        return _decode(ring, v, den)
 
     def reciprocal(self) -> "Polynomial":
         """q**deg(f) * f(1/q): the coefficient-reversed polynomial."""
@@ -605,38 +609,38 @@ def _unpack(z: int, n: int, k: int) -> list[int]:
             for i in range(0, n * k, k)]
 
 
-def _encode(ring: Ring, a, b) -> tuple[int, Sequence[int], Sequence[int]]:
-    """(D, u, v): a = u / D_a and b = v / D_b as int vectors, D = D_a D_b.
-
-    Over Q(zeta_d) coefficient i takes slots (2 phi - 1) i + j for its
-    coordinates j < phi; the padding after the last coefficient is dropped.
-    """
+def _slots(ring: Ring, f: Polynomial) -> tuple[int, Sequence[int]]:
+    """(D, v) with f = v / D on slots: over Q the primitive part times the
+    content's numerator, over GF(p) the residues.  Over Q(zeta_d)
+    coefficient i takes slots (2 phi - 1) i + j for its coordinates j < phi,
+    and v ends after the last coefficient's.  f must be nonzero."""
+    P = f.primitive
+    if isinstance(ring, RationalField):
+        c = f.content
+        if type(c) is int:
+            return 1, (P if c == 1 else [c * x for x in P])
+        return c.denominator, [c.numerator * x for x in P]
     if isinstance(ring, PrimeField):
-        return 1, a, b
-    da, u = _clear(_rows(ring.phi, a))
-    db, v = _clear(_rows(ring.phi, b))
-    return da * db, u, v
-
-
-def _rows(phi: int, coeffs) -> list:
-    """Q(zeta_d) coefficients laid out in rows of 2 phi - 1 slots."""
-    w = 2 * phi - 1
-    flat = [0] * (w * len(coeffs))
-    for j, column in enumerate(zip(*coeffs)):
-        flat[j::w] = column
-    del flat[len(flat) - w + phi:]
-    return flat
-
-
-def _decode(ring: Ring, v: list[int], den: int) -> list:
-    """The coefficients whose slots, over the denominator den, are v."""
-    if isinstance(ring, PrimeField):
-        p = ring.p
-        return [x % p for x in v]
+        return 1, P
     phi = ring.phi
     w = 2 * phi - 1
-    _reduce(ring, v)
-    return list(zip(*[_over(v[j::w], 1, den) for j in range(phi)]))
+    flat = [0] * (w * len(P) - phi + 1)
+    for j, column in enumerate(zip(*P)):
+        flat[j::w] = column
+    return _clear(flat)
+
+
+def _decode(ring: Ring, v: list[int], den: int) -> Polynomial:
+    """The polynomial whose slots, over the denominator den, are v: whole
+    rows over Q(zeta_d), with a last coefficient that reduces to nonzero."""
+    if isinstance(ring, RationalField):
+        return Polynomial._pair(ring, *_primitive(v, den))
+    v = _reduce(ring, v)
+    if isinstance(ring, PrimeField):
+        return Polynomial._pair(ring, ring.one, tuple(v))
+    w = 2 * ring.phi - 1
+    columns = [_over(v[j::w], 1, den) for j in range(ring.phi)]
+    return Polynomial._pair(ring, ring.one, tuple(zip(*columns)))
 
 
 def _reduce(ring: Ring, v: list[int]) -> list[int]:
@@ -664,22 +668,6 @@ def _reduce(ring: Ring, v: list[int]) -> list[int]:
     return v
 
 
-def _slots(ring: Ring, f: Polynomial) -> tuple[int, Sequence[int]]:
-    """(D, v) with f = v / D on slots: over Q the primitive part times the
-    content's numerator, over GF(p) the residues, over Q(zeta_d) full rows
-    of 2 phi - 1 slots.  f must be nonzero."""
-    P = f.primitive
-    if isinstance(ring, RationalField):
-        c = f.content
-        if type(c) is int:
-            return 1, (P if c == 1 else [c * x for x in P])
-        return c.denominator, [c.numerator * x for x in P]
-    if isinstance(ring, PrimeField):
-        return 1, P
-    den, v = _clear(_rows(ring.phi, P))
-    return den, v + [0] * (ring.phi - 1)
-
-
 def _relay(v: Sequence[int], start: int, step: int, count: int, width: int,
            stride: int) -> list[int]:
     """count blocks of width slots, read from v at start + j step and laid
@@ -695,12 +683,6 @@ def _relay(v: Sequence[int], start: int, step: int, count: int, width: int,
             a = start + j * step
             out[j * stride:j * stride + width] = v[a:a + width]
     return out
-
-
-def _product(ring: Ring, a, b) -> list:
-    """The product of two nonzero GF(p) or Q(zeta_d) coefficient tuples."""
-    den, u, v = _encode(ring, a, b)
-    return _decode(ring, _convolve(u, v), den)
 
 
 def _convolve(u: Sequence[int], v: Sequence[int]) -> list[int]:

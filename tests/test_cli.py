@@ -209,6 +209,16 @@ def test_verify_constant2_fails_at_one_one(capsys):
     assert "fe_ok: false" in out
     assert "commutativity_ok: true" in out
     assert "first_failure: m=1 n=1 lhs=2 rhs=4" in out
+    # Over GF(2) the constant 2 is 0: the law holds but the support check
+    # fails, and so does the command.
+    argv = ("verify", "constant2", "--ring", "gfp:2", "--upto", "10")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "fe_ok: true" in out and "support_ok: false" in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["fe_ok"] and not obj["support_ok"]
 
 
 def test_verify_seed_file_up_to_100(capsys, spec_257):
