@@ -67,12 +67,13 @@ psi_i = psi^(2^i): each block's product with psi_i has degree below that
 width, so one convolution of the vector with psi_i makes every product of
 the level, none overlapping the next.  The even terms, laid out the same
 way and scaled by psi_i's denominator, are added as one vector, which also
-carries an odd last term up unpaired.  The level's slots are then reduced
-(mod p, or each row modulo Phi_d), and psi_i is squared only while more
-than one term remains.  So f of length N costs about 2 log2 N
-convolutions, not one product per pair of terms.  Blocks move by slice
-assignment, one slice per row or one per block, whichever is fewer.  A
-constant psi is a scalar: f(psi) is then f evaluated there.
+carries an odd last term up unpaired.  Only while more than one term
+remains are the level's slots then reduced (mod p, or each row modulo
+Phi_d) and psi_i squared; the decoder reduces the last level's.  So f of
+length N costs about 2 log2 N convolutions, not one product per pair of
+terms.  Blocks move by slice assignment, one slice per row or one per
+block, whichever is fewer.  A constant psi is a scalar: f(psi) is then f
+evaluated there.
 """
 
 from __future__ import annotations
@@ -307,10 +308,10 @@ class Polynomial:
             if den_psi != 1:
                 v = [x * den_psi for x in v]
             v[:half * B] = map(add, v[:half * B], prod)
-            v = _reduce(ring, v)
             den *= den_psi
             n, w = n - half, w + d
-            if n > 1:
+            if n > 1:  # _decode reduces the last level
+                v = _reduce(ring, v)
                 s = _convolve(s, s)
                 del s[r * (2 * d + 1):]
                 s = _reduce(ring, s)
