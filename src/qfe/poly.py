@@ -22,10 +22,11 @@ when c = 1.
 
 Polynomials are immutable values and every operation is pure.
 
-Every product and every composition runs on int slots, in all three
+Every sum, product and composition runs on int slots, in all three
 rings, through one codec: ``_slots`` writes a polynomial as one int vector
-over one denominator, a convolution combines the vectors, and ``_decode``
-reduces the result slots and maps them back over the denominators:
+over one denominator, a slotwise sum or a convolution combines the
+vectors, and ``_decode`` reduces the result slots, drops the top
+coefficients that cancel, and maps the rest back over the denominators:
 
 * over Q the slots are the primitive part times the content's numerator,
   over its denominator.  A product skips the codec: by Gauss's lemma it
@@ -172,43 +173,24 @@ class Polynomial:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        """Slot by slot, both operands over the lcm of their denominators."""
         self._check_ring(other)
+        if not (self.primitive and other.primitive):
+            return other if self.is_zero() else self
         ring = self.ring
-        a, b = self.primitive, other.primitive
-        if not b:
-            return self
-        if not a:
-            return other
-        if isinstance(ring, RationalField):
-            # c_a a + c_b b = (k_a a + k_b b) / D over D = lcm of the denominators.
-            ca, cb = self.content, other.content
-            den = lcm(ca.denominator, cb.denominator)
-            ka = ca.numerator * (den // ca.denominator)
-            kb = cb.numerator * (den // cb.denominator)
-            if len(a) < len(b):
-                a, b, ka, kb = b, a, kb, ka
-            out = [x * ka for x in a]
-            for i in compress(range(len(b)), b):
-                out[i] += kb * b[i]
-            while out and not out[-1]:
-                out.pop()
-            return Polynomial._pair(ring, *_primitive(out, den)) if out else zero(ring)
-        if len(a) < len(b):
-            a, b = b, a
-        add = ring.add
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        while out and ring.is_zero(out[-1]):
-            out.pop()
-        return Polynomial._pair(ring, ring.one, tuple(out))
+        da, u = _slots(ring, self)
+        db, v = _slots(ring, other)
+        den = lcm(da, db)
+        ka, kb = den // da, den // db
+        if len(u) < len(v):
+            u, v, ka, kb = v, u, kb, ka
+        out = [x * ka for x in u]
+        for i in compress(range(len(v)), v):
+            out[i] += kb * v[i]
+        return _decode(ring, out, den)
 
     def __neg__(self) -> "Polynomial":
-        ring, P = self.ring, self.primitive
-        if isinstance(ring, RationalField):
-            return Polynomial._pair(ring, -self.content, P) if P else self
-        neg = ring.neg
-        return Polynomial._pair(ring, ring.one, tuple([neg(c) for c in P]))
+        return self.scale(-1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -223,7 +205,6 @@ class Polynomial:
             # Gauss: P_a P_b is primitive, with a positive last entry.
             return Polynomial._pair(ring, ring.normalize(self.content * other.content),
                                     tuple(_convolve(a, b)))
-        # The top slot is a[-1] b[-1], nonzero in a field: nothing to strip.
         da, u = _slots(ring, self)
         db, v = _slots(ring, other)
         return _decode(ring, _convolve(u, v), da * db)
@@ -254,9 +235,11 @@ class Polynomial:
 
     def unshift(self, k: int) -> "Polynomial":
         """Divide by q**k, which must divide the polynomial."""
+        if k < 0:
+            raise ValueError("unshift exponent must be >= 0")
         if not k or not self.primitive:
             return self
-        if k < 0 or self.valuation() < k:
+        if self.valuation() < k:
             raise ValueError(f"q^{k} does not divide {self}")
         # P without leading zeros is still primitive: the content is kept.
         return Polynomial._pair(self.ring, self.content, self.primitive[k:])
@@ -632,15 +615,22 @@ def _slots(ring: Ring, f: Polynomial) -> tuple[int, Sequence[int]]:
 
 
 def _decode(ring: Ring, v: list[int], den: int) -> Polynomial:
-    """The polynomial whose slots, over the denominator den, are v: whole
-    rows over Q(zeta_d), with a last coefficient that reduces to nonzero."""
+    """The polynomial whose slots over den are v, reduced and stripped of
+    top coefficients that cancel (a sum may cancel to zero); over Q(zeta_d)
+    rows of 2 phi - 1 slots, the last possibly cut after phi."""
+    v = _reduce(ring, v)
+    while v and not v[-1]:
+        v.pop()
+    if not v:
+        return zero(ring)
     if isinstance(ring, RationalField):
         return Polynomial._pair(ring, *_primitive(v, den))
-    v = _reduce(ring, v)
     if isinstance(ring, PrimeField):
         return Polynomial._pair(ring, ring.one, tuple(v))
-    w = 2 * ring.phi - 1
-    columns = [_over(v[j::w], 1, den) for j in range(ring.phi)]
+    phi = ring.phi
+    w = 2 * phi - 1
+    v += [0] * (phi - 1 - (len(v) - 1) % w)  # the last row's phi coordinates
+    columns = [_over(v[j::w], 1, den) for j in range(phi)]
     return Polynomial._pair(ring, ring.one, tuple(zip(*columns)))
 
 

@@ -1,18 +1,20 @@
-"""The int-slot product, the packed big-integer kernels, the level-by-level
-compose and the printer against frozen reference loops, and the stored
-(content, primitive) pair over Q.
+"""The int-slot sum and product, the packed big-integer kernels, the
+level-by-level compose and the printer against frozen reference loops, and
+the stored (content, primitive) pair over Q.
 
-``Polynomial.__mul__`` convolves the primitive int tuples over Q and the
-encoded int vectors over GF(p) and Q(zeta_d), by one bigint product when
-dense or pair by pair over the nonzero slots; ``scale`` over Q changes only
-the content; ``exact_div`` tries one bigint quotient over Q, and one per
-coordinate over Q(zeta_d) when the divisor is rational, before falling back
-to ``divmod``; ``compose`` makes one convolution of int slots per level;
-``pretty`` displays each distinct entry of the primitive part once.  The loops below are the
+``Polynomial.__add__`` adds the encoded int vectors of both operands over
+one denominator; ``Polynomial.__mul__`` convolves the primitive int tuples
+over Q and the encoded int vectors over GF(p) and Q(zeta_d), by one bigint
+product when dense or pair by pair over the nonzero slots; ``scale`` over Q
+changes only the content; ``exact_div`` tries one bigint quotient over Q,
+and one per coordinate over Q(zeta_d) when the divisor is rational, before
+falling back to ``divmod``; ``compose`` makes one convolution of int slots
+per level; ``pretty`` displays each distinct entry of the primitive part
+once.  The loops below are the coefficient-by-coefficient sum, the
 schoolbook product over ring scalars, the long division, the Horner
 composition and the coefficient-by-coefficient printer as they stood
 before; production keeps only the long division, as the fallback, and
-here all four are frozen as oracles.  Over Q every route to a value must
+here all five are frozen as oracles.  Over Q every route to a value must
 reach the same canonical pair.  Inputs cover solution values and
 perturbed non-solutions, negative coefficients and coordinates, values
 above 2^64, mixed denominators, sparse and dilated operands, and divisors
@@ -55,6 +57,25 @@ def schoolbook_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial._raw(ring, out)
 
 
+def reference_add(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The sum as it stood before the int-slot codec: one ring addition per
+    coefficient of the shorter operand, then a strip of the cancelled top."""
+    ring = f.ring
+    a, b = f.coeffs, g.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = ring.add(out[i], c)
+    while out and ring.is_zero(out[-1]):
+        out.pop()
+    return Polynomial._raw(ring, out)
+
+
+def reference_neg(f: Polynomial) -> Polynomial:
+    return Polynomial._raw(f.ring, [f.ring.neg(c) for c in f.coeffs])
+
+
 def long_divmod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
     ring = f.ring
     dd = len(g.coeffs) - 1
@@ -82,7 +103,7 @@ def horner_compose(f: Polynomial, psi: Polynomial) -> Polynomial:
         return f
     acc = constant(f.ring, f.coeffs[-1])
     for c in reversed(f.coeffs[:-1]):
-        acc = schoolbook_mul(acc, psi) + constant(f.ring, c)
+        acc = reference_add(schoolbook_mul(acc, psi), constant(f.ring, c))
     return acc
 
 
@@ -123,9 +144,13 @@ def reference_pretty(f: Polynomial) -> str:
 
 def assert_same(got: Polynomial, want: Polynomial):
     """Equal coefficients of equal types: int where a value is integral,
-    Fraction in lowest terms otherwise, on both sides."""
+    Fraction in lowest terms otherwise, on both sides; over Q(zeta_d)
+    coordinate by coordinate."""
     assert got.coeffs == want.coeffs
-    for x, y in zip(got.coeffs, want.coeffs):
+
+    def flat(f):
+        return [x for c in f.coeffs for x in (c if isinstance(c, tuple) else (c,))]
+    for x, y in zip(flat(got), flat(want)):
         assert type(x) is type(y) is type(QQ.normalize(x)), (x, y)
 
 
@@ -493,6 +518,44 @@ def test_non_rational_divisor_goes_through_divmod(divmod_calls):
 # -- compose ----------------------------------------------------------------------
 
 ALL_RINGS = [QQ] + FIELDS
+
+
+# -- sums -------------------------------------------------------------------------
+
+_GF7, _Z12 = PrimeField(7), CyclotomicField(12)
+
+
+@st.composite
+def summands(draw):
+    ring = draw(st.sampled_from(ALL_RINGS))
+    polys = rational_polys() if ring is QQ else field_polys(ring)
+    return draw(polys), draw(polys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=summands())
+# Tops that cancel: 7q is zero in GF(7), zq - zq in Q(zeta_12), and over Q
+# a sum of fractions that is integral and one whose top cancels.
+@example(case=(monomial(_GF7, 1, 3), monomial(_GF7, 1, 4)))
+@example(case=(Polynomial(_GF7, [1, 3]), monomial(_GF7, 1, 4)))
+@example(case=(monomial(_Z12, 1, _Z12.zeta), monomial(_Z12, 1, _Z12.zeta)))
+@example(case=(from_rationals([Fraction(1, 2), Fraction(1, 3)]),
+               from_rationals([Fraction(1, 2), Fraction(2, 3)])))
+@example(case=(from_rationals([1, Fraction(1, 2)]), from_rationals([0, Fraction(-1, 2)])))
+# Different denominators, the longer operand's the smaller: both are scaled.
+@example(case=(_HALF, constant(QQ, Fraction(1, 3))))
+def test_sum_matches_the_coefficient_loop(case):
+    f, g = case
+    ring = f.ring
+    for got, want in ((f + g, reference_add(f, g)),
+                      (f - g, reference_add(f, reference_neg(g))),
+                      (-f, reference_neg(f))):
+        assert_same(got, want)
+        assert got == want
+        if ring is QQ:
+            assert_canonical(got)
+    assert (f + (-f)).primitive == ()
+    assert f - f == Polynomial(ring, [])
 
 
 @st.composite

@@ -153,9 +153,11 @@ def test_scaled_quantum_integer_matches_products(ring, zeta):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: one(QQ).shift(-1), "shift exponent must be >= 0"),
+    (lambda: zero(QQ).unshift(-2), "unshift exponent must be >= 0"),
+    (lambda: monomial(QQ, 1).unshift(-1), "unshift exponent must be >= 0"),
     (lambda: monomial(QQ, -1), "monomial degree must be >= 0"),
     (lambda: scaled_quantum_integer(0, 1), "index must be >= 1, got 0"),
-], ids=["shift", "monomial", "scaled_quantum_integer"])
+], ids=["shift", "unshift-zero", "unshift", "monomial", "scaled_quantum_integer"])
 def test_out_of_range_exponents_raise(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
