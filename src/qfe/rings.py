@@ -25,6 +25,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .semigroup import MAX_PRIME, divisors, is_prime
 
@@ -376,20 +377,43 @@ def cyclotomic_polynomial(d: int):
 def root_of_unity_order(ring: Ring, z) -> int | None:
     """Least l >= 1 with z**l = 1, or None if z is not a root of unity.
 
-    Every root of unity of the ring has order dividing 2d in a cyclotomic
-    field, p - 1 in GF(p) and 2 over the rationals, so only the divisors of
-    that exponent are tried, each by one power.
+    Over Q(zeta_d) the order is read off the roots of unity, built once per
+    d (``_root_orders``).  Every root of unity of GF(p) has order dividing
+    p - 1 and of Q order dividing 2, so only the divisors of that exponent
+    are tried, each by one power.
     """
     if ring.is_zero(z):
         raise ValueError("zero is not a root of unity")
     if isinstance(ring, CyclotomicField):
-        exponent = 2 * ring.d
-    elif isinstance(ring, PrimeField):
-        exponent = ring.p - 1
-    else:
-        exponent = 2
+        return _root_orders(ring.d).get(ring.normalize(z))
+    exponent = ring.p - 1 if isinstance(ring, PrimeField) else 2
     return next((k for k in divisors(exponent) if ring.pow(z, k) == ring.one),
                 None)
+
+
+@lru_cache(maxsize=None)
+def _root_orders(d: int) -> dict:
+    """The order of each root of unity of Q(zeta_d), keyed by coordinates.
+
+    They are the +-z^j.  z^j has order d / gcd(d, j); for even d, -1 is
+    z^(d/2), and for odd d, -z^j is no power of z and has twice the order
+    of z^j.  Each power is the last times z: one shift of the coordinates
+    and one reduction of the top one by the nonzero terms of Phi_d.
+    """
+    K = CyclotomicField(d)
+    terms = [(i, m) for i, m in enumerate(K.modulus[:-1]) if m]
+    orders, x = {}, list(K.one)
+    for j in range(d):
+        k = d // gcd(d, j)
+        orders[tuple(x)] = k
+        if d % 2:
+            orders[tuple([-a for a in x])] = 2 * k
+        t = x.pop()
+        x.insert(0, 0)
+        if t:
+            for i, m in terms:
+                x[i] -= t * m
+    return orders
 
 
 def first_inadmissible_prime(primes, zeta, ring: Ring) -> int | None:

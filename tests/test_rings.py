@@ -8,7 +8,7 @@ from qfe import (QQ, CyclotomicField, PrimeField, cyclotomic_polynomial,
                  euler_phi, from_rationals, ring_from_descriptor,
                  root_of_unity_order)
 from qfe.rings import MAX_CYCLOTOMIC_ORDER
-from qfe.semigroup import MAX_PRIME
+from qfe.semigroup import MAX_PRIME, divisors
 from qfe.poly import Polynomial, monomial, one
 
 rational_values = st.one_of(
@@ -174,6 +174,22 @@ def test_root_of_unity_order_is_the_least_power_that_is_one():
                for r in (2, 3, 7, 11, 31, 151, 331))
     assert root_of_unity_order(F, 7) == MAX_PRIME - 1
     assert root_of_unity_order(F, F.normalize(-1)) == 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 12, 15, 105])
+def test_cyclotomic_root_orders_match_brute_force(d):
+    """Every +-z^j, and a few other nonzero elements, against the least
+    k | 2d with x^k = 1, found by powering."""
+    K = CyclotomicField(d)
+    cases, x = [], K.one
+    for _ in range(d):
+        cases += [x, K.neg(x)]
+        x = K.mul(x, K.zeta)
+    others = map(K.normalize, ([1, 1], [0, 2], [Fraction(1, 2)], [2, -1, 1], [1, 0, 1]))
+    cases += [y for y in others if not K.is_zero(y)]
+    for x in cases:
+        least = next((k for k in divisors(2 * d) if K.pow(x, k) == K.one), None)
+        assert root_of_unity_order(K, x) == least
 
 
 def test_ring_descriptors_round_trip():
