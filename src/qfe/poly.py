@@ -184,7 +184,7 @@ class Polynomial:
         ka, kb = den // da, den // db
         if len(u) < len(v):
             u, v, ka, kb = v, u, kb, ka
-        out = [x * ka for x in u]
+        out = list(u) if ka == 1 else [x * ka for x in u]
         for i in compress(range(len(v)), v):
             out[i] += kb * v[i]
         return _decode(ring, out, den)
