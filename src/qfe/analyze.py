@@ -223,8 +223,9 @@ def _profile(F: FESequence, members: list[int], bound: int
         s = f.valuation()
         c = f.coefficient(s)
         base = {z: scaled_quantum_integer(n, z, ring) for z in zetas}
-        num = [base[z].dilate(u) ** k for u, (k, z) in e.items() if k > 0]
-        den = [base[z].dilate(u) ** -k for u, (k, z) in e.items() if k < 0]
+        # Dilation is a ring map: take the power first, on the shorter value.
+        num = [(base[z] ** k).dilate(u) for u, (k, z) in e.items() if k > 0]
+        den = [(base[z] ** -k).dilate(u) for u, (k, z) in e.items() if k < 0]
         rhs = reduce(mul, num) if num else poly.one(ring)
         if reduce(mul, den, f) == rhs.scale(c).shift(s):
             profile[n] = (c, s)
@@ -274,7 +275,7 @@ def _peel_exponents(g: Polynomial, p: int) -> dict[int, tuple] | None:
             return None
         if not 0 <= g.degree - c * u * (p - 1) <= top:
             return None
-        factor = scaled_quantum_integer(p, zeta, ring).dilate(u) ** abs(c)
+        factor = (scaled_quantum_integer(p, zeta, ring) ** abs(c)).dilate(u)
         try:
             g = g.exact_div(factor) if c > 0 else g * factor
         except InexactDivision:

@@ -39,15 +39,21 @@ coefficients that cancel, and maps the rest back over the denominators:
   has whole rows.  Each result row is reduced modulo the monic integer
   Phi_d, top slot first, and divided by the denominators.
 
-One rule, counted on slots, picks the convolution in every ring: more
-than PACK_MIN_OPS nonzero slot pairs, and more than PACK_DENSE of them per
-result slot, make one bigint product (Kronecker substitution) at a width
-that provably holds every result slot.  Any other product goes pair by
-pair over the nonzero slots, so the zeros of a dilated operand make none.
-A packed square packs its operand once, and CPython squares an int
-faster than it multiplies two.
+Every product is f(q) g(q^m), one convolution with g's slots at stride
+m: m = 1 for ``*``, and the paper's f_m(q) (x) f_n(q) = f_m(q) f_n(q^m)
+for ``sequences.otimes``, which so never builds f_n(q^m).  Over Q and
+GF(p) the stride is m slots; over Q(zeta_d) it is m rows of 2 phi - 1.
+One rule, counted on slots and bytes, picks the convolution in every ring:
+more than PACK_MIN_OPS nonzero slot pairs, and more than PACK_DENSE of
+them per byte of the packed result, make one bigint product (Kronecker
+substitution) at a width of k bytes per slot that provably holds every
+result slot.  The stride spreads g's bytes as it packs them.  Any other
+product goes pair by pair over the nonzero slots, so the zeros of a
+dilation make no work.  A packed square packs its operand once, and
+CPython squares an int faster than it multiplies two.
 
-Scaling over Q(zeta_d) is the product with the constant polynomial.
+Scaling over Q(zeta_d) by a rational, a negation among them, scales the
+slots; by any other scalar it is the product with the constant polynomial.
 Exact division, when the long division would take more than
 PACK_MIN_OPS steps (quotient length times nonzero divisor coefficients),
 takes one bigint quotient of the packed primitive parts over Q and
@@ -90,10 +96,13 @@ from typing import Iterable, Sequence
 from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, power
 
 # Product selection, on slots; see the module docstring.  Measured on a
-# 2-CPU x86 host with Python 3.11: an int slot pair costs about 0.08 us
-# pair by pair, a packed result slot about 0.2-0.3 us.
+# 2-CPU x86 host with Python 3.11: an int slot pair costs 0.06-0.17 us pair
+# by pair, a packed result byte 0.014-0.09 us, a ratio of 0.16-1.1 by
+# shape.  Over every product of more than PACK_MIN_OPS pairs in two blocks
+# of each perfbench workload, the total time is flat for PACK_DENSE from
+# 0.2 to 0.6, and 0.5 holds back the wide slots where packing costs most.
 PACK_MIN_OPS = 64
-PACK_DENSE = 4
+PACK_DENSE = 0.5
 
 
 class InexactDivision(ArithmeticError):
@@ -196,18 +205,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        ring = self.ring
-        a, b = self.primitive, other.primitive
-        if not a or not b:
-            return zero(ring)
-        if isinstance(ring, RationalField):
-            # Gauss: P_a P_b is primitive, with a positive last entry.
-            return Polynomial._pair(ring, ring.normalize(self.content * other.content),
-                                    tuple(_convolve(a, b)))
-        da, u = _slots(ring, self)
-        db, v = _slots(ring, other)
-        return _decode(ring, _convolve(u, v), da * db)
+        return _product(self, other, 1)
 
     def scale(self, c) -> "Polynomial":
         """Multiply by a scalar of the same ring."""
@@ -220,7 +218,12 @@ class Polynomial:
         if isinstance(ring, RationalField):
             return Polynomial._pair(ring, ring.normalize(c * self.content), self.primitive)
         if isinstance(ring, CyclotomicField):
-            return self * constant(ring, c)
+            if any(c[1:]):
+                return self * constant(ring, c)
+            # A rational c scales the slots: no product.
+            r = c[0]
+            den, v = _slots(ring, self)
+            return _decode(ring, [x * r.numerator for x in v], den * r.denominator)
         mul = ring.mul
         return Polynomial._pair(ring, ring.one, tuple([mul(c, x) for x in self.primitive]))
 
@@ -562,8 +565,13 @@ def _bias(n: int, k: int) -> int:
     return int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
 
 
-def _pack(ints, k: int) -> int:
-    """sum ints[i] 2^(8k i); every |ints[i]| must be below 2^(8k-1)."""
+def _pack(ints, k: int, m: int = 1, w: int = 1) -> int:
+    """sum ints[i] 2^(8k s_i); every |ints[i]| must be below 2^(8k-1).
+
+    The slots come in rows of w, and row r lands at row m r: slot
+    i = w r + j at s_i = w m r + j, so m = 1 packs ints as they stand.  The
+    spread moves bytes: one slice assignment per byte of a row.
+    """
     code = _SLOT_CODES.get(k)
     if code is not None:
         slots = array(code, ints)
@@ -572,7 +580,13 @@ def _pack(ints, k: int) -> int:
         raw = slots.tobytes()
     else:
         raw = b"".join([x.to_bytes(k, "little", signed=True) for x in ints])
-    bias = _bias(len(ints), k)
+    if m > 1:
+        row = w * k
+        buf = bytearray(len(raw) + (len(ints) - 1) // w * (m - 1) * row)
+        for b in range(row):
+            buf[b::m * row] = raw[b::row]
+        raw = buf
+    bias = _bias(len(raw) // k, k)
     return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
@@ -676,26 +690,56 @@ def _relay(v: Sequence[int], start: int, step: int, count: int, width: int,
     return out
 
 
-def _convolve(u: Sequence[int], v: Sequence[int]) -> list[int]:
-    """The product of two nonempty int vectors; a square (v is u) packs once.
+def _product(f: Polynomial, g: Polynomial, m: int) -> Polynomial:
+    """f(q) g(q^m), with g's slots at stride m: f_n(q^m) is never built."""
+    f._check_ring(g)
+    ring = f.ring
+    a, b = f.primitive, g.primitive
+    if not a or not b:
+        return zero(ring)
+    if isinstance(ring, RationalField):
+        # Gauss: P_a P_b(q^m) is primitive, with a positive last entry.
+        return Polynomial._pair(ring, ring.normalize(f.content * g.content),
+                                tuple(_convolve(a, b, m)))
+    da, u = _slots(ring, f)
+    db, v = (da, u) if g is f else _slots(ring, g)
+    w = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
+    return _decode(ring, _convolve(u, v, m, w), da * db)
 
-    When packed, each result slot sums at most min(nnz) products of slots,
-    so it is below 2^(bits(max|u|) + bits(max|v|) + bits(min(nnz))) in
-    magnitude and the packed slots hold it.
+
+def _convolve(u: Sequence[int], v: Sequence[int], m: int = 1,
+              w: int = 1) -> list[int]:
+    """The product of u and v at stride m, two nonempty int vectors: v's
+    rows of w slots spread m rows apart, as ``_pack`` lays them out, so
+    u(q) v(q^m) when a coefficient is a row.  A square (v is u, m = 1)
+    packs once.
+
+    The packed product costs about the result's bytes, n k, and the pair
+    by pair one its nonzero slot pairs, so it packs when there are more
+    than PACK_MIN_OPS pairs and more than PACK_DENSE per result byte.  Each
+    result slot then sums at most min(nnz) products of slots, so it is
+    below 2^(bits(max|u|) + bits(max|v|) + bits(min(nnz))) in magnitude
+    and the k-byte slots hold it.
     """
-    n = len(u) + len(v) - 1
+    n = len(u) + len(v) - 1 + (len(v) - 1) // w * w * (m - 1)
     nu, nv = len(u) - u.count(0), len(v) - v.count(0)
     ops = nu * nv
     if ops > PACK_MIN_OPS and ops > PACK_DENSE * n:
         k = _slot_bytes(_bits(u) + _bits(v) + min(nu, nv).bit_length() + 2)
-        x = _pack(u, k)
-        return _unpack(x * (x if v is u else _pack(v, k)), n, k)
+        if ops > PACK_DENSE * n * k:
+            x = _pack(u, k)
+            y = x if v is u and m == 1 else _pack(v, k, m, w)
+            return _unpack(x * y, n, k)
     out = [0] * n
-    js = list(compress(range(len(v)), v))
+    pairs = []  # (slot, value) of v's nonzero slots after the spread
+    for c in range(w):  # column c of v's rows: row r at slot c + r w m
+        column = v[c::w]
+        pairs += zip(compress(range(c, len(v) * m, w * m), column),
+                     compress(column, column))
     for i in compress(range(len(u)), u):
         x = u[i]
-        for j in js:
-            out[i + j] += x * v[j]
+        for j, y in pairs:
+            out[i + j] += x * y
     return out
 
 

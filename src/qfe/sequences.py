@@ -36,10 +36,10 @@ from .semigroup import (ALL_PRIMES, PrimeSet, first_nonmultiplicative,
 
 
 def otimes(fm: Polynomial, fn: Polynomial, m: int) -> Polynomial:
-    """fm (x) fn at left index m: fm(q) * fn(q^m)."""
+    """fm (x) fn at left index m: fm(q) * fn(q^m), with fn(q^m) never built."""
     if m < 1:
         raise ValueError(f"left index must be >= 1, got {m}")
-    return fm * fn.dilate(m)
+    return poly._product(fm, fn, m)
 
 
 def oplus(fm: Polynomial, fn: Polynomial, m: int) -> Polynomial:

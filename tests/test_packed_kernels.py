@@ -5,8 +5,10 @@ the stored (content, primitive) pair over Q.
 ``Polynomial.__add__`` adds the encoded int vectors of both operands over
 one denominator; ``Polynomial.__mul__`` convolves the primitive int tuples
 over Q and the encoded int vectors over GF(p) and Q(zeta_d), by one bigint
-product when dense or pair by pair over the nonzero slots; ``scale`` over Q
-changes only the content; ``exact_div`` tries one bigint quotient over Q,
+product when dense or pair by pair over the nonzero slots, and
+``sequences.otimes`` makes the same product with the second operand's
+slots at stride m; ``scale`` over Q changes only the content, and over
+Q(zeta_d) by a rational scales the slots; ``exact_div`` tries one bigint quotient over Q,
 and one per coordinate over Q(zeta_d) when the divisor is rational, before
 falling back to ``divmod``; ``compose`` makes one convolution of int slots
 per level; ``pretty`` displays each distinct entry of the primitive part
@@ -33,7 +35,7 @@ from hypothesis import strategies as st
 from functools import lru_cache
 
 from qfe import (QQ, CyclotomicField, InexactDivision, PrimeField, PrimeSet,
-                 from_seeds)
+                 from_seeds, otimes)
 from qfe import poly
 from qfe.poly import (Polynomial, constant, from_rationals, monomial,
                       quantum_integer, scaled_quantum_integer)
@@ -301,57 +303,75 @@ def test_inexact_division_keeps_its_message(divmod_calls):
 
 @pytest.fixture
 def packed_calls(monkeypatch):
-    """The slot count of every operand packed, two entries per packed product."""
+    """(slots, stride) of every operand packed, two entries per packed
+    product and one per packed square."""
     calls = []
     original = poly._pack
 
-    def counting(ints, k):
-        calls.append(len(ints))
-        return original(ints, k)
+    def counting(ints, k, m=1, w=1):
+        calls.append((len(ints), m))
+        return original(ints, k, m, w)
     monkeypatch.setattr(poly, "_pack", counting)
     return calls
 
 
 def test_product_selection(packed_calls):
-    # One rule in every ring, counted on slots: pack above PACK_MIN_OPS
-    # nonzero slot pairs when there are more than PACK_DENSE per result slot.
-    q64 = quantum_integer(64)
+    # One rule in every ring, for ``*`` and for otimes, counted on slots and
+    # bytes: pack above PACK_MIN_OPS nonzero slot pairs when there are more
+    # than PACK_DENSE of them per byte of the packed result.
+    q16, q64 = quantum_integer(16), quantum_integer(64)
     third = Fraction(1, 3)
-    # Sparse products go pair by pair: [m]_q [n]_{q^m}.
-    assert q64 * q64.dilate(64) == quantum_integer(64 * 64)
+    # Sparse products go pair by pair: [16]_q (x) [16]_q at 64 has 256
+    # pairs over 976 two-byte result slots.
+    assert otimes(q16, q16, 64) == schoolbook_mul(q16, q16.dilate(64))
     # Few pairs go pair by pair whatever the coefficients.
     assert (quantum_integer(8) * quantum_integer(8).scale(third)).degree == 14
     assert packed_calls == []
     # Dense products are packed, Fraction ones as well; a square packs its
-    # one operand once.
+    # one operand once, and otimes(f, f, m) packs f twice, once at stride m.
     assert q64 * q64 == schoolbook_mul(q64, q64)
+    assert otimes(q64, q64, 3) == schoolbook_mul(q64, q64.dilate(3))
     f = q64.scale(third)
-    assert_same(f * f.dilate(8), schoolbook_mul(f, f.dilate(8)))
-    assert packed_calls == [64, 64, 505]
+    assert_same(otimes(f, f, 8), schoolbook_mul(f, f.dilate(8)))
+    assert packed_calls == [(64, 1), (64, 1), (64, 3), (64, 1), (64, 8)]
+    # Bytes, not slots: [16]_q (x) [16]_q at 8 has 256 pairs over 136 result
+    # slots of 2 bytes, and packs; with 102-bit coefficients the slots take
+    # 14 bytes, and the same shape goes pair by pair.
+    packed_calls.clear()
+    assert otimes(q16, q16, 8) == schoolbook_mul(q16, q16.dilate(8))
+    assert packed_calls == [(16, 1), (16, 8)]
+    wide = from_rationals([3 ** 64] * 15 + [1])
+    assert otimes(wide, q16, 8) == schoolbook_mul(wide, q16.dilate(8))
+    assert len(packed_calls) == 2
     # GF(p) follows the same rule.
+    packed_calls.clear()
     gf = PrimeField(7)
-    g = quantum_integer(64, gf)
-    assert g * g.dilate(64) == quantum_integer(64 * 64, gf)
-    assert len(packed_calls) == 3
-    assert g * g == schoolbook_mul(g, g)
-    assert g * g.scale(3) == schoolbook_mul(g, g.scale(3))
-    assert packed_calls[3:] == [64, 64, 64]
-    # Over Q(zeta_12) a coefficient is a row of 2 phi - 1 = 7 slots.  The
-    # 8 powers of z hold 10 nonzero coordinates: 100 slot pairs over 105
-    # result slots go pair by pair, and so does the sparse [m]_q [n]_{q^m}.
+    g16, g64 = quantum_integer(16, gf), quantum_integer(64, gf)
+    assert otimes(g16, g16, 64) == schoolbook_mul(g16, g16.dilate(64))
+    assert packed_calls == []
+    assert g64 * g64 == schoolbook_mul(g64, g64)
+    assert g64 * g64.scale(3) == schoolbook_mul(g64, g64.scale(3))
+    assert otimes(g64, g64, 2) == schoolbook_mul(g64, g64.dilate(2))
+    assert packed_calls == [(64, 1), (64, 1), (64, 1), (64, 1), (64, 2)]
+    # Over Q(zeta_12) a coefficient is a row of 2 phi - 1 = 7 slots, and the
+    # stride is m rows.  The 8 powers of z hold 10 nonzero coordinates: 100
+    # slot pairs over 105 one-byte result slots, so the square packs.  The
+    # sparse [64]_q (x) [64]_q at 64 goes pair by pair; at 2 it packs.
+    packed_calls.clear()
     k12 = CyclotomicField(12)
     c8 = scaled_quantum_integer(8, k12.zeta, k12)
     assert c8 * c8 == schoolbook_mul(c8, c8)
+    assert packed_calls == [(53, 1)]
     c64 = quantum_integer(64, k12)
-    assert c64 * c64.dilate(64) == quantum_integer(64 * 64, k12)
-    assert len(packed_calls) == 6
-    assert c64 * c64 == schoolbook_mul(c64, c64)
-    assert packed_calls[6:] == [445, 445]
+    assert otimes(c64, c64, 64) == schoolbook_mul(c64, c64.dilate(64))
+    assert len(packed_calls) == 1
+    assert otimes(c64, c64, 2) == schoolbook_mul(c64, c64.dilate(2))
+    assert packed_calls[1:] == [(445, 1), (445, 2)]
     # Slots, not coefficients: 8 coefficients 1 + 2z + 3z^2 + 4z^3 make 64
     # coefficient pairs but 1024 slot pairs over 105 slots, so it packs.
     full = Polynomial(k12, [k12.normalize([1, 2, 3, 4])] * 8)
     assert full * full == schoolbook_mul(full, full)
-    assert packed_calls[8:] == [53, 53]
+    assert packed_calls[3:] == [(53, 1)]
 
 
 # -- GF(p) and Q(zeta_d) ----------------------------------------------------------
@@ -439,6 +459,30 @@ def test_field_scale_matches_schoolbook(data, ring, reps):
     assert f.scale(c) == schoolbook_mul(f, constant(ring, c))
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.sampled_from([3, 4, 12]), c=scalars)
+def test_rational_scale_over_cyclotomic_makes_no_product(data, d, c):
+    # A rational scalar, -1 among them, scales the slots: scale, negation
+    # and difference convolve nothing.
+    ring = CyclotomicField(d)
+    f, g = data.draw(field_polys(ring)), data.draw(field_polys(ring))
+    want = (schoolbook_mul(f, constant(ring, c)), reference_neg(f),
+            reference_add(f, reference_neg(g)))
+    calls = []
+    original = poly._convolve
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_convolve", counting)
+        got = f.scale(c), -f, f - g
+    assert calls == []
+    for x, y in zip(got, want):
+        assert x == y
+        assert_same(x, y)
+
+
 @pytest.mark.parametrize("d", [3, 5, 12])
 def test_cyclotomic_width_holds_the_fullest_slot(d):
     # Every coordinate at the same extreme makes the middle slot of each
@@ -518,6 +562,56 @@ def test_non_rational_divisor_goes_through_divmod(divmod_calls):
 # -- compose ----------------------------------------------------------------------
 
 ALL_RINGS = [QQ] + FIELDS
+
+
+# -- otimes -----------------------------------------------------------------------
+
+OTIMES_RINGS = [QQ, PrimeField(2), PrimeField(7), CyclotomicField(3), CyclotomicField(12)]
+# (PACK_MIN_OPS, PACK_DENSE): the module's rule, every product packed, none.
+RULES = [(poly.PACK_MIN_OPS, poly.PACK_DENSE), (0, 0), (poly.PACK_MIN_OPS, 10 ** 18)]
+
+
+@st.composite
+def extreme_polys(draw, ring):
+    """Every slot at one extreme of 1 to 80 bits, negative or positive: the
+    fullest result slot the width bound allows, at 1, 2, 4, 8 and more than
+    8 bytes a slot.  Over Q the slots are the primitive part, so the last
+    coefficient is 1."""
+    n = draw(st.integers(1, 40))
+    x = draw(st.sampled_from([1, -1])) * (2 ** draw(st.integers(1, 80)) - 1)
+    if isinstance(ring, PrimeField):
+        return Polynomial(ring, [ring.p - 1] * n)
+    if isinstance(ring, CyclotomicField):
+        return Polynomial(ring, [ring.normalize([x] * ring.phi)] * n)
+    return from_rationals([x] * (n - 1) + [1])
+
+
+@st.composite
+def otimes_cases(draw):
+    ring = draw(st.sampled_from(OTIMES_RINGS))
+    polys = st.one_of(rational_polys() if ring is QQ else field_polys(ring),
+                      extreme_polys(ring))
+    return draw(polys), draw(polys)
+
+
+_Q64 = quantum_integer(64)
+_WIDE = from_rationals([-(2 ** 70 - 1)] * 30 + [1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=otimes_cases(), m=st.integers(1, 70))
+# otimes(f, f, m) with m > 1 packs f twice, the second time at stride m.
+@example(case=(_Q64, _Q64), m=3)
+@example(case=(_WIDE, _WIDE), m=5)
+def test_otimes_matches_the_dilated_schoolbook(case, m):
+    # f(q) g(q^m) with g's slots at stride m, packed or pair by pair.
+    f, g = case
+    want = schoolbook_mul(f, g.dilate(m))
+    for min_ops, dense in RULES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "PACK_MIN_OPS", min_ops)
+            mp.setattr(poly, "PACK_DENSE", dense)
+            assert_same(otimes(f, g, m), want)
 
 
 # -- sums -------------------------------------------------------------------------

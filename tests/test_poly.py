@@ -285,6 +285,16 @@ def test_powers_are_repeated_products(ring, data):
         f ** -1
 
 
+@pytest.mark.parametrize("ring", [QQ, PrimeField(7), CyclotomicField(12)], ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), u=st.integers(1, 5), k=st.integers(0, 4))
+def test_powers_commute_with_dilation(ring, data, u, k):
+    # Dilation is a ring homomorphism, so (f(q^u))^k = (f^k)(q^u): the
+    # profile and the peel take the power on the undilated value.
+    f = data.draw(ring_polys(ring), label="f")
+    assert f.dilate(u) ** k == (f ** k).dilate(u)
+
+
 def test_power_skips_the_unused_square(monkeypatch):
     # psi^8 takes the squares psi^2, psi^4, psi^8 and one product into the
     # accumulator; squaring psi^8 as well would be the largest product.

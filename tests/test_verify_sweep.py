@@ -25,6 +25,7 @@ from qfe import (ALL_PRIMES, QQ, CyclotomicField, FESequence, FailedIdentity,
                  scaled_quantum_integer, sequences, support_members, verify_fe,
                  zeta_scaled_sequence)
 from qfe.analyze import _profile
+from qfe.poly import Polynomial
 from qfe.cli import builtin_sequence, load_seed_spec
 from qfe.semigroup import divisors
 from qfe.sequences import otimes
@@ -388,6 +389,44 @@ def count_otimes(monkeypatch):
     for module in (analyze, sequences):
         monkeypatch.setattr(module, "otimes", counted)
     return calls
+
+
+def test_otimes_never_dilates(monkeypatch):
+    """otimes multiplies f_m(q) by f_n(q^m) with f_n's slots at stride m, so
+    building a seed table and verifying it dilates nothing inside otimes.
+
+    seeds-23-frac.json is a {2, 3} seed file.  Its table to 2000 makes one
+    otimes per member n >= 2 (46) and two for the seed commutation check.
+    verify_fe expands no identity of the solution, and three once f_96 is
+    shifted by q, where the law fails."""
+    calls = count_otimes(monkeypatch)
+    inside, dilations = [0], [0]
+    counted, dilate = sequences.otimes, Polynomial.dilate
+
+    def nested(*args):
+        inside[0] += 1
+        try:
+            return counted(*args)
+        finally:
+            inside[0] -= 1
+
+    def counting_dilate(self, m):
+        dilations[0] += inside[0] > 0
+        return dilate(self, m)
+    for module in (analyze, sequences):
+        monkeypatch.setattr(module, "otimes", nested)
+    monkeypatch.setattr(Polynomial, "dilate", counting_dilate)
+    spec = load_seed_spec(str(GOLDEN / "seeds-23-frac.json"))
+    F = from_seeds(spec.primes, spec.seeds)
+    for n in range(1, 2001):
+        F.eval(n)
+    assert calls[0] == 48
+    assert verify_fe(F, 2000).ok
+    assert calls[0] == 48
+    report = verify_fe(scaled_at(F, 96, 1, 1), 2000)
+    assert not report.fe_ok
+    assert calls[0] == 48 + 3
+    assert dilations[0] == 0
 
 
 def test_regular_solution_expands_no_identity(monkeypatch):
