@@ -719,7 +719,9 @@ def _convolve(u: Sequence[int], v: Sequence[int], m: int = 1,
     than PACK_MIN_OPS pairs and more than PACK_DENSE per result byte.  Each
     result slot then sums at most min(nnz) products of slots, so it is
     below 2^(bits(max|u|) + bits(max|v|) + bits(min(nnz))) in magnitude
-    and the k-byte slots hold it.
+    and the k-byte slots hold it.  Pair by pair, the outer loop places each
+    nonzero slot of v once at its spread slot, and the inner one runs over
+    u's nonzero slots; at m = 1 the operand with fewer takes the outer loop.
     """
     n = len(u) + len(v) - 1 + (len(v) - 1) // w * w * (m - 1)
     nu, nv = len(u) - u.count(0), len(v) - v.count(0)
@@ -730,16 +732,15 @@ def _convolve(u: Sequence[int], v: Sequence[int], m: int = 1,
             x = _pack(u, k)
             y = x if v is u and m == 1 else _pack(v, k, m, w)
             return _unpack(x * y, n, k)
+    if m == 1 and nv > nu:
+        u, v = v, u
     out = [0] * n
-    pairs = []  # (slot, value) of v's nonzero slots after the spread
-    for c in range(w):  # column c of v's rows: row r at slot c + r w m
-        column = v[c::w]
-        pairs += zip(compress(range(c, len(v) * m, w * m), column),
-                     compress(column, column))
-    for i in compress(range(len(u)), u):
-        x = u[i]
-        for j, y in pairs:
-            out[i + j] += x * y
+    inner = list(compress(range(len(u)), u))
+    spread = w * (m - 1)
+    for j in compress(range(len(v)), v):
+        y, s = v[j], j + j // w * spread  # v's slot j lands at slot s
+        for i in inner:
+            out[s + i] += u[i] * y
     return out
 
 
