@@ -5,7 +5,8 @@ by construction rules in ``sequences`` and then checked here by exact
 identities.  Nothing in this module trusts a construction -- ``verify_fe``
 compares every value up to the bound with a quantum-type form that it
 builds itself from ``poly``, and expands both sides of exactly the
-identities that this per-index profile does not decide;
+identities that this per-index profile does not decide, in the rows of
+each pair sweep where a first failure can lie;
 ``additive_law_holds`` checks the additive law at its generator pairs;
 ``decompose`` recovers the canonical (t, lambda, G) factorization from raw
 coefficient data, and ``uniqueness_oracle`` re-derives the quantum integers
@@ -19,7 +20,6 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from operator import mul
 from typing import Callable, Mapping
 
@@ -76,12 +76,12 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
         declared semigroup.
     Both pair sweeps run in lexicographic order and stop at their first
     failure, which is returned with both sides; failures are report
-    content, not errors.  Once the support law holds, the law sweep visits
-    only pairs of support members: S(P) is closed under divisors, so when
-    m or n is not a member neither is mn, and f_m(q) f_n(q^m) and f_mn are
-    both regular zeros, a pair the profile below already decides.
+    content, not errors.  Each sweep visits only the rows where a first
+    failure can lie, and in them expands only the pairs that a per-index
+    profile does not decide.  So every pair left out holds or comes after
+    a failure, and the first failure and its sides are those of the full
+    sweep.
 
-    A pair is expanded only when a per-index profile does not decide it.
     The profile reads a shape e, an exponent e_u and a root of unity
     zeta_u for each dilation u, by peeling the first prime member's value
     that peels (``_peel_exponents``), and sets
@@ -100,51 +100,67 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
     maps f_m(q) f_n(q^m) to the monomial (c_m c_n, s_m + m s_n), or to 0
     when f_m or f_n is a regular zero.  So an identity between regular
     values holds iff it holds between their monomials.  Pairs whose
-    monomials agree are skipped; every other pair is expanded.  A skipped
-    pair holds, so the first failure and its sides are those of the full
-    sweep.  A solution with no exceptional index expands nothing.
+    monomials agree are skipped; every other pair is expanded.  A solution
+    with no exceptional index expands nothing.
 
-    When the law holds up to the bound, the commutation sweep is cut down
-    further, to the prime pairs p1 < p2 <= bound with p1 p2 > bound.  Write
-    x_n = (f_n, n) in the monoid (a, m)(b, n) = (a(q) b(q^m), mn), so the
-    commutation identity at (m, n) says x_m x_n = x_n x_m, and the law gives
-    x_{mn} = x_m x_n whenever mn <= bound.  So pairs (1, n) commute; a
-    member k <= bound is the product of x_p over its prime factors p, all
-    support members <= bound; the centraliser {y : x y = y x} is a
-    submonoid, so x_m and x_n commute once x_p and x_r do for all primes
-    p | m, r | n; and a prime pair with p1 p2 <= bound commutes, as
-    x_{p1} x_{p2} = x_{p1 p2} = x_{p2} x_{p1}.  If (m, n) fails, some primes
-    p | m, r | n with p != r fail, and (min(p, r), max(p, r)) is
-    lexicographically <= (m, n): min <= m, and min = m forces p = m prime
-    and max = r <= n.  So the first failing member pair is a prime pair
-    with p1 p2 > bound.
+    Write x_n = (f_n, n) in the monoid (a, m)(b, n) = (a(q) b(q^m), mn),
+    which is associative: (a(q) b(q^m)) c(q^(mn)) = a(q) (b c(q^n))(q^m).
+    The law at (m, n) says x_{mn} = x_m x_n, and the commutation identity
+    says x_m x_n = x_n x_m.
 
-    When the law fails the report names the law's pair, so the commutation
-    sweep only decides ``commutativity_ok``, and it visits only the rows
-    of the first two regular members r1 < r2 and of every exceptional
-    member, in lexicographic order.  Regular members m < n
+    Law rows.  Once the support law holds, the law sweep visits only pairs
+    of support members: S(P) is closed under divisors, so when m or n is
+    not a member neither is mn, and f_m(q) f_n(q^m) and f_mn are both
+    regular zeros, a pair the profile decides.  Its swept indices, the
+    members or every n <= bound, are closed under divisors and under
+    products <= bound.  Its rows are m = 1 and the primes m.  Suppose the
+    first failing pair (a, b) had a composite a = p a', p prime.  Then
+    (p, a'), (a', b) and (p, a'b) come before it, as p < a and a' < a, and
+    their products a, a'b and ab are all <= bound, so they are swept pairs
+    and hold.  So x_ab = x_p x_{a'b} = x_p x_{a'} x_b = x_a x_b, and (a, b)
+    holds after all.
+
+    Commutation rows.  The commutation sweep visits the member pairs
+    m < n in the rows of the first two regular members r1 < r2 (the
+    anchors) and of every exceptional member.  Regular members m < n
     commute iff their monomials agree, as the scalars commute: iff
-    s_m + m s_n = s_n + n s_m, that is s_m (n - 1) = s_n (m - 1).  So if
-    every regular member commutes with r1 and r2, every regular pair
-    commutes.  When r1 > 1, r1's row gives s_n = sigma (n - 1) for every
-    regular n, with sigma = s_r1 / (r1 - 1), and then
-    s_m (n - 1) = sigma (m - 1)(n - 1) = s_n (m - 1).  When r1 = 1, its
-    row forces s_1 = 0, which commutes with everything, and r2's row
-    fixes sigma = s_r2 / (r2 - 1) for every regular n > 1 the same way.
-    The pairs left out, a regular member that is neither r1 nor r2 against
-    an exceptional member n, cannot decide ``commutativity_ok`` either.
-    f_n = 0 commutes with everything, and a nonzero f_n commutes with no
-    regular r >= 2.  If it did, dividing f_r(q) f_n(q^r) = f_n(q) f_r(q^n)
-    by G_r(q) G_n(q^r) = G_n(q) G_r(q^n), which holds as r and n are
-    members, would give q^(s_r) h(q^r) = q^(n s_r) h(q) for the Laurent
-    series h = f_n / G_n (G_n(0) = 1).  With h = a q^k u and u(0) = 1
-    this says r k + s_r = k + n s_r and u(q^r) = u(q).  The lowest term
-    u_j q^j of u with j >= 1 would equal the coefficient of q^j in
-    u(q^r): zero when r does not divide j, and u_(j/r) = 0 with
-    0 < j/r < j when it does.  So u = 1 and f_n = a q^k G_n, that is, the
-    member n would be regular.  Such an n therefore fails against r1 or
-    r2, one of which is >= 2, and that pair lies in the row of the anchor
-    or of n.
+    s_m + m s_n = s_n + n s_m, that is s_m (n - 1) = s_n (m - 1).  A
+    nonzero exceptional member n commutes with no regular r >= 2.  If it
+    did, dividing f_r(q) f_n(q^r) = f_n(q) f_r(q^n) by
+    G_r(q) G_n(q^r) = G_n(q) G_r(q^n), which holds as r and n are members,
+    would give q^(s_r) h(q^r) = q^(n s_r) h(q) for the Laurent series
+    h = f_n / G_n (G_n(0) = 1).  With h = a q^k u and u(0) = 1 this says
+    r k + s_r = k + n s_r and u(q^r) = u(q).  The lowest term u_j q^j of u
+    with j >= 1 would equal the coefficient of q^j in u(q^r): zero when r
+    does not divide j, and u_(j/r) = 0 with 0 < j/r < j when it does.  So
+    u = 1 and f_n = a q^k G_n, that is, the member n would be regular.
+    Now suppose the first failing member pair (a, b) had a regular a that
+    is not an anchor, so r2 < a < b.
+      * If b is regular, a pair in an anchor's row fails first.  When
+        r1 > 1, (r1, a) and (r1, b) holding would give s_n = sigma (n - 1)
+        at n = a, b with sigma = s_r1 / (r1 - 1), and then
+        s_a (b - 1) = sigma (a - 1)(b - 1) = s_b (a - 1).  When r1 = 1,
+        (1, r2) fails unless s_1 = 0, and then (r2, a) and (r2, b) holding
+        would fix sigma = s_r2 / (r2 - 1) the same way.  Each of these
+        pairs comes before (a, b).
+      * If f_b != 0 is exceptional, it fails against r1 or r2, one of
+        which is >= 2, at (r_i, b), which comes before (a, b).
+      * If f_b = 0, both sides are 0 and (a, b) holds.
+    So the first failing member pair lies in an anchor or exceptional row.
+
+    Commutation once the law holds.  Then pairs (1, n) commute, and the
+    first failing member pair is a prime pair p1 < p2 with p1 p2 > bound.
+    A member k <= bound is the product of x_p over its prime factors p,
+    all members <= bound; the centraliser {y : x y = y x} is a submonoid,
+    so x_m and x_n commute once x_p and x_r do for all primes p | m,
+    r | n; and a prime pair with p1 p2 <= bound commutes, as
+    x_{p1} x_{p2} = x_{p1 p2} = x_{p2} x_{p1}.  If (m, n) fails, some
+    primes p | m, r | n with p != r fail, and (min(p, r), max(p, r)) is
+    lexicographically <= (m, n): min <= m, and min = m forces p = m prime
+    and max = r <= n.  So the sweep takes only the prime pairs past the
+    bound in the anchor and exceptional rows.  When the law fails the
+    report names the law's pair, and the sweep, over all pairs in those
+    rows, decides ``commutativity_ok``.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
@@ -160,31 +176,28 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
             return ring.mul(x[0], y[0]), x[1] + m * y[1]
         return 0 if x == 0 or y == 0 else None
 
-    # Once the support law holds, only member pairs can fail; see the docstring.
+    # The law's rows where a first failure can lie; see the docstring.
     idx = members if support_ok else range(1, bound + 1)
     law = first_failing_pair(
-        ((m, n) for m in idx for n in idx[:bisect(idx, bound // m)]
+        ((m, n) for m in idx if m == 1 or is_prime(m)
+         for n in idx[:bisect(idx, bound // m)]
          if (x := times(m, n)) is None or x != profile.get(m * n)),
         lambda m, n: (F.eval(m * n), otimes(F.eval(m), F.eval(n), m)))
     fe_ok = law is None
-
-    if fe_ok:
-        primes = [p for p in members if is_prime(p)]
-        pairs = ((p1, p2) for p1, p2 in combinations(primes, 2)
-                 if p1 * p2 > bound)
-    else:
-        # The rows of the first two regular members and of every
-        # exceptional member; see the docstring.
-        anchors = [n for n in members if n in profile][:2]
-        pairs = ((m, n) for i, m in enumerate(members)
-                 if m in anchors or m not in profile for n in members[i + 1:])
 
     def commutation(m: int, n: int):
         fm, fn = F.eval(m), F.eval(n)
         return otimes(fm, fn, m), otimes(fn, fm, n)
 
+    # The commutation rows where a first failure can lie, and once the law
+    # holds only their prime pairs past the bound; see the docstring.
+    anchors = [n for n in members if n in profile][:2]
     hit = first_failing_pair(
-        ((m, n) for m, n in pairs
+        ((m, n) for i, m in enumerate(members)
+         if m in anchors or m not in profile
+         if not fe_ok or is_prime(m)
+         for n in members[i + 1:]
+         if not fe_ok or m * n > bound and is_prime(n)
          if (x := times(m, n)) is None or x != times(n, m)), commutation)
     first = law or hit
     return VerificationReport(

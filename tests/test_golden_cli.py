@@ -18,7 +18,11 @@ lambda(7) and lambda(13) of mixed denominators.  ``oracle-3`` and
 before the uniqueness oracle was rewritten as the coefficient recurrence.
 The two ``constant2-rational-2000`` files, captured before the commutation
 sweep after a law failure was cut to two rows and the exceptional pairs,
-pin that report at a bound the ``--upto 16`` files never reach.
+pin that report at a bound the ``--upto 16`` files never reach.  The
+``seeds-2-shapeless`` files, captured before both sweeps were cut to the
+rows where a first failure can lie, cover a seed with 40 random
+coefficients in {1, -1, 2, -3} on P = {2}: no value but f_1 is regular,
+so every law pair of rows 1 and 2 up to 32 is expanded.
 
 After a deliberate change of output, re-capture with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
@@ -38,7 +42,7 @@ from qfe.cli import BUILTIN_NAMES, DEMO_NAMES, main
 GOLDEN = Path(__file__).parent / "golden"
 # Seed-file inputs (also under golden/) and the --upto each is read to.
 SEED_FILES = {"seeds-257": 16, "seeds-z4": 27, "seeds-23-frac": 150,
-              "seeds-23-gf257": 64, "seeds-713-z12": 200}
+              "seeds-23-gf257": 64, "seeds-713-z12": 200, "seeds-2-shapeless": 32}
 RINGS = ("rational", "gfp:7", "cyclotomic:12")
 
 

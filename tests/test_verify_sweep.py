@@ -1,14 +1,20 @@
 """verify_fe against the all-pairs reference sweep, and the work it does.
 
 ``reference_verify_fe`` is the verifier before the per-index profile and
-before the commutation sweep was cut down to prime pairs: it expands the
-law at every pair and the commutation identity for every unordered pair of
-support members.  verify_fe must agree with it on every report field,
-failure sides included, for solutions and for non-solutions alike, however
-many pairs its profile decides without expanding them.
+before either sweep was cut down to the rows where a first failure can lie
+(the law in rows 1 and primes, the commutation identity in the rows of two
+regular anchors and of the exceptional members, and once the law holds
+only at prime pairs past the bound): it expands the law at every pair and
+the commutation identity for every unordered pair of support members.
+verify_fe must agree with it on every report field, failure sides
+included, for solutions and for non-solutions alike, however many pairs
+its profile decides or its row cuts leave out.  The shapeless seeds below,
+where no value but f_1 is regular, are where the composite law rows used
+to be expanded.
 """
 
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -436,21 +442,27 @@ def test_regular_solution_expands_no_identity(monkeypatch):
     assert calls[0] == 0
 
 
-def test_sweep_work_is_the_law_pairs_plus_large_prime_pairs(monkeypatch):
+def test_sweep_work_is_the_law_row_pairs_plus_large_prime_pairs(monkeypatch):
     """Where every member but 1 is exceptional, verify_fe expands the law at
-    every member pair (m, n) with mn <= B but (1, 1), and the commutation
-    identity only at prime pairs with p1 p2 > B.
+    every member pair (m, n) with mn <= B in rows m = 1 and m prime but
+    (1, 1), and the commutation identity only at prime pairs with
+    p1 p2 > B.  That is 9 identities on GF(7) S({13, 19}) at B = 250, 16
+    on GF(5) S({5, 13, 17}) and 15 on GF(5) S({5, 13, 29}) at B = 100,
+    where the law sweep's composite rows would add two, three and two.
+    On S({5, 13, 29}) the commutation sweep leaves out (25, 29), a
+    composite exceptional row's pair with a prime past B.
 
     [n]_{2q} is a solution over GF(7) on S({13, 19}) and over GF(5) on
-    S({5, 13, 17}), as 2 has order 3 and 4 there.  No prime's value peels:
+    S({5, 13, 17}) and S({5, 13, 29}), as 2 has order 3 and 4 there.  No prime's value peels:
     its term 2q reads as the integer exponent 2, and [p]_q^2 has twice the
     degree of f_p.  No member's value but f_1 is a monomial.  Law pairs
     with a non-member have two regular zeros.  Each bound leaves prime
-    pairs with p1 p2 <= B, whose expansion the count would show.  Values
-    are built before counting."""
-    cases = [(zeta_scaled_sequence([13, 19], 2, PrimeField(7)), 250),
-             (zeta_scaled_sequence([5, 13, 17], 2, PrimeField(5)), 100)]
-    for F, B in cases:
+    pairs with p1 p2 <= B, and law pairs in composite rows, whose
+    expansion the count would show.  Values are built before counting."""
+    cases = [(zeta_scaled_sequence([13, 19], 2, PrimeField(7)), 250, 9),
+             (zeta_scaled_sequence([5, 13, 17], 2, PrimeField(5)), 100, 16),
+             (zeta_scaled_sequence([5, 13, 29], 2, PrimeField(5)), 100, 15)]
+    for F, B, expected in cases:
         for n in range(1, B + 1):
             F.eval(n)
         members = support_members(F.support, B)
@@ -458,13 +470,71 @@ def test_sweep_work_is_the_law_pairs_plus_large_prime_pairs(monkeypatch):
         assert [n for n in members if n in profile] == [1]
         calls = count_otimes(monkeypatch)
         assert verify_fe(F, B).ok
-        law_pairs = sum(1 for m in members for n in members if m * n <= B)
+        rows = [m for m in members if m == 1 or is_prime(m)]
+        law_pairs = sum(1 for m in rows for n in members if m * n <= B)
+        assert law_pairs < sum(1 for m in members for n in members if m * n <= B)
         primes = [p for p in members if is_prime(p)]
         prime_pairs = [(p1, p2) for i, p1 in enumerate(primes)
                        for p2 in primes[i + 1:]]
         large_prime_pairs = sum(1 for p1, p2 in prime_pairs if p1 * p2 > B)
         assert large_prime_pairs < len(prime_pairs)
-        assert calls[0] == law_pairs - 1 + 2 * large_prime_pairs
+        assert calls[0] == law_pairs - 1 + 2 * large_prime_pairs == expected
+
+
+def random_seed_sequence(ring, p, coeffs):
+    """from_seeds on S({p}) with the seed sum_i coeffs[i] q^i.  A single
+    seed commutes with itself, so any nonzero seed gives a solution."""
+    return from_seeds([p], {p: Polynomial(ring, coeffs)})
+
+
+def test_shapeless_seed_expands_only_rows_one_and_two(monkeypatch):
+    """A random 200-term seed on S({2}) over Q at B = 64: no value but f_1
+    is regular, so the law sweep expands rows 1 and 2 but (1, 1), 6 + 6
+    identities, and the rows 4, 8, 16 and 32 of the 27 member pairs with
+    mn <= 64 are left out.  With one prime there is no prime pair, and
+    the commutation sweep expands nothing."""
+    rng = random.Random(1964)
+    F = random_seed_sequence(QQ, 2, [rng.choice((1, -1, 2, -3))
+                                     for _ in range(200)])
+    members = support_members(F.support, 64)
+    for n in members:
+        F.eval(n)
+    assert [n for n in members if n in _profile(F, members, 64)[0]] == [1]
+    sweeps = record_sweeps(monkeypatch)
+    calls = count_otimes(monkeypatch)
+    assert verify_fe(F, 64).ok
+    law, commutation = sweeps
+    assert law == [(1, n) for n in members[1:]] + [(2, n) for n in members[:-1]]
+    assert commutation == []
+    assert calls[0] == 12
+
+
+def test_shaped_solution_costs_one_scalar_product_per_row_pair(monkeypatch):
+    """[n]_q over Q(zeta_12) at B = 1000: every index is regular, so the
+    sweeps multiply scalars only in ``times``.  The law sweep calls it once
+    at each pair (m, n) with mn <= B in rows 1 and primes, and the
+    commutation sweep, once the law holds, twice at each pair (2, p) of its
+    anchor row 2 with a prime p > B/2; row 1 has no pair past B.  Every
+    other K.mul call is the profile's."""
+    K, B = CyclotomicField(12), 1000
+    F = quantum_sequence(K)
+    members = support_members(F.support, B)
+    for n in members:
+        F.eval(n)
+    calls = [0]
+    real = K.mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(K, "mul", counted)
+    _profile(F, members, B)
+    profile_calls, calls[0] = calls[0], 0
+    assert verify_fe(F, B).ok
+    law_pairs = sum(B // m for m in members if m == 1 or is_prime(m))
+    large_primes = sum(1 for p in members if is_prime(p) and 2 * p > B)
+    assert calls[0] == profile_calls + law_pairs + 2 * large_primes == 3276
 
 
 def gaussian_quantum(B):
@@ -648,3 +718,74 @@ def test_commutation_rows_after_a_law_failure(monkeypatch):
     assert commutation == [(1, 7), (2, 7)] + [(7, n) for n in range(8, B + 1)]
     assert calls[0] == len(law) + 2 * len(commutation)
     assert report == assert_matches_reference(F, B)
+
+
+@pytest.mark.parametrize("delta", ["plus-q", "zero"])
+def test_law_holding_commutation_sweep_stays_in_the_anchor_and_exceptional_rows(
+        monkeypatch, delta):
+    """[n]_q at B = 100 with f_53 and f_97 moved: by q, or to 0.  Either
+    way the law holds, as 53 and 97 > B/2 enter only the law pairs (1, p)
+    and (p, 1), and 53 and 97 are exceptional.  The commutation sweep
+    takes prime pairs past B in the anchor rows 1 and 2 and in rows 53 and
+    97, and expands those that touch 53 or 97.  f_p + q fails at (2, 53).
+    f_p = 0 commutes with everything, so the sweep runs to its end, and it
+    leaves out the pairs (p, 53) and (p, 97) of the regular primes
+    3 <= p < 53, where the prime-pair sweep alone would expand them."""
+    B, tampered_primes = 100, (53, 97)
+    F = quantum_sequence()
+    for c in tampered_primes:
+        F = tampered(F, c, monomial(QQ, 1) if delta == "plus-q" else -F.eval(c))
+    for n in range(1, B + 1):
+        F.eval(n)
+    sweeps = record_sweeps(monkeypatch)
+    report = verify_fe(F, B)
+    law, commutation = sweeps
+    assert report.fe_ok
+    assert sorted(law) == [(1, 53), (1, 97), (53, 1), (97, 1)]
+    assert all(m in (2,) + tampered_primes for m, _ in commutation)
+    if delta == "plus-q":
+        assert commutation == [(2, 53)]
+        assert (report.first_failure.m, report.first_failure.n) == (2, 53)
+    else:
+        assert report.commutativity_ok and not report.support_ok
+        assert commutation == [(2, 53), (2, 97)] + [
+            (53, p) for p in range(54, B + 1) if is_prime(p)]
+    assert report == assert_matches_reference(F, B)
+
+
+SHAPELESS_RINGS = (QQ, PrimeField(7), CyclotomicField(3))
+
+
+@st.composite
+def shapeless_seed_solutions(draw):
+    """(F, B): from_seeds on one prime p with a seed of random
+    coefficients, B <= 32 and p^2 <= B, so a composite member exists.
+    Most such seeds peel to nothing, so every member but 1 is exceptional
+    and every law pair but (1, 1) is decided by expansion."""
+    ring = draw(st.sampled_from(SHAPELESS_RINGS))
+    p = draw(st.sampled_from((2, 3, 5)))
+    coeff = st.one_of(st.just(ring.zero), nonzero_scalars(ring))
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=6))
+    F = random_seed_sequence(ring, p, coeffs + [draw(nonzero_scalars(ring))])
+    return F, draw(st.integers(p * p, 32))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=shapeless_seed_solutions())
+def test_verify_matches_reference_on_shapeless_seeds(case):
+    assert assert_matches_reference(*case).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=shapeless_seed_solutions(), data=st.data())
+def test_verify_matches_reference_on_tampered_shapeless_seeds(case, data):
+    """One value moved by a nonzero monomial, at f_1, at the prime p or at
+    a composite member p^k <= B."""
+    F, B = case
+    members = support_members(F.support, B)
+    c = {"one": 1, "prime": members[1],
+         "composite": data.draw(st.sampled_from(members[2:]))}[
+        data.draw(st.sampled_from(("one", "prime", "composite")))]
+    k = data.draw(st.integers(0, 4))
+    delta = monomial(F.ring, k, data.draw(nonzero_scalars(F.ring)))
+    assert_matches_reference(tampered(F, c, delta), B)
