@@ -453,12 +453,13 @@ def test_sweep_work_is_the_law_row_pairs_plus_large_prime_pairs(monkeypatch):
     composite exceptional row's pair with a prime past B.
 
     [n]_{2q} is a solution over GF(7) on S({13, 19}) and over GF(5) on
-    S({5, 13, 17}) and S({5, 13, 29}), as 2 has order 3 and 4 there.  No prime's value peels:
-    its term 2q reads as the integer exponent 2, and [p]_q^2 has twice the
-    degree of f_p.  No member's value but f_1 is a monomial.  Law pairs
-    with a non-member have two regular zeros.  Each bound leaves prime
-    pairs with p1 p2 <= B, and law pairs in composite rows, whose
-    expansion the count would show.  Values are built before counting."""
+    S({5, 13, 17}) and S({5, 13, 29}), as 2 has order 3 and 4 there.  No
+    prime's value peels: its term 2q reads as the integer exponent 2, and
+    [p]_q^2 has twice the degree of f_p.  No member's value but f_1 is a
+    monomial.  Law pairs with a non-member have two regular zeros.  Each
+    bound leaves prime pairs with p1 p2 <= B, and law pairs in composite
+    rows, whose expansion the count would show.  Values are built before
+    counting."""
     cases = [(zeta_scaled_sequence([13, 19], 2, PrimeField(7)), 250, 9),
              (zeta_scaled_sequence([5, 13, 17], 2, PrimeField(5)), 100, 16),
              (zeta_scaled_sequence([5, 13, 29], 2, PrimeField(5)), 100, 15)]
