@@ -11,26 +11,41 @@ the benchmark's run_seconds, and alternates which side goes first from pair
 to pair.  Runs are sequential, one process at a time.  It writes the
 end-to-end metrics of every run in the layout of BENCH_15.json: per side
 the runs, the median and the quartiles, and per metric the pairs the change
-wins and loses.  A claimed gain is in jobs_per_s.  Neither checkout is
-modified.
+wins and loses.  A claimed gain names its workload and end-to-end metric
+(--claim-workload, --claim-metric); both are checked against BENCHMARK.json
+before the first run, and an unknown name exits 2.
+
+Before the workloads, each command of CLI_RUNS runs as a whole CLI process,
+``python -m qfe ARGS`` in each checkout with that checkout's src first on
+PYTHONPATH and the environment otherwise inherited, CLI_RUNS_PER_SIDE
+times per side in alternating order.  Its wall times go to the cli_runs
+section in the same layout, so start-up that a change moves out of the
+benchmark's set-up still shows.  Neither checkout is modified.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 PAIRS = 10
+CLI_RUNS = ("verify quantum --upto 50", "decompose quantum --upto 50",
+            "construct tests/golden/seeds-257.json --upto 20", "demo nathanson-257")
+CLI_RUNS_PER_SIDE = 15
 METHOD = ("Each side runs from its own checkout. One seed per pair; the parent "
           "runs first in even-numbered pairs (counting from 0) and the change "
           "first in odd ones. Quartiles are statistics.quantiles(n=4, "
           "method='inclusive') over the runs of a side. A win is a pair in which "
           "the change reads better; ties count for neither side. Times are the "
-          "benchmark's reference seconds.")
+          "benchmark's reference seconds, except in cli_runs, which holds wall "
+          "seconds of whole CLI processes, run side by side in the same "
+          "alternating order.")
 
 
 def quartiles(runs: list[float]) -> dict:
@@ -63,6 +78,44 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
     return lines[0], json.loads(lines[-1])
 
 
+def time_cli(checkout: Path, args: str) -> float:
+    """Wall seconds of one ``python -m qfe ARGS`` run in a checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"),
+                                                      env.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "qfe", *args.split()], cwd=checkout,
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    wall = time.perf_counter() - t0
+    if done.returncode != 0:
+        sys.exit(f"error: {checkout}: qfe {args} exited {done.returncode}: "
+                 f"{done.stderr.decode().strip()}")
+    return wall
+
+
+def cli_runs(sides: dict[str, Path]) -> dict:
+    """Wall seconds of every CLI_RUNS command, alternating sides run by run."""
+    out = {}
+    for args in CLI_RUNS:
+        times = {"parent": [], "change": []}
+        for i in range(CLI_RUNS_PER_SIDE):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                times[side].append(time_cli(sides[side], args))
+        out[args] = summarize(times["parent"], times["change"], "lower")
+        print(f"qfe {args}: {out[args]['parent']['median'] * 1e3:.1f} -> "
+              f"{out[args]['change']['median'] * 1e3:.1f} ms", flush=True)
+    return {"command": "python -m qfe <args>", "runs_per_side": CLI_RUNS_PER_SIDE,
+            "unit": "s", "better": "lower", "commands": out}
+
+
+def check_name(kind: str, name: str, known: list[str]) -> None:
+    """Exit 2 with one line unless BENCHMARK.json lists name."""
+    if name not in known:
+        print(f"error: {kind} {name!r} is not in BENCHMARK.json ({', '.join(known)})",
+              file=sys.stderr)
+        sys.exit(2)
+
+
 def git_sha(checkout: Path) -> str:
     return subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -71,10 +124,15 @@ def git_sha(checkout: Path) -> str:
 def bench(parent: Path, change: Path, args) -> dict:
     spec = json.loads((change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    check_name("--claim-metric", args.claim_metric, [m["name"] for m in spec["end_to_end"]])
+    if args.claim_workload is not None:
+        check_name("--claim-workload", args.claim_workload, workloads)
     seeds = list(range(args.seed, args.seed + PAIRS))
     sides = {"parent": parent, "change": change}
+    cli = cli_runs(sides)
     host, out = {}, {}
-    for workload in [w["name"] for w in spec["workloads"]]:
+    for workload in workloads:
         results = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
@@ -98,9 +156,9 @@ def bench(parent: Path, change: Path, args) -> dict:
               "command": (f"python3 perfbench/run.py --workload <workload> --seed <seed> "
                           f"--seconds {seconds} --trace 0"),
               "host": host, "host_note": args.host_note, "method": METHOD,
-              "workloads": out}
-    if args.claim_workload:
-        report["claimed_metric"] = {"claim": args.claim, "metric": "jobs_per_s",
+              "workloads": out, "cli_runs": cli}
+    if args.claim_workload is not None:
+        report["claimed_metric"] = {"claim": args.claim, "metric": args.claim_metric,
                                     "workload": args.claim_workload}
     return report
 
@@ -113,7 +171,9 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     p.add_argument("--describe", default="", help="one line on what the change does")
     p.add_argument("--host-note", default="", help="one line on the host")
-    p.add_argument("--claim-workload", help="the workload of a claimed jobs_per_s gain")
+    p.add_argument("--claim-workload", help="the workload of a claimed gain")
+    p.add_argument("--claim-metric", default="jobs_per_s",
+                   help="the end-to-end metric of a claimed gain (default jobs_per_s)")
     p.add_argument("--claim", default="", help="the claim, in words")
     args = p.parse_args(argv)
     report = bench(args.parent.resolve(), args.change.resolve(), args)

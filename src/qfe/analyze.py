@@ -17,15 +17,15 @@ symbolically.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import Callable, Mapping
 
 from . import poly
 from .poly import (InexactDivision, Polynomial, monomial, quantum_integer,
                    scaled_quantum_integer)
+from .record import Record
 from .rings import QQ, Ring, first_inadmissible_prime, root_of_unity_order
 from .semigroup import (PrimeSet, divisors, first_nonmultiplicative, is_prime,
                         seed_gcd, support_members)
@@ -38,8 +38,7 @@ from .sequences import FESequence, first_failing_pair, oplus, otimes
 _PEEL_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class FailedIdentity:
+class FailedIdentity(Record):
     """A counterexample pair with both fully expanded sides."""
 
     m: int
@@ -48,8 +47,7 @@ class FailedIdentity:
     rhs: Polynomial
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     bound: int
     fe_ok: bool
     commutativity_ok: bool
@@ -363,8 +361,7 @@ class DecompositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """The canonical factorization f_n = lambda(n) q^(t(n-1)) g_n(q).
 
     delta tabulates the valuation of f_n, lambda its trailing nonzero
@@ -417,8 +414,7 @@ def decompose(F: FESequence, bound: int) -> Decomposition:
     return Decomposition(t, delta, lam, G)
 
 
-@dataclass(frozen=True)
-class QuantumForcedReport:
+class QuantumForcedReport(Record):
     """Outcome of the forced-form check deg f_n = n-1, f_n(0) = 1 => [n]_q.
 
     Hypothesis failures are outcomes, not errors: callers legitimately probe
@@ -458,8 +454,7 @@ def check_quantum_forced(F: FESequence, bound: int) -> QuantumForcedReport:
     return QuantumForcedReport(True, None, None)
 
 
-@dataclass(frozen=True)
-class OracleFamily:
+class OracleFamily(Record):
     """One solution of the degree-(n-1), unit-constant constraint system."""
 
     a: Fraction
@@ -543,8 +538,7 @@ def uniqueness_oracle(N: int) -> list[OracleFamily]:
     return families
 
 
-@dataclass(frozen=True)
-class ZetaAdmissibilityReport:
+class ZetaAdmissibilityReport(Record):
     admissible: bool
     d: int
     counterexample: int | None

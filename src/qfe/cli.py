@@ -14,11 +14,11 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analyze, poly, sequences
 from .poly import Polynomial, quantum_integer
+from .record import Record
 from .rings import (QQ, CyclotomicField, PrimeField, Ring,
                     ring_from_descriptor, scalar_text)
 from .semigroup import (ALL_PRIMES, PrimeSet, enumerate_semigroup,
@@ -46,8 +46,7 @@ class SeedSpecError(ValueError):
     """A seed file that does not match the documented JSON shape."""
 
 
-@dataclass
-class SeedSpec:
+class SeedSpec(Record):
     ring: Ring
     primes: PrimeSet
     seeds: dict[int, Polynomial]

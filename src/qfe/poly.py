@@ -87,11 +87,11 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, attrgetter, is_, ne
-from typing import Iterable, Sequence
 
 from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, power
 

@@ -9,8 +9,9 @@ scale (n below 10**6), so no probabilistic primality or fancy factoring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
+
+from .record import Record
 
 # Largest prime accepted from outside input (seed files, --ring): trial
 # division takes about sqrt(p)/3 steps, 15 000 here against 5 * 10**8 at
@@ -34,8 +35,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """n as a product of prime powers, primes strictly ascending.
 
     The empty factor list represents n = 1.
@@ -108,8 +108,7 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(Record):
     """A finite sorted set of primes, or the distinguished set of all primes.
 
     ``primes is None`` means every prime (the semigroup is then all of N).
@@ -117,14 +116,14 @@ class PrimeSet:
 
     primes: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
-        if self.primes is None:
-            return
-        if list(self.primes) != sorted(set(self.primes)):
-            raise ValueError("primes must be strictly ascending and distinct")
-        for p in self.primes:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+    def __init__(self, primes: tuple[int, ...] | None) -> None:
+        if primes is not None:
+            if list(primes) != sorted(set(primes)):
+                raise ValueError("primes must be strictly ascending and distinct")
+            for p in primes:
+                if not is_prime(p):
+                    raise ValueError(f"{p} is not prime")
+        super().__init__(primes)
 
     @classmethod
     def of(cls, primes: Iterable[int] | PrimeSet) -> PrimeSet:

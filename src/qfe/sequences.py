@@ -23,12 +23,12 @@ polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
 
 from . import poly
 from .poly import Polynomial, monomial, quantum_integer, scaled_quantum_integer
+from .record import Record
 from .rings import QQ, Ring, first_inadmissible_prime, scalar_text
 from .semigroup import (ALL_PRIMES, PrimeSet, first_nonmultiplicative,
                         in_semigroup, is_prime, multiplicative_value,
@@ -97,8 +97,7 @@ def identity_sequence(ring: Ring = QQ, support: PrimeSet = ALL_PRIMES) -> FESequ
     return FESequence(ring, support, lambda n: poly.one(ring), "identity")
 
 
-@dataclass(frozen=True)
-class CommutativityFailure:
+class CommutativityFailure(Record):
     """First failing seed pair: h_{p1}(q) h_{p2}(q^{p1}) != h_{p2}(q) h_{p1}(q^{p2})."""
 
     p1: int

@@ -40,24 +40,49 @@ def test_summary_ratio_is_change_over_parent():
     assert s["median_ratio_change_over_parent"] == pytest.approx(560 / 410)
 
 
-def test_bench_takes_run_length_and_workloads_from_the_benchmark(tmp_path, monkeypatch):
+END_TO_END = [{"name": "jobs_per_s", "unit": "jobs/s", "better": "higher", "bound": 0.25},
+              {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+
+
+@pytest.fixture
+def checkouts(tmp_path, monkeypatch):
+    """A parent and a change checkout with a one-workload BENCHMARK.json, and
+    the list of runs made in them: perfbench runs as (side, workload, seed,
+    seconds), CLI runs as (side, args).  The change reads 100 jobs/s more
+    and 0.25 s less set-up and CLI time than the parent."""
     parent, change = tmp_path / "parent", tmp_path / "change"
     parent.mkdir()
     change.mkdir()
-    spec = {"run_seconds": 7, "workloads": [{"name": "w"}],
-            "end_to_end": [{"name": "jobs_per_s", "unit": "jobs/s", "better": "higher",
-                            "bound": 0.25}]}
+    spec = {"run_seconds": 7, "workloads": [{"name": "w"}], "end_to_end": END_TO_END}
     (change / "BENCHMARK.json").write_text(json.dumps(spec))
     calls = []
 
     def run_once(checkout, workload, seed, seconds):
         calls.append((checkout.name, workload, seed, seconds))
-        value = seed + (100 if checkout == change else 0)
-        return "host", {"correct": True, "metrics": {"jobs_per_s": {"value": value}}}
+        faster = checkout == change
+        return "host", {"correct": True,
+                        "metrics": {"jobs_per_s": {"value": seed + 100 * faster},
+                                    "setup_s": {"value": 1.0 - 0.25 * faster}}}
+
+    def time_cli(checkout, args):
+        calls.append((checkout.name, args))
+        return 1.0 - 0.25 * (checkout == change)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "time_cli", time_cli)
     monkeypatch.setattr(bench_pairs, "git_sha", lambda checkout: checkout.name)
-    args = argparse.Namespace(seed=5, describe="", host_note="", claim_workload=None, claim="")
-    report = bench_pairs.bench(parent, change, args)
+    return parent, change, calls
+
+
+def bench_args(**claim) -> argparse.Namespace:
+    return argparse.Namespace(**{"seed": 5, "describe": "", "host_note": "", "claim": "",
+                                 "claim_workload": None, "claim_metric": "jobs_per_s",
+                                 **claim})
+
+
+def test_bench_takes_run_length_and_workloads_from_the_benchmark(checkouts):
+    parent, change, calls = checkouts
+    report = bench_pairs.bench(parent, change, bench_args())
+    calls = [c for c in calls if len(c) == 4]
     seeds = list(range(5, 5 + bench_pairs.PAIRS))
     assert bench_pairs.PAIRS == 10
     # The sides alternate which goes first, the parent in pair 0.
@@ -69,3 +94,68 @@ def test_bench_takes_run_length_and_workloads_from_the_benchmark(tmp_path, monke
     w = report["workloads"]["w"]
     assert w["seeds"] == seeds and w["pairs"] == 10
     assert w["metrics"]["jobs_per_s"]["change_wins"] == 10
+    assert "claimed_metric" not in report
+
+
+def test_bench_records_the_claimed_metric_and_workload(checkouts):
+    parent, change, _ = checkouts
+    args = bench_args(claim_workload="w", claim_metric="setup_s", claim="set-up falls")
+    report = bench_pairs.bench(parent, change, args)
+    assert report["claimed_metric"] == {"claim": "set-up falls", "metric": "setup_s",
+                                        "workload": "w"}
+    assert report["workloads"]["w"]["metrics"]["setup_s"]["change_wins"] == 10
+
+
+@pytest.mark.parametrize("flag, name", [("--claim-metric", "setup_seconds"),
+                                        ("--claim-workload", "feilds")])
+def test_unknown_claim_name_exits_2_before_any_run(checkouts, capsys, flag, name):
+    parent, change, calls = checkouts
+    out = parent.parent / "BENCH.json"
+    argv = [str(parent), str(change), "--out", str(out), "--claim-workload", "w", flag, name]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert calls == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err and repr(name) in err
+
+
+def test_cli_runs_alternate_sides_and_summarize_each_command(checkouts):
+    parent, change, calls = checkouts
+    report = bench_pairs.bench(parent, change, bench_args())
+    cli = report["cli_runs"]
+    runs = bench_pairs.CLI_RUNS_PER_SIDE
+    assert runs == 15
+    assert {k: v for k, v in cli.items() if k != "commands"} == {
+        "command": "python -m qfe <args>", "runs_per_side": 15, "unit": "s",
+        "better": "lower"}
+    assert list(cli["commands"]) == list(bench_pairs.CLI_RUNS) == [
+        "verify quantum --upto 50", "decompose quantum --upto 50",
+        "construct tests/golden/seeds-257.json --upto 20", "demo nathanson-257"]
+    cli_calls = [c for c in calls if len(c) == 2]
+    # Every CLI run comes before the first workload run.
+    assert calls[:len(cli_calls)] == cli_calls
+    assert cli_calls[:4] == [("parent", "verify quantum --upto 50"),
+                             ("change", "verify quantum --upto 50"),
+                             ("change", "verify quantum --upto 50"),
+                             ("parent", "verify quantum --upto 50")]
+    assert len(cli_calls) == 2 * runs * len(bench_pairs.CLI_RUNS)
+    for summary in cli["commands"].values():
+        assert summary["parent_runs"] == [1.0] * runs
+        assert summary["change_runs"] == [0.75] * runs
+        assert summary["change"] == {"median": 0.75, "q1": 0.75, "q3": 0.75}
+        assert (summary["change_wins"], summary["change_losses"]) == (runs, 0)
+
+
+def test_time_cli_runs_the_checkouts_qfe(tmp_path):
+    main = tmp_path / "src" / "qfe" / "__main__.py"
+    main.parent.mkdir(parents=True)
+    (main.parent / "__init__.py").write_text("")
+    main.write_text("import os, sys\n"
+                    "open('ran', 'w').write(' '.join(sys.argv[1:]))\n"
+                    "sys.exit(int(os.path.exists('fail')))\n")
+    assert bench_pairs.time_cli(tmp_path, "demo nathanson-257") > 0
+    assert (tmp_path / "ran").read_text() == "demo nathanson-257"
+    (tmp_path / "fail").write_text("")
+    with pytest.raises(SystemExit, match="exited 1"):
+        bench_pairs.time_cli(tmp_path, "verify quantum")
