@@ -1,12 +1,13 @@
 """Immutable records: the one base class of qfe's result and value types.
 
-A subclass names its fields as class annotations, in order.  It gets
-positional and keyword construction, the repr ``Name(field=value, ...)``,
-equality between instances of the same class and a hash, both over the
-fields in order, and an ``AttributeError`` on assignment or deletion.  A
-field that holds a dict makes ``hash`` raise ``TypeError``.  Nothing is
-generated or compiled when a subclass is created, so importing qfe pays
-for neither ``dataclasses`` nor ``inspect``.
+A subclass names its fields as class annotations, in order, after those
+of the record it extends.  It gets positional and keyword construction,
+the repr ``Name(field=value, ...)``, equality between instances of the
+same class and a hash, both over the fields in order, and an
+``AttributeError`` on assignment or deletion.  A field that holds a dict
+makes ``hash`` raise ``TypeError``.  Nothing is generated or compiled
+when a subclass is created, so importing qfe pays for neither
+``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from __future__ import annotations
 
 class Record:
     # An instance's __dict__ holds exactly its fields, in field order.
-    __slots__ = ()
     _fields = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields

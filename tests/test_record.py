@@ -76,6 +76,10 @@ def test_records_are_frozen_and_hash_over_their_fields(cls, values):
 
 
 def test_records_equal_only_records_of_their_class():
+    class Derived(FailedIdentity):
+        pass
+    derived = Derived(2, 3, F, G)
+    assert derived != FAILURE and FAILURE != derived
     commutation = CommutativityFailure(2, 3, F, G)
     assert FAILURE != commutation and commutation != FAILURE
     assert FAILURE != (2, 3, F, G)
