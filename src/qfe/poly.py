@@ -54,16 +54,37 @@ CPython squares an int faster than it multiplies two.
 
 Scaling over Q(zeta_d) by a rational, a negation among them, scales the
 slots; by any other scalar it is the product with the constant polynomial.
-Exact division, when the long division would take more than
-PACK_MIN_OPS steps (quotient length times nonzero divisor coefficients),
-takes one bigint quotient of the packed primitive parts over Q and
-accepts it only when the width proves it exact.  Over Q(zeta_d), when
-every divisor coefficient g lies in Q, it divides each coordinate
-polynomial f_j by g the same way: g divides f in Q(zeta_d)[q] exactly
-when it divides every f_j in Q[q], because g is rational and
-1, z, ..., z^(phi - 1) is a basis of Q(zeta_d) over Q.  Every other case,
-and every quotient the width does not prove, falls back to ``divmod``,
-the long division, which over Q also divides the primitive parts in ints.
+Exact division has three branches, chosen by the divisor's shape and size.
+
+* A divisor a [n]_{q^u} (n >= 2, u >= 1: one nonzero entry a at each of
+  0, u, ..., (n - 1) u) divides in linear time through the identity
+  (1 - q^u) [n]_{q^u} = 1 - q^(un).  On f's slots (over Q its primitive
+  part, as g's is [n]_{q^u} itself), one pass of subtractions makes
+  t = (1 - q^u) f, and the power series division of t by 1 - q^(un),
+  h_i = t_i + h_(i - un), runs one slice addition per block of un
+  coefficients or one running sum per residue class, whichever is fewer.
+  Then h (1 - q^(un)) equals t in every slot below the quotient's length,
+  and the branch accepts h only when the top un slots of t equal those of
+  -q^(un) h, mod p over GF(p).  That proves t = h (1 - q^u) [n]_{q^u}, and
+  since 1 - q^u is not a zero divisor, f = h [n]_{q^u}; conversely, when
+  [n]_{q^u} divides f the power series quotient is that exact quotient, so
+  a mismatch proves the division inexact.  Over Q(zeta_d) the slots are
+  rows of 2 phi - 1 and the strides u and un rows; each coordinate
+  polynomial is divided by the rational [n]_{q^u}.  Over Q the quotient of
+  primitive parts is primitive by Gauss's lemma, with a positive last
+  entry, so its content is c_f / c_g, with no gcd; elsewhere it is scaled
+  by a^-1.
+* Any other divisor, when the long division would take more than
+  PACK_MIN_OPS steps (quotient length times nonzero divisor
+  coefficients), takes one bigint quotient of the packed primitive parts
+  over Q and accepts it only when the width proves it exact.  Over
+  Q(zeta_d), when every divisor coefficient g lies in Q, it divides each
+  coordinate polynomial f_j by g the same way: g divides f in
+  Q(zeta_d)[q] exactly when it divides every f_j in Q[q], because g is
+  rational and 1, z, ..., z^(phi - 1) is a basis of Q(zeta_d) over Q.
+* Every other case, and every packed quotient the width does not prove,
+  falls back to ``divmod``, the long division, which over Q also divides
+  the primitive parts in ints.
 
 Composition f(psi) = sum c_i psi^i = sum (c_2i + c_2i+1 psi) (psi^2)^i
 runs level by level on int slots.  f and psi are encoded once, padded to
@@ -89,9 +110,9 @@ import sys
 from array import array
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
-from operator import add, attrgetter, is_, ne
+from operator import add, attrgetter, is_, ne, sub
 
 from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, power
 
@@ -357,15 +378,27 @@ class Polynomial:
         return Polynomial._raw(ring, quo), Polynomial._raw(ring, rem)
 
     def exact_div(self, g: "Polynomial") -> "Polynomial":
-        """The quotient f / g when g divides f exactly; InexactDivision otherwise."""
+        """The quotient f / g when g divides f exactly; InexactDivision otherwise.
+
+        The branch follows the divisor (see the module docstring): through
+        1 - q^(un) for g = a [n]_{q^u}, one bigint quotient for a longer
+        division, and ``divmod`` for the rest and for any packed quotient
+        that its width does not prove.
+        """
         self._check_ring(g)
         ring = self.ring
         f, d = self.primitive, g.primitive
-        if (len(f) >= len(d)
-                and (len(f) - len(d) + 1) * (len(d) - d.count(ring.zero)) > PACK_MIN_OPS):
-            quo = _packed_div(self, g)
-            if quo is not None:
+        if len(f) >= len(d):
+            shape = _geometric_shape(ring, d)
+            if shape:
+                quo = _geometric_div(self, g, *shape)
+                if quo is None:
+                    raise InexactDivision(f"{g} does not divide {self}")
                 return quo
+            if (len(f) - len(d) + 1) * (len(d) - d.count(ring.zero)) > PACK_MIN_OPS:
+                quo = _packed_div(self, g)
+                if quo is not None:
+                    return quo
         quo, rem = self.divmod(g)
         if rem.primitive:
             if len(f) < len(d):
@@ -742,6 +775,55 @@ def _convolve(u: Sequence[int], v: Sequence[int], m: int = 1,
         for i in inner:
             out[s + i] += u[i] * y
     return out
+
+
+def _geometric_shape(ring: Ring, d: tuple) -> tuple[int, int] | None:
+    """(n, u) when the primitive part d is a [n]_{q^u} with n >= 2, u >= 1:
+    the entry a at 0, u, ..., (n - 1) u and zeros elsewhere."""
+    if len(d) < 2 or d[0] != d[-1]:
+        return None
+    a = d[0]
+    u = d.index(a, 1)
+    n = (len(d) - 1) // u + 1
+    if (len(d) - 1) % u or d.count(ring.zero) != len(d) - n or d[::u].count(a) != n:
+        return None
+    return n, u
+
+
+def _geometric_div(f: Polynomial, g: Polynomial, n: int, u: int) -> Polynomial | None:
+    """f / g for g = a [n]_{q^u} through 1 - q^(un), or None when g does not
+    divide f; f is at least as long as g.  See the module docstring."""
+    ring = f.ring
+    w = 1
+    if isinstance(ring, RationalField):
+        den, v = 1, f.primitive  # g's primitive part is [n]_{q^u}
+    else:
+        den, v = _slots(ring, f)
+        if isinstance(ring, CyclotomicField):
+            w = 2 * ring.phi - 1
+    step, period, e = u * w, u * n * w, (w - 1) // 2
+    # t = (1 - q^u) f, over whole rows: _slots stops the last after phi.
+    t = list(map(sub, chain(v, repeat(0, step + e)), chain(repeat(0, step), v, repeat(0, e))))
+    nq = len(t) - period
+    top = t[nq:]
+    del t[nq:]
+    h = t  # divided by 1 - q^(un): h_i += h_(i - un)
+    if period * period < nq:
+        for r in range(period):
+            h[r::period] = accumulate(h[r::period])
+    else:
+        for s in range(period, nq, period):
+            h[s:s + period] = map(add, h[s:s + period], h[s - period:s])
+    # Above h's slots, h (1 - q^(un)) leaves only -q^(un) h.
+    lo = max(0, period - nq)
+    top[lo:] = map(add, top[lo:], h[nq - period + lo:])
+    if any(_reduce(ring, top)):
+        return None
+    if isinstance(ring, RationalField):
+        return Polynomial._pair(ring, ring.normalize(Fraction(f.content) / g.content),
+                                tuple(h))
+    quo, a = _decode(ring, h, den), g.primitive[0]
+    return quo if a == ring.one else quo.scale(ring.inv(a))
 
 
 def _packed_div(f: Polynomial, g: Polynomial) -> Polynomial | None:

@@ -8,9 +8,11 @@ over Q and the encoded int vectors over GF(p) and Q(zeta_d), by one bigint
 product when dense or pair by pair over the nonzero slots, and
 ``sequences.otimes`` makes the same product with the second operand's
 slots at stride m; ``scale`` over Q changes only the content, and over
-Q(zeta_d) by a rational scales the slots; ``exact_div`` tries one bigint quotient over Q,
-and one per coordinate over Q(zeta_d) when the divisor is rational, before
-falling back to ``divmod``; ``compose`` makes one convolution of int slots
+Q(zeta_d) by a rational scales the slots; ``exact_div`` divides by a
+divisor c [n]_{q^u} through 1 - q^(un) in two slice passes, and by any
+other it tries one bigint quotient over Q, and one per coordinate over
+Q(zeta_d) when the divisor is rational, before falling back to
+``divmod``; ``compose`` makes one convolution of int slots
 per level; ``pretty`` displays each distinct entry of the primitive part
 once.  The loops below are the coefficient-by-coefficient sum, the
 schoolbook product over ring scalars, the long division, the Horner
@@ -283,21 +285,53 @@ def test_exact_div_falls_back_when_the_quotient_outgrows_the_slots(divmod_calls)
     assert_same(quo, reference_exact_div(num, den))
 
 
-def test_exact_div_packed_path_needs_no_long_division(divmod_calls):
+@pytest.fixture
+def quotient_calls(monkeypatch):
+    """The divisor of every packed bigint quotient."""
+    calls = []
+    original = poly._packed_quotient
+
+    def counting(vf, vg):
+        calls.append(vg)
+        return original(vf, vg)
+    monkeypatch.setattr(poly, "_packed_quotient", counting)
+    return calls
+
+
+def test_exact_div_packed_path_needs_no_long_division(divmod_calls, quotient_calls):
     n = quantum_integer(500)
     assert n.dilate(3).exact_div(n) == reference_exact_div(n.dilate(3), n)
-    # Not monic, with a rational quotient: (3/2) [30]_{q^7} / [30]_q.
+    # Rational quotient: (3/2) [30]_{q^7} / [30]_q.
     g = quantum_integer(30).scale(Fraction(2, 3))
     f = quantum_integer(30).dilate(7)
     assert_same(f.exact_div(g), reference_exact_div(f, g))
+    # Both divisors are c [n]_q, which divide through 1 - q^n.
+    assert quotient_calls == []
+    # Twins of another shape take the packed quotient: [500]_q (1 + 2q), and
+    # (2/3) [30]_q (3 + 2q), whose primitive part is not monic.
+    g = n * from_rationals([1, 2])
+    f = n.dilate(3) * from_rationals([1, 2])
+    assert f.exact_div(g) == reference_exact_div(f, g)
+    g = quantum_integer(30).scale(Fraction(2, 3)) * from_rationals([3, 2])
+    f = quantum_integer(30).dilate(7) * from_rationals([3, 2])
+    assert_same(f.exact_div(g), reference_exact_div(f, g))
+    assert len(quotient_calls) == 2
     assert divmod_calls == []
 
 
-def test_inexact_division_keeps_its_message(divmod_calls):
+def test_inexact_division_keeps_its_message(divmod_calls, quotient_calls):
     f = quantum_integer(40).dilate(3) + monomial(QQ, 7)
     g = quantum_integer(40)
     with pytest.raises(InexactDivision, match="does not divide"):
         f.exact_div(g)
+    # [40]_q divides through 1 - q^40, which proves the remainder nonzero.
+    assert divmod_calls == [] and quotient_calls == []
+    # A divisor of another shape: the packed quotient fails, and divmod raises.
+    f = quantum_integer(40).dilate(3) * from_rationals([1, 2]) + monomial(QQ, 7)
+    g = quantum_integer(40) * from_rationals([1, 2])
+    with pytest.raises(InexactDivision, match="does not divide"):
+        f.exact_div(g)
+    assert len(quotient_calls) == 1
     assert len(divmod_calls) == 1
 
 
@@ -559,6 +593,111 @@ def test_non_rational_divisor_goes_through_divmod(divmod_calls):
     assert [g for _, g in divmod_calls if g.ring == k12] == [zn]
 
 
+# -- divisors c [n]_{q^u} -----------------------------------------------------------
+
+GEOMETRIC_RINGS = [QQ, PrimeField(2), PrimeField(7), CyclotomicField(5), CyclotomicField(12)]
+
+
+def geometric_units(ring):
+    """c of c [n]_{q^u}: -1, 2/3 and zeta where the ring has them, or any
+    nonzero scalar."""
+    units = [ring.normalize(-1), ring.normalize(Fraction(2, 3))]
+    if isinstance(ring, CyclotomicField):
+        units.append(ring.zeta)
+    elif isinstance(ring, PrimeField):
+        units.append(ring.normalize(3))  # a primitive root mod 7
+    fixed = st.sampled_from([c for c in units if not ring.is_zero(c)])
+    return st.one_of(fixed, nonzero_scalars if ring is QQ else nonzero_field_scalars(ring))
+
+
+@st.composite
+def geometric_cases(draw):
+    """(f, c [n]_{q^u}) with f = h g, h g plus a monomial, one coefficient
+    shorter than g, or zero."""
+    ring = draw(st.sampled_from(GEOMETRIC_RINGS))
+    n, u = draw(st.integers(2, 40)), draw(st.integers(1, 5))
+    g = quantum_integer(n, ring).dilate(u).scale(draw(geometric_units(ring)))
+    h = draw(rational_polys() if ring is QQ else field_polys(ring))
+    kind = draw(st.sampled_from(["exact", "perturbed", "shorter", "zero"]))
+    if kind == "zero":
+        return Polynomial(ring, []), g
+    if kind == "shorter":
+        size = len(g.primitive) - 2
+        return Polynomial(ring, (list(h.coeffs) + [ring.zero] * size)[:size] + [ring.one]), g
+    f = schoolbook_mul(h, g)
+    if kind == "perturbed":
+        c = draw(nonzero_scalars if ring is QQ else nonzero_field_scalars(ring))
+        f = f + monomial(ring, draw(st.integers(0, len(f.primitive) + n * u)), c)
+    return f, g
+
+
+_GF7 = PrimeField(7)
+_Z12 = CyclotomicField(12)
+
+
+def _geometric_example(ring, n, u, h):
+    g = quantum_integer(n, ring).dilate(u)
+    return schoolbook_mul(Polynomial(ring, h), g), g
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=geometric_cases())
+# Slots that agree mod 7 only: (1 + 6q) [2]_q is 1 + 6q^2 in GF(7).
+@example(case=_geometric_example(_GF7, 2, 1, [1, 6]))
+# p | n: [7]_q and [14]_{q^2} over GF(7).
+@example(case=_geometric_example(_GF7, 7, 1, [3, 5, 0, 6]))
+@example(case=_geometric_example(_GF7, 14, 2, [6, 1, 4]))
+# Over Q(zeta_12), rows of 7 slots: a slice per block of un rows, and a
+# running sum per residue class once the quotient has more than 7 (un)^2
+# coefficients.
+@example(case=_geometric_example(_Z12, 3, 2, [1, _Z12.zeta, 2, -1]))
+@example(case=(schoolbook_mul(scaled_quantum_integer(40, _Z12.zeta, _Z12),
+                              quantum_integer(2, _Z12)), quantum_integer(2, _Z12)))
+def test_geometric_divisor_matches_long_division(case):
+    # Divided through 1 - q^(un), with no long division and no packed
+    # quotient once f is as long as g.
+    f, g = case
+    ring = f.ring
+    calls = []
+    original_divmod, original_quotient = Polynomial.divmod, poly._packed_quotient
+
+    def counting_divmod(self, d):
+        if self.ring == ring:  # not the Euclid of CyclotomicField.inv over Q
+            calls.append("divmod")
+        return original_divmod(self, d)
+
+    def counting_quotient(vf, vg):
+        calls.append("packed")
+        return original_quotient(vf, vg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "divmod", counting_divmod)
+        mp.setattr(poly, "_packed_quotient", counting_quotient)
+        try:
+            want = reference_exact_div(f, g)
+        except InexactDivision as exc:
+            with pytest.raises(InexactDivision) as got:
+                f.exact_div(g)
+            assert str(got.value) == str(exc)
+        else:
+            assert_same(f.exact_div(g), want)
+    assert calls == ([] if len(f.primitive) >= len(g.primitive) else ["divmod"])
+
+
+def test_geometric_divisor_takes_neither_division(divmod_calls, quotient_calls):
+    # [2401]_q divides [2401]_{q^5} through 1 - q^2401, and [500]_q over
+    # GF(101) [500]_{q^3}: neither calls divmod or the packed quotient.
+    for ring, n, a in ((QQ, 2401, 5), (PrimeField(101), 500, 3)):
+        g = quantum_integer(n, ring)
+        f = g.dilate(a)
+        assert f.exact_div(g) * g == f
+    assert divmod_calls == [] and quotient_calls == []
+    # A dense divisor of another shape still takes one packed quotient.
+    g = quantum_integer(500) * from_rationals([1, 2])
+    f = quantum_integer(500).dilate(3) * from_rationals([1, 2])
+    assert f.exact_div(g) * g == f
+    assert len(quotient_calls) == 1 and divmod_calls == []
+
+
 # -- compose ----------------------------------------------------------------------
 
 ALL_RINGS = [QQ] + FIELDS
@@ -615,9 +754,6 @@ def test_otimes_matches_the_dilated_schoolbook(case, m):
 
 
 # -- sums -------------------------------------------------------------------------
-
-_GF7, _Z12 = PrimeField(7), CyclotomicField(12)
-
 
 @st.composite
 def summands(draw):
