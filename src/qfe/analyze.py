@@ -94,12 +94,14 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
     with the factors of e_u < 0 moved to the left, so nothing is divided),
     or when n is not a member and f_n = 0; every other index n <= bound is
     exceptional.  The shape is only a guess: the comparison at each n is
-    the proof.  Each [k]_{zeta q^u} has constant term 1, so dividing out G
-    maps f_m(q) f_n(q^m) to the monomial (c_m c_n, s_m + m s_n), or to 0
-    when f_m or f_n is a regular zero.  So an identity between regular
-    values holds iff it holds between their monomials.  Pairs whose
-    monomials agree are skipped; every other pair is expanded.  A solution
-    with no exceptional index expands nothing.
+    the proof.  When G_n is [n]_{q^u} or 1 it is one tuple comparison of
+    f_n's primitive part with a template, the same predicate as the product
+    comparison (see ``_profile``).  Each [k]_{zeta q^u} has constant term
+    1, so dividing out G maps f_m(q) f_n(q^m) to the monomial
+    (c_m c_n, s_m + m s_n), or to 0 when f_m or f_n is a regular zero.  So
+    an identity between regular values holds iff it holds between their
+    monomials.  Pairs whose monomials agree are skipped; every other pair
+    is expanded.  A solution with no exceptional index expands nothing.
 
     Write x_n = (f_n, n) in the monoid (a, m)(b, n) = (a(q) b(q^m), mn),
     which is associative: (a(q) b(q^m)) c(q^(mn)) = a(q) (b c(q^n))(q^m).
@@ -212,6 +214,15 @@ def _profile(F: FESequence, members: list[int], bound: int
     is one; exceptional indices are absent.  ``members`` are the support
     members <= bound, and the flag says whether they are exactly the
     indices with f_n != 0.
+
+    For e = {} or e = {u: (1, 1)}, G_n = [n]_{q^u} (u = 0 for G_n = 1), a
+    member n is regular iff f_n's primitive part P, of valuation s, has
+    len(P) - s = (n - 1) u + 1 and P[s:] equal to the template with P[s] at
+    0, u, ..., (n - 1) u and zeros elsewhere.  That is the predicate of the
+    product comparison, as f_n = content P and c_n = content P[s], and over
+    Q the primitive part of c [n]_{q^u} is all ones.  Every other shape
+    compares f_n, times the factors of e_u < 0, with c_n q^(s_n) times the
+    product of the others.
     """
     ring = F.ring
     peels = (_peel_exponents(F.eval(p), p) for p in members if is_prime(p))
@@ -220,6 +231,9 @@ def _profile(F: FESequence, members: list[int], bound: int
     if any(first_inadmissible_prime(filter(is_prime, members), z, ring)
            for z in zetas - {ring.one}):
         e, zetas = {}, set()
+    # At most one factor, G_n = [n]_{q^u} (u = 0 for G_n = 1): a template.
+    u = next(iter(e), 0)
+    by_template = not e or len(e) == 1 and e[u] == (1, ring.one)
     member_set = set(members)
     profile = {}
     support_ok = True
@@ -232,6 +246,20 @@ def _profile(F: FESequence, members: list[int], bound: int
         if zero or not member:
             continue
         s = f.valuation()
+        if by_template:
+            P = f.primitive
+            L = len(P) - s
+            if L != (n - 1) * u + 1:
+                continue
+            if u < 2:
+                t = (P[s],) * L
+            else:
+                t = [ring.zero] * L
+                t[::u] = (P[s],) * n
+                t = tuple(t)
+            if P[s:] == t:
+                profile[n] = (f.coefficient(s), s)
+            continue
         c = f.coefficient(s)
         base = {z: scaled_quantum_integer(n, z, ring) for z in zetas}
         # Dilation is a ring map: take the power first, on the shorter value.

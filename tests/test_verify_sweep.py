@@ -11,11 +11,17 @@ included, for solutions and for non-solutions alike, however many pairs
 its profile decides or its row cuts leave out.  The shapeless seeds below,
 where no value but f_1 is regular, are where the composite law rows used
 to be expanded.
+
+``reference_profile`` is that profile before its one-factor template,
+comparing each member with its quantum-type form as a product of
+polynomials; the profile must equal it, dict and support flag.
 """
 
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -25,7 +31,7 @@ from hypothesis import strategies as st
 from qfe import (ALL_PRIMES, QQ, CyclotomicField, FESequence, FailedIdentity,
                  PrimeField, PrimeSet, VerificationReport, analyze, assemble,
                  dilate_sequence, exact_quotient_sequence, from_rationals,
-                 from_seeds, is_prime, monomial, monomial_sequence,
+                 from_seeds, is_prime, monomial, monomial_sequence, poly,
                  product_sequence, psi_substitute_sequence, quantum_integer,
                  quantum_sequence, reciprocal_sequence, root_of_unity_order,
                  scaled_quantum_integer, sequences, support_members, verify_fe,
@@ -33,6 +39,7 @@ from qfe import (ALL_PRIMES, QQ, CyclotomicField, FESequence, FailedIdentity,
 from qfe.analyze import _profile
 from qfe.poly import Polynomial
 from qfe.cli import builtin_sequence, load_seed_spec
+from qfe.rings import first_inadmissible_prime
 from qfe.semigroup import divisors
 from qfe.sequences import otimes
 
@@ -94,6 +101,47 @@ def assert_matches_reference(F, bound):
     return got
 
 
+def reference_profile(F, members, bound):
+    """``analyze._profile`` before its one-factor template: every member n
+    is compared with c_n q^(s_n) G_n as a product of polynomials, the
+    factors of e_u < 0 multiplied into f_n."""
+    ring = F.ring
+    peels = (analyze._peel_exponents(F.eval(p), p) for p in members if is_prime(p))
+    e = next((e for e in peels if e is not None), {})
+    zetas = {z for _, z in e.values()}
+    if any(first_inadmissible_prime(filter(is_prime, members), z, ring)
+           for z in zetas - {ring.one}):
+        e, zetas = {}, set()
+    member_set = set(members)
+    profile = {}
+    support_ok = True
+    for n in range(1, bound + 1):
+        f = F.eval(n)
+        zero, member = f.is_zero(), n in member_set
+        support_ok &= zero != member
+        if zero and not member:
+            profile[n] = 0
+        if zero or not member:
+            continue
+        s = f.valuation()
+        c = f.coefficient(s)
+        base = {z: scaled_quantum_integer(n, z, ring) for z in zetas}
+        num = [(base[z] ** k).dilate(u) for u, (k, z) in e.items() if k > 0]
+        den = [(base[z] ** -k).dilate(u) for u, (k, z) in e.items() if k < 0]
+        rhs = reduce(mul, num) if num else poly.one(ring)
+        if reduce(mul, den, f) == rhs.scale(c).shift(s):
+            profile[n] = (c, s)
+    return profile, support_ok
+
+
+def assert_profile_matches_reference(F, bound):
+    """The profile dict and the support flag, both as the reference's."""
+    members = support_members(F.support, bound)
+    got = _profile(F, members, bound)
+    assert got == reference_profile(F, members, bound)
+    return got
+
+
 @st.composite
 def nonzero_scalars(draw, ring):
     if isinstance(ring, CyclotomicField):
@@ -136,6 +184,19 @@ def seed_solutions(draw, ring):
         h = quotient_seed(p, a, ring) if quotient else quantum_integer(p, ring).dilate(a)
         return h.shift(int(t * (p - 1))).scale(draw(nonzero_scalars(ring)))
     return from_seeds(P, {p: seed(p) for p in P.primes})
+
+
+GF7, Z12 = PrimeField(7), CyclotomicField(12)
+TWO_ZETA = Z12.mul(Z12.zeta, Z12.normalize(2))
+
+
+def one_factor_solution(ring, primes, lam, t, u):
+    """from_seeds with h_p = lam q^(t(p-1)) [p]_{q^u}: the values
+    lam^Omega(n) q^(t(n-1)) [n]_{q^u} on S(P), one factor of the shape
+    with trailing coefficients other than 1."""
+    return from_seeds(primes, {
+        p: quantum_integer(p, ring).dilate(u).shift(t * (p - 1)).scale(lam)
+        for p in primes})
 
 
 def power_sequence(ring, support, k):
@@ -336,10 +397,96 @@ def test_profile_has_no_exception_on_the_quantum_type_constructions():
         seed_quotient_sequence(QQ, [2, 3], 5, Fraction(5, 6), 2),
         qs(PrimeField(257)),
         qs(CyclotomicField(12)),
+        one_factor_solution(GF7, [2, 3, 5], 3, 1, 2),
+        one_factor_solution(Z12, [2, 3], TWO_ZETA, 1, 2),
     ]
     for F in cases:
         profile, _ = _profile(F, support_members(F.support, 60), 60)
         assert profile.keys() == set(range(1, 61)), F
+
+
+def test_profile_multiplies_only_off_the_template_shapes(monkeypatch):
+    """With every value built, the profile decides each member of an empty
+    or one-factor shape by its template and makes no polynomial product.
+    Other shapes still multiply, once per member: [n]_q [n]_{q^2}
+    multiplies its two factors, [n]_q^2 squares [n]_q, after one product
+    in the peel of f_2 that squares [2]_q, and the quotient
+    [n]_{q^5}/[n]_q multiplies f_n by [n]_q, after one product in the
+    peel of f_2, whose [2]_q^(-1) is multiplied in."""
+    qs, B = quantum_sequence, 60
+    template = [builtin_sequence(name) for name in ("quantum", "monomial", "identity")]
+    template += [dilate_sequence(qs(), 3), psi_substitute_sequence(qs(), monomial(QQ, 2))]
+    products = [(product_sequence(qs(), dilate_sequence(qs(), 2)), 0),
+                (power_sequence(QQ, ALL_PRIMES, 2), 1),
+                (seed_quotient_sequence(QQ, [2, 3], 5, Fraction(5, 6), 2), 1)]
+    for F in template + [F for F, _ in products]:
+        for n in range(1, B + 1):
+            F.eval(n)
+    calls = [0]
+    real = poly._product
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(poly, "_product", counted)
+    for F in template:
+        _profile(F, support_members(F.support, B), B)
+        assert calls[0] == 0, F
+    for F, peel in products:
+        members = support_members(F.support, B)
+        profile, _ = _profile(F, members, B)
+        assert profile.keys() == set(range(1, B + 1))
+        assert calls[0] == len(members) + peel, F
+        calls[0] = 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda draw: draw(solutions()),
+    lambda draw: draw(tampered_solutions()),
+    lambda draw: draw(scalar_tamperings(draw(st.sampled_from(RINGS)))),
+    lambda draw: draw(twisted_sequences()),
+    lambda draw: draw(twisted_sequences(admissible=False)),
+], ids=["solutions", "tampered", "scalar-tampered", "twisted", "inadmissible"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_profile_matches_reference(make, data):
+    assert_profile_matches_reference(*make(data.draw))
+
+
+def change_value(f, change, u):
+    """f = a q^s [n]_{q^u} (n >= 2) with one change: the coefficient at a
+    pattern slot doubled, a zero slot set to 1 (q^(s - 1) when u = 1), one
+    more pattern term, or one fewer."""
+    ring, coeffs = f.ring, list(f.coeffs)
+    s = f.valuation()
+    n = (len(coeffs) - s - 1) // u + 1
+    if change == "pattern-slot":
+        i = s + u * (n // 2)
+        coeffs[i] = ring.mul(coeffs[i], ring.normalize(2))
+    elif change == "zero-slot":
+        coeffs[s + 1 if u > 1 else s - 1] = ring.one
+    elif change == "longer":
+        coeffs += [ring.zero] * (u - 1) + [coeffs[s]]
+    else:
+        del coeffs[-u:]
+    return Polynomial(ring, coeffs)
+
+
+@pytest.mark.parametrize("ring, lam", [(GF7, 3), (Z12, TWO_ZETA)], ids=str)
+@pytest.mark.parametrize("u", [1, 2, 3])
+@pytest.mark.parametrize("change", ["pattern-slot", "zero-slot", "longer", "shorter"])
+def test_profile_matches_reference_on_changed_one_factor_values(ring, lam, u, change):
+    """lam^Omega(n) q^(n-1) [n]_{q^u} on S({2, 3, 5}) at B = 30, lam != 1,
+    with one change at f_3, f_4 or f_6: exactly that index leaves the
+    profile, and the profile is the reference's."""
+    F, B = one_factor_solution(ring, [2, 3, 5], lam, 1, u), 30
+    for c in (3, 4, 6):
+        changed = change_value(F.eval(c), change, u)
+        G = FESequence(ring, F.support,
+                       lambda n: changed if n == c else F.eval(n), "changed")
+        profile, support_ok = assert_profile_matches_reference(G, B)
+        assert support_ok and profile.keys() == set(range(1, B + 1)) - {c}
 
 
 def test_peel_gives_up_within_its_limits(monkeypatch):
