@@ -231,7 +231,7 @@ def _profile(F: FESequence, members: list[int], bound: int
     if any(first_inadmissible_prime(filter(is_prime, members), z, ring)
            for z in zetas - {ring.one}):
         e, zetas = {}, set()
-    # At most one factor, G_n = [n]_{q^u} (u = 0 for G_n = 1): a template.
+    # G_n = [n]_{q^u}, or 1 with u = 0: a template decides (see above).
     u = next(iter(e), 0)
     by_template = not e or len(e) == 1 and e[u] == (1, ring.one)
     member_set = set(members)

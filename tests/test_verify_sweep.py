@@ -473,7 +473,8 @@ def change_value(f, change, u):
     return Polynomial(ring, coeffs)
 
 
-@pytest.mark.parametrize("ring, lam", [(GF7, 3), (Z12, TWO_ZETA)], ids=str)
+@pytest.mark.parametrize("ring, lam", [pytest.param(GF7, 3, id="GF(7)"),
+                                       pytest.param(Z12, TWO_ZETA, id="Q(zeta_12)")])
 @pytest.mark.parametrize("u", [1, 2, 3])
 @pytest.mark.parametrize("change", ["pattern-slot", "zero-slot", "longer", "shorter"])
 def test_profile_matches_reference_on_changed_one_factor_values(ring, lam, u, change):
