@@ -11,7 +11,11 @@ the benchmark's run_seconds, and alternates which side goes first from pair
 to pair.  Runs are sequential, one process at a time.  It writes the
 end-to-end metrics of every run in the layout of BENCH_15.json: per side
 the runs, the median and the quartiles, and per metric the pairs the change
-wins and loses.  A claimed gain names its workload and end-to-end metric
+wins and loses.  Per workload it also records each run's median job time
+per job kind, read from the record the run leaves in its checkout's
+perfbench/out, and summarises those medians per kind in the same layout,
+so a move in an end-to-end metric can be traced to the kinds behind it.
+A claimed gain names its workload and end-to-end metric
 (--claim-workload, --claim-metric); both are checked against BENCHMARK.json
 before the first run, and an unknown name exits 2.
 
@@ -42,7 +46,9 @@ METHOD = ("Each side runs from its own checkout. One seed per pair; the parent "
           "runs first in even-numbered pairs (counting from 0) and the change "
           "first in odd ones. Quartiles are statistics.quantiles(n=4, "
           "method='inclusive') over the runs of a side. A win is a pair in which "
-          "the change reads better; ties count for neither side. Times are the "
+          "the change reads better; ties count for neither side. The per-kind "
+          "medians of a side are the medians, run by run, of the job times of "
+          "each kind. Times are the "
           "benchmark's reference seconds, except in cli_runs, which holds wall "
           "seconds of whole CLI processes, run side by side in the same "
           "alternating order.")
@@ -76,6 +82,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
         sys.exit(f"error: {checkout}: {' '.join(argv[1:])} exited {done.returncode}: "
                  f"{done.stderr.strip()}")
     return lines[0], json.loads(lines[-1])
+
+
+def kind_medians(checkout: Path, workload: str, seed: int) -> dict[str, float]:
+    """The median job time per job kind of the run just made in a checkout,
+    read from the record perfbench/run.py writes in its perfbench/out."""
+    record = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    times: dict[str, list[float]] = {}
+    for kind, _label, t, _wall in json.loads(record.read_text())["extra"]["job_times"]:
+        times.setdefault(kind, []).append(t)
+    return {kind: statistics.median(ts) for kind, ts in times.items()}
 
 
 def time_cli(checkout: Path, args: str) -> float:
@@ -134,11 +150,13 @@ def bench(parent: Path, change: Path, args) -> dict:
     host, out = {}, {}
     for workload in workloads:
         results = {"parent": [], "change": []}
+        by_kind = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 line, result = run_once(sides[side], workload, seed, seconds)
                 host.setdefault(workload, {}).setdefault(side, line)
                 results[side].append(result)
+                by_kind[side].append(kind_medians(sides[side], workload, seed))
                 print(f"{workload} seed {seed} {side}: "
                       f"{result['metrics']['jobs_per_s']['value']:.1f} jobs/s", flush=True)
         metrics = {}
@@ -148,9 +166,17 @@ def bench(parent: Path, change: Path, args) -> dict:
                     for side in sides}
             metrics[name] = dict(summarize(runs["parent"], runs["change"], m["better"]),
                                  better=m["better"], bound=m["bound"], unit=m["unit"])
+        # Only kinds that every run of both sides timed pair up run by run.
+        kinds = set.intersection(*(set(r) for side in sides for r in by_kind[side]))
+        kind_p50 = {}
+        for kind in sorted(kinds):
+            runs = {side: [r[kind] for r in by_kind[side]] for side in sides}
+            kind_p50[kind] = dict(summarize(runs["parent"], runs["change"], "lower"),
+                                  unit="s")
         out[workload] = {"correct": {side: all(r["correct"] for r in results[side])
                                      for side in sides},
-                         "metrics": metrics, "pairs": PAIRS, "seeds": seeds}
+                         "metrics": metrics, "pairs": PAIRS, "seeds": seeds,
+                         "kind_job_s_p50": kind_p50}
     report = {"change": args.describe, "change_sha": git_sha(change),
               "parent_sha": git_sha(parent),
               "command": (f"python3 perfbench/run.py --workload <workload> --seed <seed> "

@@ -213,7 +213,9 @@ def _profile(F: FESequence, members: list[int], bound: int
     a member n to the monomial (c_n, s_n) of f_n / G_n when that quotient
     is one; exceptional indices are absent.  ``members`` are the support
     members <= bound, and the flag says whether they are exactly the
-    indices with f_n != 0.
+    indices with f_n != 0.  Every index off the support is evaluated, as
+    the declared support is not trusted, and all of them are checked in
+    one pass; only the members go on to the regularity test below.
 
     For e = {} or e = {u: (1, 1)}, G_n = [n]_{q^u} (u = 0 for G_n = 1), a
     member n is regular iff f_n's primitive part P, of valuation s, has
@@ -235,15 +237,13 @@ def _profile(F: FESequence, members: list[int], bound: int
     u = next(iter(e), 0)
     by_template = not e or len(e) == 1 and e[u] == (1, ring.one)
     member_set = set(members)
-    profile = {}
-    support_ok = True
-    for n in range(1, bound + 1):
+    off = [n for n in range(1, bound + 1) if n not in member_set]
+    profile = {n: 0 for n in off if not F.eval(n).primitive}
+    support_ok = len(profile) == len(off)
+    for n in members:
         f = F.eval(n)
-        zero, member = f.is_zero(), n in member_set
-        support_ok &= zero != member
-        if zero and not member:
-            profile[n] = 0
-        if zero or not member:
+        if f.is_zero():
+            support_ok = False
             continue
         s = f.valuation()
         if by_template:

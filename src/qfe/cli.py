@@ -22,7 +22,7 @@ from .record import Record
 from .rings import (QQ, CyclotomicField, PrimeField, Ring,
                     ring_from_descriptor, scalar_text)
 from .semigroup import (ALL_PRIMES, PrimeSet, enumerate_semigroup,
-                        primeset_from_json, seed_gcd)
+                        primeset_from_json, seed_gcd, support_members)
 from .sequences import (CommutativityError, FESequence, additive_sequence,
                         assemble, from_seeds, identity_sequence,
                         monomial_sequence, psi_substitute_sequence,
@@ -177,13 +177,25 @@ def _check_upto(n: int, low: int = 1, high: int = MAX_UPTO) -> int:
 # -- construct --------------------------------------------------------------
 
 def write_table(F: FESequence, upto: int, fh) -> None:
-    """One tab-separated row per n <= upto, each written as it is built."""
-    for n in range(1, upto + 1):
+    """One tab-separated row per n <= upto, each written as it is built.
+
+    Only the support members are evaluated.  Every index off the support
+    has f_n = 0, so each run of them between two members, and after the
+    last, is written as one block of ``false`` rows.  A member whose value
+    is zero still gets its own ``false`` row.
+    """
+    done = 0
+    for n in support_members(F.support, upto):
+        if n > done + 1:
+            fh.write("".join(f"{k}\tfalse\t-\t0\n" for k in range(done + 1, n)))
         f = F.eval(n)
         if f.is_zero():
             fh.write(f"{n}\tfalse\t-\t0\n")
         else:
             fh.write(f"{n}\ttrue\t{f.degree}\t{f.pretty()}\n")
+        done = n
+    if upto > done:
+        fh.write("".join(f"{k}\tfalse\t-\t0\n" for k in range(done + 1, upto + 1)))
 
 
 def cmd_construct(args) -> int:

@@ -82,9 +82,26 @@ def first_nonmultiplicative(values: Mapping[int, object], mul, power, one):
     None means values is completely multiplicative where tabulated.  On a
     divisor-closed table that is values[mn] = values[m] values[n] for every
     tabulated mn: induct on the factorization one way, expand it the other.
+
+    A tabulated n with a tabulated prime factor p and n // p tabulated is
+    compared with values[p] values[n // p], one product: every tabulated
+    index below n has passed, so values[n // p] is the expansion of n // p
+    and values[p] that of p, and their product is the expansion of n.  The
+    other indices (1, the primes, and n with no tabulated prime factor or
+    with n // p not tabulated) are expanded by ``multiplicative_value``.
     """
-    return next((n for n in sorted(values) if values[n]
-                 != multiplicative_value(values, n, mul, power, one)), None)
+    primes = []  # the tabulated primes passed so far, ascending
+    for n in sorted(values):
+        p = next((p for p in primes if n % p == 0), None)
+        if p is not None and n // p in values:
+            want = mul(values[p], values[n // p])
+        else:
+            want = multiplicative_value(values, n, mul, power, one)
+            if p is None and is_prime(n):
+                primes.append(n)
+        if values[n] != want:
+            return n
+    return None
 
 
 def omega(n: int) -> int:

@@ -53,9 +53,10 @@ class FESequence:
     """A memoized sequence n -> f_n(q) with a declared support.
 
     ``rule(n)`` supplies the value for n inside the support; eval returns the
-    zero polynomial off the support.  Rules built by the constructors in this
-    module all return 1 at n = 1, as any nonzero solution of the
-    multiplicative law must.
+    zero polynomial off the support, one object built once per sequence
+    (polynomials are immutable) and memoized under each off-support index.
+    Rules built by the constructors in this module all return 1 at n = 1, as
+    any nonzero solution of the multiplicative law must.
     """
 
     def __init__(self, ring: Ring, support: PrimeSet,
@@ -65,6 +66,7 @@ class FESequence:
         self.name = name
         self._rule = rule
         self._memo: dict[int, Polynomial] = {}
+        self._zero = poly.zero(ring)
 
     def eval(self, n: int) -> Polynomial:
         if n < 1:
@@ -74,7 +76,7 @@ class FESequence:
             if in_semigroup(n, self.support):
                 got = self._rule(n)
             else:
-                got = poly.zero(self.ring)
+                got = self._zero
             self._memo[n] = got
         return got
 

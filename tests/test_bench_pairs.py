@@ -44,6 +44,22 @@ END_TO_END = [{"name": "jobs_per_s", "unit": "jobs/s", "better": "higher", "boun
               {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
 
 
+def write_job_times(checkout, workload, seed, faster):
+    """The record a run leaves in perfbench/out: jobs of kind "a" take 1, 2
+    and 6 ms, less 1 ms on the faster side; one job of kind "b" takes seed
+    ms; kind "c" runs only with the parent's even seeds."""
+    jobs = [["a", "a1", 0.001, 0.5], ["b", "b1", seed * 1e-3, 0.5],
+            ["a", "a2", 0.002, 0.5], ["a", "a3", 0.006, 0.5]]
+    if faster:
+        jobs = [[k, label, t - 0.001 * (k == "a"), w] for k, label, t, w in jobs]
+    elif seed % 2 == 0:
+        jobs.append(["c", "c1", 0.003, 0.5])
+    out = checkout / "perfbench" / "out"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{workload}-seed{seed}-trace0.json").write_text(
+        json.dumps({"extra": {"job_times": jobs}}))
+
+
 @pytest.fixture
 def checkouts(tmp_path, monkeypatch):
     """A parent and a change checkout with a one-workload BENCHMARK.json, and
@@ -60,6 +76,7 @@ def checkouts(tmp_path, monkeypatch):
     def run_once(checkout, workload, seed, seconds):
         calls.append((checkout.name, workload, seed, seconds))
         faster = checkout == change
+        write_job_times(checkout, workload, seed, faster)
         return "host", {"correct": True,
                         "metrics": {"jobs_per_s": {"value": seed + 100 * faster},
                                     "setup_s": {"value": 1.0 - 0.25 * faster}}}
@@ -95,6 +112,27 @@ def test_bench_takes_run_length_and_workloads_from_the_benchmark(checkouts):
     assert w["seeds"] == seeds and w["pairs"] == 10
     assert w["metrics"]["jobs_per_s"]["change_wins"] == 10
     assert "claimed_metric" not in report
+
+
+def test_bench_records_each_kinds_median_job_time(checkouts):
+    parent, change, _ = checkouts
+    report = bench_pairs.bench(parent, change, bench_args())
+    kinds = report["workloads"]["w"]["kind_job_s_p50"]
+    # Kind "c" is missing from the change's runs, so it has no pairs.
+    assert list(kinds) == ["a", "b"]
+    a, b = kinds["a"], kinds["b"]
+    assert a["parent_runs"] == [0.002] * 10 and a["change_runs"] == [0.001] * 10
+    assert (a["change_wins"], a["change_losses"], a["unit"]) == (10, 0, "s")
+    assert a["median_ratio_change_over_parent"] == 0.5
+    seeds = range(5, 15)
+    assert b["parent_runs"] == b["change_runs"] == [s * 1e-3 for s in seeds]
+    assert (b["change_wins"], b["change_losses"]) == (0, 0)
+
+
+def test_kind_medians_read_the_runs_record(tmp_path):
+    write_job_times(tmp_path, "w", 4, False)
+    assert bench_pairs.kind_medians(tmp_path, "w", 4) == {"a": 0.002, "b": 0.004,
+                                                          "c": 0.003}
 
 
 def test_bench_records_the_claimed_metric_and_workload(checkouts):

@@ -4,16 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfe import QQ, quantum_integer
-from qfe.cli import (DEMO_NAMES, SEEDS_257, SeedSpec, SeedSpecError,
-                     build_parser, builtin_sequence, main, parse_ring_flag,
-                     parse_seed_spec)
+from qfe import (QQ, FESequence, PrimeSet, from_seeds, quantum_integer,
+                 quantum_sequence, support_members)
+from qfe.cli import (DEMO_NAMES, MAX_UPTO, SEEDS_257, SeedSpec, SeedSpecError,
+                     build_parser, builtin_sequence, load_seed_spec, main,
+                     parse_ring_flag, parse_seed_spec, write_table)
+from qfe.poly import zero
 from tests.conftest import SEED_COEFFS_257
 
 
@@ -510,3 +513,73 @@ def test_closed_stdout_exits_141_without_a_traceback(command, first_line, unbuff
         code = proc.wait(timeout=60)
     assert first == first_line
     assert code == 141 and err == b""
+
+
+def reference_write_table(F, upto, fh):
+    """``write_table`` before it walked the support: every n <= upto is
+    evaluated and written as its own row."""
+    for n in range(1, upto + 1):
+        f = F.eval(n)
+        if f.is_zero():
+            fh.write(f"{n}\tfalse\t-\t0\n")
+        else:
+            fh.write(f"{n}\ttrue\t{f.degree}\t{f.pretty()}\n")
+
+
+def table_text(write, F, upto) -> str:
+    fh = io.StringIO()
+    write(F, upto, fh)
+    return fh.getvalue()
+
+
+def seed_file_sequence(name):
+    spec = load_seed_spec(str(ROOT / "tests" / "golden" / name))
+    return from_seeds(spec.primes, spec.seeds)
+
+
+def seven_seed_sequence():
+    """S({7}) with h_7 = 3/2 q^2 [7]_{q^2}."""
+    return from_seeds([7], {7: quantum_integer(7).dilate(2).shift(2).scale(Fraction(3, 2))})
+
+
+@pytest.mark.parametrize("make, member", [
+    pytest.param(seven_seed_sequence, 49, id="P={7}"),
+    pytest.param(lambda: seed_file_sequence("seeds-23-frac.json"), 54, id="P={2,3}"),
+    pytest.param(lambda: seed_file_sequence("seeds-257.json"), 50, id="P={2,5,7}"),
+])
+def test_table_matches_the_reference(make, member):
+    """Byte for byte at --upto 1, at a member, one below it, one above it
+    (the table then ends with one row past its last member) and at the
+    largest --upto."""
+    F = make()
+    for upto in (1, member, member - 1, member + 1, MAX_UPTO):
+        got = table_text(write_table, F, upto)
+        assert got.encode() == table_text(reference_write_table, F, upto).encode()
+        assert got.count("\n") == upto
+
+
+def test_table_writes_false_at_a_zero_member():
+    """A member whose value is zero keeps its own false row."""
+    Q = quantum_sequence(QQ, PrimeSet.of([2, 3]))
+    F = FESequence(QQ, Q.support, lambda n: zero(QQ) if n in (1, 6) else Q.eval(n))
+    for upto in (1, 6, 7, 30):
+        got = table_text(write_table, F, upto)
+        assert got == table_text(reference_write_table, F, upto)
+    assert got.splitlines()[5] == "6\tfalse\t-\t0"
+
+
+def test_table_evaluates_each_support_member_once():
+    F = seed_file_sequence("seeds-257.json")
+    members = support_members(F.support, 700)
+    for n in members:  # fill the memo, so the rule makes no further evals
+        F.eval(n)
+    calls = []
+    real = F.eval
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    F.eval = counted
+    table_text(write_table, F, 700)
+    assert calls == members

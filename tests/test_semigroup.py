@@ -1,11 +1,15 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qfe import (ALL_PRIMES, PrimeSet, enumerate_semigroup, euler_phi,
-                 factorize, in_semigroup, is_prime, omega, seed_gcd,
-                 support_members)
-from qfe.semigroup import divisors, primeset_from_json, primeset_to_json
+from qfe import (ALL_PRIMES, QQ, CyclotomicField, PrimeField, PrimeSet,
+                 enumerate_semigroup, euler_phi, factorize, in_semigroup,
+                 is_prime, omega, seed_gcd, support_members)
+from qfe.semigroup import (divisors, first_nonmultiplicative,
+                           multiplicative_value, primeset_from_json,
+                           primeset_to_json)
 
 
 def test_factorize_examples():
@@ -120,3 +124,68 @@ def test_enumeration_matches_membership(bound):
     assert members == [n for n in range(1, bound + 1) if in_semigroup(n, P)]
     assert members[0] == 1
     assert members == sorted(set(members))
+
+
+def reference_first_nonmultiplicative(values, mul, power, one):
+    """``first_nonmultiplicative`` before its one product per index: every
+    tabulated n is expanded over its whole factorization."""
+    return next((n for n in sorted(values) if values[n]
+                 != multiplicative_value(values, n, mul, power, one)), None)
+
+
+Z12 = CyclotomicField(12)
+SCALARS = {
+    QQ: (1, -1, 2, Fraction(1, 2), Fraction(-3, 2)),
+    PrimeField(7): tuple(range(1, 7)),
+    Z12: tuple(Z12.mul(Z12.pow(Z12.zeta, k), Z12.normalize(c))
+               for k in (0, 1, 5) for c in (1, -1, 2)),
+}
+
+
+@st.composite
+def lambda_tables(draw):
+    """(ring, table): a completely multiplicative table on S(P) up to 60,
+    whole (divisor-closed) or at a random subset of its members, with one
+    value changed or none.  "scattered" tables have random keys in 1..60
+    and random values, most of whose prime factors are not tabulated."""
+    ring = draw(st.sampled_from(list(SCALARS)))
+    scalars = st.sampled_from(SCALARS[ring] + (ring.zero,))
+    shape = draw(st.sampled_from(("closed", "sparse", "scattered")))
+    if shape == "scattered":
+        keys = draw(st.sets(st.integers(1, 60), min_size=1, max_size=12))
+        return ring, {n: ring.normalize(draw(scalars)) for n in keys}
+    P = draw(st.sets(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=3))
+    at = {p: ring.normalize(draw(st.sampled_from(SCALARS[ring]))) for p in P}
+
+    def lam(n):
+        v = ring.one
+        for p, e in factorize(n).factors:
+            v = ring.mul(v, ring.pow(at[p], e))
+        return v
+    table = {n: lam(n) for n in enumerate_semigroup(PrimeSet.of(P), 60)
+             if shape == "closed" or draw(st.booleans())}
+    if table and draw(st.booleans()):
+        n = draw(st.sampled_from(sorted(table)))
+        table[n] = ring.normalize(draw(scalars))
+    return ring, table
+
+
+@given(case=lambda_tables())
+def test_first_nonmultiplicative_matches_reference(case):
+    ring, table = case
+    ops = (ring.mul, ring.pow, ring.one)
+    assert (first_nonmultiplicative(table, *ops)
+            == reference_first_nonmultiplicative(table, *ops))
+
+
+def test_first_nonmultiplicative_examples():
+    ops = (QQ.mul, QQ.pow, QQ.one)
+    assert first_nonmultiplicative({1: 1, 2: 3, 4: 9, 8: 27}, *ops) is None
+    assert first_nonmultiplicative({1: 1, 2: 3, 4: 9, 8: 26}, *ops) == 8
+    assert first_nonmultiplicative({1: 2, 2: 3}, *ops) == 1
+    assert first_nonmultiplicative({2: 3, 3: 5, 6: 15, 12: 45}, *ops) is None
+    # Cofactor 6 of 12 is not tabulated, nor is the prime factor 3 of 6:
+    # both are expanded over the factorization.
+    assert first_nonmultiplicative({2: 3, 3: 5, 12: 45}, *ops) is None
+    assert first_nonmultiplicative({2: 3, 3: 5, 12: 44}, *ops) == 12
+    assert first_nonmultiplicative({2: 3, 6: 15}, *ops) == 6

@@ -45,6 +45,16 @@ def test_quantum_sequence_values():
     assert G.eval(10) == quantum_integer(10)
 
 
+def test_values_off_the_support_share_one_zero():
+    """Every index off the support is memoized, under its own key, as one
+    zero polynomial built with the sequence."""
+    G = quantum_sequence(QQ, PrimeSet.of([2, 5, 7]))
+    assert G.eval(3) is G.eval(11) is G.eval(3)
+    assert G.eval(3) == zero(QQ)
+    assert {3, 11} <= G._memo.keys()
+    assert G.eval(3) is not quantum_sequence(QQ, PrimeSet.of([2])).eval(3)
+
+
 def test_monomial_sequence_values():
     F = monomial_sequence()
     assert F.eval(1) == one(QQ)

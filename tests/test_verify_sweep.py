@@ -261,6 +261,24 @@ class Misdeclared(FESequence):
 
 
 @st.composite
+def misdeclared_solutions(draw):
+    """(F, B): a drawn solution's values under a declared support that
+    leaves out some of its primes, so values off that support are nonzero."""
+    F, B = draw(solutions())
+    primes = SMALL_PRIMES if F.support.is_all else F.support.primes
+    kept = draw(st.sets(st.sampled_from(primes), max_size=len(primes) - 1))
+    return Misdeclared(F, PrimeSet.of(kept)), B
+
+
+@st.composite
+def zero_member_solutions(draw):
+    """(F, B): a drawn solution with its value at one member <= B set to 0."""
+    F, B = draw(solutions())
+    c = draw(st.sampled_from(support_members(F.support, B)))
+    return tampered(F, c, -F.eval(c)), B
+
+
+@st.composite
 def tamperings(draw, prime_above_half):
     """(F, B, c): quantum with f_c tampered by a nonzero monomial.
 
@@ -447,7 +465,10 @@ def test_profile_multiplies_only_off_the_template_shapes(monkeypatch):
     lambda draw: draw(scalar_tamperings(draw(st.sampled_from(RINGS)))),
     lambda draw: draw(twisted_sequences()),
     lambda draw: draw(twisted_sequences(admissible=False)),
-], ids=["solutions", "tampered", "scalar-tampered", "twisted", "inadmissible"])
+    lambda draw: draw(misdeclared_solutions()),
+    lambda draw: draw(zero_member_solutions()),
+], ids=["solutions", "tampered", "scalar-tampered", "twisted", "inadmissible",
+        "misdeclared", "zero-member"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_profile_matches_reference(make, data):
