@@ -52,36 +52,33 @@ product goes pair by pair over the nonzero slots, so the zeros of a
 dilation make no work.  A packed square packs its operand once, and
 CPython squares an int faster than it multiplies two.
 
-Scaling over Q(zeta_d) by a rational, a negation among them, scales the
-slots; by any other scalar it is the product with the constant polynomial.
+Over Q(zeta_d), f = sum_j z^j f_j (j < phi) with coordinate polynomials
+f_j in Q[q].  ``_coordinatewise`` applies a Q-linear map to each nonzero
+f_j, an int vector over its denominator.  Scaling by a rational, -1 among
+them, is such a map; by any other scalar it is a product with a constant.
+
 Exact division has three branches, chosen by the divisor's shape and size.
+The first two divide one int vector at a time: over Q the primitive part,
+over GF(p) the residues, and over Q(zeta_d), for a divisor a g' with g' in
+Q[q], each f_j.  g' divides f exactly when it divides every f_j, since 1,
+z, ..., z^(phi - 1) is a basis over Q; the quotient is (sum z^j f_j / g') / a.
 
 * A divisor a [n]_{q^u} (n >= 2, u >= 1: one nonzero entry a at each of
-  0, u, ..., (n - 1) u) divides in linear time through the identity
-  (1 - q^u) [n]_{q^u} = 1 - q^(un).  On f's slots (over Q its primitive
-  part, as g's is [n]_{q^u} itself), one pass of subtractions makes
-  t = (1 - q^u) f, and the power series division of t by 1 - q^(un),
-  h_i = t_i + h_(i - un), runs one slice addition per block of un
-  coefficients or one running sum per residue class, whichever is fewer.
-  Then h (1 - q^(un)) equals t in every slot below the quotient's length,
-  and the branch accepts h only when the top un slots of t equal those of
-  -q^(un) h, mod p over GF(p).  That proves t = h (1 - q^u) [n]_{q^u}, and
-  since 1 - q^u is not a zero divisor, f = h [n]_{q^u}; conversely, when
-  [n]_{q^u} divides f the power series quotient is that exact quotient, so
-  a mismatch proves the division inexact.  Over Q(zeta_d) the slots are
-  rows of 2 phi - 1 and the strides u and un rows; each coordinate
-  polynomial is divided by the rational [n]_{q^u}.  Over Q the quotient of
-  primitive parts is primitive by Gauss's lemma, with a positive last
-  entry, so its content is c_f / c_g, with no gcd; elsewhere it is scaled
-  by a^-1.
-* Any other divisor, when the long division would take more than
-  PACK_MIN_OPS steps (quotient length times nonzero divisor
-  coefficients), takes one bigint quotient of the packed primitive parts
-  over Q and accepts it only when the width proves it exact.  Over
-  Q(zeta_d), when every divisor coefficient g lies in Q, it divides each
-  coordinate polynomial f_j by g the same way: g divides f in
-  Q(zeta_d)[q] exactly when it divides every f_j in Q[q], because g is
-  rational and 1, z, ..., z^(phi - 1) is a basis of Q(zeta_d) over Q.
+  0, u, ..., (n - 1) u) divides v in linear time through the identity
+  (1 - q^u) [n]_{q^u} = 1 - q^(un).  One pass of subtractions makes
+  t = (1 - q^u) v, and the power series division of t by 1 - q^(un),
+  h_i = t_i + h_(i - un), runs one slice addition per block of un entries
+  or one running sum per residue class, whichever is fewer.  Then
+  h (1 - q^(un)) equals t below the quotient's length, and the branch
+  accepts h only when the top un entries of t equal those of -q^(un) h,
+  mod p over GF(p).  That proves t = h (1 - q^u) [n]_{q^u}, so
+  v = h [n]_{q^u} as 1 - q^u is no zero divisor; conversely, when
+  [n]_{q^u} divides v the power series quotient is the exact one, so a
+  mismatch, or a nonzero v shorter than [n]_{q^u}, proves it inexact.
+* Any other divisor, over Q or rational over Q(zeta_d), when the long
+  division would take more than PACK_MIN_OPS steps (quotient length times
+  nonzero divisor coefficients), takes one bigint quotient of packed int
+  vectors, accepted only when the width proves it exact.
 * Every other case, and every packed quotient the width does not prove,
   falls back to ``divmod``, the long division, which over Q also divides
   the primitive parts in ints.
@@ -110,7 +107,7 @@ import sys
 from array import array
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat, zip_longest
 from math import gcd, lcm
 from operator import add, attrgetter, is_, ne, sub
 
@@ -238,13 +235,8 @@ class Polynomial:
             return zero(ring)
         if isinstance(ring, RationalField):
             return Polynomial._pair(ring, ring.normalize(c * self.content), self.primitive)
-        if isinstance(ring, CyclotomicField):
-            if any(c[1:]):
-                return self * constant(ring, c)
-            # A rational c scales the slots: no product.
-            r = c[0]
-            den, v = _slots(ring, self)
-            return _decode(ring, [x * r.numerator for x in v], den * r.denominator)
+        if isinstance(ring, CyclotomicField):  # a rational c makes no product
+            return self * constant(ring, c) if any(c[1:]) else _coordinatewise(self, c[0], list)
         mul = ring.mul
         return Polynomial._pair(ring, ring.one, tuple([mul(c, x) for x in self.primitive]))
 
@@ -390,8 +382,9 @@ class Polynomial:
         f, d = self.primitive, g.primitive
         if len(f) >= len(d):
             shape = _geometric_shape(ring, d)
-            if shape:
-                quo = _geometric_div(self, g, *shape)
+            if shape:  # g = a [n]_{q^u}, with a the content over Q
+                a = g.content if isinstance(ring, RationalField) else d[0]
+                quo = _quotient(self, a, lambda R, v: _geometric_div(R, v, *shape))
                 if quo is None:
                     raise InexactDivision(f"{g} does not divide {self}")
                 return quo
@@ -790,25 +783,16 @@ def _geometric_shape(ring: Ring, d: tuple) -> tuple[int, int] | None:
     return n, u
 
 
-def _geometric_div(f: Polynomial, g: Polynomial, n: int, u: int) -> Polynomial | None:
-    """f / g for g = a [n]_{q^u} through 1 - q^(un), or None when g does not
-    divide f; f is at least as long as g.  See the module docstring."""
-    ring = f.ring
-    w = 1
-    if isinstance(ring, RationalField):
-        den, v = 1, f.primitive  # g's primitive part is [n]_{q^u}
-    else:
-        den, v = _slots(ring, f)
-        if isinstance(ring, CyclotomicField):
-            w = 2 * ring.phi - 1
-    step, period, e = u * w, u * n * w, (w - 1) // 2
-    # t = (1 - q^u) f, over whole rows: _slots stops the last after phi.
-    t = list(map(sub, chain(v, repeat(0, step + e)), chain(repeat(0, step), v, repeat(0, e))))
-    nq = len(t) - period
-    top = t[nq:]
-    del t[nq:]
-    h = t  # divided by 1 - q^(un): h_i += h_(i - un)
-    if period * period < nq:
+def _geometric_div(ring: Ring, v: Sequence[int], n: int, u: int) -> list[int] | None:
+    """v / [n]_{q^u} through 1 - q^(un) for an int vector v over Q or GF(p),
+    or None when [n]_{q^u} does not divide v.  See the module docstring."""
+    period, nq = u * n, len(v) - u * (n - 1)
+    if nq < 1:  # a nonzero v shorter than [n]_{q^u}
+        return None
+    h = list(map(sub, chain(v, repeat(0, u)), chain(repeat(0, u), v)))  # t = (1 - q^u) v
+    top = h[nq:]
+    del h[nq:]
+    if period * period < nq:  # h = t / (1 - q^(un)): h_i += h_(i - un)
         for r in range(period):
             h[r::period] = accumulate(h[r::period])
     else:
@@ -817,40 +801,56 @@ def _geometric_div(f: Polynomial, g: Polynomial, n: int, u: int) -> Polynomial |
     # Above h's slots, h (1 - q^(un)) leaves only -q^(un) h.
     lo = max(0, period - nq)
     top[lo:] = map(add, top[lo:], h[nq - period + lo:])
-    if any(_reduce(ring, top)):
-        return None
-    if isinstance(ring, RationalField):
-        return Polynomial._pair(ring, ring.normalize(Fraction(f.content) / g.content),
-                                tuple(h))
-    quo, a = _decode(ring, h, den), g.primitive[0]
-    return quo if a == ring.one else quo.scale(ring.inv(a))
+    return None if any(_reduce(ring, top)) else h
 
 
 def _packed_div(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """f / g by bigint quotients, or None when that proves nothing."""
-    ring = f.ring
+    """f / g by bigint quotients over Q, and over Q(zeta_d) for a rational
+    g, or None when that proves nothing."""
+    ring, d = f.ring, g.primitive
     if isinstance(ring, RationalField):
-        h = _packed_quotient(f.primitive, g.primitive)
-        if h is None:
-            return None
-        # Gauss: P_g h = P_f is primitive, so h is, with a positive last entry.
-        return Polynomial._pair(ring, ring.normalize(Fraction(f.content) / g.content),
-                                tuple(h))
-    d = g.primitive
-    if not isinstance(ring, CyclotomicField) or any(any(c[1:]) for c in d):
+        return _quotient(f, g.content, lambda R, v: _packed_quotient(v, d))
+    if isinstance(ring, CyclotomicField) and not any(any(c[1:]) for c in d):
+        c, vg = _split(QQ, [c[0] for c in d])
+        return _quotient(f, ring.normalize(c), lambda R, v: _packed_quotient(v, vg))
+    return None
+
+
+def _quotient(f: Polynomial, a, divide) -> Polynomial | None:
+    """f / (a g') for a scalar a and an int polynomial g', with divide(R, v)
+    the int vector v / g' over R = Q or GF(p), or None when it fails."""
+    ring = f.ring
+    if isinstance(ring, CyclotomicField):
+        rational = not any(a[1:])
+        quo = _coordinatewise(f, Fraction(1, a[0]) if rational else 1, lambda v: divide(QQ, v))
+        return quo if rational or quo is None else quo.scale(ring.inv(a))
+    h = divide(ring, f.primitive)
+    if h is None:
         return None
-    # A rational divisor c_g P_g divides coordinate by coordinate: the column
-    # v / D_f is c_g P_g h / (D_f c_g), with h an int polynomial.
-    cg, vg = _split(QQ, [c[0] for c in d])
+    if isinstance(ring, RationalField):
+        # Gauss: P_g h = P_f is primitive, so h is, with a positive last entry.
+        return Polynomial._pair(ring, ring.normalize(Fraction(f.content) / a), tuple(h))
+    return _decode(ring, h, 1).scale(ring.inv(a))
+
+
+def _coordinatewise(f: Polynomial, r, linear) -> Polynomial | None:
+    """r sum_j z^j linear(f_j) for f = sum_j z^j f_j over Q(zeta_d), a rational
+    r and a Q-linear map on int vectors, or None when linear returns None:
+    each nonzero f_j = v / D, without its top zeros, maps to linear(v) r / D."""
     columns = []
     for column in zip(*f.primitive):
-        den, vf = _clear(column)
-        h = _packed_quotient(vf, vg)
-        if h is None:
-            return None
-        r = Fraction(1, den) / cg
-        columns.append(_over(h, r.numerator, r.denominator))
-    return Polynomial._pair(ring, ring.one, tuple(zip(*columns)))
+        n = len(column)
+        if any(column):
+            while not column[n - 1]:
+                n -= 1
+            den, v = _clear(column[:n])
+            h = linear(v)
+            if h is None:
+                return None
+            columns.append(_over(h, r.numerator, r.denominator * den))
+        else:
+            columns.append(())
+    return Polynomial._pair(f.ring, f.ring.one, tuple(zip_longest(*columns, fillvalue=0)))
 
 
 def _packed_quotient(vf: Sequence[int], vg: Sequence[int]) -> list[int] | None:

@@ -8,11 +8,12 @@ over Q and the encoded int vectors over GF(p) and Q(zeta_d), by one bigint
 product when dense or pair by pair over the nonzero slots, and
 ``sequences.otimes`` makes the same product with the second operand's
 slots at stride m; ``scale`` over Q changes only the content, and over
-Q(zeta_d) by a rational scales the slots; ``exact_div`` divides by a
-divisor c [n]_{q^u} through 1 - q^(un) in two slice passes, and by any
-other it tries one bigint quotient over Q, and one per coordinate over
-Q(zeta_d) when the divisor is rational, before falling back to
-``divmod``; ``compose`` makes one convolution of int slots
+Q(zeta_d) by a rational scales each coordinate polynomial; ``exact_div``
+divides by a divisor c [n]_{q^u} through 1 - q^(un) in two slice passes,
+and by any other it tries one bigint quotient over Q, and over Q(zeta_d)
+when the divisor is rational, before falling back to ``divmod``, where
+over Q(zeta_d) both divide each coordinate polynomial by the divisor's
+rational part; ``compose`` makes one convolution of int slots
 per level; ``pretty`` displays each distinct entry of the primitive part
 once.  The loops below are the coefficient-by-coefficient sum, the
 schoolbook product over ring scalars, the long division, the Horner
@@ -546,18 +547,68 @@ def rational_divisor(ring, n, m):
             + monomial(ring, 1, ring.normalize(-7)))
 
 
+_Z17 = CyclotomicField(17)  # phi = 16: a wide row, and a dense Phi_17
+
+
+def without_coordinate(h: Polynomial, j: int) -> Polynomial:
+    """h with its coordinate polynomial h_j (the coordinates of z^j) zero."""
+    return Polynomial(h.ring, [c[:j] + (0,) + c[j + 1:] for c in h.coeffs])
+
+
+def in_coordinate(ring, j: int, values) -> Polynomial:
+    """sum_i values[i] z^j q^i: one nonzero coordinate polynomial."""
+    return Polynomial(ring, [ring.normalize([0] * j + [x]) for x in values])
+
+
+@st.composite
+def coordinate_dividends(draw, g_prime, h):
+    """g' h with a coordinate polynomial of h zero, so that f_j = 0, or f_j
+    then set to a nonzero polynomial shorter than the rational g'."""
+    ring = g_prime.ring
+    j = draw(st.integers(0, ring.phi - 1))
+    f = schoolbook_mul(g_prime, without_coordinate(h, j))
+    if draw(st.booleans()):
+        size = draw(st.integers(1, len(g_prime.primitive) - 1))
+        values = draw(st.lists(scalars, min_size=size - 1, max_size=size - 1))
+        f = f + in_coordinate(ring, j, values + [draw(nonzero_scalars)])
+    return f
+
+
+@st.composite
+def field_divisions(draw):
+    """(f, g) over GF(p) or Q(zeta_d), with g = a g' and g' in Q[q] (or any
+    nonzero g): g' rational and not geometric, as short as 2/3 [n]_{q^m} - 7q
+    or long enough for more than PACK_MIN_OPS steps, or g' = [n]_{q^m} and a
+    a root of unity, zeta^k over Q(zeta_d).  f is g h, perturbed or not, or
+    over Q(zeta_d) a dividend with a zero or a short coordinate polynomial."""
+    ring = draw(st.sampled_from(FIELDS + [_Z17]))
+    n, m = draw(st.integers(1, 4 if ring is _Z17 else 12)), draw(st.integers(1, 3))
+    rational = rational_divisor(ring, n, m)
+    options = [(rational, ring.one),
+               (rational * quantum_integer(draw(st.integers(2, 3 if ring is _Z17 else 8)), ring),
+                ring.one),
+               (quantum_integer(n + 1, ring).dilate(m), draw(st.sampled_from(roots_of_unity(ring)))),
+               (draw(field_polys(ring, nonzero=True)), None)]
+    g_prime, a = draw(st.sampled_from(options[:3] if ring is _Z17 else options))
+    g = g_prime if a is None else g_prime.scale(a)
+    h = draw(field_polys(ring))
+    kind = draw(st.sampled_from(["exact", "perturbed", "coordinate"]))
+    if kind == "coordinate" and a is not None and isinstance(ring, CyclotomicField):
+        return draw(coordinate_dividends(g_prime, h)), g
+    f = schoolbook_mul(g, h)
+    if kind == "perturbed":
+        f = f + draw(field_polys(ring))
+    return f, g
+
+
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), ring=fields, n=st.integers(1, 12), m=st.integers(1, 3),
-       exact=st.booleans())
-def test_field_exact_div_matches_long_division(data, ring, n, m, exact):
-    # Over Q(zeta_d) a rational divisor takes the coordinatewise packed
-    # quotient once the long division would exceed PACK_MIN_OPS steps.
-    g = data.draw(st.sampled_from([rational_divisor(ring, n, m),
-                                   data.draw(field_polys(ring, nonzero=True))]))
-    h = data.draw(field_polys(ring))
-    num = schoolbook_mul(g, h)
-    if not exact:
-        num = num + data.draw(field_polys(ring))
+@given(case=field_divisions())
+def test_field_exact_div_matches_long_division(case):
+    # Over Q(zeta_d) a divisor a g' with g' rational divides g' into each
+    # coordinate polynomial of f: through 1 - q^(un) for g' = [n]_{q^u}, by
+    # packed quotients for another g' once the long division would exceed
+    # PACK_MIN_OPS steps.
+    num, g = case
     try:
         want = reference_exact_div(num, g)
     except InexactDivision as exc:
@@ -583,6 +634,32 @@ def test_rational_divisor_divides_coordinatewise(divmod_calls):
     assert [d for _, d in divmod_calls if d.ring == k12] == [g]
 
 
+def test_coordinatewise_routes_skip_the_row_codec(monkeypatch):
+    # Over Q(zeta_12) the division by a [n]_{q^u} with a rational, the
+    # packed division by a rational divisor and the scale by a rational
+    # work on coordinate polynomials: no row of 2 phi - 1 slots is encoded
+    # or decoded.
+    k12 = CyclotomicField(12)
+    zn = scaled_quantum_integer(60, k12.zeta, k12)
+    geometric = quantum_integer(7, k12).dilate(3).scale(k12.normalize(Fraction(-2, 3)))
+    rational = rational_divisor(k12, 20, 2)
+    cases = [(schoolbook_mul(zn, g), g) for g in (geometric, quantum_integer(5, k12), rational)]
+    scaled = schoolbook_mul(zn, constant(k12, Fraction(5, 7)))
+    perturbed = cases[0][0] + monomial(k12, 30, k12.zeta)
+    calls = []
+    for name in ("_slots", "_decode"):
+        def counting(*args, name=name, original=getattr(poly, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(poly, name, counting)
+    for f, g in cases:
+        assert f.exact_div(g) == zn
+    assert zn.scale(Fraction(5, 7)) == scaled
+    with pytest.raises(InexactDivision, match="does not divide"):
+        perturbed.exact_div(geometric)
+    assert calls == []
+
+
 def test_non_rational_divisor_goes_through_divmod(divmod_calls):
     k12 = CyclotomicField(12)
     zn = scaled_quantum_integer(60, k12.zeta, k12)
@@ -595,7 +672,7 @@ def test_non_rational_divisor_goes_through_divmod(divmod_calls):
 
 # -- divisors c [n]_{q^u} -----------------------------------------------------------
 
-GEOMETRIC_RINGS = [QQ, PrimeField(2), PrimeField(7), CyclotomicField(5), CyclotomicField(12)]
+GEOMETRIC_RINGS = [QQ, PrimeField(2), PrimeField(7), CyclotomicField(5), CyclotomicField(12), _Z17]
 
 
 def geometric_units(ring):
@@ -607,20 +684,29 @@ def geometric_units(ring):
     elif isinstance(ring, PrimeField):
         units.append(ring.normalize(3))  # a primitive root mod 7
     fixed = st.sampled_from([c for c in units if not ring.is_zero(c)])
+    if ring is _Z17:  # the long division by a dense unit is slow at phi = 16
+        return fixed
     return st.one_of(fixed, nonzero_scalars if ring is QQ else nonzero_field_scalars(ring))
 
 
 @st.composite
 def geometric_cases(draw):
     """(f, c [n]_{q^u}) with f = h g, h g plus a monomial, one coefficient
-    shorter than g, or zero."""
+    shorter than g, or zero; over Q(zeta_d) also [n]_{q^u} h with a zero
+    coordinate polynomial of h, and then f_j zero or nonzero and short."""
     ring = draw(st.sampled_from(GEOMETRIC_RINGS))
-    n, u = draw(st.integers(2, 40)), draw(st.integers(1, 5))
-    g = quantum_integer(n, ring).dilate(u).scale(draw(geometric_units(ring)))
+    n, u = draw(st.integers(2, 6 if ring is _Z17 else 40)), draw(st.integers(1, 5))
+    g_prime = quantum_integer(n, ring).dilate(u)
+    g = g_prime.scale(draw(geometric_units(ring)))
     h = draw(rational_polys() if ring is QQ else field_polys(ring))
-    kind = draw(st.sampled_from(["exact", "perturbed", "shorter", "zero"]))
+    kinds = ["exact", "perturbed", "shorter", "zero"]
+    if isinstance(ring, CyclotomicField):
+        kinds.append("coordinate")
+    kind = draw(st.sampled_from(kinds))
     if kind == "zero":
         return Polynomial(ring, []), g
+    if kind == "coordinate":
+        return draw(coordinate_dividends(g_prime, h)), g
     if kind == "shorter":
         size = len(g.primitive) - 2
         return Polynomial(ring, (list(h.coeffs) + [ring.zero] * size)[:size] + [ring.one]), g
@@ -653,6 +739,14 @@ def _geometric_example(ring, n, u, h):
 @example(case=_geometric_example(_Z12, 3, 2, [1, _Z12.zeta, 2, -1]))
 @example(case=(schoolbook_mul(scaled_quantum_integer(40, _Z12.zeta, _Z12),
                               quantum_integer(2, _Z12)), quantum_integer(2, _Z12)))
+# a = zeta, which is not rational: the quotient is divided by zeta last.
+@example(case=(schoolbook_mul(Polynomial(_Z12, [1, _Z12.zeta, 0, 3]),
+                              quantum_integer(4, _Z12).dilate(2).scale(_Z12.zeta)),
+               quantum_integer(4, _Z12).dilate(2).scale(_Z12.zeta)))
+# The z coordinate polynomial, 1 + q, is shorter than [3]_{q^2}, and those
+# of z^2 and z^3 are zero.
+@example(case=(_geometric_example(_Z12, 3, 2, [1, 2, 0, 5])[0]
+               + Polynomial(_Z12, [_Z12.zeta, _Z12.zeta]), quantum_integer(3, _Z12).dilate(2)))
 def test_geometric_divisor_matches_long_division(case):
     # Divided through 1 - q^(un), with no long division and no packed
     # quotient once f is as long as g.
