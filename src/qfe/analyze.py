@@ -90,18 +90,16 @@ def verify_fe(F: FESequence, bound: int) -> VerificationReport:
     satisfies the law and the commutation identity identically:
     [mn]_{zeta q^u} = [m]_{zeta q^u} [n]_{zeta^m q^(um)} with zeta^m = zeta.
     Index n is regular when n is a member and f_n = c_n q^(s_n) G_n, with
-    c_n and s_n the trailing coefficient and valuation of f_n (compared
-    with the factors of e_u < 0 moved to the left, so nothing is divided),
-    or when n is not a member and f_n = 0; every other index n <= bound is
-    exceptional.  The shape is only a guess: the comparison at each n is
-    the proof.  When G_n is [n]_{q^u} or 1 it is one tuple comparison of
-    f_n's primitive part with a template, the same predicate as the product
-    comparison (see ``_profile``).  Each [k]_{zeta q^u} has constant term
-    1, so dividing out G maps f_m(q) f_n(q^m) to the monomial
-    (c_m c_n, s_m + m s_n), or to 0 when f_m or f_n is a regular zero.  So
-    an identity between regular values holds iff it holds between their
-    monomials.  Pairs whose monomials agree are skipped; every other pair
-    is expanded.  A solution with no exceptional index expands nothing.
+    c_n and s_n the trailing coefficient and valuation of f_n, or when n is
+    not a member and f_n = 0; every other index n <= bound is exceptional.
+    The shape is only a guess: the comparison at each n, one tuple
+    comparison of f_n's primitive part (see ``_profile``), is the proof.
+    Each [k]_{zeta q^u} has constant term 1, so dividing out G maps
+    f_m(q) f_n(q^m) to the monomial (c_m c_n, s_m + m s_n), or to 0 when
+    f_m or f_n is a regular zero.  So an identity between regular values
+    holds iff it holds between their monomials.  Pairs whose monomials
+    agree are skipped; every other pair is expanded.  A solution with no
+    exceptional index expands nothing.
 
     Write x_n = (f_n, n) in the monoid (a, m)(b, n) = (a(q) b(q^m), mn),
     which is associative: (a(q) b(q^m)) c(q^(mn)) = a(q) (b c(q^n))(q^m).
@@ -217,14 +215,16 @@ def _profile(F: FESequence, members: list[int], bound: int
     the declared support is not trusted, and all of them are checked in
     one pass; only the members go on to the regularity test below.
 
-    For e = {} or e = {u: (1, 1)}, G_n = [n]_{q^u} (u = 0 for G_n = 1), a
-    member n is regular iff f_n's primitive part P, of valuation s, has
-    len(P) - s = (n - 1) u + 1 and P[s:] equal to the template with P[s] at
-    0, u, ..., (n - 1) u and zeros elsewhere.  That is the predicate of the
-    product comparison, as f_n = content P and c_n = content P[s], and over
-    Q the primitive part of c [n]_{q^u} is all ones.  Every other shape
-    compares f_n, times the factors of e_u < 0, with c_n q^(s_n) times the
-    product of the others.
+    A member n is regular iff P[s:] == t, for P the primitive part of f_n
+    and s its valuation.  As f_n = content P and G_n(0) = 1, f_n = c_n q^s
+    G_n says P[s:] = P[s] G_n, and over Q, where P[s:] is primitive, that
+    P[s:] is the primitive tuple t of P[s] G_n.  For G_n = [n]_{q^u} or 1
+    (u = 0) t is a template after a length test: P[s] at 0, u, ...,
+    (n - 1) u, zeros elsewhere.  Otherwise G_n is the product of the
+    factors of e_u > 0 (a peel leaves one) divided exactly, in linear time,
+    by [n]_{q^u} once per unit of each e_u < 0: no member value is
+    multiplied.  An inexact division makes n exceptional, as prod(den)(0) = 1
+    and f_n prod(den) = c_n q^(s_n) prod(num) force prod(den) | prod(num).
     """
     ring = F.ring
     peels = (_peel_exponents(F.eval(p), p) for p in members if is_prime(p))
@@ -245,9 +245,8 @@ def _profile(F: FESequence, members: list[int], bound: int
         if f.is_zero():
             support_ok = False
             continue
-        s = f.valuation()
+        s, P = f.valuation(), f.primitive
         if by_template:
-            P = f.primitive
             L = len(P) - s
             if L != (n - 1) * u + 1:
                 continue
@@ -257,17 +256,18 @@ def _profile(F: FESequence, members: list[int], bound: int
                 t = [ring.zero] * L
                 t[::u] = (P[s],) * n
                 t = tuple(t)
-            if P[s:] == t:
-                profile[n] = (f.coefficient(s), s)
-            continue
-        c = f.coefficient(s)
-        base = {z: scaled_quantum_integer(n, z, ring) for z in zetas}
-        # Dilation is a ring map: take the power first, on the shorter value.
-        num = [(base[z] ** k).dilate(u) for u, (k, z) in e.items() if k > 0]
-        den = [(base[z] ** -k).dilate(u) for u, (k, z) in e.items() if k < 0]
-        rhs = reduce(mul, num) if num else poly.one(ring)
-        if reduce(mul, den, f) == rhs.scale(c).shift(s):
-            profile[n] = (c, s)
+        else:
+            base = {z: scaled_quantum_integer(n, z, ring) for z in zetas}
+            # Dilation is a ring map: take the power first, on the shorter value.
+            num = [(base[z] ** k).dilate(v) for v, (k, z) in e.items() if k > 0]
+            den = [base[z].dilate(v) for v, (k, z) in e.items() for _ in range(-k)]
+            try:
+                G = reduce(Polynomial.exact_div, den, reduce(mul, num))
+            except InexactDivision:
+                continue
+            t = G.scale(P[s]).primitive
+        if P[s:] == t:
+            profile[n] = (f.coefficient(s), s)
     return profile, support_ok
 
 

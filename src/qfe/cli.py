@@ -315,112 +315,89 @@ SEEDS_257 = {
 }
 
 
-def _say(ok: bool, text: str) -> bool:
-    print(("ok    " if ok else "FAIL  ") + text)
-    return ok
-
-
-def demo_nathanson_257() -> int:
+def demo_nathanson_257():
     """Three printed seeds over P = {2,5,7}; every value is a ratio of
     dilated to plain quantum integers, with degree 2(n-1)."""
     P = PrimeSet.of([2, 5, 7])
-    good = True
     failure = sequences.check_seed_commutativity(SEEDS_257)
-    good &= _say(failure is None, "seed pairs commute")
+    yield failure is None, "seed pairs commute"
     F = from_seeds(P, SEEDS_257)
     members = enumerate_semigroup(P, 500)
-    ratio_ok = all(
-        F.eval(n) == quantum_integer(n).dilate(3).exact_div(quantum_integer(n))
-        for n in members)
-    good &= _say(ratio_ok, "f_n = [n]_{q^3} / [n]_q for all n in S(P), n <= 500")
-    deg_ok = all(F.eval(n).degree == 2 * (n - 1) for n in members)
-    good &= _say(deg_ok, "deg f_n = 2(n-1) for all n in S(P), n <= 500")
-    report = analyze.verify_fe(F, 100)
-    good &= _say(report.ok, "functional equation verified up to 100")
+    yield (all(F.eval(n) == quantum_integer(n).dilate(3).exact_div(quantum_integer(n))
+               for n in members),
+           "f_n = [n]_{q^3} / [n]_q for all n in S(P), n <= 500")
+    yield (all(F.eval(n).degree == 2 * (n - 1) for n in members),
+           "deg f_n = 2(n-1) for all n in S(P), n <= 500")
+    yield analyze.verify_fe(F, 100).ok, "functional equation verified up to 100"
     t_deg = analyze.infer_degree_t(F, 100)
-    good &= _say(t_deg == 2, f"degree slope t = {t_deg}")
+    yield t_deg == 2, f"degree slope t = {t_deg}"
     dec = analyze.decompose(F, 200)
-    good &= _say(dec.t == 0, f"valuation slope t = {dec.t} (constant terms are 1)")
-    return EXIT_OK if good else EXIT_CHECK_FAILED
+    yield dec.t == 0, f"valuation slope t = {dec.t} (constant terms are 1)"
 
 
-def demo_zeta_neg1_p3() -> int:
+def demo_zeta_neg1_p3():
     """Scaling by -1 is admissible for P = {3} (d = 2) and refused for
     P = {2} (d = 1), with the refusal confirmed by direct expansion."""
     ring = CyclotomicField(2)
     zeta = ring.zeta
-    good = True
-    good &= _say(seed_gcd(PrimeSet.of([3])) == 2, "P = {3}: d = gcd{p-1} = 2")
+    yield seed_gcd(PrimeSet.of([3])) == 2, "P = {3}: d = gcd{p-1} = 2"
     F = zeta_scaled_sequence([3], zeta, ring)
-    report = analyze.verify_fe(F, 81)
-    good &= _say(report.ok, "P = {3}, zeta = -1: verified up to 3^4")
+    yield analyze.verify_fe(F, 81).ok, "P = {3}, zeta = -1: verified up to 3^4"
     verdict = analyze.zeta_admissibility([3], zeta, ring, 1000)
-    good &= _say(verdict.admissible, "algebraic and exhaustive verdicts agree")
+    yield verdict.admissible, "algebraic and exhaustive verdicts agree"
     refused = False
     try:
         zeta_scaled_sequence([2], zeta, ring)
     except ZetaAdmissibilityError:
         refused = True
-    good &= _say(refused, "P = {2}, zeta = -1: construction refused (d = 1)")
+    yield refused, "P = {2}, zeta = -1: construction refused (d = 1)"
     f2 = poly.scaled_quantum_integer(2, zeta, ring)
     lhs = sequences.otimes(f2, f2, 2)
     rhs = poly.scaled_quantum_integer(4, zeta, ring)
-    good &= _say(lhs != rhs,
-                 f"direct check: f_2(q) f_2(q^2) = {lhs.pretty()} differs "
-                 f"from [4]_{{-q}} = {rhs.pretty()}")
-    return EXIT_OK if good else EXIT_CHECK_FAILED
+    yield lhs != rhs, (f"direct check: f_2(q) f_2(q^2) = {lhs.pretty()} differs "
+                       f"from [4]_{{-q}} = {rhs.pretty()}")
 
 
-def demo_additive() -> int:
+def demo_additive():
     """The shifted sum law on quantum integers and its h-scaled solutions."""
-    good = True
     # The law at every m + n <= 200 covers every m, n <= 100.
-    base_ok = analyze.additive_law_holds(quantum_integer, 200)
-    good &= _say(base_ok, "[m]_q + q^m [n]_q = [m+n]_q for all m, n <= 100")
-    h = poly.from_rationals([1, 1])
-    F = additive_sequence(h)
-    ext_ok = analyze.additive_law_holds(F.eval, 60)
-    good &= _say(ext_ok, "h = 1+q: f_n = h [n]_q solves the additive law "
-                         "for m+n <= 60")
-    return EXIT_OK if good else EXIT_CHECK_FAILED
+    yield (analyze.additive_law_holds(quantum_integer, 200),
+           "[m]_q + q^m [n]_q = [m+n]_q for all m, n <= 100")
+    F = additive_sequence(poly.from_rationals([1, 1]))
+    yield (analyze.additive_law_holds(F.eval, 60),
+           "h = 1+q: f_n = h [n]_q solves the additive law for m+n <= 60")
 
 
-def demo_frobenius_gf2() -> int:
+def demo_frobenius_gf2():
     """Over GF(2) every substitution commutes with squaring, so psi = 1+q+q^3
     carries the quantum solution on S({2}) to a new solution."""
     ring = PrimeField(2)
     base = quantum_sequence(ring, PrimeSet.of([2]))
     psi = Polynomial(ring, [1, 1, 0, 1])
-    good = True
-    good &= _say(psi ** 2 == psi.dilate(2), "psi(q)^2 = psi(q^2) over GF(2)")
+    yield psi ** 2 == psi.dilate(2), "psi(q)^2 = psi(q^2) over GF(2)"
     F = psi_substitute_sequence(base, psi)
-    report = analyze.verify_fe(F, 32)
-    good &= _say(report.ok, "substituted sequence verified up to 2^5")
-    return EXIT_OK if good else EXIT_CHECK_FAILED
+    yield analyze.verify_fe(F, 32).ok, "substituted sequence verified up to 2^5"
 
 
-def demo_reciprocal() -> int:
+def demo_reciprocal():
     """Coefficient reversal carries solutions to solutions."""
-    good = True
     mono = monomial_sequence()
     ident = identity_sequence()
-    good &= _say(all(reciprocal_sequence(mono).eval(n) == ident.eval(n)
-                     for n in range(1, 65)),
-                 "reversal of q^(n-1) is the identity sequence")
+    yield (all(reciprocal_sequence(mono).eval(n) == ident.eval(n) for n in range(1, 65)),
+           "reversal of q^(n-1) is the identity sequence")
     quant = quantum_sequence()
-    good &= _say(all(reciprocal_sequence(quant).eval(n) == quant.eval(n)
-                     for n in range(1, 65)),
-                 "[n]_q is self-reciprocal")
+    yield (all(reciprocal_sequence(quant).eval(n) == quant.eval(n) for n in range(1, 65)),
+           "[n]_q is self-reciprocal")
     F = from_seeds(PrimeSet.of([2, 5, 7]), SEEDS_257)
     twice = reciprocal_sequence(reciprocal_sequence(F))
-    good &= _say(all(twice.eval(n) == F.eval(n) for n in range(1, 101)),
-                 "reversal is involutive on the {2,5,7} seed sequence "
-                 "(constant terms are nonzero)")
-    rep = analyze.verify_fe(reciprocal_sequence(F), 50)
-    good &= _say(rep.ok, "reversed seed sequence still verifies")
-    return EXIT_OK if good else EXIT_CHECK_FAILED
+    yield (all(twice.eval(n) == F.eval(n) for n in range(1, 101)),
+           "reversal is involutive on the {2,5,7} seed sequence "
+           "(constant terms are nonzero)")
+    yield (analyze.verify_fe(reciprocal_sequence(F), 50).ok,
+           "reversed seed sequence still verifies")
 
 
+# Each demo yields its checks as (ok, text); cmd_demo prints them.
 DEMOS = {
     "nathanson-257": demo_nathanson_257,
     "zeta-neg1-p3": demo_zeta_neg1_p3,
@@ -437,7 +414,11 @@ def cmd_demo(args) -> int:
         raise SeedSpecError(
             f"unknown demo {args.name!r}; have {', '.join(DEMO_NAMES)}")
     print(f"demo: {args.name}")
-    return fn()
+    good = True
+    for ok, text in fn():
+        print(("ok    " if ok else "FAIL  ") + text)
+        good &= ok
+    return EXIT_OK if good else EXIT_CHECK_FAILED
 
 
 # -- entry point ------------------------------------------------------------

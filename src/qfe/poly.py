@@ -130,14 +130,11 @@ class InexactDivision(ArithmeticError):
 class Polynomial:
     __slots__ = ("ring", "content", "primitive")
 
-    def __init__(self, ring: Ring, coeffs: Iterable = ()):
+    def __new__(cls, ring: Ring, coeffs: Iterable = ()):
         vals = [ring.normalize(c) for c in coeffs]
         while vals and ring.is_zero(vals[-1]):
             vals.pop()
-        content, primitive = _split(ring, vals)
-        _set_ring(self, ring)
-        _set_content(self, content)
-        _set_primitive(self, primitive)
+        return cls._raw(ring, vals)
 
     @classmethod
     def _raw(cls, ring: Ring, vals: Sequence) -> "Polynomial":
@@ -880,15 +877,6 @@ def _packed_quotient(vf: Sequence[int], vg: Sequence[int]) -> list[int] | None:
     return h
 
 
-def _constant(ring: Ring, c) -> Polynomial:
-    """The constant polynomial of a normalized scalar c."""
-    if ring.is_zero(c):
-        return zero(ring)
-    if isinstance(ring, RationalField):
-        return Polynomial._pair(ring, c, (1,))
-    return Polynomial._pair(ring, ring.one, (c,))
-
-
 def zero(ring: Ring) -> Polynomial:
     return Polynomial._pair(ring, ring.one, ())
 
@@ -898,15 +886,19 @@ def one(ring: Ring) -> Polynomial:
 
 
 def constant(ring: Ring, c) -> Polynomial:
-    return _constant(ring, ring.normalize(c))
+    c = ring.normalize(c)
+    if ring.is_zero(c):
+        return zero(ring)
+    if isinstance(ring, RationalField):
+        return Polynomial._pair(ring, c, (1,))
+    return Polynomial._pair(ring, ring.one, (c,))
 
 
 def monomial(ring: Ring, k: int, coeff=None) -> Polynomial:
     """coeff * q**k (coefficient 1 by default)."""
     if k < 0:
         raise ValueError("monomial degree must be >= 0")
-    c = ring.one if coeff is None else ring.normalize(coeff)
-    return _constant(ring, c).shift(k)
+    return (one(ring) if coeff is None else constant(ring, coeff)).shift(k)
 
 
 def quantum_integer(n: int, ring: Ring = QQ) -> Polynomial:

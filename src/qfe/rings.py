@@ -293,10 +293,9 @@ class CyclotomicField(Ring):
         return self.normalize([_scalar_from_json(c, "coordinate") for c in obj])
 
     def coeff_display(self, a):
-        if all(x == 0 for x in a[1:]):
-            r = a[0]
-            return (r < 0, str(abs(r)))
-        return (False, "(" + _zeta_string(a) + ")")
+        if any(a[1:]):
+            return (False, "(" + _zeta_string(a) + ")")
+        return QQ.coeff_display(a[0])
 
     @property
     def descriptor(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfe import (QQ, FESequence, PrimeSet, from_seeds, quantum_integer,
+from qfe import (QQ, FESequence, PrimeSet, cli, from_seeds, quantum_integer,
                  quantum_sequence, support_members)
 from qfe.cli import (DEMO_NAMES, MAX_UPTO, SEEDS_257, SeedSpec, SeedSpecError,
                      build_parser, builtin_sequence, load_seed_spec, main,
@@ -311,6 +311,21 @@ def test_demos_pass(capsys, name):
     code, out, _ = run(capsys, "demo", name)
     assert code == 0, out
     assert "FAIL" not in out
+
+
+def test_failing_demo_prints_fail_and_exits_1(capsys, monkeypatch):
+    """cmd_demo prints every check a demo yields, and one false check sets
+    the exit status, after a true one and before the last."""
+    def broken():
+        yield True, "first holds"
+        yield False, "second fails"
+        yield True, "third holds"
+
+    monkeypatch.setitem(cli.DEMOS, "broken", broken)
+    code, out, _ = run(capsys, "demo", "broken")
+    assert out == ("demo: broken\nok    first holds\nFAIL  second fails\n"
+                   "ok    third holds\n")
+    assert code == 1
 
 
 def test_unknown_demo_and_builtin(capsys):

@@ -423,21 +423,36 @@ def test_profile_has_no_exception_on_the_quantum_type_constructions():
         assert profile.keys() == set(range(1, 61)), F
 
 
+def test_profile_has_no_exception_on_quotient_shapes_over_other_rings():
+    """lambda^Omega(n) q^(n-1) [n]_{q^5} / [n]_q on S({2, 3}) over GF(7),
+    lambda = 3, and over Q(zeta_12), lambda = 2 zeta, not rational: every
+    index is regular.  With t = 1 the comparison must start at f_n's
+    valuation, and with lambda != 1 outside Q, G_n must be scaled by the
+    trailing entry of f_n's primitive part before it is compared."""
+    for ring, lam in ((GF7, 3), (Z12, TWO_ZETA)):
+        F = seed_quotient_sequence(ring, [2, 3], 5, lam, 1)
+        assert analyze._peel_exponents(F.eval(2), 2) == {1: (-1, ring.one),
+                                                          5: (1, ring.one)}
+        profile, support_ok = _profile(F, support_members(F.support, 60), 60)
+        assert support_ok and profile.keys() == set(range(1, 61)), ring
+
+
 def test_profile_multiplies_only_off_the_template_shapes(monkeypatch):
     """With every value built, the profile decides each member of an empty
     or one-factor shape by its template and makes no polynomial product.
-    Other shapes still multiply, once per member: [n]_q [n]_{q^2}
-    multiplies its two factors, [n]_q^2 squares [n]_q, after one product
-    in the peel of f_2 that squares [2]_q, and the quotient
-    [n]_{q^5}/[n]_q multiplies f_n by [n]_q, after one product in the
-    peel of f_2, whose [2]_q^(-1) is multiplied in."""
+    Shapes with a power or two positive factors still multiply, once per
+    member: [n]_q [n]_{q^2} multiplies its two factors, and [n]_q^2
+    squares [n]_q, after one product in the peel of f_2 that squares
+    [2]_q.  The quotient [n]_{q^5}/[n]_q divides [n]_{q^5} by [n]_q and
+    multiplies nothing per member; its one product is in the peel of f_2,
+    whose [2]_q^(-1) is multiplied in."""
     qs, B = quantum_sequence, 60
     template = [builtin_sequence(name) for name in ("quantum", "monomial", "identity")]
     template += [dilate_sequence(qs(), 3), psi_substitute_sequence(qs(), monomial(QQ, 2))]
-    products = [(product_sequence(qs(), dilate_sequence(qs(), 2)), 0),
-                (power_sequence(QQ, ALL_PRIMES, 2), 1),
-                (seed_quotient_sequence(QQ, [2, 3], 5, Fraction(5, 6), 2), 1)]
-    for F in template + [F for F, _ in products]:
+    products = [(product_sequence(qs(), dilate_sequence(qs(), 2)), 1, 0),
+                (power_sequence(QQ, ALL_PRIMES, 2), 1, 1),
+                (seed_quotient_sequence(QQ, [2, 3], 5, Fraction(5, 6), 2), 0, 1)]
+    for F in template + [F for F, _, _ in products]:
         for n in range(1, B + 1):
             F.eval(n)
     calls = [0]
@@ -451,11 +466,11 @@ def test_profile_multiplies_only_off_the_template_shapes(monkeypatch):
     for F in template:
         _profile(F, support_members(F.support, B), B)
         assert calls[0] == 0, F
-    for F, peel in products:
+    for F, per_member, peel in products:
         members = support_members(F.support, B)
         profile, _ = _profile(F, members, B)
         assert profile.keys() == set(range(1, B + 1))
-        assert calls[0] == len(members) + peel, F
+        assert calls[0] == per_member * len(members) + peel, F
         calls[0] = 0
 
 
