@@ -17,7 +17,9 @@ perfbench/out, and summarises those medians per kind in the same layout,
 so a move in an end-to-end metric can be traced to the kinds behind it.
 A claimed gain names its workload and end-to-end metric
 (--claim-workload, --claim-metric); both are checked against BENCHMARK.json
-before the first run, and an unknown name exits 2.
+before the first run, and an unknown name exits 2.  Both checkouts' git
+SHAs are read before the first run too, so a checkout that is not a git
+repository fails at once.
 
 Before the workloads, each command of CLI_RUNS runs as a whole CLI process,
 ``python -m qfe ARGS`` in each checkout with that checkout's src first on
@@ -40,7 +42,8 @@ from pathlib import Path
 
 PAIRS = 10
 CLI_RUNS = ("verify quantum --upto 50", "decompose quantum --upto 50",
-            "construct tests/golden/seeds-257.json --upto 20", "demo nathanson-257")
+            "construct tests/golden/seeds-257.json --upto 20", "demo nathanson-257",
+            "construct tests/golden/seeds-23-frac.json --upto 3000")
 CLI_RUNS_PER_SIDE = 15
 METHOD = ("Each side runs from its own checkout. One seed per pair; the parent "
           "runs first in even-numbered pairs (counting from 0) and the change "
@@ -144,6 +147,8 @@ def bench(parent: Path, change: Path, args) -> dict:
     check_name("--claim-metric", args.claim_metric, [m["name"] for m in spec["end_to_end"]])
     if args.claim_workload is not None:
         check_name("--claim-workload", args.claim_workload, workloads)
+    # A checkout that is not a git repository fails here, before any run.
+    shas = {"change_sha": git_sha(change), "parent_sha": git_sha(parent)}
     seeds = list(range(args.seed, args.seed + PAIRS))
     sides = {"parent": parent, "change": change}
     cli = cli_runs(sides)
@@ -177,8 +182,7 @@ def bench(parent: Path, change: Path, args) -> dict:
                                      for side in sides},
                          "metrics": metrics, "pairs": PAIRS, "seeds": seeds,
                          "kind_job_s_p50": kind_p50}
-    report = {"change": args.describe, "change_sha": git_sha(change),
-              "parent_sha": git_sha(parent),
+    report = {"change": args.describe, **shas,
               "command": (f"python3 perfbench/run.py --workload <workload> --seed <seed> "
                           f"--seconds {seconds} --trace 0"),
               "host": host, "host_note": args.host_note, "method": METHOD,

@@ -434,18 +434,20 @@ class Polynomial:
         # of P: a value's coefficients repeat a few scalars.
         shown = {x: _display(ring, ring.normalize(ring.mul(c, x)) if scaled else x)
                  for x in set(P) if not ring.is_zero(x)}
-        indices = _nonzero(ring, P)
-        i = next(indices)
-        negative, mag, prefix = shown[P[i]]
-        head = mag if i == 0 else prefix + ("q" if i == 1 else f"q^{i}")
-        parts = ["-" + head if negative else head]
+        if len(_POWERS) < len(P):
+            _POWERS.extend([f"q^{i}" for i in range(len(_POWERS), len(P))])
+        # One mask picks the nonzero entries and the texts of their powers;
+        # tuple() returns P itself, and materialises the map over Q(zeta_d).
+        mask = tuple(_mask(ring, P))
+        scalars, powers = compress(P, mask), compress(_POWERS, mask)
+        negative, mag, prefix = shown[next(scalars)]
+        power = next(powers)
+        head = prefix + power if power else mag
         # Every later term has i >= 1: its sign, prefix and q^i.
         joined = {x: (" - " if neg else " + ") + pre
                   for x, (neg, _, pre) in shown.items()}
-        for i in indices:
-            s = joined[P[i]]
-            parts.append(f"{s}q^{i}" if i > 1 else s + "q")
-        return "".join(parts)
+        tail = map(add, map(joined.__getitem__, scalars), powers)
+        return ("-" + head if negative else head) + "".join(tail)
 
 
 # The slots' own setters, which __setattr__ does not reach.
@@ -466,11 +468,22 @@ def _display(ring: Ring, c) -> tuple[bool, str, str]:
     return negative, mag, prefix
 
 
+# "", "q", "q^2", ...: the text of q^i at index i, shared by every pretty
+# call and grown to the longest primitive part printed so far.
+_POWERS = ["", "q"]
+
+
+def _mask(ring: Ring, P) -> Iterable:
+    """P's entries as truth values, true where nonzero: P itself, or over
+    Q(zeta_d), where a zero tuple is truthy, a lazy map read once."""
+    if isinstance(ring, CyclotomicField):
+        return map(ne, P, repeat(ring.zero))
+    return P
+
+
 def _nonzero(ring: Ring, P):
     """The indices of the nonzero entries of P, ascending."""
-    if isinstance(ring, CyclotomicField):  # a zero tuple is truthy
-        return compress(range(len(P)), map(ne, P, repeat(ring.zero)))
-    return compress(range(len(P)), P)
+    return compress(range(len(P)), _mask(ring, P))
 
 
 def _split(ring: Ring, vals: Sequence) -> tuple:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,18 @@ def test_unknown_claim_name_exits_2_before_any_run(checkouts, capsys, flag, name
     assert err.count("\n") == 1 and flag in err and repr(name) in err
 
 
+def test_checkout_without_a_git_sha_stops_before_any_run(checkouts, monkeypatch):
+    parent, change, calls = checkouts
+    out = parent.parent / "BENCH.json"
+
+    def git_sha(checkout):
+        raise subprocess.CalledProcessError(128, ["git", "rev-parse", "HEAD"])
+    monkeypatch.setattr(bench_pairs, "git_sha", git_sha)
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_pairs.main([str(parent), str(change), "--out", str(out)])
+    assert calls == [] and not out.exists()
+
+
 def test_cli_runs_alternate_sides_and_summarize_each_command(checkouts):
     parent, change, calls = checkouts
     report = bench_pairs.bench(parent, change, bench_args())
@@ -169,7 +182,8 @@ def test_cli_runs_alternate_sides_and_summarize_each_command(checkouts):
         "better": "lower"}
     assert list(cli["commands"]) == list(bench_pairs.CLI_RUNS) == [
         "verify quantum --upto 50", "decompose quantum --upto 50",
-        "construct tests/golden/seeds-257.json --upto 20", "demo nathanson-257"]
+        "construct tests/golden/seeds-257.json --upto 20", "demo nathanson-257",
+        "construct tests/golden/seeds-23-frac.json --upto 3000"]
     cli_calls = [c for c in calls if len(c) == 2]
     # Every CLI run comes before the first workload run.
     assert calls[:len(cli_calls)] == cli_calls

@@ -1034,3 +1034,35 @@ def test_pretty_matches_the_coefficient_loop(data, ring):
         cases = [f, f.scale(data.draw(nonzero_field_scalars(ring))), -f]
     for f in cases:
         assert f.pretty() == reference_pretty(f)
+
+
+def test_pretty_is_independent_of_what_the_process_printed_before():
+    """The q^i texts come from ``poly._POWERS``, a table shared by every
+    call and grown to the longest primitive part printed so far, so a
+    printed value must not depend on the calls before it.  In each ring,
+    with the first nonzero term at index 0, 1 and 3 and zero coefficients
+    between terms, print a polynomial longer than the table, then a short
+    one, then one longer than the table again, each as built, scaled
+    (over Q to a content other than 1) and negated."""
+    k12 = CyclotomicField(12)
+    z = k12.zeta
+    rings = [
+        (QQ, [Fraction(2, 3), 0, -4, Fraction(-1, 2), 0, 0, 6, 1], Fraction(-5, 7)),
+        (PrimeField(7), [3, 0, 6, 1, 0, 0, 2, 1], 4),
+        (k12, [z, k12.zero, k12.add(k12.one, k12.pow(z, 2)), k12.neg(k12.one),
+               k12.zero, k12.zero, k12.normalize(Fraction(1, 3)), k12.pow(z, 5)],
+         k12.add(z, k12.normalize(2))),
+    ]
+    for ring, pattern, c in rings:
+        for lead in (0, 1, 3):
+            for longer in (True, False, True):
+                size = len(poly._POWERS) + 9 if longer else lead + 4
+                body = [pattern[i % len(pattern)] for i in range(size - lead - 1)]
+                f = Polynomial(ring, [ring.zero] * lead + body + [pattern[-1]])
+                assert f.valuation() == lead
+                assert (len(f.primitive) > len(poly._POWERS)) == longer
+                cases = [f, f.scale(c), -f]
+                if ring is QQ:
+                    assert [g.content != 1 for g in cases] == [True] * 3
+                for g in cases:
+                    assert g.pretty() == reference_pretty(g)
