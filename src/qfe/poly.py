@@ -186,9 +186,10 @@ class Polynomial:
 
     def valuation(self) -> int:
         """Largest power of q dividing the polynomial (index of first nonzero)."""
-        if not self.primitive:
+        P = self.primitive
+        if not P:
             raise ValueError("the zero polynomial has no valuation")
-        return next(_nonzero(self.ring, self.primitive))
+        return next(compress(range(len(P)), _mask(self.ring, P)))
 
     # -- arithmetic --
 
@@ -479,11 +480,6 @@ def _mask(ring: Ring, P) -> Iterable:
     if isinstance(ring, CyclotomicField):
         return map(ne, P, repeat(ring.zero))
     return P
-
-
-def _nonzero(ring: Ring, P):
-    """The indices of the nonzero entries of P, ascending."""
-    return compress(range(len(P)), _mask(ring, P))
 
 
 def _split(ring: Ring, vals: Sequence) -> tuple:

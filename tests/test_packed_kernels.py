@@ -15,9 +15,10 @@ when the divisor is rational, before falling back to ``divmod``, where
 over Q(zeta_d) both divide each coordinate polynomial by the divisor's
 rational part; ``compose`` makes one convolution of int slots
 per level; ``pretty`` displays each distinct entry of the primitive part
-once.  The loops below are the coefficient-by-coefficient sum, the
-schoolbook product over ring scalars, the long division, the Horner
-composition and the coefficient-by-coefficient printer as they stood
+once and takes its q^i texts from a table shared by the process.  The
+loops below are the coefficient-by-coefficient sum, the schoolbook
+product over ring scalars, the long division, the Horner composition and
+the coefficient-by-coefficient printer as they stood
 before; production keeps only the long division, as the fallback, and
 here all five are frozen as oracles.  Over Q every route to a value must
 reach the same canonical pair.  Inputs cover solution values and
