@@ -110,6 +110,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat, zip_longest
 from math import gcd, lcm
 from operator import add, attrgetter, is_, ne, sub
+from threading import Lock
 
 from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, power
 
@@ -436,7 +437,8 @@ class Polynomial:
         shown = {x: _display(ring, ring.normalize(ring.mul(c, x)) if scaled else x)
                  for x in set(P) if not ring.is_zero(x)}
         if len(_POWERS) < len(P):
-            _POWERS.extend([f"q^{i}" for i in range(len(_POWERS), len(P))])
+            with _POWERS_GROWING:  # two threads must not append the same q^i
+                _POWERS.extend([f"q^{i}" for i in range(len(_POWERS), len(P))])
         # One mask picks the nonzero entries and the texts of their powers;
         # tuple() returns P itself, and materialises the map over Q(zeta_d).
         mask = tuple(_mask(ring, P))
@@ -470,8 +472,11 @@ def _display(ring: Ring, c) -> tuple[bool, str, str]:
 
 
 # "", "q", "q^2", ...: the text of q^i at index i, shared by every pretty
-# call and grown to the longest primitive part printed so far.
+# call and grown to the longest primitive part printed so far.  It never
+# shrinks, so a call that found it long enough can read it while another
+# thread grows it.
 _POWERS = ["", "q"]
+_POWERS_GROWING = Lock()
 
 
 def _mask(ring: Ring, P) -> Iterable:

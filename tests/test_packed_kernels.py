@@ -29,6 +29,8 @@ that are not monic.
 
 from __future__ import annotations
 
+import sys
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -1067,3 +1069,31 @@ def test_pretty_is_independent_of_what_the_process_printed_before():
                     assert [g.content != 1 for g in cases] == [True] * 3
                 for g in cases:
                     assert g.pretty() == reference_pretty(g)
+
+
+def test_pretty_grows_the_shared_table_safely_from_several_threads():
+    """Threads that print values longer than the table at the same time
+    must each read a table whose entry i is the text of q^i: growing it
+    without the lock let two threads append the same texts."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            start = len(poly._POWERS) + 2
+            values = [quantum_integer(n) for n in range(start, start + 800, 20)]
+            bad = []
+            ready = threading.Barrier(4)
+
+            def work(k):
+                ready.wait()
+                bad.extend(len(f.primitive) for f in values[k::4]
+                           if not f.pretty().endswith(f" + q^{len(f.primitive) - 1}"))
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert bad == []
+    finally:
+        sys.setswitchinterval(interval)
+    assert poly._POWERS == ["", "q"] + [f"q^{i}" for i in range(2, len(poly._POWERS))]
