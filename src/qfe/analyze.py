@@ -215,16 +215,16 @@ def _profile(F: FESequence, members: list[int], bound: int
     the declared support is not trusted, and all of them are checked in
     one pass; only the members go on to the regularity test below.
 
-    A member n is regular iff P[s:] == t, for P the primitive part of f_n
-    and s its valuation.  As f_n = content P and G_n(0) = 1, f_n = c_n q^s
-    G_n says P[s:] = P[s] G_n, and over Q, where P[s:] is primitive, that
-    P[s:] is the primitive tuple t of P[s] G_n.  For G_n = [n]_{q^u} or 1
-    (u = 0) t is a template after a length test: P[s] at 0, u, ...,
-    (n - 1) u, zeros elsewhere.  Otherwise G_n is the product of the
-    factors of e_u > 0 (a peel leaves one) divided exactly, in linear time,
-    by [n]_{q^u} once per unit of each e_u < 0: no member value is
-    multiplied.  An inexact division makes n exceptional, as prod(den)(0) = 1
-    and f_n prod(den) = c_n q^(s_n) prod(num) force prod(den) | prod(num).
+    A member n is regular iff P == t, for f_n = c q^s P with P(0) != 0
+    (``poly``'s stored triple).  As G_n(0) = 1, f_n = c_n q^s G_n says
+    P = P[0] G_n, and over Q, where P is primitive, that P is the primitive
+    tuple t of P[0] G_n.  For G_n = [n]_{q^u} or 1 (u = 0) t is a template
+    after a length test: P[0] at 0, u, ..., (n - 1) u, zeros elsewhere.
+    Otherwise G_n is the product of the factors of e_u > 0 (a peel leaves
+    one) divided exactly, in linear time, by [n]_{q^u} once per unit of
+    each e_u < 0: no member value is multiplied.  An inexact division
+    makes n exceptional, as prod(den)(0) = 1 and
+    f_n prod(den) = c_n q^(s_n) prod(num) force prod(den) | prod(num).
     """
     ring = F.ring
     peels = (_peel_exponents(F.eval(p), p) for p in members if is_prime(p))
@@ -245,16 +245,15 @@ def _profile(F: FESequence, members: list[int], bound: int
         if f.is_zero():
             support_ok = False
             continue
-        s, P = f.valuation(), f.primitive
+        P = f.primitive
         if by_template:
-            L = len(P) - s
-            if L != (n - 1) * u + 1:
+            if len(P) != (n - 1) * u + 1:
                 continue
             if u < 2:
-                t = (P[s],) * L
+                t = (P[0],) * len(P)
             else:
-                t = [ring.zero] * L
-                t[::u] = (P[s],) * n
+                t = [ring.zero] * len(P)
+                t[::u] = (P[0],) * n
                 t = tuple(t)
         else:
             base = {z: scaled_quantum_integer(n, z, ring) for z in zetas}
@@ -265,8 +264,9 @@ def _profile(F: FESequence, members: list[int], bound: int
                 G = reduce(Polynomial.exact_div, den, reduce(mul, num))
             except InexactDivision:
                 continue
-            t = G.scale(P[s]).primitive
-        if P[s:] == t:
+            t = G.scale(P[0]).primitive
+        if P == t:
+            s = f.valuation()
             profile[n] = (f.coefficient(s), s)
     return profile, support_ok
 
@@ -275,15 +275,16 @@ def _peel_exponents(g: Polynomial, p: int) -> dict[int, tuple] | None:
     """A guess at e: u -> (e_u, zeta_u) with g = a q^v prod_u
     [p]_{zeta_u q^u}^(e_u), for some a != 0.
 
-    Strip the trailing term a q^v first.  [p]_{zeta q^u}^c = 1 + c zeta q^u
-    + (higher terms), so the lowest non-constant term a x q^u of what is
-    left gives e_u = c, zeta_u = 1 when x is an integer c, and else e_u = 1,
-    zeta_u = x when x is a root of unity; dividing out [p]_{zeta q^u}^c (or
-    multiplying in [p]_{q^u}^(-c)) clears it, and the next lowest term sits
-    at a larger u.  Repeat until g is constant.
+    Work on g's primitive part P, which starts at the trailing term a q^v.
+    [p]_{zeta q^u}^c = 1 + c zeta q^u + (higher terms), so the lowest
+    nonzero P[u] = x P[0], u >= 1, gives e_u = c, zeta_u = 1 when x is an
+    integer c, and else e_u = 1, zeta_u = x when x is a root of unity;
+    dividing out [p]_{zeta q^u}^c (or multiplying in [p]_{q^u}^(-c)) clears
+    it, and the next lowest term sits at a larger u.  Repeat until P is
+    constant.
 
     A wrong guess must stay cheap: give up (None) when g = 0, when x is
-    neither an integer k with |k| <= min(deg g, _PEEL_LIMIT) (over GF(l)
+    neither an integer k with |k| <= min(deg P, _PEEL_LIMIT) (over GF(l)
     the k of least |k|, the balanced residue) nor a root of unity of the
     ring, when the number of peels would pass that cap, when a peel would
     take the degree below 0 or above twice the starting degree, or when a
@@ -292,19 +293,16 @@ def _peel_exponents(g: Polynomial, p: int) -> dict[int, tuple] | None:
     divides by [p]_q^c, and without the degree window 1 - q^D, which peels
     c = -1 at u = D, pD, p^2 D, ..., reaches degree p^cap D.  With both
     there are at most _PEEL_LIMIT products or quotients of degree at most
-    2 deg g.
+    2 deg P above the valuation.
     """
     if g.is_zero():
         return None
-    ring = g.ring
-    g = g.unshift(g.valuation())
-    unit = ring.inv(g.constant_term)
-    cap, top = min(g.degree, _PEEL_LIMIT), 2 * g.degree
+    ring, P = g.ring, g.primitive
+    cap, top = min(len(P) - 1, _PEEL_LIMIT), 2 * (len(P) - 1)
     e = {}
-    while g.degree:
-        P = g.primitive
+    while len(P) > 1:
         u = next(i for i in range(1, len(P)) if not ring.is_zero(P[i]))
-        x = ring.mul(g.coefficient(u), unit)
+        x = ring.mul(P[u], ring.inv(P[0]))
         c = next((k for k in sorted(range(cap, -cap - 1, -1), key=abs)
                   if k and ring.normalize(k) == x), None)
         zeta = ring.one
@@ -312,13 +310,14 @@ def _peel_exponents(g: Polynomial, p: int) -> dict[int, tuple] | None:
             c, zeta = 1, x
         if c is None or len(e) == cap:
             return None
-        if not 0 <= g.degree - c * u * (p - 1) <= top:
+        if not 0 <= len(P) - 1 - c * u * (p - 1) <= top:
             return None
         factor = (scaled_quantum_integer(p, zeta, ring) ** abs(c)).dilate(u)
         try:
             g = g.exact_div(factor) if c > 0 else g * factor
         except InexactDivision:
             return None
+        P = g.primitive
         e[u] = c, zeta
     return e
 
@@ -435,8 +434,7 @@ def decompose(F: FESequence, bound: int) -> Decomposition:
     def core_rule(n: int) -> Polynomial:
         f = F.eval(n)
         v = f.valuation()
-        unit = ring.inv(f.coefficient(v))
-        return f.unshift(v).scale(unit)
+        return f.exact_div(monomial(ring, v, f.coefficient(v)))
 
     G = FESequence(ring, F.support, core_rule, f"core({F.name})")
     return Decomposition(t, delta, lam, G)
@@ -491,7 +489,7 @@ class OracleFamily(Record):
 
 def _rational_roots(c: Polynomial) -> set[Fraction]:
     """All rational roots of a nonzero polynomial over the rationals."""
-    ints = c.unshift(c.valuation()).primitive
+    ints = c.primitive
     roots = set()
     lead, const = ints[-1], ints[0]
     for p in divisors(abs(const)):

@@ -183,7 +183,8 @@ def test_cli_runs_alternate_sides_and_summarize_each_command(checkouts):
     assert list(cli["commands"]) == list(bench_pairs.CLI_RUNS) == [
         "verify quantum --upto 50", "decompose quantum --upto 50",
         "construct tests/golden/seeds-257.json --upto 20", "demo nathanson-257",
-        "construct tests/golden/seeds-23-frac.json --upto 3000"]
+        "construct tests/golden/seeds-23-frac.json --upto 3000",
+        "verify monomial --upto 3000"]
     cli_calls = [c for c in calls if len(c) == 2]
     # Every CLI run comes before the first workload run.
     assert calls[:len(cli_calls)] == cli_calls

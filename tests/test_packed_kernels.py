@@ -694,13 +694,14 @@ def geometric_units(ring):
 
 @st.composite
 def geometric_cases(draw):
-    """(f, c [n]_{q^u}) with f = h g, h g plus a monomial, one coefficient
-    shorter than g, or zero; over Q(zeta_d) also [n]_{q^u} h with a zero
-    coordinate polynomial of h, and then f_j zero or nonzero and short."""
+    """(f, c q^s [n]_{q^u}), s often 0, with f = h g, h g plus a monomial
+    (below q^s too), one coefficient shorter than g, or zero; over
+    Q(zeta_d) also [n]_{q^u} h with a zero coordinate polynomial of h, and
+    then f_j zero or nonzero and short."""
     ring = draw(st.sampled_from(GEOMETRIC_RINGS))
     n, u = draw(st.integers(2, 6 if ring is _Z17 else 40)), draw(st.integers(1, 5))
     g_prime = quantum_integer(n, ring).dilate(u)
-    g = g_prime.scale(draw(geometric_units(ring)))
+    g = g_prime.scale(draw(geometric_units(ring))).shift(draw(st.sampled_from([0, 0, 1, 3])))
     h = draw(rational_polys() if ring is QQ else field_polys(ring))
     kinds = ["exact", "perturbed", "shorter", "zero"]
     if isinstance(ring, CyclotomicField):
@@ -711,12 +712,12 @@ def geometric_cases(draw):
     if kind == "coordinate":
         return draw(coordinate_dividends(g_prime, h)), g
     if kind == "shorter":
-        size = len(g.primitive) - 2
+        size = len(g.coeffs) - 2
         return Polynomial(ring, (list(h.coeffs) + [ring.zero] * size)[:size] + [ring.one]), g
     f = schoolbook_mul(h, g)
     if kind == "perturbed":
         c = draw(nonzero_scalars if ring is QQ else nonzero_field_scalars(ring))
-        f = f + monomial(ring, draw(st.integers(0, len(f.primitive) + n * u)), c)
+        f = f + monomial(ring, draw(st.integers(0, len(f.coeffs) + n * u)), c)
     return f, g
 
 
@@ -750,13 +751,20 @@ def _geometric_example(ring, n, u, h):
 # of z^2 and z^3 are zero.
 @example(case=(_geometric_example(_Z12, 3, 2, [1, 2, 0, 5])[0]
                + Polynomial(_Z12, [_Z12.zeta, _Z12.zeta]), quantum_integer(3, _Z12).dilate(2)))
+# q^s [n]_{q^u} with s >= 1, and q^3 [4]_q over a dividend of valuation 2.
+@example(case=(_geometric_example(QQ, 5, 2, [3, 0, 1])[0].shift(4),
+               quantum_integer(5).dilate(2).shift(2)))
+@example(case=(_geometric_example(_GF7, 4, 1, [2, 1])[0].shift(2),
+               quantum_integer(4, _GF7).shift(3)))
 def test_geometric_divisor_matches_long_division(case):
     # Divided through 1 - q^(un), with no long division and no packed
-    # quotient once f is as long as g.
+    # quotient, once f has g's valuation and P_f is as long as P_g; refused
+    # with neither before that.
     f, g = case
     ring = f.ring
     calls = []
     original_divmod, original_quotient = Polynomial.divmod, poly._packed_quotient
+    original_geometric = poly._geometric_div
 
     def counting_divmod(self, d):
         if self.ring == ring:  # not the Euclid of CyclotomicField.inv over Q
@@ -766,9 +774,14 @@ def test_geometric_divisor_matches_long_division(case):
     def counting_quotient(vf, vg):
         calls.append("packed")
         return original_quotient(vf, vg)
+
+    def counting_geometric(R, v, n, u):
+        calls.append("geometric")
+        return original_geometric(R, v, n, u)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Polynomial, "divmod", counting_divmod)
         mp.setattr(poly, "_packed_quotient", counting_quotient)
+        mp.setattr(poly, "_geometric_div", counting_geometric)
         try:
             want = reference_exact_div(f, g)
         except InexactDivision as exc:
@@ -777,7 +790,29 @@ def test_geometric_divisor_matches_long_division(case):
             assert str(got.value) == str(exc)
         else:
             assert_same(f.exact_div(g), want)
-    assert calls == ([] if len(f.primitive) >= len(g.primitive) else ["divmod"])
+    reached = (not f.is_zero() and f.valuation() >= g.valuation()
+               and len(f.primitive) >= len(g.primitive))
+    assert set(calls) == ({"geometric"} if reached else set())
+
+
+def test_divisor_of_higher_valuation_is_refused_before_any_slot_work(monkeypatch):
+    # P_g(0) != 0, so q^(s_g) P_g cannot divide q^(s_f) P_f when s_g > s_f:
+    # InexactDivision with no product, long division or quotient kernel.
+    cases = []
+    for ring in (QQ, PrimeField(7), CyclotomicField(12)):
+        f = quantum_integer(300, ring).dilate(3).shift(2)
+        for g in (quantum_integer(300, ring).shift(3), monomial(ring, 5),
+                  (quantum_integer(30, ring) * Polynomial(ring, [1, 2])).shift(3)):
+            cases.append((f, g, "does not divide"))
+        cases.append((f, monomial(ring, 1000), "degree of .* is below"))
+    calls = []
+    for name in ("_convolve", "_geometric_div", "_packed_quotient", "_int_divmod"):
+        monkeypatch.setattr(poly, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(Polynomial, "divmod", lambda *args: calls.append("divmod"))
+    for f, g, message in cases:
+        with pytest.raises(InexactDivision, match=message):
+            f.exact_div(g)
+    assert calls == []
 
 
 def test_geometric_divisor_takes_neither_division(divmod_calls, quotient_calls):
@@ -951,30 +986,33 @@ def test_compose_makes_one_product_per_level(monkeypatch, n):
             assert got == horner_compose(f, psi)
 
 
-# -- the stored pair over Q ---------------------------------------------------------
+# -- the stored triple over Q -------------------------------------------------------
 
 def assert_canonical(f: Polynomial):
-    """P primitive with a positive last entry, the content an int when
-    integral, and the pair rebuilt from the coefficients."""
-    c, P = f.content, f.primitive
+    """P primitive with nonzero first and positive last entries, the content
+    an int when integral, and the triple rebuilt from the coefficients."""
+    c, s, P = f.content, f.exponent, f.primitive
     if not P:
-        assert (c, type(c)) == (1, int)
+        assert (c, type(c), s) == (1, int, 0)
     else:
         assert all(type(x) is int for x in P)
-        assert gcd(*P) == 1 and P[-1] > 0
+        assert gcd(*P) == 1 and P[0] != 0 and P[-1] > 0
         assert c != 0 and type(c) is type(QQ.normalize(c))
+        assert type(s) is int and s == f.valuation() >= 0
     for x in f.coeffs:
         assert type(x) is type(QQ.normalize(x)), x
     rebuilt = Polynomial(QQ, f.coeffs)
-    assert (rebuilt.content, rebuilt.primitive) == (c, P)
+    assert (rebuilt.content, rebuilt.exponent, rebuilt.primitive) == (c, s, P)
 
 
 @settings(max_examples=150, deadline=None)
 @given(f=rational_polys(), g=rational_polys(nonzero=True), c=nonzero_scalars)
 @example(f=_HALF, g=_HALF, c=2)
+@example(f=from_rationals([0, 0, 2, -4]), g=from_rationals([0, 1]), c=-3)
 def test_every_route_reaches_the_same_pair(f, g, c):
     # Every route yields f's value (the tests above check the arithmetic);
-    # the form is canonical when every route also yields f's pair.
+    # the form is canonical when every route also yields f's triple.
+    one = constant(QQ, 1)
     routes = [
         from_rationals(list(f.coeffs)),
         Polynomial(QQ, [Fraction(x) for x in f.coeffs]),
@@ -984,6 +1022,9 @@ def test_every_route_reaches_the_same_pair(f, g, c):
         -(-f),
         (f * g).exact_div(g),
         schoolbook_mul(f, g).exact_div(g),
+        f.shift(5).unshift(5),
+        # The low terms cancel: _decode strips them.
+        ((f.shift(3) + one) - one).unshift(3),
     ]
     if not f.is_zero():
         routes.append(f.reciprocal().reciprocal().shift(f.valuation()))
@@ -1046,7 +1087,8 @@ def test_pretty_is_independent_of_what_the_process_printed_before():
     with the first nonzero term at index 0, 1 and 3 and zero coefficients
     between terms, print a polynomial longer than the table, then a short
     one, then one longer than the table again, each as built, scaled
-    (over Q to a content other than 1) and negated."""
+    (over Q to a content other than 1) and negated.  Then q^40, q^5000 and
+    q^40 again, whose texts are read from q^s on, past the stored zeros."""
     k12 = CyclotomicField(12)
     z = k12.zeta
     rings = [
@@ -1069,6 +1111,10 @@ def test_pretty_is_independent_of_what_the_process_printed_before():
                     assert [g.content != 1 for g in cases] == [True] * 3
                 for g in cases:
                     assert g.pretty() == reference_pretty(g)
+    for f in (monomial(QQ, 40), monomial(QQ, 5000), monomial(QQ, 40)):
+        for g in (f, f.scale(Fraction(-5, 7)), -f):
+            assert g.pretty() == reference_pretty(g)
+    assert monomial(QQ, 40).pretty() == "q^40" and len(poly._POWERS) > 5000
 
 
 def test_pretty_grows_the_shared_table_safely_from_several_threads():
