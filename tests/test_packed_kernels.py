@@ -1,6 +1,6 @@
 """The int-slot sum and product, the packed big-integer kernels, the
 level-by-level compose and the printer against frozen reference loops, and
-the stored (content, primitive) pair over Q.
+the stored (content, exponent, primitive) triple over Q.
 
 ``Polynomial.__add__`` adds the encoded int vectors of both operands over
 one denominator; ``Polynomial.__mul__`` convolves the primitive int tuples
@@ -9,7 +9,7 @@ product when dense or pair by pair over the nonzero slots, and
 ``sequences.otimes`` makes the same product with the second operand's
 slots at stride m; ``scale`` over Q changes only the content, and over
 Q(zeta_d) by a rational scales each coordinate polynomial; ``exact_div``
-divides by a divisor c [n]_{q^u} through 1 - q^(un) in two slice passes,
+divides by a divisor c q^s [n]_{q^u} through 1 - q^(un) in two slice passes,
 and by any other it tries one bigint quotient over Q, and over Q(zeta_d)
 when the divisor is rational, before falling back to ``divmod``, where
 over Q(zeta_d) both divide each coordinate polynomial by the divisor's
@@ -21,7 +21,7 @@ product over ring scalars, the long division, the Horner composition and
 the coefficient-by-coefficient printer as they stood
 before; production keeps only the long division, as the fallback, and
 here all five are frozen as oracles.  Over Q every route to a value must
-reach the same canonical pair.  Inputs cover solution values and
+reach the same canonical triple.  Inputs cover solution values and
 perturbed non-solutions, negative coefficients and coordinates, values
 above 2^64, mixed denominators, sparse and dilated operands, and divisors
 that are not monic.
