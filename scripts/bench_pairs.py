@@ -19,7 +19,8 @@ A claimed gain names its workload and end-to-end metric
 (--claim-workload, --claim-metric); both are checked against BENCHMARK.json
 before the first run, and an unknown name exits 2.  Both checkouts' git
 SHAs are read before the first run too, so a checkout that is not a git
-repository fails at once.
+repository fails at once, and so is src_lines: the line count of each
+src/qfe/*.py module of either checkout, and their total.
 
 Before the workloads, each command of CLI_RUNS runs as a whole CLI process,
 ``python -m qfe ARGS`` in each checkout with that checkout's src first on
@@ -141,6 +142,14 @@ def git_sha(checkout: Path) -> str:
                           text=True, check=True).stdout.strip()
 
 
+def src_lines(checkout: Path) -> dict:
+    """The line count of each src/qfe/*.py module of a checkout, as ``wc -l``
+    counts them, and their total."""
+    modules = {path.stem: path.read_bytes().count(b"\n")
+               for path in sorted((checkout / "src" / "qfe").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def bench(parent: Path, change: Path, args) -> dict:
     spec = json.loads((change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
@@ -152,6 +161,7 @@ def bench(parent: Path, change: Path, args) -> dict:
     shas = {"change_sha": git_sha(change), "parent_sha": git_sha(parent)}
     seeds = list(range(args.seed, args.seed + PAIRS))
     sides = {"parent": parent, "change": change}
+    lines = {side: src_lines(checkout) for side, checkout in sides.items()}
     cli = cli_runs(sides)
     host, out = {}, {}
     for workload in workloads:
@@ -187,7 +197,7 @@ def bench(parent: Path, change: Path, args) -> dict:
               "command": (f"python3 perfbench/run.py --workload <workload> --seed <seed> "
                           f"--seconds {seconds} --trace 0"),
               "host": host, "host_note": args.host_note, "method": METHOD,
-              "workloads": out, "cli_runs": cli}
+              "workloads": out, "cli_runs": cli, "src_lines": lines}
     if args.claim_workload is not None:
         report["claimed_metric"] = {"claim": args.claim, "metric": args.claim_metric,
                                     "workload": args.claim_workload}

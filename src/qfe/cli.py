@@ -1,9 +1,9 @@
 """Command-line surface: construct, verify, decompose, demo, oracle.
 
 Outputs are deterministic: tables sorted by index, JSON keys sorted, no
-timestamps.  Exit statuses: 0 success / all checks confirmed, 1 a
-mathematical check failed, 2 malformed input, 3 seed commutativity failed,
-141 stdout was closed before the output was written.
+timestamps.  Exit statuses: 0 success / all checks confirmed, 1 a mathematical
+check failed, 2 malformed input or a coefficient too long to print, 3 seed
+commutativity failed, 141 stdout was closed before the output was written.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import analyze, poly, sequences
 from .poly import Polynomial, quantum_integer
 from .record import Record
-from .rings import (QQ, CyclotomicField, PrimeField, Ring,
+from .rings import (QQ, CyclotomicField, DigitLimitError, PrimeField, Ring,
                     ring_from_descriptor, scalar_text)
 from .semigroup import (ALL_PRIMES, PrimeSet, enumerate_semigroup,
                         primeset_from_json, seed_gcd, support_members)
@@ -485,7 +485,7 @@ def main(argv=None) -> int:
         print(f"  h_{fail.p2}(q) h_{fail.p1}(q^{fail.p2}) = {fail.rhs.pretty()}",
               file=sys.stderr)
         return EXIT_COMMUTATIVITY
-    except SeedSpecError as exc:
+    except (SeedSpecError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

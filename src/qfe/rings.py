@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -34,6 +35,19 @@ from .semigroup import MAX_PRIME, divisors, is_prime
 MAX_CYCLOTOMIC_ORDER = 1000
 
 _LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+class DigitLimitError(ValueError):
+    """A scalar has more digits than Python converts an int to text."""
+
+
+def _text(x) -> str:
+    """str(x) of an int or Fraction: every scalar is written out here."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DigitLimitError(f"cannot print a coefficient of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _as_rational(v):
@@ -109,7 +123,7 @@ class Ring:
     # -- textual interface (seed files, reports) --
 
     def scalar_to_json(self, a):
-        return str(a)
+        return _text(a)
 
     def scalar_from_json(self, obj):
         raise NotImplementedError
@@ -154,7 +168,7 @@ class RationalField(Ring):
         return _scalar_from_json(obj, "rational scalar")
 
     def coeff_display(self, a):
-        return (a < 0, str(abs(a)))
+        return (a < 0, _text(abs(a)))
 
     @property
     def descriptor(self):
@@ -283,7 +297,7 @@ class CyclotomicField(Ring):
         return self.normalize(old_s.scale(QQ.inv(old_r.constant_term)).coeffs)
 
     def scalar_to_json(self, a):
-        return [str(Fraction(x)) for x in a]
+        return [_text(Fraction(x)) for x in a]
 
     def scalar_from_json(self, obj):
         if not isinstance(obj, list) or len(obj) != self.phi:
@@ -309,18 +323,11 @@ def _zeta_string(vec) -> str:
     """Render a cyclotomic coordinate vector as a polynomial in z."""
     parts = []
     for i, c in enumerate(vec):
-        if c == 0:
-            continue
-        mag = str(abs(c))
-        if i == 0:
-            term = mag
-        else:
-            var = "z" if i == 1 else f"z^{i}"
-            term = var if mag == "1" else f"{mag}{var}"
-        if not parts:
-            parts.append("-" + term if c < 0 else term)
-        else:
-            parts.append((" - " if c < 0 else " + ") + term)
+        if c:
+            var = "" if i == 0 else "z" if i == 1 else f"z^{i}"
+            mag = _text(abs(c))
+            sign = (" - " if c < 0 else " + ") if parts else ("-" if c < 0 else "")
+            parts.append(sign + (var if var and mag == "1" else mag + var))
     return "".join(parts) if parts else "0"
 
 

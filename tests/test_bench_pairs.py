@@ -159,6 +159,20 @@ def test_unknown_claim_name_exits_2_before_any_run(checkouts, capsys, flag, name
     assert err.count("\n") == 1 and flag in err and repr(name) in err
 
 
+def test_bench_records_the_source_lines_of_both_checkouts(checkouts):
+    parent, change, _ = checkouts
+    for checkout, poly_lines in ((parent, 3), (change, 2)):
+        qfe = checkout / "src" / "qfe"
+        qfe.mkdir(parents=True)
+        (qfe / "poly.py").write_text("x = 1\n" * poly_lines)
+        (qfe / "cli.py").write_text("import sys\n\nprint(sys.argv)\n")
+        (qfe / "notes.txt").write_text("not a module\n")
+    report = bench_pairs.bench(parent, change, bench_args())
+    assert report["src_lines"] == {
+        "parent": {"modules": {"cli": 3, "poly": 3}, "total": 6},
+        "change": {"modules": {"cli": 3, "poly": 2}, "total": 5}}
+
+
 def test_checkout_without_a_git_sha_stops_before_any_run(checkouts, monkeypatch):
     parent, change, calls = checkouts
     out = parent.parent / "BENCH.json"

@@ -199,6 +199,23 @@ def test_noncommuting_seeds_exit_3(capsys, tmp_path):
     assert "1 + q + 2q^2 + q^3 + q^4 + 2q^5" in err
 
 
+@pytest.mark.parametrize("argv", [["construct"], ["decompose"], ["decompose", "--json"]])
+def test_coefficient_past_the_digit_limit_exits_2(capsys, tmp_path, argv):
+    # lambda(2^k) = 10^(1200 k) passes Python's int-to-text limit of 4300
+    # digits at k = 4: the rows before f_16 print, then one error line.
+    path = write_spec(tmp_path, "big.json", {
+        "ring": {"kind": "rational"},
+        "primes": [2],
+        "seeds": {"2": ["1" + "0" * 1200, "1"]},
+    })
+    code, out, err = run(capsys, *argv, path, "--upto", "16")
+    assert code == 2
+    assert err == (f"error: cannot print a coefficient of more than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
+    if argv == ["construct"]:
+        assert [row.split("\t")[0] for row in out.splitlines()] == [str(n) for n in range(1, 16)]
+
+
 def test_verify_builtin_quantum(capsys):
     code, out, _ = run(capsys, "verify", "quantum", "--upto", "64")
     assert code == 0

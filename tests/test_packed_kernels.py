@@ -10,17 +10,18 @@ product when dense or pair by pair over the nonzero slots, and
 slots at stride m; ``scale`` over Q changes only the content, and over
 Q(zeta_d) by a rational scales each coordinate polynomial; ``exact_div``
 divides by a divisor c q^s [n]_{q^u} through 1 - q^(un) in two slice passes,
-and by any other it tries one bigint quotient over Q, and over Q(zeta_d)
-when the divisor is rational, before falling back to ``divmod``, where
-over Q(zeta_d) both divide each coordinate polynomial by the divisor's
-rational part; ``compose`` makes one convolution of int slots
-per level; ``pretty`` displays each distinct entry of the primitive part
-once and takes its q^i texts from a table shared by the process.  The
-loops below are the coefficient-by-coefficient sum, the schoolbook
-product over ring scalars, the long division, the Horner composition and
-the coefficient-by-coefficient printer as they stood
-before; production keeps only the long division, as the fallback, and
-here all five are frozen as oracles.  Over Q every route to a value must
+and by any other with an integer form (over Q, and rational over
+Q(zeta_d)) by one bigint quotient or a long division in ints, where over
+Q(zeta_d) both divide each coordinate polynomial by the divisor's
+primitive int part; any other divisor goes to ``divmod``; ``compose``
+makes one convolution of int slots per level; ``pretty`` displays each
+distinct entry of the primitive part once and takes its q^i texts from a
+table shared by the process.  The loops below are the
+coefficient-by-coefficient sum, the schoolbook product over ring
+scalars, the long division, the Horner composition and the
+coefficient-by-coefficient printer as they stood before; production
+keeps only the long division, as ``divmod``, and here all five are
+frozen as oracles.  Over Q every route to a value must
 reach the same canonical triple.  Inputs cover solution values and
 perturbed non-solutions, negative coefficients and coordinates, values
 above 2^64, mixed denominators, sparse and dilated operands, and divisors
@@ -278,17 +279,6 @@ def divmod_calls(monkeypatch):
     return calls
 
 
-def test_exact_div_falls_back_when_the_quotient_outgrows_the_slots(divmod_calls):
-    # (1 - q^64)^6 has coefficients of 5 bits; its quotient by (1 - q)^6,
-    # [64]_q^6, needs 30 bits, so the packed quotient cannot be trusted.
-    num = from_rationals([1] + [0] * 63 + [-1]) ** 6
-    den = from_rationals([1, -1]) ** 6
-    quo = num.exact_div(den)
-    assert len(divmod_calls) == 1
-    assert max(quo.coeffs).bit_length() == 30
-    assert_same(quo, reference_exact_div(num, den))
-
-
 @pytest.fixture
 def quotient_calls(monkeypatch):
     """The divisor of every packed bigint quotient."""
@@ -300,6 +290,33 @@ def quotient_calls(monkeypatch):
         return original(vf, vg)
     monkeypatch.setattr(poly, "_packed_quotient", counting)
     return calls
+
+
+@pytest.fixture
+def int_divmod_calls(monkeypatch):
+    """The divisor of every long division in ints."""
+    calls = []
+    original = poly._int_divmod
+
+    def counting(f, g):
+        calls.append(tuple(g))
+        return original(f, g)
+    monkeypatch.setattr(poly, "_int_divmod", counting)
+    return calls
+
+
+def test_exact_div_falls_back_when_the_quotient_outgrows_the_slots(
+        divmod_calls, quotient_calls, int_divmod_calls):
+    # (1 - q^64)^6 has coefficients of 5 bits; its quotient by (1 - q)^6,
+    # [64]_q^6, needs 30 bits, so the packed quotient cannot be trusted and
+    # the long division in ints decides.
+    num = from_rationals([1] + [0] * 63 + [-1]) ** 6
+    den = from_rationals([1, -1]) ** 6
+    quo = num.exact_div(den)
+    assert quotient_calls == int_divmod_calls == [den.primitive]
+    assert divmod_calls == []
+    assert max(quo.coeffs).bit_length() == 30
+    assert_same(quo, reference_exact_div(num, den))
 
 
 def test_exact_div_packed_path_needs_no_long_division(divmod_calls, quotient_calls):
@@ -323,20 +340,22 @@ def test_exact_div_packed_path_needs_no_long_division(divmod_calls, quotient_cal
     assert divmod_calls == []
 
 
-def test_inexact_division_keeps_its_message(divmod_calls, quotient_calls):
+def test_inexact_division_keeps_its_message(divmod_calls, quotient_calls,
+                                            int_divmod_calls):
     f = quantum_integer(40).dilate(3) + monomial(QQ, 7)
     g = quantum_integer(40)
     with pytest.raises(InexactDivision, match="does not divide"):
         f.exact_div(g)
     # [40]_q divides through 1 - q^40, which proves the remainder nonzero.
-    assert divmod_calls == [] and quotient_calls == []
-    # A divisor of another shape: the packed quotient fails, and divmod raises.
+    assert divmod_calls == [] and quotient_calls == [] and int_divmod_calls == []
+    # A divisor of another shape: the packed quotient fails, and the long
+    # division in ints leaves a nonzero remainder.
     f = quantum_integer(40).dilate(3) * from_rationals([1, 2]) + monomial(QQ, 7)
     g = quantum_integer(40) * from_rationals([1, 2])
     with pytest.raises(InexactDivision, match="does not divide"):
         f.exact_div(g)
-    assert len(quotient_calls) == 1
-    assert len(divmod_calls) == 1
+    assert quotient_calls == int_divmod_calls == [g.primitive]
+    assert divmod_calls == []
 
 
 @pytest.fixture
@@ -622,7 +641,7 @@ def test_field_exact_div_matches_long_division(case):
         assert num.exact_div(g) == want
 
 
-def test_rational_divisor_divides_coordinatewise(divmod_calls):
+def test_rational_divisor_divides_coordinatewise(divmod_calls, int_divmod_calls):
     k12 = CyclotomicField(12)
     qn = quantum_integer(120, k12)
     zn = scaled_quantum_integer(120, k12.zeta, k12)
@@ -630,11 +649,13 @@ def test_rational_divisor_divides_coordinatewise(divmod_calls):
     g = rational_divisor(k12, 40, 2)
     f = schoolbook_mul(g, zn)
     assert f.exact_div(g) == zn
-    assert divmod_calls == []
-    # Inexact: a coordinate's packed quotient fails, and divmod raises.
+    assert divmod_calls == [] and int_divmod_calls == []
+    # Inexact: the perturbed coordinate's packed quotient fails, and the long
+    # division in ints of that coordinate by g's primitive part raises.
     with pytest.raises(InexactDivision, match="does not divide"):
         (f + monomial(k12, 3)).exact_div(g)
-    assert [d for _, d in divmod_calls if d.ring == k12] == [g]
+    assert [d for _, d in divmod_calls if d.ring == k12] == []
+    assert int_divmod_calls == [rational_divisor(QQ, 40, 2).primitive]
 
 
 def test_coordinatewise_routes_skip_the_row_codec(monkeypatch):
@@ -661,6 +682,85 @@ def test_coordinatewise_routes_skip_the_row_codec(monkeypatch):
     with pytest.raises(InexactDivision, match="does not divide"):
         perturbed.exact_div(geometric)
     assert calls == []
+
+
+# -- the division table ----------------------------------------------------------
+
+GEOMETRIC, PACKED, LONG, DIVMOD = "_geometric_div", "_packed_quotient", "_int_divmod", "divmod"
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The division kernels that ran: ``_geometric_div``, the packed
+    quotient, the long division in ints and ``Polynomial.divmod``.  What
+    runs inside ``divmod`` (the ring inverse of its leading coefficient) is
+    not recorded."""
+    ran, depth = [], [0]
+
+    def wrap(name, original):
+        nested = name == DIVMOD
+
+        def counting(*args):
+            if not depth[0]:
+                ran.append(name)
+            depth[0] += nested
+            try:
+                return original(*args)
+            finally:
+                depth[0] -= nested
+        return counting
+    for name in (GEOMETRIC, PACKED, LONG):
+        monkeypatch.setattr(poly, name, wrap(name, getattr(poly, name)))
+    monkeypatch.setattr(Polynomial, "divmod", wrap(DIVMOD, Polynomial.divmod))
+    return ran
+
+
+def table_divisions(ring):
+    """(form, f, g, f / g) per row of the division table over ring."""
+    h = (scaled_quantum_integer(15, ring.zeta, ring) if isinstance(ring, CyclotomicField)
+         else Polynomial(ring, [3, -1, 0, 4, 2, 0, 0, -5, 1, 1, 2, -2, 0, 7, 1]))
+    third = ring.normalize(Fraction(2, 3))
+    divisors = {
+        "geometric": quantum_integer(6, ring).dilate(2).shift(3).scale(third),
+        "short": Polynomial(ring, [2, 1, -3]).scale(third),
+        "long": quantum_integer(20, ring).dilate(2).scale(third) + monomial(ring, 1, -5),
+    }
+    if isinstance(ring, CyclotomicField):
+        divisors["non-rational"] = Polynomial(ring, [1, ring.zeta, 2])
+    rows = [(form, schoolbook_mul(g, h), g, h) for form, g in divisors.items()]
+    # [64]_q^6 needs 30 bits, more than the packed width proves.
+    ones = quantum_integer(64, ring) ** 6
+    step = Polynomial(ring, [1, -1]) ** 6
+    return rows + [("unproven", schoolbook_mul(ones, step), step, ones)]
+
+
+# (routes when g divides f, routes when f is perturbed) by the form of g.
+TABLE_ROUTES = {"geometric": ({GEOMETRIC}, {GEOMETRIC}),
+                "short": ({LONG}, {LONG}),
+                "long": ({PACKED}, {PACKED, LONG}),
+                "unproven": ({PACKED, LONG}, {PACKED, LONG}),
+                "non-rational": ({DIVMOD}, {DIVMOD})}
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(7), CyclotomicField(12)], ids=str)
+def test_division_table_routes(ring, routes):
+    # Every divisor with an integer form stays on int vectors: only GF(p)
+    # and a coefficient outside Q over Q(zeta_d) reach divmod.
+    for form, f, g, want in table_divisions(ring):
+        perturbed = f + monomial(ring, f.degree - 1)
+        for num, exact in ((f, True), (perturbed, False)):
+            routes.clear()
+            if exact:
+                assert num.exact_div(g) == want
+            else:
+                with pytest.raises(InexactDivision) as got:
+                    num.exact_div(g)
+                assert str(got.value) == f"{g} does not divide {num}"
+            expected = TABLE_ROUTES[form][not exact]
+            if isinstance(ring, PrimeField):
+                # (1 - q)^6 = (1 - q^7) / (1 - q) = [7]_q over GF(7).
+                expected = {GEOMETRIC} if form in ("geometric", "unproven") else {DIVMOD}
+            assert set(routes) == expected, (form, exact)
 
 
 def test_non_rational_divisor_goes_through_divmod(divmod_calls):
