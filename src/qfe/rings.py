@@ -220,7 +220,7 @@ class PrimeField(Ring):
         return _scalar_from_json(obj, f"GF({self.p}) scalar", integral=True) % self.p
 
     def coeff_display(self, a):
-        return (False, str(a))
+        return (False, _text(a))
 
     @property
     def descriptor(self):
