@@ -215,16 +215,16 @@ def _profile(F: FESequence, members: list[int], bound: int
     the declared support is not trusted, and all of them are checked in
     one pass; only the members go on to the regularity test below.
 
-    A member n is regular iff P == t, for f_n = c q^s P with P(0) != 0
-    (``poly``'s stored triple).  As G_n(0) = 1, f_n = c_n q^s G_n says
-    P = P[0] G_n, and over Q, where P is primitive, that P is the primitive
-    tuple t of P[0] G_n.  For G_n = [n]_{q^u} or 1 (u = 0) t is a template
-    after a length test: P[0] at 0, u, ..., (n - 1) u, zeros elsewhere.
-    Otherwise G_n is the product of the factors of e_u > 0 (a peel leaves
-    one) divided exactly, in linear time, by [n]_{q^u} once per unit of
-    each e_u < 0: no member value is multiplied.  An inexact division
-    makes n exceptional, as prod(den)(0) = 1 and
-    f_n prod(den) = c_n q^(s_n) prod(num) force prod(den) | prod(num).
+    A member n is regular iff (w, P) == (v, t), for f_n = c q^s P(q^w)
+    with P(0) != 0 (``poly``'s stored quadruple): as G_n(0) = 1,
+    f_n = c_n q^s G_n says P(q^w) = P[0] G_n, and over Q, where P is
+    primitive, that t and v are the primitive tuple and stride of P[0] G_n.
+    For G_n = [n]_{q^u} t is P[0] n times at stride u, and for G_n = 1
+    (u = 0 or n = 1) once at stride 0.  Otherwise G_n is the product of the
+    factors of e_u > 0 (a peel leaves one) divided exactly, in linear time,
+    by [n]_{q^u} once per unit of each e_u < 0: no member value is
+    multiplied.  An inexact division makes n exceptional: prod(den)(0) = 1,
+    and f_n prod(den) = c_n q^(s_n) prod(num) force prod(den) | prod(num).
     """
     ring = F.ring
     peels = (_peel_exponents(F.eval(p), p) for p in members if is_prime(p))
@@ -247,14 +247,7 @@ def _profile(F: FESequence, members: list[int], bound: int
             continue
         P = f.primitive
         if by_template:
-            if len(P) != (n - 1) * u + 1:
-                continue
-            if u < 2:
-                t = (P[0],) * len(P)
-            else:
-                t = [ring.zero] * len(P)
-                t[::u] = (P[0],) * n
-                t = tuple(t)
+            v, t = (u, (P[0],) * n) if u and n > 1 else (0, P[:1])
         else:
             base = {z: scaled_quantum_integer(n, z, ring) for z in zetas}
             # Dilation is a ring map: take the power first, on the shorter value.
@@ -264,8 +257,9 @@ def _profile(F: FESequence, members: list[int], bound: int
                 G = reduce(Polynomial.exact_div, den, reduce(mul, num))
             except InexactDivision:
                 continue
-            t = G.scale(P[0]).primitive
-        if P == t:
+            G = G.scale(P[0])
+            v, t = G.stride, G.primitive
+        if f.stride == v and P == t:
             s = f.valuation()
             profile[n] = (f.coefficient(s), s)
     return profile, support_ok
@@ -275,7 +269,8 @@ def _peel_exponents(g: Polynomial, p: int) -> dict[int, tuple] | None:
     """A guess at e: u -> (e_u, zeta_u) with g = a q^v prod_u
     [p]_{zeta_u q^u}^(e_u), for some a != 0.
 
-    Work on g's primitive part P, which starts at the trailing term a q^v.
+    Work on P = g / q^v, which starts at the trailing term a (deg P is g's
+    degree less its valuation, however g is stored).
     [p]_{zeta q^u}^c = 1 + c zeta q^u + (higher terms), so the lowest
     nonzero P[u] = x P[0], u >= 1, gives e_u = c, zeta_u = 1 when x is an
     integer c, and else e_u = 1, zeta_u = x when x is a root of unity;
@@ -297,12 +292,13 @@ def _peel_exponents(g: Polynomial, p: int) -> dict[int, tuple] | None:
     """
     if g.is_zero():
         return None
-    ring, P = g.ring, g.primitive
-    cap, top = min(len(P) - 1, _PEEL_LIMIT), 2 * (len(P) - 1)
+    ring, P, span = g.ring, g.primitive, g.degree - g.exponent
+    cap, top = min(span, _PEEL_LIMIT), 2 * span
     e = {}
     while len(P) > 1:
-        u = next(i for i in range(1, len(P)) if not ring.is_zero(P[i]))
-        x = ring.mul(P[u], ring.inv(P[0]))
+        j = next(j for j in range(1, len(P)) if not ring.is_zero(P[j]))
+        u, span = j * g.stride, g.degree - g.exponent
+        x = ring.mul(P[j], ring.inv(P[0]))
         c = next((k for k in sorted(range(cap, -cap - 1, -1), key=abs)
                   if k and ring.normalize(k) == x), None)
         zeta = ring.one
@@ -310,7 +306,7 @@ def _peel_exponents(g: Polynomial, p: int) -> dict[int, tuple] | None:
             c, zeta = 1, x
         if c is None or len(e) == cap:
             return None
-        if not 0 <= len(P) - 1 - c * u * (p - 1) <= top:
+        if not 0 <= span - c * u * (p - 1) <= top:
             return None
         factor = (scaled_quantum_integer(p, zeta, ring) ** abs(c)).dilate(u)
         try:

@@ -1,32 +1,32 @@
 """Dense exact univariate polynomials in q.
 
-A polynomial is a ring handle and one stored triple (content, exponent,
-primitive): a nonzero scalar c, an int s >= 0 and a tuple P of ring
-elements in ascending degree order, with value c q^s P.  P's first and
-last entries are nonzero, so s is the valuation; the zero polynomial is
-(ring.one, 0, ()), of degree None (a true "minus infinity" sentinel: it
-cannot slip into arithmetic the way -1 could).
+A polynomial is a ring handle and one stored quadruple (content, exponent,
+stride, primitive): a nonzero scalar c, ints s, u >= 0 and a tuple P of
+ring elements in ascending degree order, with value c q^s P(q^u).  P's
+first and last entries are nonzero, so s is the valuation, and u is the gcd
+of the exponents of P(q^u)'s terms (FLINT's deflation), 0 for a monomial.
+The zero polynomial is (ring.one, 0, 0, ()), of degree None (a true "minus
+infinity" sentinel: it cannot slip into arithmetic the way -1 could).
 
-Over Q the triple is canonical: P is a primitive int tuple (gcd 1, last
+Over Q the quadruple is canonical: P is a primitive int tuple (gcd 1, last
 entry positive) and c a nonzero rational, an int when integral, so ``==``
-and ``hash`` compare triples.  By Gauss's lemma (a product of primitive
-int polynomials is primitive) f(q) g(q^m) is (c_f c_g, s_f + m s_g,
-P_f P_g(q^m)), with no denominator, gcd or zero scan as P_f(0) P_g(0) != 0,
-and an exact quotient (c_f / c_g, s_f - s_g, P_f / P_g).  Scaling,
-negation, dilation, shifts and the reciprocal change c or its sign and s,
-and keep or rearrange P.  Over GF(p) and Q(zeta_d) c is ring.one.
-``coeffs`` is s zeros, then the c P_i normalized as the ring normalizes
-scalars: P itself over Q when c = 1 and s = 0.  Zeros are written out
-only where a value is: in sums (by the difference of the valuations),
-``compose``, ``coeffs``, ``coefficient``, ``evaluate`` and ``divmod``.
-
+and ``hash`` compare quadruples.  By Gauss's lemma (a product of primitive
+int polynomials is primitive) f(q) g(q^m) has content c_f c_g, with no
+denominator, gcd or low zero as P_f(0) P_g(0) != 0, and an exact quotient
+c_f / c_g.  Scaling, negation, dilation (s and u times m), shifts and the
+reciprocal change c or its sign, s and u, and keep or rearrange P.  Over
+GF(p) and Q(zeta_d) c is ring.one.  ``coeffs`` is s zeros, then the c P_i
+u - 1 zeros apart, normalized as the ring normalizes scalars.  Zeros are
+written out only in ``coeffs``, ``coefficient``, ``evaluate`` (Horner at
+x^u), ``compose``, ``divmod`` and the int vectors ``exact_div`` divides.
 Polynomials are immutable values and every operation is pure.
 
 Every sum, product and composition runs on int slots, in all three
 rings, through one codec: ``_slots`` writes a polynomial as one int vector
 over one denominator, a slotwise sum or a convolution combines the
 vectors, and ``_decode`` reduces the result slots, drops the top and low
-coefficients that cancel, and maps the rest back over the denominators:
+coefficients that cancel, deflates, and maps the rest back over the
+denominators:
 
 * over Q the slots are the primitive part times the content's numerator,
   over its denominator.  A product skips the codec (Gauss's lemma);
@@ -38,17 +38,21 @@ coefficients that cancel, and maps the rest back over the denominators:
   has whole rows.  Each result row is reduced modulo the monic integer
   Phi_d, top slot first, and divided by the denominators.
 
+Sums and products run in q^d, d the gcd of the strides (and of the
+valuations' gap, for a sum), with an operand's slots (rows) u / d apart.
+The result is deflated once, as cancellation can raise the stride:
+(1 + q)(1 - q) = 1 - q^2.  Slot 1 nonzero proves stride d with no scan.
+
 Every product is f(q) g(q^m), one convolution with g's slots at stride
-m: m = 1 for ``*``, and the paper's f_m(q) (x) f_n(q) = f_m(q) f_n(q^m)
-for ``sequences.otimes``, which so never builds f_n(q^m).  Over Q and
-GF(p) the stride is m slots; over Q(zeta_d) it is m rows of 2 phi - 1.
-One rule, counted on slots and bytes, picks the convolution in every ring:
-more than PACK_MIN_OPS nonzero slot pairs, and more than PACK_DENSE of
-them per byte of the packed result, make one bigint product (Kronecker
-substitution) at a width of k bytes per slot that provably holds every
-result slot.  The stride spreads g's bytes as it packs them.  Any other
-product goes pair by pair over the nonzero slots, so the zeros of a
-dilation make no work.  A packed square packs its operand once, and
+m u_g / d: m = 1 for ``*``, and the paper's f_m(q) (x) f_n(q) =
+f_m(q) f_n(q^m) for ``sequences.otimes``, which so never builds f_n(q^m).
+f is written out to stride d only when u_f / d > 1.  One rule, counted on
+slots and bytes, picks the convolution in every ring: more than
+PACK_MIN_OPS nonzero slot pairs, and more than PACK_DENSE of them per byte
+of the packed result, make one bigint product (Kronecker substitution) at
+a width of k bytes per slot that provably holds every result slot.  The
+stride spreads g's bytes as it packs them.  Any other product goes pair by
+pair over the nonzero slots.  A packed square packs its operand once, and
 CPython squares an int faster than it multiplies two.
 
 Over Q(zeta_d), f = sum_j z^j f_j (j < phi) with coordinate polynomials
@@ -56,17 +60,18 @@ f_j in Q[q].  ``_coordinatewise`` applies a Q-linear map to each nonzero
 f_j, an int vector over its denominator.  Scaling by a rational, -1 among
 them, is such a map; by any other scalar it is a product with a constant.
 
-As P_g(0) != 0, g divides f exactly only when s_g <= s_f and P_g is no
-longer than P_f: anything else is inexact before any slot work.  Then one
-table, keyed by the form of g, divides P_f and subtracts s_g.  Its kernels
-divide one int vector at a time: over Q the primitive part, over GF(p) the
-residues, and over Q(zeta_d), for g = a g' with g' in Q[q], each f_j, as
+As P_g(0) != 0, g divides f exactly only when s_g <= s_f and g's degree
+span (degree less valuation) is no larger than f's: anything else is
+inexact before any slot work.  Then one table, keyed by the form of g,
+divides P_f at d = gcd(u_f, u_g) and subtracts s_g.  Its kernels divide one
+int vector at a time: over Q the primitive part, over GF(p) the residues,
+and over Q(zeta_d), for g = a g' with g' in Q[q], each f_j, as
 g' divides f exactly when it divides every f_j (1, z, ..., z^(phi - 1) is
 a basis over Q); the quotient is (sum z^j f_j / g') / a.
 
 * g = a q^(s_g) only scales.
-* g = a q^(s_g) [n]_{q^u} (n >= 2, u >= 1: one nonzero entry a at each of
-  0, u, ..., (n - 1) u), in every ring, divides v in linear time through
+* g = a q^(s_g) [n]_{q^(du)} (n >= 2: P_g is n entries a at stride du),
+  in every ring, divides v by [n]_{q^u} in linear time through
   (1 - q^u) [n]_{q^u} = 1 - q^(un).  One pass of subtractions makes
   t = (1 - q^u) v, and the power series division of t by 1 - q^(un),
   h_i = t_i + h_(i - un), runs one slice addition per block of un entries
@@ -130,7 +135,7 @@ class InexactDivision(ArithmeticError):
 
 
 class Polynomial:
-    __slots__ = ("ring", "content", "exponent", "primitive")
+    __slots__ = ("ring", "content", "exponent", "stride", "primitive")
 
     def __new__(cls, ring: Ring, coeffs: Iterable = ()):
         vals = [ring.normalize(c) for c in coeffs]
@@ -141,15 +146,16 @@ class Polynomial:
     @classmethod
     def _raw(cls, ring: Ring, vals: Sequence) -> "Polynomial":
         # Internal: vals already normalized, trailing zeros stripped.
-        return cls._triple(ring, *_split(ring, vals))
+        return cls._stored(ring, *_split(ring, vals))
 
     @classmethod
-    def _triple(cls, ring: Ring, content, exponent: int, primitive: tuple) -> "Polynomial":
-        # Internal: (content, exponent, primitive) already in the stored form.
+    def _stored(cls, ring, content, exponent, stride, primitive) -> "Polynomial":
+        # Internal: the quadruple already in the stored form.
         self = object.__new__(cls)
         _set_ring(self, ring)
         _set_content(self, content)
         _set_exponent(self, exponent)
+        _set_stride(self, stride)
         _set_primitive(self, primitive)
         return self
 
@@ -160,16 +166,18 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients in ascending degree order: s zeros, then c P."""
+        """The coefficients in ascending degree order: s zeros, then c P(q^u)."""
         c, s, P = self.content, self.exponent, self.primitive
         if c != self.ring.one:
             P = tuple(_over(P, c.numerator, c.denominator))
+        P = tuple(_inflate(P, self.stride, zero=self.ring.zero))
         return (self.ring.zero,) * s + P if s else P
 
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
-        return self.exponent + len(self.primitive) - 1 if self.primitive else None
+        P = self.primitive
+        return self.exponent + (len(P) - 1) * self.stride if P else None
 
     def is_zero(self) -> bool:
         return not self.primitive
@@ -177,8 +185,8 @@ class Polynomial:
     def coefficient(self, i: int):
         if i < 0:
             raise IndexError("negative degree")
-        P, ring, i = self.primitive, self.ring, i - self.exponent
-        if not 0 <= i < len(P):
+        P, ring, (i, r) = self.primitive, self.ring, divmod(i - self.exponent, self.stride or 1)
+        if r or not 0 <= i < len(P):
             return ring.zero
         c = self.content
         return P[i] if c == ring.one else ring.normalize(ring.mul(c, P[i]))
@@ -200,7 +208,7 @@ class Polynomial:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        """Slot by slot over the lcm of the denominators, from the lower valuation."""
+        """Slot by slot over the lcm of the denominators, in q^d from the lower valuation."""
         self._check_ring(other)
         if not (self.primitive and other.primitive):
             return other if self.is_zero() else self
@@ -210,12 +218,14 @@ class Polynomial:
         den = lcm(da, db)
         ka, kb = den // da, den // db
         w = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
-        lo = (b.exponent - a.exponent) * w
+        d = gcd(a.stride, b.stride, b.exponent - a.exponent) or 1
+        v = _inflate(v if kb == 1 else [kb * y for y in v], b.stride // d, w)
+        lo = (b.exponent - a.exponent) // d * w
         hi = lo + len(v)
-        out = list(u) if ka == 1 else [x * ka for x in u]
+        out = _inflate(list(u) if ka == 1 else [x * ka for x in u], a.stride // d, w)
         out += repeat(0, hi - len(out))
-        out[lo:hi] = map(add, out[lo:hi], v if kb == 1 else [kb * y for y in v])
-        return _decode(ring, out, den, a.exponent)
+        out[lo:hi] = map(add, out[lo:hi], v)
+        return _decode(ring, out, den, a.exponent, d)
 
     def __neg__(self) -> "Polynomial":
         return self.scale(-1)
@@ -234,13 +244,14 @@ class Polynomial:
             return self
         if ring.is_zero(c):
             return zero(ring)
-        s, P = self.exponent, self.primitive
+        s, u, P = self.exponent, self.stride, self.primitive
         if isinstance(ring, RationalField):
-            return Polynomial._triple(ring, ring.normalize(c * self.content), s, P)
+            return Polynomial._stored(ring, ring.normalize(c * self.content), s, u, P)
         if isinstance(ring, CyclotomicField):  # a rational c makes no product
-            return self * constant(ring, c) if any(c[1:]) else _coordinatewise(self, c[0], list)
+            return (self * constant(ring, c) if any(c[1:])
+                    else _coordinatewise(self, c[0], list, u))
         mul = ring.mul
-        return Polynomial._triple(ring, ring.one, s, tuple([mul(c, x) for x in P]))
+        return Polynomial._stored(ring, ring.one, s, u, tuple([mul(c, x) for x in P]))
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by q**k."""
@@ -248,7 +259,8 @@ class Polynomial:
             raise ValueError("shift exponent must be >= 0")
         if not k or not self.primitive:
             return self
-        return Polynomial._triple(self.ring, self.content, self.exponent + k, self.primitive)
+        return Polynomial._stored(self.ring, self.content, self.exponent + k, self.stride,
+                                  self.primitive)
 
     def unshift(self, k: int) -> "Polynomial":
         """Divide by q**k, which must divide the polynomial."""
@@ -258,7 +270,8 @@ class Polynomial:
             return self
         if self.exponent < k:
             raise ValueError(f"q^{k} does not divide {self}")
-        return Polynomial._triple(self.ring, self.content, self.exponent - k, self.primitive)
+        return Polynomial._stored(self.ring, self.content, self.exponent - k, self.stride,
+                                  self.primitive)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -268,23 +281,20 @@ class Polynomial:
     # -- the operations the functional equation is built from --
 
     def dilate(self, m: int) -> "Polynomial":
-        """The substitution q -> q**m."""
+        """The substitution q -> q**m: s and u times m, sharing P."""
         if m < 1:
             raise ValueError(f"dilation exponent must be >= 1, got {m}")
-        P = self.primitive
-        if m == 1 or not P:
+        if m == 1 or not self.primitive:
             return self
-        out = [self.ring.zero] * ((len(P) - 1) * m + 1)
-        out[::m] = P
-        return Polynomial._triple(self.ring, self.content, self.exponent * m, tuple(out))
+        return Polynomial._stored(self.ring, self.content, self.exponent * m, self.stride * m,
+                                  self.primitive)
 
     def compose(self, psi: "Polynomial") -> "Polynomial":
         """f(psi(q)), level by level on int slots; see the module docstring."""
         self._check_ring(psi)
-        ring, n = self.ring, self.exponent + len(self.primitive)
+        ring, n, d = self.ring, (self.degree or 0) + 1, psi.degree or 0
         if n < 2:
             return self
-        d = psi.exponent + len(psi.primitive) - 1
         if d < 1:
             return constant(ring, self.evaluate(psi.constant_term))
         # Slots per coefficient: a row of 2 phi - 1 over Q(zeta_d), else 1.
@@ -294,8 +304,8 @@ class Polynomial:
         # In full, in whole rows (_slots stops the last after phi coordinates):
         # the n terms of w = 1 coefficient each, and psi_i = s / den_psi.
         (den, v), (den_psi, s) = _slots(ring, self), _slots(ring, psi)
-        v = [0] * (r * self.exponent) + list(v) + [0] * (r // 2)
-        s = [0] * (r * psi.exponent) + list(s) + [0] * (r // 2)
+        v = [0] * (r * self.exponent) + _inflate(list(v), self.stride, r) + [0] * (r // 2)
+        s = [0] * (r * psi.exponent) + _inflate(list(s), psi.stride, r) + [0] * (r // 2)
         w = 1
         while n > 1:
             half, b, B = n // 2, r * w, r * (w + d)
@@ -324,10 +334,10 @@ class Polynomial:
         """q**deg(f) * f(1/q): the coefficient-reversed polynomial."""
         if not self.primitive:
             raise ValueError("the zero polynomial has no reciprocal")
-        ring, c, out = self.ring, self.content, self.primitive[::-1]
+        ring, c, u, out = self.ring, self.content, self.stride, self.primitive[::-1]
         if isinstance(ring, RationalField) and out[-1] < 0:
-            return Polynomial._triple(ring, -c, 0, tuple([-x for x in out]))
-        return Polynomial._triple(ring, c, 0, out)
+            return Polynomial._stored(ring, -c, 0, u, tuple([-x for x in out]))
+        return Polynomial._stored(ring, c, 0, u, out)
 
     def divmod(self, g: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """(quo, rem) with f = quo * g + rem and rem zero or of lower degree than g.
@@ -344,8 +354,8 @@ class Polynomial:
         if not self.primitive or self.degree < dd:
             return zero(ring), self
         if isinstance(ring, RationalField):
-            den, quo, rem = _int_divmod((0,) * self.exponent + self.primitive,
-                                        (0,) * g.exponent + g.primitive)
+            x, y = ([0] * h.exponent + list(_inflate(h.primitive, h.stride)) for h in (self, g))
+            den, quo, rem = _int_divmod(x, y)
             c = Fraction(self.content)
             return _decode(ring, quo, den).scale(c / g.content), _decode(ring, rem, den).scale(c)
         rem = list(self.coeffs)
@@ -365,8 +375,9 @@ class Polynomial:
     def exact_div(self, g: "Polynomial") -> "Polynomial":
         """The quotient f / g when g divides f exactly; InexactDivision otherwise.
 
-        The valuations and lengths refuse first; then one table keyed by
-        the form of g picks the division (see the module docstring).
+        The valuations and degree spans refuse first; then one table keyed
+        by the form of g picks the division, run at the gcd of the strides
+        on int vectors written out to it (see the module docstring).
         """
         self._check_ring(g)
         ring, f, d = self.ring, self.primitive, g.primitive
@@ -374,19 +385,22 @@ class Polynomial:
             raise ValueError("division by the zero polynomial")
         if not f:
             return self
-        if g.exponent > self.exponent or len(d) > len(f):
+        if g.exponent > self.exponent or g.degree - g.exponent > self.degree - self.exponent:
             raise InexactDivision(f"degree of {self} is below degree of divisor"
                                   if self.degree < g.degree else f"{g} does not divide {self}")
         a = g.content if isinstance(ring, RationalField) else d[0]
+        u = gcd(self.stride, g.stride) or 1  # both nonconstant past a monomial g
+        k = g.stride // u
         if len(d) == 1:
             quo = self.scale(ring.inv(a))
-        elif shape := _geometric_shape(ring, d):  # g = a q^(s_g) [n]_{q^u}
-            quo = _quotient(self, a, lambda R, w: _geometric_div(R, w, *shape))
+        elif d.count(d[0]) == len(d):  # g = a q^(s_g) [n]_{q^(uk)}
+            quo = _quotient(self, a, u, lambda R, w: _geometric_div(R, w, len(d), k))
         elif isinstance(ring, RationalField):  # g = a q^(s_g) P_g, P_g primitive
-            quo = _quotient(self, a, lambda R, w: _int_quotient(w, d))
+            quo = _quotient(self, a, u, lambda R, w: _int_quotient(w, _inflate(d, k)))
         elif isinstance(ring, CyclotomicField) and not any(map(any, list(zip(*d))[1:])):
-            c, _, v = _split(QQ, [x[0] for x in d])  # g = c q^(s_g) v over Q
-            quo = _quotient(self, ring.normalize(c), lambda R, w: _int_quotient(w, v))
+            c, _, _, v = _split(QQ, [x[0] for x in d])  # g = c q^(s_g) v(q^(uk)) over Q
+            quo = _quotient(self, ring.normalize(c), u,
+                            lambda R, w: _int_quotient(w, _inflate(v, k)))
         else:  # as s_g <= s_f and P_g(0) != 0, g divides f when g / q^(s_g) does
             quo, rem = self.divmod(g.unshift(g.exponent))
             quo = None if rem.primitive else quo
@@ -395,12 +409,12 @@ class Polynomial:
         return quo.unshift(g.exponent)
 
     def evaluate(self, x):
-        """Value at a scalar of the same ring (Horner, then times x^s)."""
+        """Value at a scalar of the same ring (Horner at x^u, then times x^s)."""
         ring = self.ring
         x = ring.normalize(x)
-        acc = ring.zero
+        acc, xu = ring.zero, ring.pow(x, self.stride) if self.stride > 1 else x
         for c in reversed(self.primitive):
-            acc = ring.add(ring.mul(acc, x), c)
+            acc = ring.add(ring.mul(acc, xu), c)
         c = ring.mul(self.content, ring.pow(x, self.exponent)) if self.exponent else self.content
         return acc if c == ring.one else ring.normalize(ring.mul(c, acc))
 
@@ -410,11 +424,12 @@ class Polynomial:
         return (isinstance(other, Polynomial)
                 and self.ring == other.ring
                 and self.exponent == other.exponent
+                and self.stride == other.stride
                 and self.content == other.content
                 and self.primitive == other.primitive)
 
     def __hash__(self):
-        return hash((self.ring, self.content, self.exponent, self.primitive))
+        return hash((self.ring, self.content, self.exponent, self.stride, self.primitive))
 
     def __str__(self):
         return self.pretty()
@@ -433,14 +448,14 @@ class Polynomial:
         # of P: a value's coefficients repeat a few scalars.
         shown = {x: _display(ring, ring.normalize(ring.mul(c, x)) if scaled else x)
                  for x in set(P) if not ring.is_zero(x)}
-        end = s + len(P)
+        end = self.degree + 1
         if len(_POWERS) < end:
             with _POWERS_GROWING:  # two threads must not append the same q^i
                 _POWERS.extend([f"q^{i}" for i in range(len(_POWERS), end)])
-        # One mask picks the nonzero entries and their q^i texts from q^s on:
-        # P itself, or over Q(zeta_d), where a zero tuple is truthy, a tuple.
+        # One mask picks the nonzero entries and their q^i texts (q^s on, u
+        # apart): P itself, or over Q(zeta_d), where a zero tuple is truthy.
         mask = tuple(map(ne, P, repeat(ring.zero))) if isinstance(ring, CyclotomicField) else P
-        scalars, powers = compress(P, mask), compress(_POWERS[s:end], mask)
+        scalars, powers = compress(P, mask), compress(_POWERS[s:end:self.stride or 1], mask)
         negative, mag, prefix = shown[next(scalars)]
         power = next(powers)
         head = prefix + power if power else mag
@@ -452,10 +467,8 @@ class Polynomial:
 
 
 # The slots' own setters, which __setattr__ does not reach.
-_set_ring = Polynomial.ring.__set__
-_set_content = Polynomial.content.__set__
-_set_exponent = Polynomial.exponent.__set__
-_set_primitive = Polynomial.primitive.__set__
+_set_ring, _set_content, _set_exponent, _set_stride, _set_primitive = (
+    getattr(Polynomial, name).__set__ for name in Polynomial.__slots__)
 
 
 def _display(ring: Ring, c) -> tuple[bool, str, str]:
@@ -478,27 +491,47 @@ _POWERS_GROWING = Lock()
 
 
 def _split(ring: Ring, vals: Sequence) -> tuple:
-    """The stored triple of the normalized coefficients vals (no trailing zero)."""
+    """The stored quadruple of the normalized coefficients vals (no trailing zero)."""
     if not vals:
-        return ring.one, 0, ()
+        return ring.one, 0, 0, ()
     s = next(i for i, x in enumerate(vals) if not ring.is_zero(x))
     if isinstance(ring, RationalField):
         den, ints = _clear(vals[s:])
-        return _primitive(ints, den, s)
-    return ring.one, s, tuple(vals[s:])
+        return _primitive(ints, den, s, 1)
+    return ring.one, s, *_deflate(ring, 1, tuple(vals[s:]))
 
 
-def _primitive(ints: Sequence[int], den: int, s: int) -> tuple:
-    """The triple (c, s, P) of q^s ints / den over Q: ints / den = c P, P
-    primitive with a positive last entry.
+def _deflate(ring: Ring, u: int, P: Sequence) -> tuple:
+    """(u k, P[::k]) for P(q^u), P[0] != 0, and k the gcd of the positions
+    of P's nonzero entries: 0 for one entry, 1 with no scan when P[1] != 0."""
+    if len(P) < 2 or P[1] != ring.zero:
+        return (u if len(P) > 1 else 0), P
+    mask = map(ne, P, repeat(ring.zero)) if isinstance(ring, CyclotomicField) else P
+    k = gcd(*compress(range(len(P)), mask))
+    return u * k, P[::k]
 
-    ints must start and end in nonzero entries; den > 0.
-    """
+
+def _inflate(v: Sequence, k: int, w: int = 1, zero=0) -> Sequence:
+    """v's rows of w entries k rows apart over zero fills, or v for k <= 1;
+    the last row may be cut short, as ``_slots`` cuts it."""
+    if k < 2 or len(v) <= w:
+        return v
+    out = [zero] * ((len(v) - 1) // w * w * (k - 1) + len(v))
+    for j in range(w):
+        out[j::k * w] = v[j::w]
+    return out
+
+
+def _primitive(ints: Sequence[int], den: int, s: int, u: int) -> tuple:
+    """The stored quadruple (c, s, u k, P) of q^s ints(q^u) / den over Q,
+    for ints with nonzero ends and den > 0: ints / den = c P(q^k), P
+    primitive with a positive last entry, k as ``_deflate`` finds it."""
+    u, ints = _deflate(QQ, u, ints)
     g = gcd(*ints)
     if ints[-1] < 0:
         g = -g
     P = tuple(ints) if g == 1 else tuple([x // g for x in ints])
-    return (g if den == 1 else QQ.normalize(Fraction(g, den))), s, P
+    return (g if den == 1 else QQ.normalize(Fraction(g, den))), s, u, P
 
 
 def _int_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int], list[int]]:
@@ -655,11 +688,11 @@ def _slots(ring: Ring, f: Polynomial) -> tuple[int, Sequence[int]]:
     return _clear(flat)
 
 
-def _decode(ring: Ring, v: list[int], den: int, s: int = 0) -> Polynomial:
-    """q^s times the polynomial whose slots over den are v, reduced and
+def _decode(ring: Ring, v: list[int], den: int, s: int = 0, u: int = 1) -> Polynomial:
+    """q^s times the polynomial in q^u whose slots over den are v, reduced,
     stripped of top and low coefficients that cancel (a sum may cancel to
-    zero); over Q(zeta_d) rows of 2 phi - 1 slots, the last possibly cut
-    after phi."""
+    zero) and deflated; over Q(zeta_d) rows of 2 phi - 1 slots, the last
+    possibly cut after phi."""
     v = _reduce(ring, v)
     while v and not v[-1]:
         v.pop()
@@ -668,13 +701,14 @@ def _decode(ring: Ring, v: list[int], den: int, s: int = 0) -> Polynomial:
     w = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
     low = next(compress(range(len(v)), v)) // w  # a reduced row is 0 past phi
     del v[:low * w]
+    s += low * u
     if isinstance(ring, RationalField):
-        return Polynomial._triple(ring, *_primitive(v, den, s + low))
+        return Polynomial._stored(ring, *_primitive(v, den, s, u))
     if isinstance(ring, PrimeField):
-        return Polynomial._triple(ring, ring.one, s + low, tuple(v))
+        return Polynomial._stored(ring, ring.one, s, *_deflate(ring, u, tuple(v)))
     v += [0] * (ring.phi - 1 - (len(v) - 1) % w)  # the last row's phi coordinates
     columns = [_over(v[j::w], 1, den) for j in range(ring.phi)]
-    return Polynomial._triple(ring, ring.one, s + low, tuple(zip(*columns)))
+    return Polynomial._stored(ring, ring.one, s, *_deflate(ring, u, tuple(zip(*columns))))
 
 
 def _reduce(ring: Ring, v: list[int]) -> list[int]:
@@ -720,21 +754,24 @@ def _relay(v: Sequence[int], start: int, step: int, count: int, width: int,
 
 
 def _product(f: Polynomial, g: Polynomial, m: int) -> Polynomial:
-    """f(q) g(q^m), with g's slots at stride m: f_n(q^m) is never built."""
+    """f(q) g(q^m) in q^d, d = gcd(u_f, m u_g), with g's slots at stride
+    m u_g / d: f_n(q^m) is never built.  See the module docstring."""
     f._check_ring(g)
     ring = f.ring
     a, b = f.primitive, g.primitive
     if not a or not b:
         return zero(ring)
     s = f.exponent + m * g.exponent
+    d = gcd(f.stride, m * g.stride) or 1  # 0 when both are monomials
+    kf, kg = f.stride // d, m * g.stride // d or 1
     if isinstance(ring, RationalField):
         # Gauss: P_a P_b(q^m) is primitive, last entry > 0, and P_a(0) P_b(0) != 0.
-        return Polynomial._triple(ring, ring.normalize(f.content * g.content), s,
-                                  tuple(_convolve(a, b, m)))
+        d, P = _deflate(ring, d, _convolve(_inflate(a, kf), b, kg))
+        return Polynomial._stored(ring, ring.normalize(f.content * g.content), s, d, tuple(P))
     da, u = _slots(ring, f)
     db, v = (da, u) if g is f else _slots(ring, g)
     w = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
-    return _decode(ring, _convolve(u, v, m, w), da * db, s)
+    return _decode(ring, _convolve(_inflate(u, kf, w), v, kg, w), da * db, s, d)
 
 
 def _convolve(u: Sequence[int], v: Sequence[int], m: int = 1,
@@ -774,19 +811,6 @@ def _convolve(u: Sequence[int], v: Sequence[int], m: int = 1,
     return out
 
 
-def _geometric_shape(ring: Ring, d: tuple) -> tuple[int, int] | None:
-    """(n, u) when the primitive part d is a [n]_{q^u} with n >= 2, u >= 1:
-    the entry a at 0, u, ..., (n - 1) u and zeros elsewhere."""
-    if len(d) < 2 or d[0] != d[-1]:
-        return None
-    a = d[0]
-    u = d.index(a, 1)
-    n = (len(d) - 1) // u + 1
-    if (len(d) - 1) % u or d.count(ring.zero) != len(d) - n or d[::u].count(a) != n:
-        return None
-    return n, u
-
-
 def _geometric_div(ring: Ring, v: Sequence[int], n: int, u: int) -> list[int] | None:
     """v / [n]_{q^u} through 1 - q^(un) for an int vector v over Q or GF(p),
     or None when [n]_{q^u} does not divide v.  See the module docstring."""
@@ -808,29 +832,31 @@ def _geometric_div(ring: Ring, v: Sequence[int], n: int, u: int) -> list[int] | 
     return None if any(_reduce(ring, top)) else h
 
 
-def _quotient(f: Polynomial, a, divide) -> Polynomial | None:
-    """f / (a g') for a scalar a and an int polynomial g' with g'(0) != 0,
-    with divide(R, v) the int vector v / g' over R = Q or GF(p), or None
-    when it fails.  The quotient keeps f's valuation."""
-    ring = f.ring
+def _quotient(f: Polynomial, a, u: int, divide) -> Polynomial | None:
+    """f / (a g') in q^u, u | u_f, for a scalar a and an int polynomial g'
+    with g'(0) != 0, with divide(R, v) the int vector v / g' over R = Q or
+    GF(p) of f's slots at stride u, or None when it fails."""
+    ring, k = f.ring, f.stride // u
     if isinstance(ring, CyclotomicField):
         rational = not any(a[1:])
-        quo = _coordinatewise(f, Fraction(1, a[0]) if rational else 1, lambda v: divide(QQ, v))
+        quo = _coordinatewise(f, Fraction(1, a[0]) if rational else 1,
+                              lambda v: divide(QQ, _inflate(v, k)), u)
         return quo if rational or quo is None else quo.scale(ring.inv(a))
-    h = divide(ring, f.primitive)
+    h = divide(ring, _inflate(f.primitive, k))
     if h is None:
         return None
     if isinstance(ring, RationalField):
         # Gauss: P_g h = P_f is primitive, so h is, last entry > 0, h(0) != 0.
-        return Polynomial._triple(ring, ring.normalize(Fraction(f.content) / a),
-                                  f.exponent, tuple(h))
-    return _decode(ring, h, 1, f.exponent).scale(ring.inv(a))
+        u, h = _deflate(ring, u, h)
+        return Polynomial._stored(ring, ring.normalize(Fraction(f.content) / a),
+                                  f.exponent, u, tuple(h))
+    return _decode(ring, h, 1, f.exponent, u).scale(ring.inv(a))
 
 
-def _coordinatewise(f: Polynomial, r, linear) -> Polynomial | None:
-    """r sum_j z^j linear(f_j) for f = sum_j z^j f_j over Q(zeta_d), a rational
-    r and a Q-linear map on int vectors, or None when linear returns None:
-    each nonzero f_j = v / D, without its top zeros, maps to linear(v) r / D."""
+def _coordinatewise(f: Polynomial, r, linear, u: int) -> Polynomial | None:
+    """r sum_j z^j linear(f_j)(q^u) for f = sum_j z^j f_j over Q(zeta_d), a
+    rational r and a Q-linear map on int vectors, or None when linear returns
+    None: each nonzero f_j = v / D, without its top zeros, maps to linear(v) r / D."""
     columns = []
     for column in zip(*f.primitive):
         n = len(column)
@@ -844,8 +870,8 @@ def _coordinatewise(f: Polynomial, r, linear) -> Polynomial | None:
             columns.append(_over(h, r.numerator, r.denominator * den))
         else:
             columns.append(())
-    return Polynomial._triple(f.ring, f.ring.one, f.exponent,
-                              tuple(zip_longest(*columns, fillvalue=0)))
+    P = tuple(zip_longest(*columns, fillvalue=0))
+    return Polynomial._stored(f.ring, f.ring.one, f.exponent, *_deflate(f.ring, u, P))
 
 
 def _packed_quotient(vf: Sequence[int], vg: Sequence[int]) -> list[int] | None:
@@ -883,11 +909,11 @@ def _int_quotient(vf: Sequence[int], vg: Sequence[int]) -> list[int] | None:
 
 
 def zero(ring: Ring) -> Polynomial:
-    return Polynomial._triple(ring, ring.one, 0, ())
+    return Polynomial._stored(ring, ring.one, 0, 0, ())
 
 
 def one(ring: Ring) -> Polynomial:
-    return Polynomial._triple(ring, ring.one, 0, (ring.one,))
+    return Polynomial._stored(ring, ring.one, 0, 0, (ring.one,))
 
 
 def constant(ring: Ring, c) -> Polynomial:
@@ -895,8 +921,8 @@ def constant(ring: Ring, c) -> Polynomial:
     if ring.is_zero(c):
         return zero(ring)
     if isinstance(ring, RationalField):
-        return Polynomial._triple(ring, c, 0, (1,))
-    return Polynomial._triple(ring, ring.one, 0, (c,))
+        return Polynomial._stored(ring, c, 0, 0, (1,))
+    return Polynomial._stored(ring, ring.one, 0, 0, (c,))
 
 
 def monomial(ring: Ring, k: int, coeff=None) -> Polynomial:
@@ -910,7 +936,7 @@ def quantum_integer(n: int, ring: Ring = QQ) -> Polynomial:
     """1 + q + ... + q**(n-1): the polynomial that counts to n at q = 1."""
     if n < 1:
         raise ValueError(f"quantum integer index must be >= 1, got {n}")
-    return Polynomial._triple(ring, ring.one, 0, (ring.one,) * n)
+    return Polynomial._stored(ring, ring.one, 0, int(n > 1), (ring.one,) * n)
 
 
 def scaled_quantum_integer(n: int, zeta, ring: Ring = QQ) -> Polynomial:

@@ -273,6 +273,11 @@ class CyclotomicField(Ring):
         return tuple(-x for x in a)
 
     def mul(self, a, b):
+        if not any(a[1:]):
+            a, b = b, a
+        if not any(b[1:]):  # a rational operand scales the other's coordinates
+            c = b[0]
+            return a if c == 1 else tuple([x and _as_rational(c * x) for x in a])
         prod = [0] * (2 * self.phi - 1)
         for i, x in enumerate(a):
             if x:
@@ -284,6 +289,8 @@ class CyclotomicField(Ring):
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
+        if not any(a[1:]):  # a rational: one inverse over Q
+            return self.normalize(QQ.inv(a[0]))
         from .poly import Polynomial, one, zero
 
         # Extended Euclid over Q against the irreducible modulus: the last

@@ -22,7 +22,11 @@ pin that report at a bound the ``--upto 16`` files never reach.  The
 ``seeds-2-shapeless`` files, captured before both sweeps were cut to the
 rows where a first failure can lie, cover a seed with 40 random
 coefficients in {1, -1, 2, -3} on P = {2}: no value but f_1 is regular,
-so every law pair of rows 1 and 2 up to 32 is expanded.
+so every law pair of rows 1 and 2 up to 32 is expanded.  The
+``seeds-2357-q7`` and ``seeds-2357-q31`` files, captured before a
+polynomial stored its stride apart, cover dilated solutions: the seeds
+are [p]_{q^t} on P = {2, 3, 5, 7} with t = 7 and 31, read to 200 (their
+``construct`` to 60, as every f_n is printed in full).
 
 After a deliberate change of output, re-capture with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
@@ -42,7 +46,10 @@ from qfe.cli import BUILTIN_NAMES, DEMO_NAMES, main
 GOLDEN = Path(__file__).parent / "golden"
 # Seed-file inputs (also under golden/) and the --upto each is read to.
 SEED_FILES = {"seeds-257": 16, "seeds-z4": 27, "seeds-23-frac": 150,
-              "seeds-23-gf257": 64, "seeds-713-z12": 200, "seeds-2-shapeless": 32}
+              "seeds-23-gf257": 64, "seeds-713-z12": 200, "seeds-2-shapeless": 32,
+              "seeds-2357-q7": 200, "seeds-2357-q31": 200}
+# construct's --upto where it differs from SEED_FILES'.
+CONSTRUCT_UPTO = {"seeds-2357-q7": 60, "seeds-2357-q31": 60}
 RINGS = ("rational", "gfp:7", "cyclotomic:12")
 
 
@@ -52,7 +59,8 @@ def _cases() -> dict[str, list[str]]:
         cases[f"oracle-{upto}"] = ["oracle", "--upto", str(upto)]
     for stem, upto in SEED_FILES.items():
         path = str(GOLDEN / f"{stem}.json")
-        cases[f"construct-{stem}"] = ["construct", path, "--upto", str(upto)]
+        cases[f"construct-{stem}"] = ["construct", path, "--upto",
+                                      str(CONSTRUCT_UPTO.get(stem, upto))]
     for cmd in ("verify", "decompose"):
         for fmt in ([], ["--json"]):
             tag = "-".join([cmd] + [f[2:] for f in fmt])

@@ -858,8 +858,8 @@ def _geometric_example(ring, n, u, h):
                quantum_integer(4, _GF7).shift(3)))
 def test_geometric_divisor_matches_long_division(case):
     # Divided through 1 - q^(un), with no long division and no packed
-    # quotient, once f has g's valuation and P_f is as long as P_g; refused
-    # with neither before that.
+    # quotient, once f has g's valuation and a degree span (degree less
+    # valuation) as large as g's; refused with neither before that.
     f, g = case
     ring = f.ring
     calls = []
@@ -891,7 +891,7 @@ def test_geometric_divisor_matches_long_division(case):
         else:
             assert_same(f.exact_div(g), want)
     reached = (not f.is_zero() and f.valuation() >= g.valuation()
-               and len(f.primitive) >= len(g.primitive))
+               and f.degree - f.valuation() >= g.degree - g.valuation())
     assert set(calls) == ({"geometric"} if reached else set())
 
 
@@ -1090,25 +1090,34 @@ def test_compose_makes_one_product_per_level(monkeypatch, n):
 
 def assert_canonical(f: Polynomial):
     """P primitive with nonzero first and positive last entries, the content
-    an int when integral, and the triple rebuilt from the coefficients."""
-    c, s, P = f.content, f.exponent, f.primitive
+    an int when integral, the stride the gcd of the positions of the nonzero
+    coefficients past q^s (0 for a monomial), and the quadruple rebuilt from
+    the coefficients."""
+    c, s, u, P = f.content, f.exponent, f.stride, f.primitive
     if not P:
-        assert (c, type(c), s) == (1, int, 0)
+        assert (c, type(c), s, u) == (1, int, 0, 0)
     else:
         assert all(type(x) is int for x in P)
         assert gcd(*P) == 1 and P[0] != 0 and P[-1] > 0
         assert c != 0 and type(c) is type(QQ.normalize(c))
         assert type(s) is int and s == f.valuation() >= 0
+        assert type(u) is int and u == gcd(*(i - s for i, x in enumerate(f.coeffs) if x))
     for x in f.coeffs:
         assert type(x) is type(QQ.normalize(x)), x
     rebuilt = Polynomial(QQ, f.coeffs)
-    assert (rebuilt.content, rebuilt.exponent, rebuilt.primitive) == (c, s, P)
+    assert (rebuilt.content, rebuilt.exponent, rebuilt.stride, rebuilt.primitive) == (c, s, u, P)
 
 
 @settings(max_examples=150, deadline=None)
 @given(f=rational_polys(), g=rational_polys(nonzero=True), c=nonzero_scalars)
 @example(f=_HALF, g=_HALF, c=2)
 @example(f=from_rationals([0, 0, 2, -4]), g=from_rationals([0, 1]), c=-3)
+# (1 + q)(1 - q) = 1 - q^2: the product's stride is raised to 2.
+@example(f=from_rationals([1, 1]), g=from_rationals([1, -1]), c=2)
+# Monomials, of stride 0 however they are built.
+@example(f=from_rationals([0, 0, 3]), g=from_rationals([0, 2]), c=5)
+# Strides 6 and 4, whose sum is in q^2.
+@example(f=quantum_integer(4).dilate(6), g=quantum_integer(3).dilate(4).shift(2), c=3)
 def test_every_route_reaches_the_same_pair(f, g, c):
     # Every route yields f's value (the tests above check the arithmetic);
     # the form is canonical when every route also yields f's triple.

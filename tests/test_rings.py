@@ -9,7 +9,7 @@ from qfe import (QQ, CyclotomicField, PrimeField, cyclotomic_polynomial,
                  root_of_unity_order)
 from qfe.rings import MAX_CYCLOTOMIC_ORDER
 from qfe.semigroup import MAX_PRIME, divisors
-from qfe.poly import Polynomial, monomial, one
+from qfe.poly import Polynomial, monomial, one, zero
 
 rational_values = st.one_of(
     st.integers(-30, 30),
@@ -262,7 +262,7 @@ def test_prime_field_ring_axioms(a, b, c):
 @settings(max_examples=30)
 @given(data=st.data())
 def test_cyclotomic_ring_axioms(d, data):
-    # d = 1, 2 (phi = 1) run the Euclid in inv against a linear modulus.
+    # d = 1, 2 (phi = 1): every element is rational, and inverts over Q.
     K = CyclotomicField(d)
     a, b, c = (data.draw(cyclo_values(K)) for _ in range(3))
     assert K.add(K.add(a, b), c) == K.add(a, K.add(b, c))
@@ -270,3 +270,57 @@ def test_cyclotomic_ring_axioms(d, data):
     assert K.mul(a, K.add(b, c)) == K.add(K.mul(a, b), K.mul(a, c))
     if not K.is_zero(a):
         assert K.mul(a, K.inv(a)) == K.one
+
+
+def reference_mul(K, a, b):
+    """CyclotomicField.mul before a rational operand became a scale: the
+    schoolbook product of the coordinates, reduced modulo Phi_d."""
+    prod = [0] * (2 * K.phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    return tuple(K._reduce(prod))
+
+
+def reference_inv(K, a):
+    """CyclotomicField.inv before a rational inverted over Q: the extended
+    Euclid against Phi_d, for every nonzero element."""
+    old_r, r = Polynomial(QQ, a), Polynomial(QQ, K.modulus)
+    old_s, s = one(QQ), zero(QQ)
+    while not r.is_zero():
+        quo, rem = old_r.divmod(r)
+        old_r, r = r, rem
+        old_s, s = s, old_s - quo * s
+    return K.normalize(old_s.scale(QQ.inv(old_r.constant_term)).coeffs)
+
+
+def assert_same_scalar(got, want):
+    assert got == want and [type(x) for x in got] == [type(x) for x in want]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 12, 17])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_cyclotomic_mul_and_inv_match_the_schoolbook_and_the_euclid(d, data):
+    # Half the operands are rational: mul scales by them and inv inverts
+    # them over Q.
+    K = CyclotomicField(d)
+    a, b = (data.draw(st.one_of(cyclo_values(K), rational_values.map(K.normalize)))
+            for _ in range(2))
+    assert_same_scalar(K.mul(a, b), reference_mul(K, a, b))
+    if not K.is_zero(a):
+        assert_same_scalar(K.inv(a), reference_inv(K, a))
+
+
+def test_cyclotomic_rational_scalars_at_large_phi():
+    K = CyclotomicField(997)
+    x = K.add(K.zeta, K.normalize([Fraction(1, 2), 0, 0, -3]))
+    for r in (Fraction(-3, 7), 1, 2, 0):
+        c = K.normalize(r)
+        assert_same_scalar(K.mul(c, x), reference_mul(K, c, x))
+        assert_same_scalar(K.mul(x, c), reference_mul(K, x, c))
+        assert_same_scalar(K.mul(c, c), reference_mul(K, c, c))
+        if r:
+            assert_same_scalar(K.inv(c), reference_inv(K, c))

@@ -1,12 +1,17 @@
-"""The stored triple (content, exponent, primitive) against the pair-form
-Polynomial it replaced, frozen in ``tests/pair_poly.py``.
+"""The stored quadruple (content, exponent, stride, primitive) against the
+pair-form Polynomial it replaced, frozen in ``tests/pair_poly.py``, which
+writes every power of q and every stride's zeros out.
 
 Each public operation runs on both forms of the same inputs, over Q, GF(p)
 and Q(zeta_d), on values of valuation 0 and of large valuation, and the
 results must agree in ``coeffs`` (with their types), ``degree``,
 ``valuation``, ``pretty()`` and ``==``, and in the type and message of any
-error.  Divisors include q^s c [n]_{q^u}, so the exact quotients of
-products reach the linear-time branch with s >= 1.
+error; every result must be stored as its coefficients are.  Divisors
+include q^s c [n]_{q^u}, so the exact quotients of products reach the
+linear-time branch with s >= 1.  Inputs include strided values built by
+the pair form: dilations by 2 to 40, products of two dilations, and sums
+of two at different strides and offsets, where cancellation can raise the
+stride.
 """
 
 from __future__ import annotations
@@ -41,10 +46,30 @@ def nonzero_scalars(ring):
 
 
 @st.composite
+def strided_lists(draw, ring, entries):
+    """The coefficients of a dilation by 2 to 40, of a product of two, or of
+    a sum of two shifted by 0 to 3, each of up to 6 random entries."""
+    def dilation():
+        body = draw(st.lists(scalars(ring, entries), min_size=1, max_size=6))
+        return pair_poly.Polynomial(ring, body).dilate(draw(st.integers(2, 40)))
+    f = dilation()
+    how = draw(st.sampled_from(["dilation", "product", "sum"]))
+    if how == "product":
+        f = f * dilation()
+    elif how == "sum":
+        f = f.shift(draw(st.integers(0, 3))) + dilation().shift(draw(st.integers(0, 3)))
+    return list(f.coeffs)
+
+
+@st.composite
 def coefficient_lists(draw, ring, entries=rationals, nonzero=False):
-    """s zeros, then random entries (often zero) or c [n]_{q^u}."""
-    if draw(st.booleans()):
+    """s zeros, then random entries (often zero), c [n]_{q^u} or a strided
+    value."""
+    kind = draw(st.sampled_from(["random", "geometric", "strided"]))
+    if kind == "random":
         body = draw(st.lists(st.one_of(st.just(ring.zero), scalars(ring, entries)), max_size=16))
+    elif kind == "strided":
+        body = draw(strided_lists(ring, entries))
     else:
         n, u, c = draw(st.integers(2, 12)), draw(st.integers(1, 3)), draw(nonzero_scalars(ring))
         body = [ring.zero] * ((n - 1) * u + 1)
@@ -65,11 +90,17 @@ def flat(coeffs):
     return [x for c in coeffs for x in (c if isinstance(c, tuple) else (c,))]
 
 
+def stored(f):
+    return f.content, f.exponent, f.stride, f.primitive
+
+
 def assert_agrees(got, want, name):
     """The same outcome: a scalar, an error, or a polynomial whose coeffs,
-    degree, valuation and printed form are the oracle's."""
+    degree, valuation and printed form are the oracle's, stored as the
+    polynomial of its coefficients is."""
     if isinstance(want, pair_poly.Polynomial):
         assert isinstance(got, Polynomial), (name, got)
+        assert stored(got) == stored(Polynomial(got.ring, got.coeffs)), name
         assert got.coeffs == want.coeffs, name
         assert [type(x) for x in flat(got.coeffs)] == [type(x) for x in flat(want.coeffs)], name
         assert got.degree == want.degree, name
@@ -138,3 +169,18 @@ def test_fixed_cases_match_the_pair_form():
     check(QQ, [0] * 3 + [4, 1], [0] * 3 + [-4, 1], [2], Fraction(1, 3), 5, 0, 3)
     z = CyclotomicField(12)
     check(z, [0, 0, z.zeta, 1], [0] * 5 + [z.one], [z.zeta], z.zeta, z.zeta, 2, 4)
+
+
+def test_strided_fixed_cases_match_the_pair_form():
+    """Cancellation that raises the stride: (1 + q)(1 - q) = 1 - q^2 and
+    (1 + q + q^2) - q = 1 + q^2; a sum of strides 6 and 4 at offsets 0 and
+    2, and so in q^2; q^3 [4]_{q^6} over q^3 [2]_{q^6} and over [2]_{q^3}."""
+    for ring in RINGS:
+        one, z = ring.one, ring.zero
+        check(ring, [one, one], [one, ring.normalize(-1)], [z, one], one, one, 1, 1)
+        check(ring, [one, one, one], [z, one], [z, one], one, one, 1, 2)
+        check(ring, [one, z, z, z, z, z, one], [z, z, one, z, z, z, one], [z, one, one],
+              one, one, 2, 3)
+        geometric = [z] * 3 + ([one] + [z] * 5) * 3 + [one]
+        check(ring, geometric, [z] * 3 + [one] + [z] * 5 + [one], [one], one, one, 3, 2)
+        check(ring, geometric, [one, z, z, one], [z, one], one, one, 0, 6)

@@ -493,7 +493,7 @@ def test_profile_matches_reference(make, data):
 def change_value(f, change, u):
     """f = a q^s [n]_{q^u} (n >= 2) with one change: the coefficient at a
     pattern slot doubled, a zero slot set to 1 (q^(s - 1) when u = 1), one
-    more pattern term, or one fewer."""
+    more pattern term, one fewer, or the n pattern terms u + 1 apart."""
     ring, coeffs = f.ring, list(f.coeffs)
     s = f.valuation()
     n = (len(coeffs) - s - 1) // u + 1
@@ -504,6 +504,8 @@ def change_value(f, change, u):
         coeffs[s + 1 if u > 1 else s - 1] = ring.one
     elif change == "longer":
         coeffs += [ring.zero] * (u - 1) + [coeffs[s]]
+    elif change == "stride":
+        coeffs[s:] = Polynomial(ring, coeffs[s::u]).dilate(u + 1).coeffs
     else:
         del coeffs[-u:]
     return Polynomial(ring, coeffs)
@@ -512,7 +514,8 @@ def change_value(f, change, u):
 @pytest.mark.parametrize("ring, lam", [pytest.param(GF7, 3, id="GF(7)"),
                                        pytest.param(Z12, TWO_ZETA, id="Q(zeta_12)")])
 @pytest.mark.parametrize("u", [1, 2, 3])
-@pytest.mark.parametrize("change", ["pattern-slot", "zero-slot", "longer", "shorter"])
+@pytest.mark.parametrize("change", ["pattern-slot", "zero-slot", "longer", "shorter",
+                                    "stride"])
 def test_profile_matches_reference_on_changed_one_factor_values(ring, lam, u, change):
     """lam^Omega(n) q^(n-1) [n]_{q^u} on S({2, 3, 5}) at B = 30, lam != 1,
     with one change at f_3, f_4 or f_6: exactly that index leaves the
@@ -617,6 +620,9 @@ def test_otimes_never_dilates(monkeypatch):
     assert not report.fe_ok
     assert calls[0] == 48 + 3
     assert dilations[0] == 0
+    # A dilation stores a new stride and shares the primitive part.
+    f = F.eval(96)
+    assert f.dilate(7).primitive is f.primitive
 
 
 def test_regular_solution_expands_no_identity(monkeypatch):
