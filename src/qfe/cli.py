@@ -381,12 +381,12 @@ def demo_frobenius_gf2():
 
 def demo_reciprocal():
     """Coefficient reversal carries solutions to solutions."""
-    mono = monomial_sequence()
-    ident = identity_sequence()
-    yield (all(reciprocal_sequence(mono).eval(n) == ident.eval(n) for n in range(1, 65)),
+    mono, ident = reciprocal_sequence(monomial_sequence()), identity_sequence()
+    yield (all(mono.eval(n) == ident.eval(n) for n in range(1, 65)),
            "reversal of q^(n-1) is the identity sequence")
     quant = quantum_sequence()
-    yield (all(reciprocal_sequence(quant).eval(n) == quant.eval(n) for n in range(1, 65)),
+    reversed_quant = reciprocal_sequence(quant)
+    yield (all(reversed_quant.eval(n) == quant.eval(n) for n in range(1, 65)),
            "[n]_q is self-reciprocal")
     F = from_seeds(PrimeSet.of([2, 5, 7]), SEEDS_257)
     twice = reciprocal_sequence(reciprocal_sequence(F))

@@ -18,7 +18,7 @@ reciprocal change c or its sign, s and u, and keep or rearrange P.  Over
 GF(p) and Q(zeta_d) c is ring.one.  ``coeffs`` is s zeros, then the c P_i
 u - 1 zeros apart, normalized as the ring normalizes scalars.  Zeros are
 written out only in ``coeffs``, ``coefficient``, ``evaluate`` (Horner at
-x^u), ``compose``, ``divmod`` and the int vectors ``exact_div`` divides.
+x^u), ``compose``, ``divmod`` and the int vectors the kernels below take.
 Polynomials are immutable values and every operation is pure.
 
 Every sum, product and composition runs on int slots, in all three
@@ -39,21 +39,33 @@ denominators:
   Phi_d, top slot first, and divided by the denominators.
 
 Sums and products run in q^d, d the gcd of the strides (and of the
-valuations' gap, for a sum), with an operand's slots (rows) u / d apart.
-The result is deflated once, as cancellation can raise the stride:
-(1 + q)(1 - q) = 1 - q^2.  Slot 1 nonzero proves stride d with no scan.
+valuations' gap, for a sum; 1 with no gcd when no stride passes 1), with
+an operand's slots (rows) u / d apart.  The result is deflated once, as
+cancellation can raise the stride: (1 + q)(1 - q) = 1 - q^2.  Slot 1
+nonzero proves stride d with no scan.
 
-Every product is f(q) g(q^m), one convolution with g's slots at stride
-m u_g / d: m = 1 for ``*``, and the paper's f_m(q) (x) f_n(q) =
-f_m(q) f_n(q^m) for ``sequences.otimes``, which so never builds f_n(q^m).
-f is written out to stride d only when u_f / d > 1.  One rule, counted on
-slots and bytes, picks the convolution in every ring: more than
-PACK_MIN_OPS nonzero slot pairs, and more than PACK_DENSE of them per byte
-of the packed result, make one bigint product (Kronecker substitution) at
-a width of k bytes per slot that provably holds every result slot.  The
-stride spreads g's bytes as it packs them.  Any other product goes pair by
-pair over the nonzero slots.  A packed square packs its operand once, and
-CPython squares an int faster than it multiplies two.
+Every product is f(q) g(q^m): m = 1 for ``*``, and the paper's
+f_m(q) (x) f_n(q) = f_m(q) f_n(q^m) for ``sequences.otimes``, which so
+never builds f_n(q^m).  By the operands' forms:
+
+* a q^s [n]_{q^(dk)} on either side (P is n >= 2 entries a, a rational
+  over Q(zeta_d)) takes the geometric row, in linear time: as
+  (1 - q^k) [n]_{q^k} = 1 - q^(kn), the other's int vector times
+  [n]_{q^k} is its running sums at step k (one ``accumulate`` per residue
+  class or one slice addition per block, whichever is fewer) less the
+  same sums kn slots on.  Over Q the result has content c_f c_g (Gauss),
+  over GF(p) it is times a and reduced once, and over Q(zeta_d) each f_j
+  (below) takes the map, scaled by a.
+* Any other product is one convolution with g's slots at stride
+  m u_g / d, f written out to stride d only when u_f / d > 1.  One rule,
+  counted on slots and bytes, picks it in every ring: more than
+  PACK_MIN_OPS nonzero slot pairs, and more than PACK_DENSE of them per
+  byte of the packed result, make one bigint product (Kronecker
+  substitution) at a width of k bytes per slot that provably holds every
+  result slot.  The stride spreads g's bytes as it packs them.  Any other
+  product goes pair by pair over the nonzero slots.  A packed square
+  packs its operand once, and CPython squares an int faster than it
+  multiplies two.
 
 Over Q(zeta_d), f = sum_j z^j f_j (j < phi) with coordinate polynomials
 f_j in Q[q].  ``_coordinatewise`` applies a Q-linear map to each nonzero
@@ -70,18 +82,16 @@ g' divides f exactly when it divides every f_j (1, z, ..., z^(phi - 1) is
 a basis over Q); the quotient is (sum z^j f_j / g') / a.
 
 * g = a q^(s_g) only scales.
-* g = a q^(s_g) [n]_{q^(du)} (n >= 2: P_g is n entries a at stride du),
-  in every ring, divides v by [n]_{q^u} in linear time through
-  (1 - q^u) [n]_{q^u} = 1 - q^(un).  One pass of subtractions makes
-  t = (1 - q^u) v, and the power series division of t by 1 - q^(un),
-  h_i = t_i + h_(i - un), runs one slice addition per block of un entries
-  or one running sum per residue class, whichever is fewer.  Then
-  h (1 - q^(un)) equals t below the quotient's length, and the branch
-  accepts h only when the top un entries of t equal those of -q^(un) h,
-  mod p over GF(p).  That proves t = h (1 - q^u) [n]_{q^u}, so
-  v = h [n]_{q^u} as 1 - q^u is no zero divisor; conversely, when
-  [n]_{q^u} divides v the power series quotient is the exact one, so a
-  mismatch, or a nonzero v shorter than [n]_{q^u}, proves it inexact.
+* g = a q^(s_g) [n]_{q^(du)} (n >= 2), in every ring, divides v by
+  [n]_{q^u} in linear time, the geometric row run backwards: one pass of
+  subtractions makes t = (1 - q^u) v, and a running sum at step un,
+  h_i = t_i + h_(i - un), divides t by 1 - q^(un).  Then h (1 - q^(un))
+  equals t below the quotient's length, and the branch accepts h only
+  when the top un entries of t equal those of -q^(un) h, mod p over
+  GF(p).  That proves t = h (1 - q^u) [n]_{q^u}, so v = h [n]_{q^u} as
+  1 - q^u is no zero divisor; conversely, when [n]_{q^u} divides v the
+  power series quotient is the exact one, so a mismatch, or a nonzero v
+  shorter than [n]_{q^u}, proves it inexact.
 * Any other g with an integer form, a q^(s_g) g' with g' a primitive int
   vector (over Q, and with rational coefficients over Q(zeta_d)), divides
   by g' in ints: one packed bigint quotient when the long division takes
@@ -115,10 +125,10 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat, zip_longest
 from math import gcd, lcm
-from operator import add, attrgetter, is_, ne, sub
+from operator import add, attrgetter, ne, sub
 from threading import Lock
 
-from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, power
+from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, _ints, power
 
 # Product selection, on slots; see the module docstring.  Measured on a
 # 2-CPU x86 host with Python 3.11: an int slot pair costs 0.06-0.17 us pair
@@ -150,13 +160,11 @@ class Polynomial:
 
     @classmethod
     def _stored(cls, ring, content, exponent, stride, primitive) -> "Polynomial":
-        # Internal: the quadruple already in the stored form.
-        self = object.__new__(cls)
-        _set_ring(self, ring)
-        _set_content(self, content)
-        _set_exponent(self, exponent)
-        _set_stride(self, stride)
-        _set_primitive(self, primitive)
+        # Internal: the stored quadruple, set plainly on a _Settable made a Polynomial.
+        self = object.__new__(_Settable)
+        self.ring, self.content, self.exponent = ring, content, exponent
+        self.stride, self.primitive = stride, primitive
+        self.__class__ = cls
         return self
 
     def __setattr__(self, name, value):
@@ -218,13 +226,13 @@ class Polynomial:
         den = lcm(da, db)
         ka, kb = den // da, den // db
         w = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
-        d = gcd(a.stride, b.stride, b.exponent - a.exponent) or 1
-        v = _inflate(v if kb == 1 else [kb * y for y in v], b.stride // d, w)
+        d = gcd(a.stride, b.stride, b.exponent - a.exponent) if a.stride > 1 or b.stride > 1 else 1
+        v = _inflate(v, b.stride // d, w)
         lo = (b.exponent - a.exponent) // d * w
         hi = lo + len(v)
         out = _inflate(list(u) if ka == 1 else [x * ka for x in u], a.stride // d, w)
         out += repeat(0, hi - len(out))
-        out[lo:hi] = map(add, out[lo:hi], v)
+        out[lo:hi] = map(add, out[lo:hi], v if kb == 1 else [kb * y for y in v])
         return _decode(ring, out, den, a.exponent, d)
 
     def __neg__(self) -> "Polynomial":
@@ -389,11 +397,11 @@ class Polynomial:
             raise InexactDivision(f"degree of {self} is below degree of divisor"
                                   if self.degree < g.degree else f"{g} does not divide {self}")
         a = g.content if isinstance(ring, RationalField) else d[0]
-        u = gcd(self.stride, g.stride) or 1  # both nonconstant past a monomial g
+        u = gcd(self.stride, g.stride) if self.stride > 1 or g.stride > 1 else 1
         k = g.stride // u
         if len(d) == 1:
             quo = self.scale(ring.inv(a))
-        elif d.count(d[0]) == len(d):  # g = a q^(s_g) [n]_{q^(uk)}
+        elif _geometric(d):  # g = a q^(s_g) [n]_{q^(uk)}
             quo = _quotient(self, a, u, lambda R, w: _geometric_div(R, w, len(d), k))
         elif isinstance(ring, RationalField):  # g = a q^(s_g) P_g, P_g primitive
             quo = _quotient(self, a, u, lambda R, w: _int_quotient(w, _inflate(d, k)))
@@ -466,9 +474,9 @@ class Polynomial:
         return ("-" + head if negative else head) + "".join(tail)
 
 
-# The slots' own setters, which __setattr__ does not reach.
-_set_ring, _set_content, _set_exponent, _set_stride, _set_primitive = (
-    getattr(Polynomial, name).__set__ for name in Polynomial.__slots__)
+class _Settable(Polynomial):  # the slots with object's setattr, for _stored
+    __slots__ = ()
+    __setattr__ = object.__setattr__
 
 
 def _display(ring: Ring, c) -> tuple[bool, str, str]:
@@ -509,6 +517,11 @@ def _deflate(ring: Ring, u: int, P: Sequence) -> tuple:
     mask = map(ne, P, repeat(ring.zero)) if isinstance(ring, CyclotomicField) else P
     k = gcd(*compress(range(len(P)), mask))
     return u * k, P[::k]
+
+
+def _geometric(P: tuple) -> bool:
+    """Whether c q^s P(q^u) is c a q^s [n]_{q^u}, n >= 2: ends before count."""
+    return len(P) > 1 and P[0] == P[1] == P[-1] and P.count(P[0]) == len(P)
 
 
 def _inflate(v: Sequence, k: int, w: int = 1, zero=0) -> Sequence:
@@ -575,11 +588,6 @@ _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 # Signed array typecodes by item size, for slots of 1, 2, 4 or 8 bytes.
 _SLOT_CODES = {array(code).itemsize: code for code in "bhilq"}
-
-
-def _ints(values) -> bool:
-    """Whether every value is an int; stops at the first that is not."""
-    return all(map(is_, map(type, values), repeat(int)))
 
 
 def _clear(coeffs) -> tuple[int, Sequence[int]]:
@@ -754,24 +762,48 @@ def _relay(v: Sequence[int], start: int, step: int, count: int, width: int,
 
 
 def _product(f: Polynomial, g: Polynomial, m: int) -> Polynomial:
-    """f(q) g(q^m) in q^d, d = gcd(u_f, m u_g), with g's slots at stride
-    m u_g / d: f_n(q^m) is never built.  See the module docstring."""
+    """f(q) g(q^m) by the product table of the module docstring, in q^d,
+    d = gcd(u_f, m u_g), with g's slots at stride m u_g / d."""
     f._check_ring(g)
     ring = f.ring
     a, b = f.primitive, g.primitive
     if not a or not b:
         return zero(ring)
-    s = f.exponent + m * g.exponent
-    d = gcd(f.stride, m * g.stride) or 1  # 0 when both are monomials
-    kf, kg = f.stride // d, m * g.stride // d or 1
+    s, uf, ug = f.exponent + m * g.exponent, f.stride, m * g.stride
+    cyclo = isinstance(ring, CyclotomicField)  # where the row takes a rational a
+    if _geometric(b) and not (cyclo and any(b[0][1:])):
+        return _geometric_product(f, uf, g, ug, s)
+    if _geometric(a) and not (cyclo and any(a[0][1:])):
+        return _geometric_product(g, ug, f, uf, s)
+    d = gcd(uf, ug) if uf > 1 or ug > 1 else 1  # no gcd at strides 0 and 1
+    kf, kg = uf // d, ug // d or 1
     if isinstance(ring, RationalField):
         # Gauss: P_a P_b(q^m) is primitive, last entry > 0, and P_a(0) P_b(0) != 0.
         d, P = _deflate(ring, d, _convolve(_inflate(a, kf), b, kg))
         return Polynomial._stored(ring, ring.normalize(f.content * g.content), s, d, tuple(P))
     da, u = _slots(ring, f)
     db, v = (da, u) if g is f else _slots(ring, g)
-    w = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
+    w = 2 * ring.phi - 1 if cyclo else 1
     return _decode(ring, _convolve(_inflate(u, kf, w), v, kg, w), da * db, s, d)
+
+
+def _geometric_product(f: Polynomial, uf: int, g: Polynomial, ug: int, s: int) -> Polynomial:
+    """q^s c_f P_f(q^uf) c_g P_g(q^ug), P_g n >= 2 entries a: the geometric row."""
+    ring, n, a, d = f.ring, len(g.primitive), g.primitive[0], gcd(uf, ug)
+    kf, k = uf // d, ug // d
+
+    def times(v):  # v [n]_{q^k}: running sums at step k less the same k n on
+        h = [*_inflate(v, kf), *repeat(0, k * (n - 1))]
+        _running_sum(h, k)
+        h[k * n:] = map(sub, h[k * n:], h[:len(h) - k * n])
+        return h
+    if isinstance(ring, RationalField):  # Gauss: primitive, with P_f's ends
+        d, P = _deflate(ring, d, times(f.primitive))
+        return Polynomial._stored(ring, ring.normalize(f.content * g.content), s, d, tuple(P))
+    if isinstance(ring, CyclotomicField):
+        return _coordinatewise(f, a[0], times, d).shift(s - f.exponent)
+    P = tuple([x * a % ring.p for x in times(f.primitive)])  # ends a P_f(0), a lead(P_f)
+    return Polynomial._stored(ring, ring.one, s, *_deflate(ring, d, P))
 
 
 def _convolve(u: Sequence[int], v: Sequence[int], m: int = 1,
@@ -820,16 +852,21 @@ def _geometric_div(ring: Ring, v: Sequence[int], n: int, u: int) -> list[int] | 
     h = list(map(sub, chain(v, repeat(0, u)), chain(repeat(0, u), v)))  # t = (1 - q^u) v
     top = h[nq:]
     del h[nq:]
-    if period * period < nq:  # h = t / (1 - q^(un)): h_i += h_(i - un)
-        for r in range(period):
-            h[r::period] = accumulate(h[r::period])
-    else:
-        for s in range(period, nq, period):
-            h[s:s + period] = map(add, h[s:s + period], h[s - period:s])
+    _running_sum(h, period)  # h = t / (1 - q^(un))
     # Above h's slots, h (1 - q^(un)) leaves only -q^(un) h.
     lo = max(0, period - nq)
     top[lo:] = map(add, top[lo:], h[nq - period + lo:])
     return None if any(_reduce(ring, top)) else h
+
+
+def _running_sum(h: list[int], step: int) -> None:
+    """h_i += h_(i - step) for i in turn, in place (see the module docstring)."""
+    if step * step < len(h):
+        for r in range(step):
+            h[r::step] = accumulate(h[r::step])
+    else:
+        for s in range(step, len(h), step):
+            h[s:s + step] = map(add, h[s:s + step], h[s - step:s])
 
 
 def _quotient(f: Polynomial, a, u: int, divide) -> Polynomial | None:

@@ -372,63 +372,102 @@ def packed_calls(monkeypatch):
     return calls
 
 
+def twisted(n: int, ring=QQ) -> Polynomial:
+    """(1 + 2q) [n]_q = 1 + 3q + ... + 3q^(n-1) + 2q^n: n + 1 nonzero
+    entries, and not of the form a q^s [n]_{q^u}, so its products convolve."""
+    return Polynomial(ring, [1] + [3] * (n - 1) + [2])
+
+
 def test_product_selection(packed_calls):
     # One rule in every ring, for ``*`` and for otimes, counted on slots and
     # bytes: pack above PACK_MIN_OPS nonzero slot pairs when there are more
     # than PACK_DENSE of them per byte of the packed result.
-    q16, q64 = quantum_integer(16), quantum_integer(64)
+    t16, t64 = twisted(16), twisted(64)
     third = Fraction(1, 3)
-    # Sparse products go pair by pair: [16]_q (x) [16]_q at 64 has 256
-    # pairs over 976 two-byte result slots.
-    assert otimes(q16, q16, 64) == schoolbook_mul(q16, q16.dilate(64))
+    # Sparse products go pair by pair: t16 (x) t16 at 64 has 289 pairs
+    # over 1041 two-byte result slots.
+    assert otimes(t16, t16, 64) == schoolbook_mul(t16, t16.dilate(64))
     # Few pairs go pair by pair whatever the coefficients.
-    assert (quantum_integer(8) * quantum_integer(8).scale(third)).degree == 14
+    assert (twisted(7) * twisted(7).scale(third)).degree == 14
     assert packed_calls == []
     # Dense products are packed, Fraction ones as well; a square packs its
     # one operand once, and otimes(f, f, m) packs f twice, once at stride m.
-    assert q64 * q64 == schoolbook_mul(q64, q64)
-    assert otimes(q64, q64, 3) == schoolbook_mul(q64, q64.dilate(3))
-    f = q64.scale(third)
+    assert t64 * t64 == schoolbook_mul(t64, t64)
+    assert otimes(t64, t64, 3) == schoolbook_mul(t64, t64.dilate(3))
+    f = t64.scale(third)
     assert_same(otimes(f, f, 8), schoolbook_mul(f, f.dilate(8)))
-    assert packed_calls == [(64, 1), (64, 1), (64, 3), (64, 1), (64, 8)]
-    # Bytes, not slots: [16]_q (x) [16]_q at 8 has 256 pairs over 136 result
+    assert packed_calls == [(65, 1), (65, 1), (65, 3), (65, 1), (65, 8)]
+    # Bytes, not slots: t16 (x) t16 at 8 has 289 pairs over 145 result
     # slots of 2 bytes, and packs; with 102-bit coefficients the slots take
     # 14 bytes, and the same shape goes pair by pair.
     packed_calls.clear()
-    assert otimes(q16, q16, 8) == schoolbook_mul(q16, q16.dilate(8))
-    assert packed_calls == [(16, 1), (16, 8)]
+    assert otimes(t16, t16, 8) == schoolbook_mul(t16, t16.dilate(8))
+    assert packed_calls == [(17, 1), (17, 8)]
     wide = from_rationals([3 ** 64] * 15 + [1])
-    assert otimes(wide, q16, 8) == schoolbook_mul(wide, q16.dilate(8))
+    assert otimes(wide, t16, 8) == schoolbook_mul(wide, t16.dilate(8))
     assert len(packed_calls) == 2
     # GF(p) follows the same rule.
     packed_calls.clear()
     gf = PrimeField(7)
-    g16, g64 = quantum_integer(16, gf), quantum_integer(64, gf)
+    g16, g64 = twisted(16, gf), twisted(64, gf)
     assert otimes(g16, g16, 64) == schoolbook_mul(g16, g16.dilate(64))
     assert packed_calls == []
     assert g64 * g64 == schoolbook_mul(g64, g64)
     assert g64 * g64.scale(3) == schoolbook_mul(g64, g64.scale(3))
     assert otimes(g64, g64, 2) == schoolbook_mul(g64, g64.dilate(2))
-    assert packed_calls == [(64, 1), (64, 1), (64, 1), (64, 1), (64, 2)]
+    assert packed_calls == [(65, 1), (65, 1), (65, 1), (65, 1), (65, 2)]
     # Over Q(zeta_12) a coefficient is a row of 2 phi - 1 = 7 slots, and the
     # stride is m rows.  The 8 powers of z hold 10 nonzero coordinates: 100
     # slot pairs over 105 one-byte result slots, so the square packs.  The
-    # sparse [64]_q (x) [64]_q at 64 goes pair by pair; at 2 it packs.
+    # sparse t64 (x) t64 at 64 goes pair by pair; at 2 it packs.
     packed_calls.clear()
     k12 = CyclotomicField(12)
     c8 = scaled_quantum_integer(8, k12.zeta, k12)
     assert c8 * c8 == schoolbook_mul(c8, c8)
     assert packed_calls == [(53, 1)]
-    c64 = quantum_integer(64, k12)
+    c64 = twisted(64, k12)
     assert otimes(c64, c64, 64) == schoolbook_mul(c64, c64.dilate(64))
     assert len(packed_calls) == 1
     assert otimes(c64, c64, 2) == schoolbook_mul(c64, c64.dilate(2))
-    assert packed_calls[1:] == [(445, 1), (445, 2)]
+    assert packed_calls[1:] == [(452, 1), (452, 2)]
     # Slots, not coefficients: 8 coefficients 1 + 2z + 3z^2 + 4z^3 make 64
-    # coefficient pairs but 1024 slot pairs over 105 slots, so it packs.
+    # coefficient pairs but 1024 slot pairs over 105 slots, so it packs (a
+    # scalar that is not rational keeps the convolution).
     full = Polynomial(k12, [k12.normalize([1, 2, 3, 4])] * 8)
     assert full * full == schoolbook_mul(full, full)
     assert packed_calls[3:] == [(53, 1)]
+
+
+def test_geometric_operand_never_convolves(monkeypatch):
+    # a q^s [n]_{q^u} on either side of * or of otimes, a rational a over
+    # Q(zeta_d), takes the geometric row: no convolution and no packing.
+    cases = []
+    for ring in (QQ, PrimeField(7), CyclotomicField(12)):
+        for geo in (quantum_integer(64, ring), quantum_integer(200, ring).dilate(3),
+                    quantum_integer(5, ring).dilate(2).shift(3).scale(-1)):
+            for other in (twisted(64, ring), twisted(16, ring).dilate(4).shift(1),
+                          monomial(ring, 3), geo):
+                for m in (1, 2, 7):
+                    cases.append((other, geo, m, schoolbook_mul(other, geo.dilate(m))))
+                    cases.append((geo, other, m, schoolbook_mul(geo, other.dilate(m))))
+    # (1 + q)^2 has equal ends and is not of the form, and zeta [9]_q has a
+    # scalar that is not rational: both convolve.
+    k12 = CyclotomicField(12)
+    convolved = [(from_rationals([1, 2, 1]), twisted(5)),
+                 (quantum_integer(9, k12).scale(k12.zeta), twisted(5, k12))]
+    wants = [schoolbook_mul(f, g) for f, g in convolved]
+    calls = []
+    for name in ("_convolve", "_pack"):
+        original = getattr(poly, name)
+        monkeypatch.setattr(poly, name, lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    for f, g, m, want in cases:
+        assert_same(otimes(f, g, m), want)
+    assert calls == []
+    for (f, g), want in zip(convolved, wants):
+        assert_same(f * g, want)
+        assert_same(g * f, want)
+    assert calls.count("_convolve") == 4
 
 
 # -- GF(p) and Q(zeta_d) ----------------------------------------------------------
@@ -983,6 +1022,55 @@ def test_otimes_matches_the_dilated_schoolbook(case, m):
             mp.setattr(poly, "PACK_MIN_OPS", min_ops)
             mp.setattr(poly, "PACK_DENSE", dense)
             assert_same(otimes(f, g, m), want)
+
+
+# -- products by a q^s [n]_{q^u} ------------------------------------------------------
+
+@st.composite
+def geometric_factors(draw, ring):
+    """a q^s [n]_{q^u}, n = 2..40, u = 1..5, a = 1, -1 or 2/3 (its residue
+    over GF(p), 1 where that is 0)."""
+    n, u = draw(st.integers(2, 40)), draw(st.integers(1, 5))
+    a = ring.normalize(draw(st.sampled_from([1, -1, Fraction(2, 3)])))
+    g = quantum_integer(n, ring).dilate(u).shift(draw(st.sampled_from([0, 0, 1, 3])))
+    return g if ring.is_zero(a) else g.scale(a)
+
+
+@st.composite
+def geometric_products(draw):
+    """(f, g) with a q^s [n]_{q^u} on either side; the other operand random,
+    strided, a monomial, of Fraction content, or a q^s [n]_{q^u} itself."""
+    ring = draw(st.sampled_from(OTIMES_RINGS))
+    geo = draw(geometric_factors(ring))
+    polys = rational_polys() if ring is QQ else field_polys(ring)
+    kind = draw(st.sampled_from(["random", "strided", "monomial", "fraction", "geometric"]))
+    if kind == "random":
+        other = draw(polys)
+    elif kind == "strided":
+        other = draw(polys).dilate(draw(st.integers(2, 5))).shift(draw(st.integers(0, 3)))
+    elif kind == "monomial":
+        other = monomial(ring, draw(st.integers(0, 9)), draw(st.sampled_from([1, -1, 5])))
+    elif kind == "fraction":
+        other = draw(polys).scale(Fraction(-5, 3))
+    else:
+        other = draw(geometric_factors(ring))
+    return (geo, other) if draw(st.booleans()) else (other, geo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=geometric_products(), m=st.integers(1, 70))
+# Equal ends that are not the form: (1 + q)^2 convolves.
+@example(case=(from_rationals([1, 2, 1]), quantum_integer(3)), m=1)
+@example(case=(Polynomial(_GF7, [3, 1, 3]), quantum_integer(2, _GF7).scale(3)), m=2)
+# Cancellation raises the stride: (1 - q) [2]_q = 1 - q^2.
+@example(case=(from_rationals([1, -1]), quantum_integer(2)), m=1)
+@example(case=(quantum_integer(4, _Z12).dilate(3).scale(Fraction(2, 3)),
+               Polynomial(_Z12, [_Z12.zeta, 0, Fraction(1, 2)])), m=5)
+def test_geometric_row_matches_the_schoolbook(case, m):
+    # The row takes running sums at step k and subtracts them k n later.
+    f, g = case
+    assert_same(f * g, schoolbook_mul(f, g))
+    assert_same(otimes(f, g, m), schoolbook_mul(f, g.dilate(m)))
 
 
 # -- sums -------------------------------------------------------------------------

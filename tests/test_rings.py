@@ -86,6 +86,27 @@ def test_cyclotomic_add_and_sub_return_normalized_coordinates():
         assert [type(x) for x in got] == [type(x) for x in want]
 
 
+def test_cyclotomic_normalize_passes_a_tuple_of_phi_ints_through():
+    # Already normalized, so it comes back as the same object; bools,
+    # Fractions (Fraction(k, 1) too), lists and longer or shorter vectors
+    # still convert, to ints where integral.
+    K = CyclotomicField(12)  # Phi_12 = z^4 - z^2 + 1
+    t = (1, -2, 0, 2 ** 70)
+    assert K.normalize(t) is t
+    half = Fraction(1, 2)
+    for v, want in (((True, 0, False, 1), (1, 0, 0, 1)),
+                    ((Fraction(3, 1), 0, 0, 0), (3, 0, 0, 0)),
+                    ((half, 0, 0, 1), (half, 0, 0, 1)),
+                    ([1, 2, 3, 4], (1, 2, 3, 4)),
+                    ((0, 0, 0, 0, 1), (-1, 0, 1, 0)),
+                    ((1, 2), (1, 2, 0, 0)),
+                    (Fraction(6, 3), (2, 0, 0, 0))):
+        got = K.normalize(v)
+        assert got == want and type(got) is tuple
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert got is not v
+
+
 def test_cyclotomic_rejects_bad_index():
     with pytest.raises(ValueError):
         CyclotomicField(0)
