@@ -381,8 +381,8 @@ def demo_frobenius_gf2():
 
 def demo_reciprocal():
     """Coefficient reversal carries solutions to solutions."""
-    mono, ident = reciprocal_sequence(monomial_sequence()), identity_sequence()
-    yield (all(mono.eval(n) == ident.eval(n) for n in range(1, 65)),
+    reversed_mono, ident = reciprocal_sequence(monomial_sequence()), identity_sequence()
+    yield (all(reversed_mono.eval(n) == ident.eval(n) for n in range(1, 65)),
            "reversal of q^(n-1) is the identity sequence")
     quant = quantum_sequence()
     reversed_quant = reciprocal_sequence(quant)

@@ -7,7 +7,8 @@ one denominator; ``Polynomial.__mul__`` convolves the primitive int tuples
 over Q and the encoded int vectors over GF(p) and Q(zeta_d), by one bigint
 product when dense or pair by pair over the nonzero slots, and
 ``sequences.otimes`` makes the same product with the second operand's
-slots at stride m; ``scale`` over Q changes only the content, and over
+slots at stride m; an operand a q^s [n]_{q^u} instead multiplies the
+other by running sums at step u less the same sums un slots on; ``scale`` over Q changes only the content, and over
 Q(zeta_d) by a rational scales each coordinate polynomial; ``exact_div``
 divides by a divisor c q^s [n]_{q^u} through 1 - q^(un) in two slice passes,
 and by any other with an integer form (over Q, and rational over
