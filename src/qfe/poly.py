@@ -48,14 +48,12 @@ Every product is f(q) g(q^m): m = 1 for ``*``, and the paper's
 f_m(q) (x) f_n(q) = f_m(q) f_n(q^m) for ``sequences.otimes``, which so
 never builds f_n(q^m).  By the operands' forms:
 
-* a q^s [n]_{q^(dk)} on either side (P is n >= 2 entries a, a rational
-  over Q(zeta_d)) takes the geometric row, in linear time: as
+* a q^s [n]_{q^(dk)} on either side (P is n >= 2 entries a), in every
+  ring and for every a, takes the geometric row, in linear time: as
   (1 - q^k) [n]_{q^k} = 1 - q^(kn), the other's int vector times
   [n]_{q^k} is its running sums at step k (one ``accumulate`` per residue
   class or one slice addition per block, whichever is fewer) less the
-  same sums kn slots on.  Over Q the result has content c_f c_g (Gauss),
-  over GF(p) it is times a and reduced once, and over Q(zeta_d) each f_j
-  (below) takes the map, scaled by a.
+  same sums kn slots on, a map that ``_mapped`` (below) applies with a.
 * Any other product is one convolution with g's slots at stride
   m u_g / d, f written out to stride d only when u_f / d > 1.  One rule,
   counted on slots and bytes, picks it in every ring: more than
@@ -67,19 +65,26 @@ never builds f_n(q^m).  By the operands' forms:
   packs its operand once, and CPython squares an int faster than it
   multiplies two.
 
-Over Q(zeta_d), f = sum_j z^j f_j (j < phi) with coordinate polynomials
-f_j in Q[q].  ``_coordinatewise`` applies a Q-linear map to each nonzero
-f_j, an int vector over its denominator.  Scaling by a rational, -1 among
-them, is such a map; by any other scalar it is a product with a constant.
+``_mapped`` makes a c_f q^s P(q^u) from a scalar a and a Z-linear map on
+int vectors that keeps a vector's ends nonzero (a product, an exact
+quotient, the identity), P the map of P_f, with one tail per ring: over
+Q the content is c_f a (Gauss: no gcd), over GF(p) a is folded in and the
+result reduced once (a field has no zero divisors, so the ends stay
+nonzero), and over Q(zeta_d), f = sum_j z^j f_j (j < phi) with f_j in
+Q[q], each nonzero f_j, an int vector over its denominator, is mapped,
+with a rational a folded into that denominator.  A scalar a that is not
+rational acts on z and the map on q, so it scales f first.  Scaling by a
+scalar of GF(p), or by a rational over Q(zeta_d), is the identity map; by
+any other scalar over Q(zeta_d) it is a product with a constant.
 
 As P_g(0) != 0, g divides f exactly only when s_g <= s_f and g's degree
 span (degree less valuation) is no larger than f's: anything else is
 inexact before any slot work.  Then one table, keyed by the form of g,
-divides P_f at d = gcd(u_f, u_g) and subtracts s_g.  Its kernels divide one
-int vector at a time: over Q the primitive part, over GF(p) the residues,
-and over Q(zeta_d), for g = a g' with g' in Q[q], each f_j, as
-g' divides f exactly when it divides every f_j (1, z, ..., z^(phi - 1) is
-a basis over Q); the quotient is (sum z^j f_j / g') / a.
+divides P_f at d = gcd(u_f, u_g) and subtracts s_g.  For g = a g' with g'
+an int polynomial, its kernels divide one int vector at a time, through
+``_mapped`` with 1 / a: over Q the primitive part, over GF(p) the
+residues, and over Q(zeta_d) each f_j, as g' divides f exactly when it
+divides every f_j (1, z, ..., z^(phi - 1) is a basis over Q).
 
 * g = a q^(s_g) only scales.
 * g = a q^(s_g) [n]_{q^(du)} (n >= 2), in every ring, divides v by
@@ -252,14 +257,12 @@ class Polynomial:
             return self
         if ring.is_zero(c):
             return zero(ring)
-        s, u, P = self.exponent, self.stride, self.primitive
+        s, u = self.exponent, self.stride
         if isinstance(ring, RationalField):
-            return Polynomial._stored(ring, ring.normalize(c * self.content), s, u, P)
-        if isinstance(ring, CyclotomicField):  # a rational c makes no product
-            return (self * constant(ring, c) if any(c[1:])
-                    else _coordinatewise(self, c[0], list, u))
-        mul = ring.mul
-        return Polynomial._stored(ring, ring.one, s, u, tuple([mul(c, x) for x in P]))
+            return Polynomial._stored(ring, ring.normalize(c * self.content), s, u, self.primitive)
+        if isinstance(ring, CyclotomicField) and any(c[1:]):  # a rational c makes no product
+            return self * constant(ring, c)
+        return _mapped(self, c, s, u, list)
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by q**k."""
@@ -398,17 +401,20 @@ class Polynomial:
                                   if self.degree < g.degree else f"{g} does not divide {self}")
         a = g.content if isinstance(ring, RationalField) else d[0]
         u = gcd(self.stride, g.stride) if self.stride > 1 or g.stride > 1 else 1
-        k = g.stride // u
+        kf, k = self.stride // u, g.stride // u
+        cyclo = isinstance(ring, CyclotomicField)
         if len(d) == 1:
             quo = self.scale(ring.inv(a))
-        elif _geometric(d):  # g = a q^(s_g) [n]_{q^(uk)}
-            quo = _quotient(self, a, u, lambda R, w: _geometric_div(R, w, len(d), k))
-        elif isinstance(ring, RationalField):  # g = a q^(s_g) P_g, P_g primitive
-            quo = _quotient(self, a, u, lambda R, w: _int_quotient(w, _inflate(d, k)))
-        elif isinstance(ring, CyclotomicField) and not any(map(any, list(zip(*d))[1:])):
-            c, _, _, v = _split(QQ, [x[0] for x in d])  # g = c q^(s_g) v(q^(uk)) over Q
-            quo = _quotient(self, ring.normalize(c), u,
-                            lambda R, w: _int_quotient(w, _inflate(v, k)))
+        elif _geometric(d):  # g = a q^(s_g) [n]_{q^(uk)}; over Q(zeta_d) each f_j over Q
+            R = QQ if cyclo else ring
+            quo = _mapped(self, a if a == ring.one else ring.inv(a), self.exponent, u,
+                          lambda w: _geometric_div(R, _inflate(w, kf), len(d), k))
+        elif isinstance(ring, RationalField) or cyclo and not any(map(any, list(zip(*d))[1:])):
+            if cyclo:  # rational coefficients: g = a q^(s_g) d(q^(uk)) over Q
+                c, _, _, d = _split(QQ, [x[0] for x in d])
+                a = ring.normalize(c)
+            quo = _mapped(self, a if a == ring.one else ring.inv(a), self.exponent, u,
+                          lambda w: _int_quotient(_inflate(w, kf), _inflate(d, k)))
         else:  # as s_g <= s_f and P_g(0) != 0, g divides f when g / q^(s_g) does
             quo, rem = self.divmod(g.unshift(g.exponent))
             quo = None if rem.primitive else quo
@@ -770,10 +776,9 @@ def _product(f: Polynomial, g: Polynomial, m: int) -> Polynomial:
     if not a or not b:
         return zero(ring)
     s, uf, ug = f.exponent + m * g.exponent, f.stride, m * g.stride
-    cyclo = isinstance(ring, CyclotomicField)  # where the row takes a rational a
-    if _geometric(b) and not (cyclo and any(b[0][1:])):
+    if _geometric(b):
         return _geometric_product(f, uf, g, ug, s)
-    if _geometric(a) and not (cyclo and any(a[0][1:])):
+    if _geometric(a):
         return _geometric_product(g, ug, f, uf, s)
     d = gcd(uf, ug) if uf > 1 or ug > 1 else 1  # no gcd at strides 0 and 1
     kf, kg = uf // d, ug // d or 1
@@ -783,13 +788,13 @@ def _product(f: Polynomial, g: Polynomial, m: int) -> Polynomial:
         return Polynomial._stored(ring, ring.normalize(f.content * g.content), s, d, tuple(P))
     da, u = _slots(ring, f)
     db, v = (da, u) if g is f else _slots(ring, g)
-    w = 2 * ring.phi - 1 if cyclo else 1
+    w = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
     return _decode(ring, _convolve(_inflate(u, kf, w), v, kg, w), da * db, s, d)
 
 
 def _geometric_product(f: Polynomial, uf: int, g: Polynomial, ug: int, s: int) -> Polynomial:
     """q^s c_f P_f(q^uf) c_g P_g(q^ug), P_g n >= 2 entries a: the geometric row."""
-    ring, n, a, d = f.ring, len(g.primitive), g.primitive[0], gcd(uf, ug)
+    n, d = len(g.primitive), gcd(uf, ug)
     kf, k = uf // d, ug // d
 
     def times(v):  # v [n]_{q^k}: running sums at step k less the same k n on
@@ -797,13 +802,8 @@ def _geometric_product(f: Polynomial, uf: int, g: Polynomial, ug: int, s: int) -
         _running_sum(h, k)
         h[k * n:] = map(sub, h[k * n:], h[:len(h) - k * n])
         return h
-    if isinstance(ring, RationalField):  # Gauss: primitive, with P_f's ends
-        d, P = _deflate(ring, d, times(f.primitive))
-        return Polynomial._stored(ring, ring.normalize(f.content * g.content), s, d, tuple(P))
-    if isinstance(ring, CyclotomicField):
-        return _coordinatewise(f, a[0], times, d).shift(s - f.exponent)
-    P = tuple([x * a % ring.p for x in times(f.primitive)])  # ends a P_f(0), a lead(P_f)
-    return Polynomial._stored(ring, ring.one, s, *_deflate(ring, d, P))
+    return _mapped(f, g.content if isinstance(f.ring, RationalField) else g.primitive[0],
+                   s, d, times)
 
 
 def _convolve(u: Sequence[int], v: Sequence[int], m: int = 1,
@@ -869,32 +869,25 @@ def _running_sum(h: list[int], step: int) -> None:
             h[s:s + step] = map(add, h[s:s + step], h[s - step:s])
 
 
-def _quotient(f: Polynomial, a, u: int, divide) -> Polynomial | None:
-    """f / (a g') in q^u, u | u_f, for a scalar a and an int polynomial g'
-    with g'(0) != 0, with divide(R, v) the int vector v / g' over R = Q or
-    GF(p) of f's slots at stride u, or None when it fails."""
-    ring, k = f.ring, f.stride // u
-    if isinstance(ring, CyclotomicField):
-        rational = not any(a[1:])
-        quo = _coordinatewise(f, Fraction(1, a[0]) if rational else 1,
-                              lambda v: divide(QQ, _inflate(v, k)), u)
-        return quo if rational or quo is None else quo.scale(ring.inv(a))
-    h = divide(ring, _inflate(f.primitive, k))
-    if h is None:
-        return None
-    if isinstance(ring, RationalField):
-        # Gauss: P_g h = P_f is primitive, so h is, last entry > 0, h(0) != 0.
-        u, h = _deflate(ring, u, h)
-        return Polynomial._stored(ring, ring.normalize(Fraction(f.content) / a),
-                                  f.exponent, u, tuple(h))
-    return _decode(ring, h, 1, f.exponent, u).scale(ring.inv(a))
-
-
-def _coordinatewise(f: Polynomial, r, linear, u: int) -> Polynomial | None:
-    """r sum_j z^j linear(f_j)(q^u) for f = sum_j z^j f_j over Q(zeta_d), a
-    rational r and a Q-linear map on int vectors, or None when linear returns
-    None: each nonzero f_j = v / D, without its top zeros, maps to linear(v) r / D."""
-    columns = []
+def _mapped(f: Polynomial, a, s: int, u: int, linear) -> Polynomial | None:
+    """a c_f q^s linear(P_f)(q^u) for a nonzero scalar a, or None when
+    linear returns None; see the module docstring.  Over Q linear must keep
+    a primitive vector primitive with a positive last entry, as a product
+    or an exact quotient by a primitive int vector does."""
+    ring = f.ring
+    if not isinstance(ring, CyclotomicField):
+        h = linear(f.primitive)
+        if h is None:
+            return None
+        if isinstance(ring, RationalField):
+            c = f.content if a == 1 else ring.normalize(f.content * a)
+            return Polynomial._stored(ring, c, s, *_deflate(ring, u, tuple(h)))
+        p = ring.p
+        P = tuple([x * a % p for x in h])
+        return Polynomial._stored(ring, ring.one, s, *_deflate(ring, u, P))
+    if any(a[1:]):
+        f, a = f.scale(a), ring.one
+    r, columns = a[0], []
     for column in zip(*f.primitive):
         n = len(column)
         if any(column):
@@ -908,7 +901,7 @@ def _coordinatewise(f: Polynomial, r, linear, u: int) -> Polynomial | None:
         else:
             columns.append(())
     P = tuple(zip_longest(*columns, fillvalue=0))
-    return Polynomial._stored(f.ring, f.ring.one, f.exponent, *_deflate(f.ring, u, P))
+    return Polynomial._stored(ring, ring.one, s, *_deflate(ring, u, P))
 
 
 def _packed_quotient(vf: Sequence[int], vg: Sequence[int]) -> list[int] | None:

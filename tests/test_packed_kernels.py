@@ -177,11 +177,18 @@ nonzero_scalars = scalars.filter(lambda c: c != 0)
 # Often zero, so that sparse operands come up as well as dense ones.
 entries = st.one_of(st.just(0), st.just(0), scalars)
 
-# The {2, 3} solution f_n = lambda(n) [n]_{q^5} / [n]_q with lambda_2 = 5/6
-# and lambda_3 = -2/3: its values share one denominator per index.
-_H = {p: (quantum_integer(p).dilate(5).exact_div(quantum_integer(p))).scale(lam)
-      for p, lam in ((2, Fraction(5, 6)), (3, Fraction(-2, 3)))}
-SOLUTION = from_seeds(PrimeSet.of([2, 3]), _H)
+
+@lru_cache(maxsize=None)
+def solution():
+    """The {2, 3} solution f_n = lambda(n) [n]_{q^5} / [n]_q with lambda_2 =
+    5/6 and lambda_3 = -2/3: its values share one denominator per index.
+    Built on first use, so a fault in products or division fails the tests
+    that draw it rather than the collection of this module."""
+    return from_seeds(PrimeSet.of([2, 3]), {
+        p: quantum_integer(p).dilate(5).exact_div(quantum_integer(p)).scale(lam)
+        for p, lam in ((2, Fraction(5, 6)), (3, Fraction(-2, 3)))})
+
+
 # A sum whose coefficient 1/2 + 1/2 is integral: DOUBLED's constant term
 # must be the int 1, not Fraction(1, 1).
 _HALF = from_rationals([Fraction(1, 2)] + [1] * 15)
@@ -201,7 +208,7 @@ def rational_polys(draw, nonzero=False):
         ints = draw(st.lists(st.integers(-2, 2), max_size=32))
         f = from_rationals([lam * c for c in ints])
     else:
-        f = SOLUTION.eval(draw(members))
+        f = solution().eval(draw(members))
         if kind == "perturbed":
             f = f + monomial(QQ, draw(st.integers(0, 30)), draw(nonzero_scalars))
     if nonzero and f.is_zero():
@@ -431,17 +438,17 @@ def test_product_selection(packed_calls):
     assert len(packed_calls) == 1
     assert otimes(c64, c64, 2) == schoolbook_mul(c64, c64.dilate(2))
     assert packed_calls[1:] == [(452, 1), (452, 2)]
-    # Slots, not coefficients: 8 coefficients 1 + 2z + 3z^2 + 4z^3 make 64
-    # coefficient pairs but 1024 slot pairs over 105 slots, so it packs (a
-    # scalar that is not rational keeps the convolution).
-    full = Polynomial(k12, [k12.normalize([1, 2, 3, 4])] * 8)
+    # Slots, not coefficients: (1 + 2z + 3z^2 + 4z^3) (1 + 2q) [8]_q, not of
+    # the form, has 9 coefficients: 81 coefficient pairs but 1296 slot pairs
+    # over 119 slots, so its square packs.
+    full = Polynomial(k12, [k12.normalize([1, 2, 3, 4])] * 8) * Polynomial(k12, [1, 2])
     assert full * full == schoolbook_mul(full, full)
-    assert packed_calls[3:] == [(53, 1)]
+    assert packed_calls[3:] == [(60, 1)]
 
 
 def test_geometric_operand_never_convolves(monkeypatch):
-    # a q^s [n]_{q^u} on either side of * or of otimes, a rational a over
-    # Q(zeta_d), takes the geometric row: no convolution and no packing.
+    # a q^s [n]_{q^u} on either side of * or of otimes takes the geometric
+    # row: no convolution and no packing.
     cases = []
     for ring in (QQ, PrimeField(7), CyclotomicField(12)):
         for geo in (quantum_integer(64, ring), quantum_integer(200, ring).dilate(3),
@@ -451,24 +458,34 @@ def test_geometric_operand_never_convolves(monkeypatch):
                 for m in (1, 2, 7):
                     cases.append((other, geo, m, schoolbook_mul(other, geo.dilate(m))))
                     cases.append((geo, other, m, schoolbook_mul(geo, other.dilate(m))))
-    # (1 + q)^2 has equal ends and is not of the form, and zeta [9]_q has a
-    # scalar that is not rational: both convolve.
+    # (1 + q)^2 has equal ends and is not of the form: it convolves.
+    squared = (from_rationals([1, 2, 1]), twisted(5))
+    # zeta [9]_q, whose scalar is not rational, takes the row as well: zeta
+    # scales the other operand first, a product with a 1-term constant.
     k12 = CyclotomicField(12)
-    convolved = [(from_rationals([1, 2, 1]), twisted(5)),
-                 (quantum_integer(9, k12).scale(k12.zeta), twisted(5, k12))]
-    wants = [schoolbook_mul(f, g) for f, g in convolved]
+    zeta_row = (quantum_integer(9, k12).scale(k12.zeta), twisted(5, k12))
+    wants = [schoolbook_mul(f, g) for f, g in (squared, zeta_row)]
     calls = []
-    for name in ("_convolve", "_pack"):
-        original = getattr(poly, name)
-        monkeypatch.setattr(poly, name, lambda *args, name=name, original=original:
-                            calls.append(name) or original(*args))
+
+    def record(name, original):
+        def counting(*args):
+            # A convolution is recorded with its shorter operand's slots.
+            calls.append((name, min(map(len, args[:2]))) if name == "_convolve" else name)
+            return original(*args)
+        return counting
+    for name in ("_convolve", "_pack", "_running_sum"):
+        monkeypatch.setattr(poly, name, record(name, getattr(poly, name)))
     for f, g, m, want in cases:
         assert_same(otimes(f, g, m), want)
-    assert calls == []
-    for (f, g), want in zip(convolved, wants):
+    assert set(calls) == {"_running_sum"}
+    for (f, g), want in zip((squared, zeta_row), wants):
+        calls.clear()
         assert_same(f * g, want)
         assert_same(g * f, want)
-    assert calls.count("_convolve") == 4
+        if f.ring == QQ:
+            assert calls == [("_convolve", 3)] * 2
+        else:  # the 1-term scale holds one coefficient: phi slots
+            assert calls == [("_convolve", k12.phi), "_running_sum"] * 2
 
 
 # -- GF(p) and Q(zeta_d) ----------------------------------------------------------
@@ -1030,11 +1047,16 @@ def test_otimes_matches_the_dilated_schoolbook(case, m):
 @st.composite
 def geometric_factors(draw, ring):
     """a q^s [n]_{q^u}, n = 2..40, u = 1..5, a = 1, -1 or 2/3 (its residue
-    over GF(p), 1 where that is 0)."""
+    over GF(p), 1 where that is 0), and over Q(zeta_d) also zeta^k or
+    1 + 2 zeta, which are not rational but for zeta^k = -1."""
     n, u = draw(st.integers(2, 40)), draw(st.integers(1, 5))
-    a = ring.normalize(draw(st.sampled_from([1, -1, Fraction(2, 3)])))
-    g = quantum_integer(n, ring).dilate(u).shift(draw(st.sampled_from([0, 0, 1, 3])))
-    return g if ring.is_zero(a) else g.scale(a)
+    units = [1, -1, Fraction(2, 3)]
+    if isinstance(ring, CyclotomicField):
+        units += [ring.pow(ring.zeta, k) for k in range(1, ring.d)] + [[1, 2]]
+    a = ring.normalize(draw(st.sampled_from(units)))
+    # Built from its coefficients, not by scale, which shares the row's tails.
+    g = Polynomial(ring, [ring.one if ring.is_zero(a) else a] * n)
+    return g.dilate(u).shift(draw(st.sampled_from([0, 0, 1, 3])))
 
 
 @st.composite
@@ -1072,6 +1094,22 @@ def test_geometric_row_matches_the_schoolbook(case, m):
     f, g = case
     assert_same(f * g, schoolbook_mul(f, g))
     assert_same(otimes(f, g, m), schoolbook_mul(f, g.dilate(m)))
+
+
+@pytest.mark.parametrize("ring", [CyclotomicField(3), _Z12], ids=str)
+def test_geometric_operands_with_scalars_that_are_not_rational(ring):
+    # zeta [5]_q and (1 + zeta) [3]_{q^2} both take the row, whose scalar
+    # scales the other operand first: a product of two 1-term values
+    # convolves, so the row does not call itself again.
+    f = quantum_integer(5, ring).scale(ring.zeta)
+    g = quantum_integer(3, ring).dilate(2).scale(ring.add(ring.one, ring.zeta))
+    want = schoolbook_mul(f, g)
+    assert_same(f * g, want)
+    assert_same(g * f, want)
+    assert want.exact_div(g) == f and want.exact_div(f) == g
+    for m in (2, 7):
+        assert_same(otimes(f, g, m), schoolbook_mul(f, g.dilate(m)))
+        assert_same(otimes(g, f, m), schoolbook_mul(g, f.dilate(m)))
 
 
 # -- sums -------------------------------------------------------------------------
