@@ -73,6 +73,7 @@ def parse_seed_spec(obj) -> SeedSpec:
     if not isinstance(raw_seeds, dict):
         raise SeedSpecError("seeds: must be an object keyed by prime strings")
     seeds: dict[int, Polynomial] = {}
+    scalar = _literal_parser(ring)
     for key, coeffs in raw_seeds.items():
         # Only the canonical decimal of a positive integer: int() alone
         # would also read "+2", " 2", "0_2" and non-ASCII digits as 2.
@@ -85,19 +86,33 @@ def parse_seed_spec(obj) -> SeedSpec:
         if not isinstance(coeffs, list) or not coeffs:
             raise SeedSpecError(f"seeds[{key}]: must be a nonempty array")
         try:
-            vals = [ring.scalar_from_json(c) for c in coeffs]
+            vals = list(map(scalar, coeffs))
         except (ValueError, TypeError) as exc:
             raise SeedSpecError(f"seeds[{key}]: {exc}") from exc
         except ZeroDivisionError as exc:
             raise SeedSpecError(f"seeds[{key}]: zero denominator") from exc
-        h = Polynomial(ring, vals)
-        if h.degree != len(coeffs) - 1:
+        if ring.is_zero(vals[-1]):
             raise SeedSpecError(f"seeds[{key}]: last coefficient must be nonzero")
-        seeds[p] = h
+        seeds[p] = Polynomial._raw(ring, vals)  # the parser's scalars are normalized
     if set(seeds) != set(primes.primes):
         raise SeedSpecError(
             f"seed keys {sorted(seeds)} must match primes {list(primes.primes)}")
     return SeedSpec(ring, primes, seeds)
+
+
+def _literal_parser(ring: Ring):
+    """ring.scalar_from_json, once per distinct literal text: a string, or an
+    array of strings as a tuple.  True == 1 and (True, "0") == (1, "0"), so
+    other JSON values, and literals that fail, are parsed each time."""
+    parsed = {}
+    def parse(c):
+        key = tuple(c) if type(c) is list and all(type(x) is str for x in c) else c
+        if type(key) not in (str, tuple):
+            return ring.scalar_from_json(c)
+        if key not in parsed:
+            parsed[key] = ring.scalar_from_json(c)
+        return parsed[key]
+    return parse
 
 
 def load_seed_spec(path: str) -> SeedSpec:
@@ -181,21 +196,20 @@ def write_table(F: FESequence, upto: int, fh) -> None:
 
     Only the support members are evaluated.  Every index off the support
     has f_n = 0, so each run of them between two members, and after the
-    last, is written as one block of ``false`` rows.  A member whose value
-    is zero still gets its own ``false`` row.
+    last, is written as one join of its indices.  A member whose value is
+    zero still gets its own ``false`` row.  A row's text is whole before it
+    is written: a value too long to print leaves no part of its row.
     """
+    false = "\tfalse\t-\t0\n"  # the row of an n with f_n = 0, after n
     done = 0
     for n in support_members(F.support, upto):
         if n > done + 1:
-            fh.write("".join(f"{k}\tfalse\t-\t0\n" for k in range(done + 1, n)))
+            fh.write(false.join(map(str, range(done + 1, n))) + false)
         f = F.eval(n)
-        if f.is_zero():
-            fh.write(f"{n}\tfalse\t-\t0\n")
-        else:
-            fh.write(f"{n}\ttrue\t{f.degree}\t{f.pretty()}\n")
+        fh.write(f"{n}{false}" if f.is_zero() else f"{n}\ttrue\t{f.degree}\t{f.pretty()}\n")
         done = n
     if upto > done:
-        fh.write("".join(f"{k}\tfalse\t-\t0\n" for k in range(done + 1, upto + 1)))
+        fh.write(false.join(map(str, range(done + 1, upto + 1))) + false)
 
 
 def cmd_construct(args) -> int:

@@ -458,26 +458,30 @@ class Polynomial:
             return "0"
         ring, c, s = self.ring, self.content, self.exponent
         scaled = c != ring.one
-        # (negative, magnitude, prefix before q) per distinct nonzero entry
-        # of P: a value's coefficients repeat a few scalars.
-        shown = {x: _display(ring, ring.normalize(ring.mul(c, x)) if scaled else x)
-                 for x in set(P) if not ring.is_zero(x)}
+        # Per distinct nonzero entry of P (a value's coefficients repeat a few
+        # scalars): its display, and its sign and prefix as a later term.
+        shown, joined, distinct = {}, {}, set(P)
+        for x in distinct - {ring.zero}:
+            negative, _, prefix = shown[x] = _display(
+                ring, ring.normalize(ring.mul(c, x)) if scaled else x)
+            joined[x] = (" - " if negative else " + ") + prefix
         end = self.degree + 1
         if len(_POWERS) < end:
             with _POWERS_GROWING:  # two threads must not append the same q^i
                 _POWERS.extend([f"q^{i}" for i in range(len(_POWERS), end)])
-        # One mask picks the nonzero entries and their q^i texts (q^s on, u
-        # apart): P itself, or over Q(zeta_d), where a zero tuple is truthy.
-        mask = tuple(map(ne, P, repeat(ring.zero))) if isinstance(ring, CyclotomicField) else P
-        scalars, powers = compress(P, mask), compress(_POWERS[s:end:self.stride or 1], mask)
-        negative, mag, prefix = shown[next(scalars)]
-        power = next(powers)
-        head = prefix + power if power else mag
-        # Every later term has i >= 1: its sign, prefix and q^i.
-        joined = {x: (" - " if neg else " + ") + pre
-                  for x, (neg, _, pre) in shown.items()}
-        tail = map(add, map(joined.__getitem__, scalars), powers)
-        return ("-" + head if negative else head) + "".join(tail)
+        # The q^i texts, q^s on and u apart; where P has zeros, a mask keeps
+        # the nonzero entries: P, or over Q(zeta_d) those with a nonzero coordinate.
+        texts, scalars = _POWERS[s:end:self.stride or 1], P
+        if ring.zero in distinct:
+            mask = tuple(map(any, P)) if isinstance(ring, CyclotomicField) else P
+            texts, scalars = list(compress(texts, mask)), compress(P, mask)
+        # One join of the signs and prefixes alternating with the q^i texts (no
+        # string per term); the first term has no sign, and at q^0 its magnitude.
+        parts = texts * 2
+        parts[::2], parts[1::2] = map(joined.__getitem__, scalars), texts
+        negative, mag, prefix = shown[P[0]]
+        parts[0] = "-" * negative + (prefix if s else mag)
+        return "".join(parts)
 
 
 class _Settable(Polynomial):  # the slots with object's setattr, for _stored
@@ -632,7 +636,7 @@ def _bits(ints) -> int:
 def _slot_bytes(bits: int) -> int:
     """Bytes per slot for magnitudes below 2^(bits-1): 1, 2, 4, 8 or more."""
     k = (bits + 7) // 8
-    return k if k > 8 else next(s for s in (1, 2, 4, 8) if s >= k)
+    return k if k > 8 else (1, 1, 2, 4, 4, 8, 8, 8, 8)[k]
 
 
 def _bias(n: int, k: int) -> int:

@@ -383,16 +383,22 @@ def _capped_int(obj: dict, key: str, cap: int) -> int:
 def cyclotomic_polynomial(d: int):
     """The d-th cyclotomic polynomial over the rationals (integer coefficients).
 
-    The exact recursion Phi_d = (q^d - 1) / prod of Phi_e over e | d, e < d.
-    """
-    from .poly import monomial, one
+    The exact recursion Phi_d = (q^d - 1) / prod of Phi_e over e | d, e < d, on
+    int lists: no product runs, so rings built on Phi_d rest on no kernel they test."""
+    from .poly import Polynomial
 
     if d < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {d}")
-    lower = one(QQ)
+    c = [-1] + [0] * (d - 1) + [1]
     for e in divisors(d)[:-1]:
-        lower = lower * cyclotomic_polynomial(e)
-    return (monomial(QQ, d) - one(QQ)).exact_div(lower)
+        m = cyclotomic_polynomial(e).coeffs
+        k = len(m) - 1
+        terms = [(j - k, y) for j, y in enumerate(m[:k]) if y]
+        for i in range(len(c) - 1, k - 1, -1):  # Phi_e monic: c[i] is the quotient's entry i - k
+            for j, y in terms:
+                c[i + j] -= c[i] * y
+        c = c[k:]
+    return Polynomial(QQ, c)
 
 
 def root_of_unity_order(ring: Ring, z) -> int | None:

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfe import (QQ, FESequence, PrimeSet, cli, from_seeds, quantum_integer,
-                 quantum_sequence, support_members)
+from qfe import (QQ, FESequence, PrimeSet, cli, from_rationals, from_seeds,
+                 quantum_integer, quantum_sequence, support_members)
 from qfe.cli import (DEMO_NAMES, MAX_UPTO, SEEDS_257, SeedSpec, SeedSpecError,
                      build_parser, builtin_sequence, load_seed_spec, main,
                      parse_ring_flag, parse_seed_spec, write_table)
-from qfe.poly import zero
+from qfe.poly import Polynomial, zero
+from qfe.rings import DigitLimitError, ring_from_descriptor
 from tests.conftest import SEED_COEFFS_257
 
 
@@ -615,3 +616,109 @@ def test_table_evaluates_each_support_member_once():
     F.eval = counted
     table_text(write_table, F, 700)
     assert calls == members
+
+
+def two_seed_sequence():
+    """S({2}) with h_2 = -5/6 q [2]_{q^3}."""
+    return from_seeds([2], {2: quantum_integer(2).dilate(3).shift(1).scale(Fraction(-5, 6))})
+
+
+@pytest.mark.parametrize("make, first", [
+    pytest.param(two_seed_sequence, 2, id="P={2}"),
+    pytest.param(seven_seed_sequence, 7, id="P={7}"),
+])
+def test_table_joins_long_off_support_runs(make, first):
+    """On one prime all but a few of 1000 rows are off the support, in runs
+    of up to hundreds, each written as one join.  Byte for byte at --upto
+    below, at and just past the first member after 1, and at 1000."""
+    F = make()
+    for upto in (first - 1, first, first + 1, 1000):
+        got = table_text(write_table, F, upto)
+        assert got.encode() == table_text(reference_write_table, F, upto).encode()
+        assert got.count("\n") == upto
+
+
+def test_table_past_the_digit_limit_ends_with_the_last_whole_row():
+    """lambda(2^k) = 10^(1200 k), so f_16 cannot be printed: the table holds
+    the 15 rows before it, as the reference writes them, and no part of
+    row 16."""
+    F = from_seeds([2], {2: from_rationals([10 ** 1200, 1])})
+    texts = []
+    for write in (write_table, reference_write_table):
+        fh = io.StringIO()
+        with pytest.raises(DigitLimitError):
+            write(F, 16, fh)
+        texts.append(fh.getvalue())
+    assert texts[0] == texts[1]
+    assert texts[0].endswith("\n") and texts[0].count("\n") == 15
+
+
+def reference_seeds(obj) -> dict:
+    """The seeds as ``parse_seed_spec`` decoded them before it kept each
+    parsed literal: every coefficient parsed on its own."""
+    ring = ring_from_descriptor(obj["ring"])
+    return {int(p): Polynomial(ring, [ring.scalar_from_json(c) for c in cs])
+            for p, cs in obj["seeds"].items()}
+
+
+Z12_ONE = ["1", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("ring, literals", [
+    pytest.param({"kind": "rational"},
+                 ["0", "1", "-5/6", "10/12", "-0", "007", 1, -3, "123456789012345678901/3"],
+                 id="Q"),
+    pytest.param({"kind": "prime_field", "p": 7}, ["0", "3", "-1", "8", "13", 6, "-700"],
+                 id="GF(7)"),
+    pytest.param({"kind": "cyclotomic", "d": 12},
+                 [Z12_ONE, ["-1/2", "0", "3", "0"], [1, "0", "0", "0"], ["0", "1", "0", "0"],
+                  [0, 0, 0, 0], ["0", "0", "0", "0"], ["2/4", 0, "-0", "6"]],
+                 id="Q(zeta_12)"),
+])
+def test_seed_literals_repeated_across_seeds_decode_as_before(ring, literals):
+    """Literals repeated within and across seeds, JSON ints among them and
+    spellings of one value ("10/12" and "5/6", "0" and "-0"), decode to the
+    seeds the parser gave on each coefficient alone, of the same types."""
+    last = literals[1]
+    obj = {"ring": ring, "primes": [2, 3, 5],
+           "seeds": {"2": literals * 3 + [last], "3": literals[::-1] * 2 + [last], "5": [last]}}
+    spec = parse_seed_spec(obj)
+    want = reference_seeds(obj)
+    assert spec.seeds == want
+    for p, h in spec.seeds.items():
+        assert h.coeffs == want[p].coeffs
+        assert list(map(type, h.coeffs)) == list(map(type, want[p].coeffs))
+        if ring["kind"] == "cyclotomic":
+            for x, y in zip(h.coeffs, want[p].coeffs):
+                assert list(map(type, x)) == list(map(type, y))
+
+
+SCALAR = 'rational scalar must be an integer or a string "a" or "a/b", got '
+COORDINATE = 'coordinate must be an integer or a string "a" or "a/b", got '
+
+
+@pytest.mark.parametrize("ring, one, bad, message", [
+    pytest.param({"kind": "rational"}, "1", True, SCALAR + "True", id="Q-true"),
+    pytest.param({"kind": "rational"}, "1", 1.0, SCALAR + "1.0", id="Q-1.0"),
+    pytest.param({"kind": "rational"}, "1", "1/0", "zero denominator", id="Q-1/0"),
+    pytest.param({"kind": "rational"}, "1", "+1", SCALAR + "'+1'", id="Q-+1"),
+    pytest.param({"kind": "cyclotomic", "d": 12}, Z12_ONE, [True, "0", "0", "0"],
+                 COORDINATE + "True", id="z12-true"),
+    pytest.param({"kind": "cyclotomic", "d": 12}, Z12_ONE, [1, True, "0", "0"],
+                 COORDINATE + "True", id="z12-1,true"),
+    pytest.param({"kind": "cyclotomic", "d": 12}, Z12_ONE, [1.0, "0", "0", "0"],
+                 COORDINATE + "1.0", id="z12-1.0"),
+    pytest.param({"kind": "cyclotomic", "d": 12}, Z12_ONE, ["1/0", "0", "0", "0"],
+                 "zero denominator", id="z12-1/0"),
+    pytest.param({"kind": "cyclotomic", "d": 12}, Z12_ONE, ["+1", "0", "0", "0"],
+                 COORDINATE + "'+1'", id="z12-+1"),
+])
+def test_a_bad_literal_after_a_parsed_one_exits_2(capsys, tmp_path, ring, one, bad, message):
+    """true == 1 and (true, "0") == (1, "0") in Python, so parsed literals
+    must not be found by value: after 1 parsed from a string and from a
+    JSON int (or the arrays for 1), each of these still exits 2 with the
+    message it gives on its own."""
+    json_one = [1, "0", "0", "0"] if isinstance(one, list) else 1
+    path = write_spec(tmp_path, "bad.json", {
+        "ring": ring, "primes": [2, 3], "seeds": {"2": [one, json_one], "3": [one, bad, one]}})
+    assert run(capsys, "construct", path, "--upto", "4") == (2, "", f"error: seeds[3]: {message}\n")

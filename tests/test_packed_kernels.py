@@ -16,9 +16,10 @@ Q(zeta_d)) by one bigint quotient or a long division in ints, where over
 Q(zeta_d) both divide each coordinate polynomial by the divisor's
 primitive int part; any other divisor goes to ``divmod``; ``compose``
 makes one convolution of int slots per level; ``pretty`` displays each
-distinct entry of the primitive part once and takes its q^i texts from a
-table shared by the process.  The loops below are the
-coefficient-by-coefficient sum, the schoolbook product over ring
+distinct entry of the primitive part once, takes its q^i texts from a
+table shared by the process, and makes the text with one join of a list
+that alternates each term's sign and prefix with its q^i text.  The loops
+below are the coefficient-by-coefficient sum, the schoolbook product over ring
 scalars, the long division, the Horner composition and the
 coefficient-by-coefficient printer as they stood before; production
 keeps only the long division, as ``divmod``, and here all five are
@@ -1306,14 +1307,28 @@ def test_pretty_matches_the_coefficient_loop_on_contents_other_than_1():
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), ring=st.sampled_from(PRINT_RINGS))
 def test_pretty_matches_the_coefficient_loop(data, ring):
+    """A drawn value; values of 1 and 2 terms; one of more than 2000 terms,
+    a drawn pattern with zeros repeated; and the drawn and the long value
+    at stride > 1 from an exponent > 0.  Each is printed as built, scaled
+    (over Q to a content other than 1) and negated."""
     if ring is QQ:
         f = data.draw(rational_polys())
-        cases = [f, f.scale(data.draw(nonzero_scalars)), -f]
+        entry, nonzero = entries, nonzero_scalars
     else:
         f = data.draw(field_polys(ring))
-        cases = [f, f.scale(data.draw(nonzero_field_scalars(ring))), -f]
-    for f in cases:
-        assert f.pretty() == reference_pretty(f)
+        entry = st.one_of(st.just(ring.zero), field_scalars(ring))
+        nonzero = nonzero_field_scalars(ring)
+    a, b, c = data.draw(nonzero), data.draw(nonzero), data.draw(nonzero)
+    i, j = data.draw(st.integers(0, 40)), data.draw(st.integers(1, 40))
+    pattern = [data.draw(nonzero)] + data.draw(st.lists(entry, max_size=5))
+    long = Polynomial(ring, [a] + pattern * (2001 // len(pattern) + 1) + [b])
+    u, s = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 9))
+    values = [f, monomial(ring, i, a), monomial(ring, i, a) + monomial(ring, i + j, b),
+              long, f.dilate(u).shift(s), long.dilate(u).shift(s)]
+    assert len(long.primitive) > 2000 and long.dilate(u).stride >= u
+    for g in values:
+        for h in (g, g.scale(c), -g):
+            assert h.pretty() == reference_pretty(h)
 
 
 def test_pretty_is_independent_of_what_the_process_printed_before():
