@@ -155,12 +155,17 @@ def check_seed_commutativity(
     return None if hit is None else CommutativityFailure(*hit)
 
 
+def _least_prime(P: PrimeSet, n: int) -> int:
+    """The least prime of the finite set P dividing n, for n > 1 in S(P)."""
+    return next(p for p in P.primes if n % p == 0)
+
+
 def from_seeds(primes, seeds: Mapping[int, Polynomial]) -> FESequence:
     """The unique solution with support S(P) and f_p equal to the given seeds.
 
     Evaluation splits off the smallest prime p dividing n:
 
-        f_1 = 1,   f_n(q) = f_p(q) f_{n/p}(q^p)
+        f_1 = 1,   f_p = the seed,   f_n(q) = f_p(q) f_{n/p}(q^p)
 
     which is the law at (p, n/p).  Once the seeds commute pairwise, any
     other split yields the same value; fixing this one makes memoization
@@ -183,8 +188,8 @@ def from_seeds(primes, seeds: Mapping[int, Polynomial]) -> FESequence:
     def rule(n: int) -> Polynomial:
         if n == 1:
             return poly.one(ring)
-        p = next(p for p in P.primes if n % p == 0)
-        return otimes(seeds[p], seq.eval(n // p), p)
+        p = _least_prime(P, n)
+        return seeds[p] if n == p else otimes(seeds[p], seq.eval(n // p), p)
 
     seq = FESequence(ring, P, rule, f"seeds(P={P})")
     return seq
@@ -247,7 +252,22 @@ def psi_substitute_sequence(F: FESequence, psi: Polynomial) -> FESequence:
     dilation: its checks hold identically, so it is admitted on any support
     and built as ``dilate_sequence`` builds it.  No finite check exists over
     full support N, so every other psi (c q^t with c != 1 too) needs a
-    finite one, where it is checked and composed.
+    finite one, where it is checked.
+
+    Such a psi is composed only at 1, at the primes, and where F fails the
+    law.  Write h_k = f_k(psi(q)) for the values built.  At a composite
+    member n the rule splits off the least prime p of P dividing n, as
+    ``from_seeds`` does, and when F's value there is the product
+    f_n(x) = f_p(x) f_m(x^p), m = n/p, exactly, it returns h_p(q) h_m(q^p)
+    instead.  Substituting x = psi(q) is a ring map, and
+    psi(q)^p = psi(q^p) was checked above, so
+
+        h_n = f_p(psi(q)) f_m(psi(q)^p) = f_p(psi(q)) f_m(psi(q^p))
+            = h_p(q) h_m(q^p),
+
+    with h_p and h_m equal to f_p(psi) and f_m(psi) by induction on n.  So
+    the values are those of composing every member, for solutions and
+    non-solutions alike; a member whose split fails the law is composed.
     """
     if psi.ring != F.ring:
         raise ValueError(f"ring mismatch: {psi.ring} vs {F.ring}")
@@ -263,8 +283,18 @@ def psi_substitute_sequence(F: FESequence, psi: Polynomial) -> FESequence:
         rhs = psi.dilate(p)
         if lhs != rhs:
             raise PsiIdentityError(p, lhs, rhs)
-    return FESequence(F.ring, F.support, lambda n: F.eval(n).compose(psi),
-                      f"substitute({F.name})")
+
+    def rule(n: int) -> Polynomial:
+        f = F.eval(n)
+        if n > 1:
+            p = _least_prime(F.support, n)
+            m = n // p
+            if m > 1 and f == otimes(F.eval(p), F.eval(m), p):
+                return otimes(H.eval(p), H.eval(m), p)
+        return f.compose(psi)
+
+    H = FESequence(F.ring, F.support, rule, f"substitute({F.name})")
+    return H
 
 
 def reciprocal_sequence(F: FESequence) -> FESequence:

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfe import (ALL_PRIMES, QQ, CommutativityError, CyclotomicField,
-                 PrimeField, PrimeSet, PsiIdentityError,
+                 FESequence, PrimeField, PrimeSet, PsiIdentityError,
                  ZetaAdmissibilityError, additive_sequence, assemble,
                  check_seed_commutativity, dilate_sequence,
                  enumerate_semigroup, exact_quotient_sequence, factorize,
@@ -111,6 +112,12 @@ def test_from_seeds_single_quantum_seed(p):
     F = from_seeds([p], {p: quantum_integer(p)})
     assert F.eval(p * p) == quantum_integer(p * p)
     assert F.eval(p**3) == quantum_integer(p**3)
+
+
+def test_from_seeds_returns_the_seeds_at_the_primes(seeds_257, seq_257):
+    assert all(seq_257.eval(p) is seeds_257[p] for p in (2, 5, 7))
+    seed = Polynomial(PrimeField(3), [2, 0, 1])
+    assert from_seeds([3], {3: seed}).eval(3) is seed
 
 
 def test_from_seeds_257_values(seq_257):
@@ -221,7 +228,7 @@ def test_psi_substitute_matches_dilate_for_monomials(monkeypatch):
     # values are those of the composition route, built without a compose.
     compose, calls = Polynomial.compose, []
     monkeypatch.setattr(Polynomial, "compose",
-                        lambda f, psi: calls.append(psi) or compose(f, psi))
+                        lambda f, psi: calls.append((f, psi)) or compose(f, psi))
     for ring in (QQ, PrimeField(7), CyclotomicField(12)):
         for support in (ALL_PRIMES, PrimeSet.of([2, 3])):
             Q = quantum_sequence(ring, support)
@@ -232,13 +239,119 @@ def test_psi_substitute_matches_dilate_for_monomials(monkeypatch):
                 values = [sub.eval(n) for n in range(1, 25)]
                 assert calls == []
                 assert values == [compose(F.eval(n), psi) for n in range(1, 25)]
-    # Every other psi still composes: -q over Q(zeta_2), 1 + q + q^3 over GF(2).
-    K, F2 = CyclotomicField(2), PrimeField(2)
-    for psi, p in ((Polynomial(K, [K.zero, K.zeta]), 3),
-                   (Polynomial(F2, [1, 1, 0, 1]), 2)):
-        base = quantum_sequence(psi.ring, PrimeSet.of([p]))
-        psi_substitute_sequence(base, psi).eval(p ** 2)
-        assert calls[-1] is psi
+    # Every other psi composes only at 1, at the primes, and where F fails
+    # the law at the least-prime split: at every member whose split reads
+    # a tampered f_c.  -q over Q(zeta_2) on S({3, 5}), 1 + q + q^3 over
+    # GF(2) on S({2}), 6 q^2 over GF(7) on S({3, 7}).
+    K, F2, F7 = CyclotomicField(2), PrimeField(2), PrimeField(7)
+    for psi, primes, bound in ((Polynomial(K, [K.zero, K.zeta]), [3, 5], 400),
+                               (Polynomial(F2, [1, 1, 0, 1]), [2], 256),
+                               (Polynomial(F7, [0, 0, 6]), [3, 7], 300)):
+        P = PrimeSet.of(primes)
+        members = enumerate_semigroup(P, bound)
+        base = quantum_sequence(psi.ring, P)
+        for c in (None, *members[1:9]):
+            F = base if c is None else tampered(base, c)
+            del calls[:]
+            H = psi_substitute_sequence(F, psi)
+            values = [H.eval(n) for n in members]
+            at = {id(F.eval(n)): n for n in members}
+            assert [at[id(f)] for f, _ in calls] == [
+                n for n in members
+                if n == 1 or is_prime(n) or c is not None and reads(P, n, c)]
+            assert all(g is psi for _, g in calls)
+            assert values == [compose(F.eval(n), psi) for n in members]
+
+
+def tampered(F, c, k=0):
+    """F with f_c raised by q^k.  At c > 1 the law fails at every member
+    whose least-prime split reads f_c, and holds wherever F's does."""
+    bump = monomial(F.ring, k)
+    return FESequence(F.ring, F.support,
+                      lambda n: F.eval(n) + bump if n == c else F.eval(n),
+                      f"tampered({F.name}, {c})")
+
+
+def reads(P, n, c):
+    """Whether the split f_n = f_p (x) f_{n/p}, p the least prime of P
+    dividing n, reads f_c: n is c, or p or n/p is c with n composite."""
+    p = next(p for p in P.primes if n % p == 0)
+    return n == c or n != p and c in (p, n // p)
+
+
+@st.composite
+def substitutions(draw):
+    """(F, psi, bound, c): an admissible psi over GF(2), GF(3), GF(5),
+    GF(7), Q or Q(zeta_12) on a finite support, and F a solution there
+    (quantum integers or a from_seeds family), or that solution with f_c
+    raised by a monomial when c is not None."""
+    kind = draw(st.sampled_from((2, 3, 5, 7, "Q", "zeta")))
+    t = draw(st.integers(1, 3))
+    if kind == "Q":
+        # -q^t on odd primes
+        ring = QQ
+        primes = draw(st.lists(st.sampled_from((3, 5, 7)), min_size=1,
+                               max_size=2, unique=True))
+        psi = monomial(ring, t).scale(-1)
+    elif kind == "zeta":
+        # zeta^j q^t where the order of zeta^j divides p - 1 for every p
+        ring = CyclotomicField(12)
+        j = draw(st.integers(1, 11))
+        order = 12 // gcd(j, 12)
+        primes = draw(st.lists(
+            st.sampled_from([p for p in (3, 5, 7, 13) if (p - 1) % order == 0]),
+            min_size=1, max_size=2, unique=True))
+        psi = monomial(ring, t).scale(ring.pow(ring.zeta, j))
+    else:
+        # GF(p): any psi on S({p}), by Frobenius; a power of q times a
+        # root of unity of order dividing l - 1 on S({p, l})
+        p = kind
+        ring = PrimeField(p)
+        other = draw(st.sampled_from([None] + [l for l in (2, 3, 5, 7, 13)
+                                               if l != p]))
+        if other is None:
+            primes = [p]
+            psi = Polynomial(ring, draw(st.lists(st.integers(0, p - 1),
+                                                 min_size=t, max_size=t))
+                             + [draw(st.integers(1, p - 1))])
+        else:
+            primes = [p, other]
+            root = pow(draw(st.integers(1, p - 1)), (p - 1) // gcd(p - 1, other - 1), p)
+            psi = monomial(ring, t).scale(root)
+    P = PrimeSet.of(primes)
+    family = draw(st.sampled_from(("quantum", "seeds", "random seed")))
+    if family == "quantum":
+        F = quantum_sequence(ring, P)
+    elif family == "seeds" or len(primes) > 1:
+        # f_p = lambda_p q^(e(p-1)) [p]_{q^s}, lambda completely multiplicative
+        e, s = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+        seeds = {}
+        for p in primes:
+            lam = ring.normalize(draw(st.sampled_from((1, -1, 2, 3))))
+            if ring.is_zero(lam):
+                lam = ring.one
+            seeds[p] = (monomial(ring, e * (p - 1))
+                        * quantum_integer(p, ring).dilate(s)).scale(lam)
+        F = from_seeds(P, seeds)
+    else:
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+        seed = Polynomial(ring, coeffs + [1])
+        F = from_seeds(P, {primes[0]: seed})
+    bound = draw(st.sampled_from(enumerate_semigroup(P, 300)))
+    c = draw(st.sampled_from([None] + enumerate_semigroup(P, bound)[1:]))
+    if c is not None:
+        F = tampered(F, c, draw(st.integers(0, 4)))
+    return F, psi, bound, c
+
+
+@settings(max_examples=200)
+@given(case=substitutions(), descending=st.booleans())
+def test_psi_substitute_matches_composing_every_member(case, descending):
+    F, psi, bound, _ = case
+    H = psi_substitute_sequence(F, psi)
+    ns = range(bound, 0, -1) if descending else range(1, bound + 1)
+    for n in ns:
+        assert H.eval(n) == F.eval(n).compose(psi)
 
 
 def test_psi_substitute_frobenius_over_gf2():

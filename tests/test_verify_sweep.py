@@ -589,9 +589,9 @@ def test_otimes_never_dilates(monkeypatch):
     building a seed table and verifying it dilates nothing inside otimes.
 
     seeds-23-frac.json is a {2, 3} seed file.  Its table to 2000 makes one
-    otimes per member n >= 2 (46) and two for the seed commutation check.
-    verify_fe expands no identity of the solution, and three once f_96 is
-    shifted by q, where the law fails."""
+    otimes per composite member (44; f_2 and f_3 are the seeds) and two for
+    the seed commutation check.  verify_fe expands no identity of the
+    solution, and three once f_96 is shifted by q, where the law fails."""
     calls = count_otimes(monkeypatch)
     inside, dilations = [0], [0]
     counted, dilate = sequences.otimes, Polynomial.dilate
@@ -613,12 +613,12 @@ def test_otimes_never_dilates(monkeypatch):
     F = from_seeds(spec.primes, spec.seeds)
     for n in range(1, 2001):
         F.eval(n)
-    assert calls[0] == 48
+    assert calls[0] == 46
     assert verify_fe(F, 2000).ok
-    assert calls[0] == 48
+    assert calls[0] == 46
     report = verify_fe(scaled_at(F, 96, 1, 1), 2000)
     assert not report.fe_ok
-    assert calls[0] == 48 + 3
+    assert calls[0] == 46 + 3
     assert dilations[0] == 0
     # A dilation stores a new stride and shares the primitive part.
     f = F.eval(96)
