@@ -18,7 +18,7 @@ reciprocal change c or its sign, s and u, and keep or rearrange P.  Over
 GF(p) and Q(zeta_d) c is ring.one.  ``coeffs`` is s zeros, then the c P_i
 u - 1 zeros apart, normalized as the ring normalizes scalars.  Zeros are
 written out only in ``coeffs``, ``coefficient``, ``evaluate`` (Horner at
-x^u), ``compose``, ``divmod`` and the int vectors the kernels below take.
+x^u), ``compose``, ``divmod`` and the int vectors that ``kernels`` takes.
 Polynomials are immutable values and every operation is pure.
 
 Every sum, product and composition runs on int slots, in all three
@@ -49,21 +49,13 @@ f_m(q) (x) f_n(q) = f_m(q) f_n(q^m) for ``sequences.otimes``, which so
 never builds f_n(q^m).  By the operands' forms:
 
 * a q^s [n]_{q^(dk)} on either side (P is n >= 2 entries a), in every
-  ring and for every a, takes the geometric row, in linear time: as
-  (1 - q^k) [n]_{q^k} = 1 - q^(kn), the other's int vector times
-  [n]_{q^k} is its running sums at step k (one ``accumulate`` per residue
-  class or one slice addition per block, whichever is fewer) less the
-  same sums kn slots on, a map that ``_mapped`` (below) applies with a.
-* Any other product is one convolution with g's slots at stride
-  m u_g / d, f written out to stride d only when u_f / d > 1.  One rule,
-  counted on slots and bytes, picks it in every ring: more than
-  PACK_MIN_OPS nonzero slot pairs, and more than PACK_DENSE of them per
-  byte of the packed result, make one bigint product (Kronecker
-  substitution) at a width of k bytes per slot that provably holds every
-  result slot.  The stride spreads g's bytes as it packs them.  Any other
-  product goes pair by pair over the nonzero slots.  A packed square
-  packs its operand once, and CPython squares an int faster than it
-  multiplies two.
+  ring and for every a, takes the geometric row, in linear time: the
+  other's int vector times [n]_{q^k} is its running sums at step k less
+  the same sums kn slots on (see ``kernels``), a map that ``_mapped``
+  (below) applies with a.
+* Any other product is one ``kernels._convolve`` with g's slots at stride
+  m u_g / d, f written out to stride d only when u_f / d > 1: one packed
+  bigint product or pair by pair, by the one rule of ``kernels``.
 
 ``_mapped`` makes a c_f q^s P(q^u) from a scalar a and a Z-linear map on
 int vectors that keeps a vector's ends nonzero (a product, an exact
@@ -88,20 +80,12 @@ divides every f_j (1, z, ..., z^(phi - 1) is a basis over Q).
 
 * g = a q^(s_g) only scales.
 * g = a q^(s_g) [n]_{q^(du)} (n >= 2), in every ring, divides v by
-  [n]_{q^u} in linear time, the geometric row run backwards: one pass of
-  subtractions makes t = (1 - q^u) v, and a running sum at step un,
-  h_i = t_i + h_(i - un), divides t by 1 - q^(un).  Then h (1 - q^(un))
-  equals t below the quotient's length, and the branch accepts h only
-  when the top un entries of t equal those of -q^(un) h, mod p over
-  GF(p).  That proves t = h (1 - q^u) [n]_{q^u}, so v = h [n]_{q^u} as
-  1 - q^u is no zero divisor; conversely, when [n]_{q^u} divides v the
-  power series quotient is the exact one, so a mismatch, or a nonzero v
-  shorter than [n]_{q^u}, proves it inexact.
+  [n]_{q^u} in linear time with ``kernels._geometric_div``, the geometric
+  row run backwards, at p = 0 over Q and Q(zeta_d) and at p over GF(p).
 * Any other g with an integer form, a q^(s_g) g' with g' a primitive int
   vector (over Q, and with rational coefficients over Q(zeta_d)), divides
-  by g' in ints: one packed bigint quotient when the long division takes
-  more than PACK_MIN_OPS steps and the width proves it, else
-  ``_int_divmod``.
+  by g' in ints with ``kernels._int_quotient``: one packed bigint quotient
+  or a long division.
 * Any other g takes ``divmod``, the long division over ring scalars.
 
 Composition f(psi) = sum c_i psi^i = sum (c_2i + c_2i+1 psi) (psi^2)^i
@@ -124,25 +108,15 @@ evaluated there.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat, zip_longest
+from itertools import compress, repeat, zip_longest
 from math import gcd, lcm
-from operator import add, attrgetter, ne, sub
+from operator import add, ne, sub
 from threading import Lock
 
-from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, _ints, power
-
-# Product selection, on slots; see the module docstring.  Measured on a
-# 2-CPU x86 host with Python 3.11: an int slot pair costs 0.06-0.17 us pair
-# by pair, a packed result byte 0.014-0.09 us, a ratio of 0.16-1.1 by
-# shape.  Over every product of more than PACK_MIN_OPS pairs in two blocks
-# of each perfbench workload, the total time is flat for PACK_DENSE from
-# 0.2 to 0.6, and 0.5 holds back the wide slots where packing costs most.
-PACK_MIN_OPS = 64
-PACK_DENSE = 0.5
+from . import kernels
+from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, power
 
 
 class InexactDivision(ArithmeticError):
@@ -182,8 +156,8 @@ class Polynomial:
         """The coefficients in ascending degree order: s zeros, then c P(q^u)."""
         c, s, P = self.content, self.exponent, self.primitive
         if c != self.ring.one:
-            P = tuple(_over(P, c.numerator, c.denominator))
-        P = tuple(_inflate(P, self.stride, zero=self.ring.zero))
+            P = tuple(kernels._over(P, c.numerator, c.denominator))
+        P = tuple(kernels._inflate(P, self.stride, zero=self.ring.zero))
         return (self.ring.zero,) * s + P if s else P
 
     @property
@@ -232,10 +206,10 @@ class Polynomial:
         ka, kb = den // da, den // db
         w = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
         d = gcd(a.stride, b.stride, b.exponent - a.exponent) if a.stride > 1 or b.stride > 1 else 1
-        v = _inflate(v, b.stride // d, w)
+        v = kernels._inflate(v, b.stride // d, w)
         lo = (b.exponent - a.exponent) // d * w
         hi = lo + len(v)
-        out = _inflate(list(u) if ka == 1 else [x * ka for x in u], a.stride // d, w)
+        out = kernels._inflate(list(u) if ka == 1 else [x * ka for x in u], a.stride // d, w)
         out += repeat(0, hi - len(out))
         out[lo:hi] = map(add, out[lo:hi], v if kb == 1 else [kb * y for y in v])
         return _decode(ring, out, den, a.exponent, d)
@@ -315,17 +289,17 @@ class Polynomial:
         # In full, in whole rows (_slots stops the last after phi coordinates):
         # the n terms of w = 1 coefficient each, and psi_i = s / den_psi.
         (den, v), (den_psi, s) = _slots(ring, self), _slots(ring, psi)
-        v = [0] * (r * self.exponent) + _inflate(list(v), self.stride, r) + [0] * (r // 2)
-        s = [0] * (r * psi.exponent) + _inflate(list(s), psi.stride, r) + [0] * (r // 2)
+        v = [0] * (r * self.exponent) + kernels._inflate(list(v), self.stride, r) + [0] * (r // 2)
+        s = [0] * (r * psi.exponent) + kernels._inflate(list(s), psi.stride, r) + [0] * (r // 2)
         w = 1
         while n > 1:
             half, b, B = n // 2, r * w, r * (w + d)
             # Block j of odd * psi_i has degree below w + d: it fills
             # [j B, j B + B) and nothing past half B.
-            odd = _relay(v, b, 2 * b, half, b, B)
+            odd = kernels._relay(v, b, 2 * b, half, b, B)
             del odd[len(odd) - B + b:]
-            prod = _convolve(odd, s)
-            v = _relay(v, 0, 2 * b, n - half, b, B)  # and the odd last term
+            prod = kernels._convolve(odd, s)
+            v = kernels._relay(v, 0, 2 * b, n - half, b, B)  # and the odd last term
             if den_psi != 1:
                 v = [x * den_psi for x in v]
             v[:half * B] = map(add, v[:half * B], prod)
@@ -333,7 +307,7 @@ class Polynomial:
             n, w = n - half, w + d
             if n > 1:  # _decode reduces the last level
                 v = _reduce(ring, v)
-                s = _convolve(s, s)
+                s = kernels._convolve(s, s)
                 del s[r * (2 * d + 1):]
                 s = _reduce(ring, s)
                 den_psi *= den_psi
@@ -355,7 +329,7 @@ class Polynomial:
 
         The one general long division, on f and g written out in full;
         every nonzero scalar is a unit here.  Over Q it divides the padded
-        primitive parts in ints (``_int_divmod``): D P_f = Q P_g + R gives
+        primitive parts in ints (``kernels._int_divmod``): D P_f = Q P_g + R gives
         f = (c_f / (c_g D)) Q g + (c_f / D) R.
         """
         self._check_ring(g)
@@ -365,8 +339,9 @@ class Polynomial:
         if not self.primitive or self.degree < dd:
             return zero(ring), self
         if isinstance(ring, RationalField):
-            x, y = ([0] * h.exponent + list(_inflate(h.primitive, h.stride)) for h in (self, g))
-            den, quo, rem = _int_divmod(x, y)
+            x, y = ([0] * h.exponent + list(kernels._inflate(h.primitive, h.stride))
+                    for h in (self, g))
+            den, quo, rem = kernels._int_divmod(x, y)
             c = Fraction(self.content)
             return _decode(ring, quo, den).scale(c / g.content), _decode(ring, rem, den).scale(c)
         rem = list(self.coeffs)
@@ -406,15 +381,16 @@ class Polynomial:
         if len(d) == 1:
             quo = self.scale(ring.inv(a))
         elif _geometric(d):  # g = a q^(s_g) [n]_{q^(uk)}; over Q(zeta_d) each f_j over Q
-            R = QQ if cyclo else ring
+            p = ring.p if isinstance(ring, PrimeField) else 0
             quo = _mapped(self, a if a == ring.one else ring.inv(a), self.exponent, u,
-                          lambda w: _geometric_div(R, _inflate(w, kf), len(d), k))
+                          lambda w: kernels._geometric_div(p, kernels._inflate(w, kf), len(d), k))
         elif isinstance(ring, RationalField) or cyclo and not any(map(any, list(zip(*d))[1:])):
             if cyclo:  # rational coefficients: g = a q^(s_g) d(q^(uk)) over Q
                 c, _, _, d = _split(QQ, [x[0] for x in d])
                 a = ring.normalize(c)
             quo = _mapped(self, a if a == ring.one else ring.inv(a), self.exponent, u,
-                          lambda w: _int_quotient(_inflate(w, kf), _inflate(d, k)))
+                          lambda w: kernels._int_quotient(kernels._inflate(w, kf),
+                                                          kernels._inflate(d, k)))
         else:  # as s_g <= s_f and P_g(0) != 0, g divides f when g / q^(s_g) does
             quo, rem = self.divmod(g.unshift(g.exponent))
             quo = None if rem.primitive else quo
@@ -514,7 +490,7 @@ def _split(ring: Ring, vals: Sequence) -> tuple:
         return ring.one, 0, 0, ()
     s = next(i for i, x in enumerate(vals) if not ring.is_zero(x))
     if isinstance(ring, RationalField):
-        den, ints = _clear(vals[s:])
+        den, ints = kernels._clear(vals[s:])
         return _primitive(ints, den, s, 1)
     return ring.one, s, *_deflate(ring, 1, tuple(vals[s:]))
 
@@ -534,17 +510,6 @@ def _geometric(P: tuple) -> bool:
     return len(P) > 1 and P[0] == P[1] == P[-1] and P.count(P[0]) == len(P)
 
 
-def _inflate(v: Sequence, k: int, w: int = 1, zero=0) -> Sequence:
-    """v's rows of w entries k rows apart over zero fills, or v for k <= 1;
-    the last row may be cut short, as ``_slots`` cuts it."""
-    if k < 2 or len(v) <= w:
-        return v
-    out = [zero] * ((len(v) - 1) // w * w * (k - 1) + len(v))
-    for j in range(w):
-        out[j::k * w] = v[j::w]
-    return out
-
-
 def _primitive(ints: Sequence[int], den: int, s: int, u: int) -> tuple:
     """The stored quadruple (c, s, u k, P) of q^s ints(q^u) / den over Q,
     for ints with nonzero ends and den > 0: ints / den = c P(q^k), P
@@ -555,134 +520,6 @@ def _primitive(ints: Sequence[int], den: int, s: int, u: int) -> tuple:
         g = -g
     P = tuple(ints) if g == 1 else tuple([x // g for x in ints])
     return (g if den == 1 else QQ.normalize(Fraction(g, den))), s, u, P
-
-
-def _int_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int], list[int]]:
-    """(D, q, r) with D f = q g + r for int vectors, r shorter than g, for
-    g with a positive last entry.
-
-    Before each step the long division scales what is left of f, and q so
-    far, by the least factor that makes the leading term divisible by g's,
-    so a monic g never scales and every step stays in ints.
-    """
-    lead, dd = g[-1], len(g) - 1
-    g_pairs = [(j, y) for j, y in enumerate(g) if y]
-    rem, quo, den = list(f), [0] * (len(f) - dd), 1
-    for i in range(len(quo) - 1, -1, -1):
-        t = rem[i + dd]
-        if t:
-            s = lead // gcd(t, lead)
-            if s != 1:
-                rem = [x * s for x in rem]
-                quo = [x * s for x in quo]
-                den *= s
-            c = rem[i + dd] // lead
-            quo[i] = c
-            for j, y in g_pairs:
-                rem[i + j] -= c * y
-    del rem[dd:]
-    return den, quo, rem
-
-
-# -- int-slot kernels -----------------------------------------------------------
-#
-# An int vector v is packed at k bytes per slot as X = sum v_i 2^(8k i).  When
-# every |v_i| < 2^(8k-1) the slots are balanced digits: adding the bias
-# B = sum 2^(8k-1) 2^(8k i) makes every slot a plain unsigned byte string, and
-# flipping each slot's top bit (xor B) turns it into the slot's two's
-# complement, so packing and unpacking are byte-level conversions.  Two int
-# polynomials whose coefficients are all below 2^(8k-1) in magnitude are equal
-# exactly when their packed values are.
-
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-# Signed array typecodes by item size, for slots of 1, 2, 4 or 8 bytes.
-_SLOT_CODES = {array(code).itemsize: code for code in "bhilq"}
-
-
-def _clear(coeffs) -> tuple[int, Sequence[int]]:
-    """(D, v) with coeffs[i] = v[i] / D and D the lcm of the denominators.
-
-    All-int coefficients come back unchanged, not copied.  The test is on
-    types: a rational sum may hold Fraction(k, 1), whose denominator is 1.
-    """
-    if _ints(coeffs):
-        return 1, coeffs
-    den = lcm(*set(map(_denominator, coeffs)))
-    if den == 1:
-        return 1, list(map(_numerator, coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
-
-
-def _over(ints, num: int, den: int) -> list:
-    """The normalized rationals ints[i] * num / den (den > 0)."""
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    if den == 1:
-        return ints if num == 1 else [x * num for x in ints]
-    # Values repeat (a solution's coefficients are often lambda(n) times a
-    # few small ints), so each distinct one is divided once.
-    value = {}
-    for x in set(ints):
-        y = x * num
-        value[x] = y // den if y % den == 0 else Fraction(y, den)
-    return list(map(value.__getitem__, ints))
-
-
-def _bits(ints) -> int:
-    return max(map(int.bit_length, ints))
-
-
-def _slot_bytes(bits: int) -> int:
-    """Bytes per slot for magnitudes below 2^(bits-1): 1, 2, 4, 8 or more."""
-    k = (bits + 7) // 8
-    return k if k > 8 else (1, 1, 2, 4, 4, 8, 8, 8, 8)[k]
-
-
-def _bias(n: int, k: int) -> int:
-    return int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
-
-
-def _pack(ints, k: int, m: int = 1, w: int = 1) -> int:
-    """sum ints[i] 2^(8k s_i); every |ints[i]| must be below 2^(8k-1).
-
-    The slots come in rows of w, and row r lands at row m r: slot
-    i = w r + j at s_i = w m r + j, so m = 1 packs ints as they stand.  The
-    spread moves bytes: one slice assignment per byte of a row.
-    """
-    code = _SLOT_CODES.get(k)
-    if code is not None:
-        slots = array(code, ints)
-        if sys.byteorder == "big":
-            slots.byteswap()
-        raw = slots.tobytes()
-    else:
-        raw = b"".join([x.to_bytes(k, "little", signed=True) for x in ints])
-    if m > 1:
-        row = w * k
-        buf = bytearray(len(raw) + (len(ints) - 1) // w * (m - 1) * row)
-        for b in range(row):
-            buf[b::m * row] = raw[b::row]
-        raw = buf
-    bias = _bias(len(raw) // k, k)
-    return (int.from_bytes(raw, "little") ^ bias) - bias
-
-
-def _unpack(z: int, n: int, k: int) -> list[int]:
-    """The n balanced k-byte digits c_i with z = sum c_i 2^(8k i).
-
-    Raises OverflowError when z has no such digits.
-    """
-    bias = _bias(n, k)
-    raw = ((z + bias) ^ bias).to_bytes(n * k, "little")
-    code = _SLOT_CODES.get(k)
-    if code is not None:
-        slots = array(code, raw)
-        if sys.byteorder == "big":
-            slots.byteswap()
-        return slots.tolist()
-    return [int.from_bytes(raw[i:i + k], "little", signed=True)
-            for i in range(0, n * k, k)]
 
 
 def _slots(ring: Ring, f: Polynomial) -> tuple[int, Sequence[int]]:
@@ -703,7 +540,7 @@ def _slots(ring: Ring, f: Polynomial) -> tuple[int, Sequence[int]]:
     flat = [0] * (w * len(P) - phi + 1)
     for j, column in enumerate(zip(*P)):
         flat[j::w] = column
-    return _clear(flat)
+    return kernels._clear(flat)
 
 
 def _decode(ring: Ring, v: list[int], den: int, s: int = 0, u: int = 1) -> Polynomial:
@@ -725,7 +562,7 @@ def _decode(ring: Ring, v: list[int], den: int, s: int = 0, u: int = 1) -> Polyn
     if isinstance(ring, PrimeField):
         return Polynomial._stored(ring, ring.one, s, *_deflate(ring, u, tuple(v)))
     v += [0] * (ring.phi - 1 - (len(v) - 1) % w)  # the last row's phi coordinates
-    columns = [_over(v[j::w], 1, den) for j in range(ring.phi)]
+    columns = [kernels._over(v[j::w], 1, den) for j in range(ring.phi)]
     return Polynomial._stored(ring, ring.one, s, *_deflate(ring, u, tuple(zip(*columns))))
 
 
@@ -754,23 +591,6 @@ def _reduce(ring: Ring, v: list[int]) -> list[int]:
     return v
 
 
-def _relay(v: Sequence[int], start: int, step: int, count: int, width: int,
-           stride: int) -> list[int]:
-    """count blocks of width slots, read from v at start + j step and laid
-    out at j stride over zeros: one slice per row or one per block,
-    whichever is fewer."""
-    out = [0] * (count * stride)
-    if width < count:
-        end = start + count * step
-        for t in range(width):
-            out[t::stride] = v[start + t:end + t:step]
-    else:
-        for j in range(count):
-            a = start + j * step
-            out[j * stride:j * stride + width] = v[a:a + width]
-    return out
-
-
 def _product(f: Polynomial, g: Polynomial, m: int) -> Polynomial:
     """f(q) g(q^m) by the product table of the module docstring, in q^d,
     d = gcd(u_f, m u_g), with g's slots at stride m u_g / d."""
@@ -788,12 +608,12 @@ def _product(f: Polynomial, g: Polynomial, m: int) -> Polynomial:
     kf, kg = uf // d, ug // d or 1
     if isinstance(ring, RationalField):
         # Gauss: P_a P_b(q^m) is primitive, last entry > 0, and P_a(0) P_b(0) != 0.
-        d, P = _deflate(ring, d, _convolve(_inflate(a, kf), b, kg))
+        d, P = _deflate(ring, d, kernels._convolve(kernels._inflate(a, kf), b, kg))
         return Polynomial._stored(ring, ring.normalize(f.content * g.content), s, d, tuple(P))
     da, u = _slots(ring, f)
     db, v = (da, u) if g is f else _slots(ring, g)
     w = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
-    return _decode(ring, _convolve(_inflate(u, kf, w), v, kg, w), da * db, s, d)
+    return _decode(ring, kernels._convolve(kernels._inflate(u, kf, w), v, kg, w), da * db, s, d)
 
 
 def _geometric_product(f: Polynomial, uf: int, g: Polynomial, ug: int, s: int) -> Polynomial:
@@ -802,75 +622,12 @@ def _geometric_product(f: Polynomial, uf: int, g: Polynomial, ug: int, s: int) -
     kf, k = uf // d, ug // d
 
     def times(v):  # v [n]_{q^k}: running sums at step k less the same k n on
-        h = [*_inflate(v, kf), *repeat(0, k * (n - 1))]
-        _running_sum(h, k)
+        h = [*kernels._inflate(v, kf), *repeat(0, k * (n - 1))]
+        kernels._running_sum(h, k)
         h[k * n:] = map(sub, h[k * n:], h[:len(h) - k * n])
         return h
     return _mapped(f, g.content if isinstance(f.ring, RationalField) else g.primitive[0],
                    s, d, times)
-
-
-def _convolve(u: Sequence[int], v: Sequence[int], m: int = 1,
-              w: int = 1) -> list[int]:
-    """The product of u and v at stride m, two nonempty int vectors: v's
-    rows of w slots spread m rows apart, as ``_pack`` lays them out, so
-    u(q) v(q^m) when a coefficient is a row.  A square (v is u, m = 1)
-    packs once.
-
-    The packed product costs about the result's bytes, n k, and the pair
-    by pair one its nonzero slot pairs, so it packs when there are more
-    than PACK_MIN_OPS pairs and more than PACK_DENSE per result byte.  Each
-    result slot then sums at most min(nnz) products of slots, so it is
-    below 2^(bits(max|u|) + bits(max|v|) + bits(min(nnz))) in magnitude
-    and the k-byte slots hold it.  Pair by pair, the outer loop places each
-    nonzero slot of v once at its spread slot, and the inner one runs over
-    u's nonzero slots; at m = 1 the operand with fewer takes the outer loop.
-    """
-    n = len(u) + len(v) - 1 + (len(v) - 1) // w * w * (m - 1)
-    nu, nv = len(u) - u.count(0), len(v) - v.count(0)
-    ops = nu * nv
-    if ops > PACK_MIN_OPS and ops > PACK_DENSE * n:
-        k = _slot_bytes(_bits(u) + _bits(v) + min(nu, nv).bit_length() + 2)
-        if ops > PACK_DENSE * n * k:
-            x = _pack(u, k)
-            y = x if v is u and m == 1 else _pack(v, k, m, w)
-            return _unpack(x * y, n, k)
-    if m == 1 and nv > nu:
-        u, v = v, u
-    out = [0] * n
-    inner = list(compress(range(len(u)), u))
-    spread = w * (m - 1)
-    for j in compress(range(len(v)), v):
-        y, s = v[j], j + j // w * spread  # v's slot j lands at slot s
-        for i in inner:
-            out[s + i] += u[i] * y
-    return out
-
-
-def _geometric_div(ring: Ring, v: Sequence[int], n: int, u: int) -> list[int] | None:
-    """v / [n]_{q^u} through 1 - q^(un) for an int vector v over Q or GF(p),
-    or None when [n]_{q^u} does not divide v.  See the module docstring."""
-    period, nq = u * n, len(v) - u * (n - 1)
-    if nq < 1:  # a nonzero v shorter than [n]_{q^u}
-        return None
-    h = list(map(sub, chain(v, repeat(0, u)), chain(repeat(0, u), v)))  # t = (1 - q^u) v
-    top = h[nq:]
-    del h[nq:]
-    _running_sum(h, period)  # h = t / (1 - q^(un))
-    # Above h's slots, h (1 - q^(un)) leaves only -q^(un) h.
-    lo = max(0, period - nq)
-    top[lo:] = map(add, top[lo:], h[nq - period + lo:])
-    return None if any(_reduce(ring, top)) else h
-
-
-def _running_sum(h: list[int], step: int) -> None:
-    """h_i += h_(i - step) for i in turn, in place (see the module docstring)."""
-    if step * step < len(h):
-        for r in range(step):
-            h[r::step] = accumulate(h[r::step])
-    else:
-        for s in range(step, len(h), step):
-            h[s:s + step] = map(add, h[s:s + step], h[s - step:s])
 
 
 def _mapped(f: Polynomial, a, s: int, u: int, linear) -> Polynomial | None:
@@ -897,49 +654,15 @@ def _mapped(f: Polynomial, a, s: int, u: int, linear) -> Polynomial | None:
         if any(column):
             while not column[n - 1]:
                 n -= 1
-            den, v = _clear(column[:n])
+            den, v = kernels._clear(column[:n])
             h = linear(v)
             if h is None:
                 return None
-            columns.append(_over(h, r.numerator, r.denominator * den))
+            columns.append(kernels._over(h, r.numerator, r.denominator * den))
         else:
             columns.append(())
     P = tuple(zip_longest(*columns, fillvalue=0))
     return Polynomial._stored(ring, ring.one, s, *_deflate(ring, u, P))
-
-
-def _packed_quotient(vf: Sequence[int], vg: Sequence[int]) -> list[int] | None:
-    """vf / vg for a primitive vg by one bigint division, or None when that
-    proves nothing.  By Gauss's lemma vf = vg H with H an int vector when vg
-    divides vf over Q, so X = Y pack(H) at any width: a nonzero remainder of
-    X / Y means vg does not divide vf.  A zero one proves vf = vg H once the
-    slots hold every coefficient of vf and of vg H."""
-    nq = len(vf) - len(vg) + 1
-    terms = min(len(vg), nq).bit_length()
-    bf, bg = _bits(vf), _bits(vg)
-    k = _slot_bytes(bf + bg + terms + 2)
-    quo, rem = divmod(_pack(vf, k), _pack(vg, k))
-    if rem:
-        return None
-    try:
-        h = _unpack(quo, nq, k)
-    except OverflowError:
-        return None
-    if bg + _bits(h) + terms >= 8 * k or bf >= 8 * k:
-        return None
-    return h
-
-
-def _int_quotient(vf: Sequence[int], vg: Sequence[int]) -> list[int] | None:
-    """vf / vg for a primitive vg, or None when vg does not divide vf: the
-    packed quotient past PACK_MIN_OPS steps when its width proves it, else
-    the long division, whose quotient over D is in ints by Gauss's lemma."""
-    nq = len(vf) - len(vg) + 1
-    if nq * (len(vg) - vg.count(0)) > PACK_MIN_OPS:
-        if (h := _packed_quotient(vf, vg)) is not None:
-            return h
-    den, quo, rem = _int_divmod(vf, vg)
-    return None if any(rem) else quo if den == 1 else [x // den for x in quo]
 
 
 def zero(ring: Ring) -> Polynomial:

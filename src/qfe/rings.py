@@ -26,9 +26,9 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import gcd
 
+from . import kernels
 from .semigroup import MAX_PRIME, divisors, is_prime
 
 # Largest cyclotomic order accepted from outside input: Phi_d and Q(z)
@@ -60,11 +60,6 @@ def _as_rational(v):
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else v
     raise TypeError(f"not an exact rational value: {v!r}")
-
-
-def _ints(values) -> bool:
-    """Whether every value is an int; stops at the first that is not."""
-    return all(map(operator.is_, map(type, values), repeat(int)))
 
 
 def _scalar_from_json(obj, what: str, integral: bool = False):
@@ -249,7 +244,7 @@ class CyclotomicField(Ring):
         self.zeta = self.normalize([0, 1])
 
     def normalize(self, v):
-        if type(v) is tuple and len(v) == self.phi and _ints(v):
+        if type(v) is tuple and len(v) == self.phi and kernels._ints(v):
             return v  # already normalized
         if isinstance(v, (int, Fraction)):
             v = [v]

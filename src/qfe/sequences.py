@@ -30,9 +30,9 @@ from . import poly
 from .poly import Polynomial, monomial, quantum_integer, scaled_quantum_integer
 from .record import Record
 from .rings import QQ, Ring, first_inadmissible_prime, scalar_text
-from .semigroup import (ALL_PRIMES, PrimeSet, first_nonmultiplicative,
-                        in_semigroup, is_prime, multiplicative_value,
-                        seed_gcd)
+from .semigroup import (ALL_PRIMES, PrimeSet, enumerate_semigroup,
+                        first_nonmultiplicative, in_semigroup, is_prime,
+                        multiplicative_value, seed_gcd)
 
 
 def otimes(fm: Polynomial, fn: Polynomial, m: int) -> Polynomial:
@@ -371,8 +371,6 @@ class RationalSequence:
         """Cross-multiplicative equality on every support member <= bound."""
         if self.support != other.support:
             return False
-        from .semigroup import enumerate_semigroup
-
         for n in enumerate_semigroup(self.support, bound):
             lhs = self.numerator.eval(n) * other.denominator.eval(n)
             rhs = other.numerator.eval(n) * self.denominator.eval(n)

@@ -45,7 +45,7 @@ from functools import lru_cache
 
 from qfe import (QQ, CyclotomicField, InexactDivision, PrimeField, PrimeSet,
                  from_seeds, otimes)
-from qfe import poly
+from qfe import kernels, poly
 from qfe.poly import (Polynomial, constant, from_rationals, monomial,
                       quantum_integer, scaled_quantum_integer)
 
@@ -292,12 +292,12 @@ def divmod_calls(monkeypatch):
 def quotient_calls(monkeypatch):
     """The divisor of every packed bigint quotient."""
     calls = []
-    original = poly._packed_quotient
+    original = kernels._packed_quotient
 
     def counting(vf, vg):
         calls.append(vg)
         return original(vf, vg)
-    monkeypatch.setattr(poly, "_packed_quotient", counting)
+    monkeypatch.setattr(kernels, "_packed_quotient", counting)
     return calls
 
 
@@ -305,12 +305,12 @@ def quotient_calls(monkeypatch):
 def int_divmod_calls(monkeypatch):
     """The divisor of every long division in ints."""
     calls = []
-    original = poly._int_divmod
+    original = kernels._int_divmod
 
     def counting(f, g):
         calls.append(tuple(g))
         return original(f, g)
-    monkeypatch.setattr(poly, "_int_divmod", counting)
+    monkeypatch.setattr(kernels, "_int_divmod", counting)
     return calls
 
 
@@ -372,12 +372,12 @@ def packed_calls(monkeypatch):
     """(slots, stride) of every operand packed, two entries per packed
     product and one per packed square."""
     calls = []
-    original = poly._pack
+    original = kernels._pack
 
     def counting(ints, k, m=1, w=1):
         calls.append((len(ints), m))
         return original(ints, k, m, w)
-    monkeypatch.setattr(poly, "_pack", counting)
+    monkeypatch.setattr(kernels, "_pack", counting)
     return calls
 
 
@@ -475,7 +475,7 @@ def test_geometric_operand_never_convolves(monkeypatch):
             return original(*args)
         return counting
     for name in ("_convolve", "_pack", "_running_sum"):
-        monkeypatch.setattr(poly, name, record(name, getattr(poly, name)))
+        monkeypatch.setattr(kernels, name, record(name, getattr(kernels, name)))
     for f, g, m, want in cases:
         assert_same(otimes(f, g, m), want)
     assert set(calls) == {"_running_sum"}
@@ -584,13 +584,13 @@ def test_rational_scale_over_cyclotomic_makes_no_product(data, d, c):
     want = (schoolbook_mul(f, constant(ring, c)), reference_neg(f),
             reference_add(f, reference_neg(g)))
     calls = []
-    original = poly._convolve
+    original = kernels._convolve
 
     def counting(*args):
         calls.append(1)
         return original(*args)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "_convolve", counting)
+        mp.setattr(kernels, "_convolve", counting)
         got = f.scale(c), -f, f - g
     assert calls == []
     for x, y in zip(got, want):
@@ -768,7 +768,7 @@ def routes(monkeypatch):
                 depth[0] -= nested
         return counting
     for name in (GEOMETRIC, PACKED, LONG):
-        monkeypatch.setattr(poly, name, wrap(name, getattr(poly, name)))
+        monkeypatch.setattr(kernels, name, wrap(name, getattr(kernels, name)))
     monkeypatch.setattr(Polynomial, "divmod", wrap(DIVMOD, Polynomial.divmod))
     return ran
 
@@ -921,8 +921,8 @@ def test_geometric_divisor_matches_long_division(case):
     f, g = case
     ring = f.ring
     calls = []
-    original_divmod, original_quotient = Polynomial.divmod, poly._packed_quotient
-    original_geometric = poly._geometric_div
+    original_divmod, original_quotient = Polynomial.divmod, kernels._packed_quotient
+    original_geometric = kernels._geometric_div
 
     def counting_divmod(self, d):
         if self.ring == ring:  # not the Euclid of CyclotomicField.inv over Q
@@ -933,13 +933,13 @@ def test_geometric_divisor_matches_long_division(case):
         calls.append("packed")
         return original_quotient(vf, vg)
 
-    def counting_geometric(R, v, n, u):
+    def counting_geometric(p, v, n, u):
         calls.append("geometric")
-        return original_geometric(R, v, n, u)
+        return original_geometric(p, v, n, u)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Polynomial, "divmod", counting_divmod)
-        mp.setattr(poly, "_packed_quotient", counting_quotient)
-        mp.setattr(poly, "_geometric_div", counting_geometric)
+        mp.setattr(kernels, "_packed_quotient", counting_quotient)
+        mp.setattr(kernels, "_geometric_div", counting_geometric)
         try:
             want = reference_exact_div(f, g)
         except InexactDivision as exc:
@@ -965,7 +965,7 @@ def test_divisor_of_higher_valuation_is_refused_before_any_slot_work(monkeypatch
         cases.append((f, monomial(ring, 1000), "degree of .* is below"))
     calls = []
     for name in ("_convolve", "_geometric_div", "_packed_quotient", "_int_divmod"):
-        monkeypatch.setattr(poly, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(kernels, name, lambda *args, name=name: calls.append(name))
     monkeypatch.setattr(Polynomial, "divmod", lambda *args: calls.append("divmod"))
     for f, g, message in cases:
         with pytest.raises(InexactDivision, match=message):
@@ -996,8 +996,8 @@ ALL_RINGS = [QQ] + FIELDS
 # -- otimes -----------------------------------------------------------------------
 
 OTIMES_RINGS = [QQ, PrimeField(2), PrimeField(7), CyclotomicField(3), CyclotomicField(12)]
-# (PACK_MIN_OPS, PACK_DENSE): the module's rule, every product packed, none.
-RULES = [(poly.PACK_MIN_OPS, poly.PACK_DENSE), (0, 0), (poly.PACK_MIN_OPS, 10 ** 18)]
+# (PACK_MIN_OPS, PACK_DENSE): the kernels' rule, every product packed, none.
+RULES = [(kernels.PACK_MIN_OPS, kernels.PACK_DENSE), (0, 0), (kernels.PACK_MIN_OPS, 10 ** 18)]
 
 
 @st.composite
@@ -1038,8 +1038,8 @@ def test_otimes_matches_the_dilated_schoolbook(case, m):
     want = schoolbook_mul(f, g.dilate(m))
     for min_ops, dense in RULES:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(poly, "PACK_MIN_OPS", min_ops)
-            mp.setattr(poly, "PACK_DENSE", dense)
+            mp.setattr(kernels, "PACK_MIN_OPS", min_ops)
+            mp.setattr(kernels, "PACK_DENSE", dense)
             assert_same(otimes(f, g, m), want)
 
 
@@ -1197,12 +1197,12 @@ def test_compose_makes_one_product_per_level(monkeypatch, n):
     # ceil(log2 n) levels, each one product with psi^(2^i), and a square of
     # psi between levels: at most 2 ceil(log2 n) products of int slots.
     calls = []
-    original = poly._convolve
+    original = kernels._convolve
 
     def counting(u, v):
         calls.append(len(u))
         return original(u, v)
-    monkeypatch.setattr(poly, "_convolve", counting)
+    monkeypatch.setattr(kernels, "_convolve", counting)
     for ring in [PrimeField(7)] + ([QQ, CyclotomicField(12)] if n < 100 else []):
         f = scaled_quantum_integer(n, ring.normalize(3), ring)
         psi = Polynomial(ring, [1, 1, 0, 3])

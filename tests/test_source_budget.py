@@ -7,10 +7,17 @@ module peaks about 0.45 MiB higher (tracemalloc on ``compile()``: 2.73 MiB
 for src/qfe/poly.py at 8185 and at 8192 tokens, 3.17 MiB at 8194).  With
 ``PYTHONDONTWRITEBYTECODE=1`` every process compiles qfe from source, so
 every process pays it in peak RSS.  The parser's tokens are those of
-``tokenize`` less comments, NL and the encoding marker.
+``tokenize`` less comments, NL and the encoding marker.  Since the kernels
+on int vectors moved to src/qfe/kernels.py, poly.py has 6092 tokens and
+kernels.py 2246.
+
+kernels.py imports only the standard library, so no kernel reaches a ring
+or a polynomial: those stay in poly.py.
 """
 
+import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -39,3 +46,19 @@ def test_module_fits_the_parser_token_array(path):
         f"3.11's parser then doubles its token array to {2 * PARSER_TOKENS} "
         f"slots, and every process that compiles the module from source peaks "
         f"about 0.45 MiB higher; shrink or split the module")
+
+
+def test_kernels_import_only_the_standard_library():
+    tree = ast.parse((SRC / "kernels.py").read_bytes())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not node.level, f"line {node.lineno}: relative import in kernels.py"
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            top = name.partition(".")[0]
+            assert top != "qfe" and top in sys.stdlib_module_names, (
+                f"line {node.lineno}: kernels.py imports {name}, not the standard library")
