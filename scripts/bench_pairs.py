@@ -46,7 +46,8 @@ CLI_RUNS = ("verify quantum --upto 50", "decompose quantum --upto 50",
             "construct tests/golden/seeds-257.json --upto 20", "demo nathanson-257",
             "construct tests/golden/seeds-23-frac.json --upto 3000",
             "verify monomial --upto 3000", "verify tests/golden/seeds-2357-q31.json --upto 3000",
-            "verify tests/golden/seeds-2357-zq.json --upto 3000")
+            "verify tests/golden/seeds-2357-zq.json --upto 3000",
+            "verify tests/golden/seeds-713-z12.json --upto 3000")
 CLI_RUNS_PER_SIDE = 15
 METHOD = ("Each side runs from its own checkout. One seed per pair; the parent "
           "runs first in even-numbered pairs (counting from 0) and the change "

@@ -211,9 +211,12 @@ def _profile(F: FESequence, members: list[int], bound: int
     a member n to the monomial (c_n, s_n) of f_n / G_n when that quotient
     is one; exceptional indices are absent.  ``members`` are the support
     members <= bound, and the flag says whether they are exactly the
-    indices with f_n != 0.  Every index off the support is evaluated, as
-    the declared support is not trusted, and all of them are checked in
-    one pass; only the members go on to the regularity test below.
+    indices with f_n != 0.  Off the support, ``FESequence.eval`` returns
+    its zero at every n without reading the rule, so a sequence with that
+    eval is 0 there by construction and no index is read.  A sequence
+    that overrides eval may be nonzero off its declared support, so each
+    of its off-support values is read, all in one pass.  Only the members
+    go on to the regularity test below.
 
     A member n is regular iff (w, P) == (v, t), for f_n = c q^s P(q^w)
     with P(0) != 0 (``poly``'s stored quadruple): as G_n(0) = 1,
@@ -238,7 +241,10 @@ def _profile(F: FESequence, members: list[int], bound: int
     by_template = not e or len(e) == 1 and e[u] == (1, ring.one)
     member_set = set(members)
     off = [n for n in range(1, bound + 1) if n not in member_set]
-    profile = {n: 0 for n in off if not F.eval(n).primitive}
+    if type(F).eval is FESequence.eval:
+        profile = dict.fromkeys(off, 0)
+    else:
+        profile = {n: 0 for n in off if not F.eval(n).primitive}
     support_ok = len(profile) == len(off)
     for n in members:
         f = F.eval(n)

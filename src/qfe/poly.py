@@ -35,8 +35,9 @@ denominators:
   row of 2 phi - 1 slots, so the product of two rows never spills into
   the next: the convolution gives the product in Z[q, z] before
   reduction.  The last row stops after its phi coordinates, so a product
-  has whole rows.  Each result row is reduced modulo the monic integer
-  Phi_d, top slot first, and divided by the denominators.
+  has whole rows.  Each result row is reduced modulo Phi_d by the ring's
+  fold table: each high column folds straight into the low columns that
+  z^t mod Phi_d names, and the rows are divided by the denominators.
 
 Sums and products run in q^d, d the gcd of the strides (and of the
 valuations' gap, for a sum; 1 with no gcd when no stride passes 1), with
@@ -568,7 +569,8 @@ def _decode(ring: Ring, v: list[int], den: int, s: int = 0, u: int = 1) -> Polyn
 
 def _reduce(ring: Ring, v: list[int]) -> list[int]:
     """The slots v with each coefficient reduced: mod p over GF(p); over
-    Q(zeta_d) each row to its first phi slots, in place; as they are over Q.
+    Q(zeta_d) each row to its first phi slots, in place, by the ring's fold
+    table; as they are over Q.
     """
     if isinstance(ring, PrimeField):
         p = ring.p
@@ -577,16 +579,17 @@ def _reduce(ring: Ring, v: list[int]) -> list[int]:
         phi = ring.phi
         w = 2 * phi - 1
         # Row r holds the coordinates of z^0 .. z^(2 phi - 2) of coefficient
-        # r.  With Phi_d = z^phi + sum m_j z^j, slot t >= phi of a row carries
-        # c z^t = -c sum m_j z^(t - phi + j); reduce the top slot first, all
-        # rows at once.
-        terms = [(j, m) for j, m in enumerate(ring.modulus[:phi]) if m]
-        for t in range(w - 1, phi - 1, -1):
+        # r.  Slot t >= phi of a row carries c z^t = c sum r_j z^j, the fold
+        # table's row t - phi: each high column folds straight into the low
+        # columns, all rows at once, and is then cleared.
+        for t, row in zip(range(phi, w), ring.fold):
             top = v[t::w]
             if any(top):
-                for j, m in terms:
-                    s = t - phi + j
-                    v[s::w] = [x - m * c for x, c in zip(v[s::w], top)]
+                end = len(top) * w
+                for j, r in row:
+                    col = v[j:end:w]
+                    v[j:end:w] = (map(add, col, top) if r == 1 else map(sub, col, top)
+                                  if r == -1 else [x + r * c for x, c in zip(col, top)])
                 v[t::w] = [0] * len(top)
     return v
 

@@ -15,8 +15,10 @@ combine them:
   are invertible.
 
 No floating point anywhere; equality of scalars is exact and decidable.
-Ring objects are stateless and all operations are pure, so concurrent use
-needs no synchronization.
+Ring objects hold only values fixed by their parameters (Q(z)'s fold table
+is computed on first use, and threads that race to compute it get equal
+tables) and all operations are pure, so concurrent use needs no
+synchronization.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from . import kernels
@@ -232,7 +234,15 @@ class PrimeField(Ring):
 
 
 class CyclotomicField(Ring):
-    """Q(z) for z a primitive d-th root of unity; Cyclotomic(1) is just Q."""
+    """Q(z) for z a primitive d-th root of unity; Cyclotomic(1) is just Q.
+
+    The fold table ``fold``, built once per field on first use, is z^t mod
+    Phi_d for phi <= t <= max(phi, 2 phi - 2), each row the nonzero terms
+    (j, r) of z^t = sum r z^j, j < phi.  It is the library's one reduction
+    modulo Phi_d: ``mul`` and ``normalize`` fold each high coordinate onto its
+    row, ``poly._reduce`` each high column of a product's slot rows, and
+    ``_root_orders`` each power's top coordinate through z^phi.
+    """
 
     def __init__(self, d: int):
         self.d = d
@@ -242,6 +252,27 @@ class CyclotomicField(Ring):
         self.one = self.normalize(1)
         # z is the class of x in Q[x]/Phi_d: the rational -c when Phi_d = x + c.
         self.zeta = self.normalize([0, 1])
+
+    @cached_property
+    def fold(self) -> tuple:
+        """z^t mod Phi_d for phi <= t <= max(phi, 2 phi - 2): row t - phi
+        holds the nonzero terms (j, r) of z^t = sum r z^j, j < phi.
+
+        z^phi is minus the low part of Phi_d, and each next power is the
+        last times z, built on the terms alone: at d = 935 the rows hold
+        70k terms, so a field that never reduces a power never builds them.
+        """
+        phi = self.phi
+        low = {j: -m for j, m in enumerate(self.modulus[:phi]) if m}
+        fold = [low]
+        for _ in range(phi - 2):
+            row = {j + 1: r for j, r in fold[-1].items()}
+            top = row.pop(phi, 0)
+            if top:
+                for j, r in low.items():
+                    row[j] = row.get(j, 0) + r * top
+            fold.append({j: r for j, r in sorted(row.items()) if r})
+        return tuple(tuple(row.items()) for row in fold)
 
     def normalize(self, v):
         if type(v) is tuple and len(v) == self.phi and kernels._ints(v):
@@ -254,16 +285,22 @@ class CyclotomicField(Ring):
         return tuple(vec + [0] * (self.phi - len(vec)))
 
     def _reduce(self, coeffs: list) -> list:
-        """Reduce a coordinate list modulo the cyclotomic modulus (monic)."""
-        phi = self.phi
-        mod = self.modulus
+        """Reduce a coordinate list of any length modulo Phi_d: a power of z
+        past the fold table first, top first, as z^(t - phi) z^phi, then
+        each power the table covers straight onto its row."""
+        phi, fold = self.phi, self.fold
         c = list(coeffs)
-        for i in range(len(c) - 1, phi - 1, -1):
-            t = c[i]
-            if t:
-                for j in range(phi):
-                    c[i - phi + j] -= t * mod[j]
-                c[i] = 0
+        while len(c) > 2 * phi - 1:
+            x = c.pop()
+            if x:
+                s = len(c) - phi
+                for j, r in fold[0]:
+                    c[s + j] += r * x
+        for t in range(phi, len(c)):
+            x = c[t]
+            if x:
+                for j, r in fold[t - phi]:
+                    c[j] += r * x
         return [_as_rational(x) for x in c[:phi]]
 
     def add(self, a, b):
@@ -407,23 +444,22 @@ def root_of_unity_order(ring: Ring, z) -> int | None:
     if ring.is_zero(z):
         raise ValueError("zero is not a root of unity")
     if isinstance(ring, CyclotomicField):
-        return _root_orders(ring.d).get(ring.normalize(z))
+        return _root_orders(ring).get(ring.normalize(z))
     exponent = ring.p - 1 if isinstance(ring, PrimeField) else 2
     return next((k for k in divisors(exponent) if ring.pow(z, k) == ring.one),
                 None)
 
 
 @lru_cache(maxsize=None)
-def _root_orders(d: int) -> dict:
+def _root_orders(K: CyclotomicField) -> dict:
     """The order of each root of unity of Q(zeta_d), keyed by coordinates.
 
     They are the +-z^j.  z^j has order d / gcd(d, j); for even d, -1 is
     z^(d/2), and for odd d, -z^j is no power of z and has twice the order
     of z^j.  Each power is the last times z: one shift of the coordinates
-    and one reduction of the top one by the nonzero terms of Phi_d.
+    and one fold of the top one by z^phi, the fold table's first row.
     """
-    K = CyclotomicField(d)
-    terms = [(i, m) for i, m in enumerate(K.modulus[:-1]) if m]
+    d = K.d
     orders, x = {}, list(K.one)
     for j in range(d):
         k = d // gcd(d, j)
@@ -433,8 +469,8 @@ def _root_orders(d: int) -> dict:
         t = x.pop()
         x.insert(0, 0)
         if t:
-            for i, m in terms:
-                x[i] -= t * m
+            for i, r in K.fold[0]:
+                x[i] += r * t
     return orders
 
 

@@ -398,6 +398,22 @@ def test_verify_matches_reference_on_support_violations(ring, bound):
                                  report.first_failure.n) == (2, 5)
 
 
+def test_off_support_sweep_reads_only_an_overridden_eval(monkeypatch):
+    """A plain FESequence is zero off its support by construction, so the
+    verifier asks the support only about its members; a sequence that
+    overrides eval is still read at every index off its support."""
+    asked = []
+    real = sequences.in_semigroup
+    monkeypatch.setattr(sequences, "in_semigroup",
+                        lambda n, S: asked.append(n) or real(n, S))
+    S23, bound = PrimeSet.of([2, 3]), 60
+    members = support_members(S23, bound)
+    report = verify_fe(quantum_sequence(QQ, S23), bound)
+    assert report.ok and report.support_ok
+    assert sorted(set(asked)) == members
+    assert not verify_fe(Misdeclared(quantum_sequence(QQ), S23), bound).support_ok
+
+
 def test_profile_has_no_exception_on_the_quantum_type_constructions():
     """Every index is regular, so no pair is expanded, on the builtins of
     quantum type, the library transforms of the verify-full benchmark, a
