@@ -15,9 +15,9 @@ combine them:
   are invertible.
 
 No floating point anywhere; equality of scalars is exact and decidable.
-Ring objects hold only values fixed by their parameters (Q(z)'s fold table
-is computed on first use, and threads that race to compute it get equal
-tables) and all operations are pure, so concurrent use needs no
+Ring objects hold only values fixed by their parameters (Q(z) looks its
+fold table up on first use, and threads that race to do so get the same
+table) and all operations are pure, so concurrent use needs no
 synchronization.
 """
 
@@ -236,11 +236,12 @@ class PrimeField(Ring):
 class CyclotomicField(Ring):
     """Q(z) for z a primitive d-th root of unity; Cyclotomic(1) is just Q.
 
-    The fold table ``fold``, built once per field on first use, is z^t mod
-    Phi_d for phi <= t <= max(phi, 2 phi - 2), each row the nonzero terms
-    (j, r) of z^t = sum r z^j, j < phi.  It is the library's one reduction
-    modulo Phi_d: ``mul`` and ``normalize`` fold each high coordinate onto its
-    row, ``poly._reduce`` each high column of a product's slot rows, and
+    The fold table ``fold`` is z^t mod Phi_d for phi <= t <= max(phi,
+    2 phi - 2), each row the nonzero terms (j, r) of z^t = sum r z^j,
+    j < phi, built once per d (``_fold_table``) when a field first reduces
+    a power of z.  It is the library's one reduction modulo Phi_d: ``mul``
+    and ``normalize`` fold each high coordinate onto its row,
+    ``poly._reduce`` each high column of a product's slot rows, and
     ``_root_orders`` each power's top coordinate through z^phi.
     """
 
@@ -255,24 +256,8 @@ class CyclotomicField(Ring):
 
     @cached_property
     def fold(self) -> tuple:
-        """z^t mod Phi_d for phi <= t <= max(phi, 2 phi - 2): row t - phi
-        holds the nonzero terms (j, r) of z^t = sum r z^j, j < phi.
-
-        z^phi is minus the low part of Phi_d, and each next power is the
-        last times z, built on the terms alone: at d = 935 the rows hold
-        70k terms, so a field that never reduces a power never builds them.
-        """
-        phi = self.phi
-        low = {j: -m for j, m in enumerate(self.modulus[:phi]) if m}
-        fold = [low]
-        for _ in range(phi - 2):
-            row = {j + 1: r for j, r in fold[-1].items()}
-            top = row.pop(phi, 0)
-            if top:
-                for j, r in low.items():
-                    row[j] = row.get(j, 0) + r * top
-            fold.append({j: r for j, r in sorted(row.items()) if r})
-        return tuple(tuple(row.items()) for row in fold)
+        """The fold table of Phi_d, looked up once per field."""
+        return _fold_table(self.d)
 
     def normalize(self, v):
         if type(v) is tuple and len(v) == self.phi and kernels._ints(v):
@@ -412,6 +397,29 @@ def _capped_int(obj: dict, key: str, cap: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _fold_table(d: int) -> tuple:
+    """z^t mod Phi_d for phi <= t <= max(phi, 2 phi - 2): row t - phi holds
+    the nonzero terms (j, r) of z^t = sum r z^j, j < phi.
+
+    z^phi is minus the low part of Phi_d, and each next power is the last
+    times z, built on the terms alone.  At d = 935 the rows hold 70k terms,
+    so it is built once per d, when a field first reduces a power of z.
+    """
+    modulus = cyclotomic_polynomial(d).coeffs
+    phi = len(modulus) - 1
+    low = {j: -m for j, m in enumerate(modulus[:phi]) if m}
+    fold = [low]
+    for _ in range(phi - 2):
+        row = {j + 1: r for j, r in fold[-1].items()}
+        top = row.pop(phi, 0)
+        if top:
+            for j, r in low.items():
+                row[j] = row.get(j, 0) + r * top
+        fold.append({j: r for j, r in sorted(row.items()) if r})
+    return tuple(tuple(row.items()) for row in fold)
+
+
+@lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int):
     """The d-th cyclotomic polynomial over the rationals (integer coefficients).
 
@@ -444,14 +452,14 @@ def root_of_unity_order(ring: Ring, z) -> int | None:
     if ring.is_zero(z):
         raise ValueError("zero is not a root of unity")
     if isinstance(ring, CyclotomicField):
-        return _root_orders(ring).get(ring.normalize(z))
+        return _root_orders(ring.d).get(ring.normalize(z))
     exponent = ring.p - 1 if isinstance(ring, PrimeField) else 2
     return next((k for k in divisors(exponent) if ring.pow(z, k) == ring.one),
                 None)
 
 
 @lru_cache(maxsize=None)
-def _root_orders(K: CyclotomicField) -> dict:
+def _root_orders(d: int) -> dict:
     """The order of each root of unity of Q(zeta_d), keyed by coordinates.
 
     They are the +-z^j.  z^j has order d / gcd(d, j); for even d, -1 is
@@ -459,7 +467,7 @@ def _root_orders(K: CyclotomicField) -> dict:
     of z^j.  Each power is the last times z: one shift of the coordinates
     and one fold of the top one by z^phi, the fold table's first row.
     """
-    d = K.d
+    K = CyclotomicField(d)
     orders, x = {}, list(K.one)
     for j in range(d):
         k = d // gcd(d, j)
