@@ -16,8 +16,8 @@ combine them:
 
 No floating point anywhere; equality of scalars is exact and decidable.
 Ring objects hold only values fixed by their parameters (Q(z) looks its
-fold table up on first use, and threads that race to do so get the same
-table) and all operations are pure, so concurrent use needs no
+fold table up on first use, and threads that race to do so get equal
+tables) and all operations are pure, so concurrent use needs no
 synchronization.
 """
 
