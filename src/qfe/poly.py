@@ -205,7 +205,7 @@ class Polynomial:
         (da, u), (db, v) = _slots(ring, a), _slots(ring, b)
         den = lcm(da, db)
         ka, kb = den // da, den // db
-        w = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
+        w = ring.width
         d = gcd(a.stride, b.stride, b.exponent - a.exponent) if a.stride > 1 or b.stride > 1 else 1
         v = kernels._inflate(v, b.stride // d, w)
         lo = (b.exponent - a.exponent) // d * w
@@ -283,8 +283,7 @@ class Polynomial:
             return self
         if d < 1:
             return constant(ring, self.evaluate(psi.constant_term))
-        # Slots per coefficient: a row of 2 phi - 1 over Q(zeta_d), else 1.
-        r = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
+        r = ring.width  # slots per coefficient
         # The top coefficient of f(psi), c_(n-1) lead(psi)^(n-1), is nonzero.
         top = r * ((n - 1) * d + 1)
         # In full, in whole rows (_slots stops the last after phi coordinates):
@@ -536,8 +535,7 @@ def _slots(ring: Ring, f: Polynomial) -> tuple[int, Sequence[int]]:
         return c.denominator, [c.numerator * x for x in P]
     if isinstance(ring, PrimeField):
         return 1, P
-    phi = ring.phi
-    w = 2 * phi - 1
+    phi, w = ring.phi, ring.width
     flat = [0] * (w * len(P) - phi + 1)
     for j, column in enumerate(zip(*P)):
         flat[j::w] = column
@@ -554,7 +552,7 @@ def _decode(ring: Ring, v: list[int], den: int, s: int = 0, u: int = 1) -> Polyn
         v.pop()
     if not v:
         return zero(ring)
-    w = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
+    w = ring.width
     low = next(compress(range(len(v)), v)) // w  # a reduced row is 0 past phi
     del v[:low * w]
     s += low * u
@@ -576,8 +574,7 @@ def _reduce(ring: Ring, v: list[int]) -> list[int]:
         p = ring.p
         return [x % p for x in v]
     if isinstance(ring, CyclotomicField):
-        phi = ring.phi
-        w = 2 * phi - 1
+        phi, w = ring.phi, ring.width
         # Row r holds the coordinates of z^0 .. z^(2 phi - 2) of coefficient
         # r.  Slot t >= phi of a row carries c z^t = c sum r_j z^j, the fold
         # table's row t - phi: each high column folds straight into the low
@@ -615,7 +612,7 @@ def _product(f: Polynomial, g: Polynomial, m: int) -> Polynomial:
         return Polynomial._stored(ring, ring.normalize(f.content * g.content), s, d, tuple(P))
     da, u = _slots(ring, f)
     db, v = (da, u) if g is f else _slots(ring, g)
-    w = 2 * ring.phi - 1 if isinstance(ring, CyclotomicField) else 1
+    w = ring.width
     return _decode(ring, kernels._convolve(kernels._inflate(u, kf, w), v, kg, w), da * db, s, d)
 
 

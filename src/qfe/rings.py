@@ -12,7 +12,7 @@ combine them:
   unity ``z`` adjoined.  Values are length-phi(d) tuples of rationals,
   each normalized as over Q: coordinates on ``1, z, ..., z^(phi-1)``,
   reduced modulo the d-th cyclotomic polynomial so that nonzero elements
-  are invertible.
+  are invertible.  A product outside Q is one ``kernels._convolve``.
 
 No floating point anywhere; equality of scalars is exact and decidable.
 Ring objects hold only values fixed by their parameters (Q(z) looks its
@@ -98,6 +98,8 @@ def power(x, k: int, mul, one=None):
 
 class Ring:
     """Handle for exact arithmetic on one coefficient domain."""
+
+    width = 1  # int slots per coefficient in poly's slot vectors
 
     def normalize(self, v):
         raise NotImplementedError
@@ -236,19 +238,20 @@ class PrimeField(Ring):
 class CyclotomicField(Ring):
     """Q(z) for z a primitive d-th root of unity; Cyclotomic(1) is just Q.
 
-    The fold table ``fold`` is z^t mod Phi_d for phi <= t <= max(phi,
-    2 phi - 2), each row the nonzero terms (j, r) of z^t = sum r z^j,
-    j < phi, built once per d (``_fold_table``) when a field first reduces
-    a power of z.  It is the library's one reduction modulo Phi_d: ``mul``
-    and ``normalize`` fold each high coordinate onto its row,
-    ``poly._reduce`` each high column of a product's slot rows, and
-    ``_root_orders`` each power's top coordinate through z^phi.
+    ``mul`` scales by a rational operand; any other product is one
+    ``kernels._convolve`` of the operands cleared to ints, which
+    ``_reduce`` folds and divides by their denominator once.
+
+    ``fold`` (``_fold_table``, looked up when a field first reduces a power
+    of z) is the library's one reduction modulo Phi_d, read on ints by
+    ``_reduce``, ``poly._reduce`` and ``_root_orders``.
     """
 
     def __init__(self, d: int):
         self.d = d
         self.modulus = cyclotomic_polynomial(d).coeffs
         self.phi = len(self.modulus) - 1  # deg Phi_d = euler_phi(d)
+        self.width = 2 * self.phi - 1  # a row holds a product of two
         self.zero = (0,) * self.phi
         self.one = self.normalize(1)
         # z is the class of x in Q[x]/Phi_d: the rational -c when Phi_d = x + c.
@@ -266,16 +269,15 @@ class CyclotomicField(Ring):
             v = [v]
         vec = [_as_rational(c) for c in v]
         if len(vec) > self.phi:
-            vec = self._reduce(vec)
+            return tuple(self._reduce(*kernels._clear(vec)))
         return tuple(vec + [0] * (self.phi - len(vec)))
 
-    def _reduce(self, coeffs: list) -> list:
-        """Reduce a coordinate list of any length modulo Phi_d: a power of z
-        past the fold table first, top first, as z^(t - phi) z^phi, then
-        each power the table covers straight onto its row."""
+    def _reduce(self, den: int, c: list[int]) -> list:
+        """c / den for an int list c longer than phi, reduced in place: a
+        power of z past the fold table first, top first, as z^(t - phi)
+        z^phi, then each power the table covers straight onto its row."""
         phi, fold = self.phi, self.fold
-        c = list(coeffs)
-        while len(c) > 2 * phi - 1:
+        while len(c) > self.width:
             x = c.pop()
             if x:
                 s = len(c) - phi
@@ -286,7 +288,8 @@ class CyclotomicField(Ring):
             if x:
                 for j, r in fold[t - phi]:
                     c[j] += r * x
-        return [_as_rational(x) for x in c[:phi]]
+        del c[phi:]
+        return c if den == 1 else kernels._over(c, 1, den)
 
     def add(self, a, b):
         return tuple(_as_rational(x + y) for x, y in zip(a, b))
@@ -303,13 +306,9 @@ class CyclotomicField(Ring):
         if not any(b[1:]):  # a rational operand scales the other's coordinates
             c = b[0]
             return a if c == 1 else tuple([x and _as_rational(c * x) for x in a])
-        prod = [0] * (2 * self.phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return tuple(self._reduce(prod))
+        da, u = kernels._clear(a)
+        db, v = (da, u) if b is a else kernels._clear(b)
+        return tuple(self._reduce(da * db, kernels._convolve(u, v)))
 
     def inv(self, a):
         if self.is_zero(a):

@@ -200,7 +200,9 @@ def test_cli_runs_alternate_sides_and_summarize_each_command(checkouts):
         "construct tests/golden/seeds-23-frac.json --upto 3000",
         "verify monomial --upto 3000", "verify tests/golden/seeds-2357-q31.json --upto 3000",
         "verify tests/golden/seeds-2357-zq.json --upto 3000",
-        "verify tests/golden/seeds-713-z12.json --upto 3000"]
+        "verify tests/golden/seeds-713-z12.json --upto 3000",
+        "verify tests/golden/seeds-23-z105.json --upto 3000",
+        "decompose tests/golden/seeds-713-z12.json --upto 3000"]
     cli_calls = [c for c in calls if len(c) == 2]
     # Every CLI run comes before the first workload run.
     assert calls[:len(cli_calls)] == cli_calls

@@ -3,10 +3,12 @@
 ``CyclotomicField`` builds z^t mod Phi_d once, for phi <= t <= max(phi,
 2 phi - 2), and every reduction modulo Phi_d reads it: ``poly._reduce``
 folds each high column of a slot vector straight into the low columns,
-and ``CyclotomicField.mul`` and ``normalize`` fold each high coordinate
-onto its row.  The two loops below are the reductions the table replaced,
-kept as the oracles: each high slot, top first, is replaced by minus the
-low part of Phi_d one degree lower, until none is left.
+and ``CyclotomicField._reduce`` folds each high coordinate of an int list
+onto its row, for ``mul`` and ``normalize``.  The two loops below are the
+reductions the table replaced, kept as the oracles: each high slot, top
+first, is replaced by minus the low part of Phi_d one degree lower, until
+none is left.  ``schoolbook`` is the scalar product that ``mul``'s one
+``kernels._convolve`` replaced.
 
 At d = 105 the rows hold coefficients +-2, so the fold's general branch
 runs; at d = 1, 2 (phi = 1) a row is one slot and nothing folds.
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfe import CyclotomicField
+from qfe import CyclotomicField, quantum_sequence, verify_fe
 from qfe.poly import Polynomial, _reduce
 
 ORDERS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 17, 105]
@@ -58,9 +60,9 @@ def reduce_coordinates(K: CyclotomicField, coeffs) -> list:
 
 
 def schoolbook(K: CyclotomicField, a, b) -> tuple:
-    """``CyclotomicField.mul`` before a rational operand became a scale and
-    before the fold table: the nonzero coordinates convolved, then reduced
-    top first."""
+    """``CyclotomicField.mul`` before a rational operand became a scale,
+    before the fold table and before ``kernels._convolve``: the nonzero
+    coordinates convolved, then reduced top first."""
     prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -177,3 +179,12 @@ def test_phi_one_has_one_row_and_folds_nothing():
         assert K.normalize([0, 0, 0, 5]) == (5 * z ** 3,)
         assert K.normalize([Fraction(1, 2), 3]) == (Fraction(1, 2) + 3 * z,)
         assert _reduce(K, [4, -7, 2 ** 80]) == [4, -7, 2 ** 80]
+
+
+def test_a_field_that_reduces_no_power_of_zeta_never_looks_its_table_up():
+    # At d = 935 the table holds 70k terms; rational values never need it.
+    K = CyclotomicField(935)
+    assert verify_fe(quantum_sequence(K), 30).fe_ok
+    assert "fold" not in K.__dict__
+    K.mul(K.zeta, K.zeta)
+    assert "fold" in K.__dict__

@@ -31,7 +31,10 @@ are [p]_{q^t} on P = {2, 3, 5, 7} with t = 7 and 31, read to 200 (their
 that is not rational over Q(zeta_d), cover it from the CLI: the seeds are
 lambda(p) [p]_q on P = {2, 3, 5, 7} over Q(zeta_12) with lambda = z,
 1 + z, -z^3 and 2, so every value is a constant P, read to 200 (``construct``
-to 60).
+to 60).  The ``seeds-23-z105`` files, captured before a product in Q(zeta_d)
+ran through ``kernels._convolve``, cover it at phi = 48: lambda(p) [p]_q on
+P = {2, 3} over Q(zeta_105), lambda dense with coordinates in
+{0, 1, -1, 1/2, -2/3, 2}, read to 16.
 
 After a deliberate change of output, re-capture with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
@@ -52,7 +55,8 @@ GOLDEN = Path(__file__).parent / "golden"
 # Seed-file inputs (also under golden/) and the --upto each is read to.
 SEED_FILES = {"seeds-257": 16, "seeds-z4": 27, "seeds-23-frac": 150,
               "seeds-23-gf257": 64, "seeds-713-z12": 200, "seeds-2-shapeless": 32,
-              "seeds-2357-q7": 200, "seeds-2357-q31": 200, "seeds-2357-zq": 200}
+              "seeds-2357-q7": 200, "seeds-2357-q31": 200, "seeds-2357-zq": 200,
+              "seeds-23-z105": 16}
 # construct's --upto where it differs from SEED_FILES'.
 CONSTRUCT_UPTO = {"seeds-2357-q7": 60, "seeds-2357-q31": 60, "seeds-2357-zq": 60}
 RINGS = ("rational", "gfp:7", "cyclotomic:12")

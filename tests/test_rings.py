@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qfe import (QQ, CyclotomicField, PrimeField, cyclotomic_polynomial,
                  euler_phi, from_rationals, ring_from_descriptor,
                  root_of_unity_order)
+from qfe import kernels
 from qfe.rings import MAX_CYCLOTOMIC_ORDER
 from qfe.semigroup import MAX_PRIME, divisors
 from qfe.poly import Polynomial, monomial, one, zero
@@ -311,12 +312,12 @@ def assert_same_scalar(got, want):
     assert got == want and [type(x) for x in got] == [type(x) for x in want]
 
 
-@pytest.mark.parametrize("d", [3, 4, 5, 12, 17])
+@pytest.mark.parametrize("d", [3, 4, 5, 12, 17, 105])
 @settings(max_examples=40)
 @given(data=st.data())
 def test_cyclotomic_mul_and_inv_match_the_schoolbook_and_the_euclid(d, data):
     # Half the operands are rational: mul scales by them and inv inverts
-    # them over Q.
+    # them over Q.  At d = 105 (phi = 48) the fold rows hold +-2.
     K = CyclotomicField(d)
     a, b = (data.draw(st.one_of(cyclo_values(K), rational_values.map(K.normalize)))
             for _ in range(2))
@@ -335,3 +336,37 @@ def test_cyclotomic_rational_scalars_at_large_phi():
         assert_same_scalar(K.mul(c, c), schoolbook(K, c, c))
         if r:
             assert_same_scalar(K.inv(c), reference_inv(K, c))
+
+
+def test_cyclotomic_dense_products_at_large_phi():
+    # phi = 996: dense ints pack, a square of Fraction coordinates packs its
+    # operand once over den^2, and z times a vector folds its top coordinate.
+    K = CyclotomicField(997)
+    a = K.normalize([i * 7 % 11 - 5 for i in range(996)])
+    b = K.normalize([i * i % 13 - 6 for i in range(996)])
+    c = K.normalize([Fraction(x, 6) for x in a])
+    assert_same_scalar(K.mul(a, b), schoolbook(K, a, b))
+    assert_same_scalar(K.mul(c, c),
+                       K.normalize([Fraction(x, 36) for x in schoolbook(K, a, a)]))
+    assert_same_scalar(K.mul(K.zeta, b), schoolbook(K, K.zeta, b))
+
+
+def test_cyclotomic_mul_makes_one_convolution_per_non_rational_product(monkeypatch):
+    calls = []
+
+    def counting(u, v, *rest):
+        calls.append((len(u), len(v), *rest))
+        return convolve(u, v, *rest)
+    convolve = kernels._convolve
+    monkeypatch.setattr(kernels, "_convolve", counting)
+    for d in (3, 12, 105):
+        K = CyclotomicField(d)
+        x = K.add(K.zeta, K.normalize(Fraction(1, 2)))
+        for r in (K.one, K.normalize(-3), K.normalize(Fraction(2, 7)), K.zero):
+            calls.clear()
+            K.mul(r, x), K.mul(x, r), K.mul(r, r)
+            assert calls == [], (d, r)
+        for y in (x, K.zeta, K.normalize(list(range(1, K.phi + 1)))):
+            calls.clear()
+            assert_same_scalar(K.mul(x, y), schoolbook(K, x, y))
+            assert calls == [(K.phi, K.phi)], (d, y)

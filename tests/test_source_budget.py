@@ -8,7 +8,7 @@ for src/qfe/poly.py at 8185 and at 8192 tokens, 3.17 MiB at 8194).  With
 ``PYTHONDONTWRITEBYTECODE=1`` every process compiles qfe from source, so
 every process pays it in peak RSS.  The parser's tokens are those of
 ``tokenize`` less comments, NL and the encoding marker.  Since the kernels
-on int vectors moved to src/qfe/kernels.py, poly.py has 6092 tokens and
+on int vectors moved to src/qfe/kernels.py, poly.py has 6047 tokens and
 kernels.py 2246.
 
 kernels.py imports only the standard library, so no kernel reaches a ring
