@@ -15,12 +15,11 @@ from .analyze import (Decomposition, DecompositionError,
                       check_quantum_forced, decompose, infer_degree_t,
                       solve_delta, uniqueness_oracle, verify_fe,
                       zeta_admissibility)
-from .poly import (InexactDivision, Polynomial, constant, from_rationals,
-                   monomial, one, quantum_integer, scaled_quantum_integer,
-                   zero)
+from .poly import (InexactDivision, Polynomial, constant,
+                   cyclotomic_polynomial, from_rationals, monomial, one,
+                   quantum_integer, scaled_quantum_integer, zero)
 from .rings import (QQ, CyclotomicField, PrimeField, RationalField, Ring,
-                    cyclotomic_polynomial, ring_from_descriptor,
-                    root_of_unity_order)
+                    ring_from_descriptor, root_of_unity_order)
 from .semigroup import (ALL_PRIMES, Factorization, PrimeSet,
                         enumerate_semigroup, euler_phi, factorize,
                         in_semigroup, is_prime, omega, seed_gcd,

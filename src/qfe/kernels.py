@@ -91,12 +91,12 @@ def _inflate(v: Sequence, k: int, w: int = 1, zero=0) -> Sequence:
 
 
 def _int_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int], list[int]]:
-    """(D, q, r) with D f = q g + r for int vectors, r shorter than g, for
-    g with a positive last entry.
+    """(D, q, r) with D f = q g + r and D > 0 for int vectors, r shorter
+    than g, for g with a nonzero last entry.
 
     Before each step the long division scales what is left of f, and q so
-    far, by the least factor that makes the leading term divisible by g's,
-    so a monic g never scales and every step stays in ints.
+    far, by the least positive factor that makes the leading term divisible
+    by g's, so a monic g never scales and every step stays in ints.
     """
     lead, dd = g[-1], len(g) - 1
     g_pairs = [(j, y) for j, y in enumerate(g) if y]
@@ -104,7 +104,7 @@ def _int_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int], lis
     for i in range(len(quo) - 1, -1, -1):
         t = rem[i + dd]
         if t:
-            s = lead // gcd(t, lead)
+            s = abs(lead) // gcd(t, lead)
             if s != 1:
                 rem = [x * s for x in rem]
                 quo = [x * s for x in quo]

@@ -117,7 +117,8 @@ from operator import add, ne, sub
 from threading import Lock
 
 from . import kernels
-from .rings import QQ, CyclotomicField, PrimeField, RationalField, Ring, power
+from .rings import (QQ, CyclotomicField, PrimeField, RationalField, Ring,
+                    _cyclotomic, power)
 
 
 class InexactDivision(ArithmeticError):
@@ -694,6 +695,11 @@ def quantum_integer(n: int, ring: Ring = QQ) -> Polynomial:
     if n < 1:
         raise ValueError(f"quantum integer index must be >= 1, got {n}")
     return Polynomial._stored(ring, ring.one, 0, int(n > 1), (ring.one,) * n)
+
+
+def cyclotomic_polynomial(d: int) -> Polynomial:
+    """The d-th cyclotomic polynomial over the rationals (integer coefficients)."""
+    return Polynomial(QQ, _cyclotomic(d))
 
 
 def scaled_quantum_integer(n: int, zeta, ring: Ring = QQ) -> Polynomial:

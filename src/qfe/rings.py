@@ -12,7 +12,8 @@ combine them:
   unity ``z`` adjoined.  Values are length-phi(d) tuples of rationals,
   each normalized as over Q: coordinates on ``1, z, ..., z^(phi-1)``,
   reduced modulo the d-th cyclotomic polynomial so that nonzero elements
-  are invertible.  A product outside Q is one ``kernels._convolve``.
+  are invertible.  A product outside Q is one ``kernels._convolve``, an
+  inverse outside Q an extended Euclid on int vectors.
 
 No floating point anywhere; equality of scalars is exact and decidable.
 Ring objects hold only values fixed by their parameters (Q(z) looks its
@@ -240,16 +241,17 @@ class CyclotomicField(Ring):
 
     ``mul`` scales by a rational operand; any other product is one
     ``kernels._convolve`` of the operands cleared to ints, which
-    ``_reduce`` folds and divides by their denominator once.
+    ``_reduce`` folds and divides by their denominator once.  ``inv``
+    inverts a rational over Q, any other element by a Euclid on ints.
 
     ``fold`` (``_fold_table``, looked up when a field first reduces a power
     of z) is the library's one reduction modulo Phi_d, read on ints by
-    ``_reduce``, ``poly._reduce`` and ``_root_orders``.
+    ``poly._reduce`` and ``_reduce``, which ``_root_orders`` calls too.
     """
 
     def __init__(self, d: int):
         self.d = d
-        self.modulus = cyclotomic_polynomial(d).coeffs
+        self.modulus = _cyclotomic(d)
         self.phi = len(self.modulus) - 1  # deg Phi_d = euler_phi(d)
         self.width = 2 * self.phi - 1  # a row holds a product of two
         self.zero = (0,) * self.phi
@@ -315,17 +317,23 @@ class CyclotomicField(Ring):
             raise ZeroDivisionError("inverse of zero")
         if not any(a[1:]):  # a rational: one inverse over Q
             return self.normalize(QQ.inv(a[0]))
-        from .poly import Polynomial, one, zero
-
-        # Extended Euclid over Q against the irreducible modulus: the last
-        # nonzero remainder is a nonzero constant g with s * a = g mod Phi_d.
-        old_r, r = Polynomial(QQ, a), Polynomial(QQ, self.modulus)
-        old_s, s = one(QQ), zero(QQ)
-        while not r.is_zero():
-            quo, rem = old_r.divmod(r)
-            old_r, r = r, rem
-            old_s, s = s, old_s - quo * s
-        return self.normalize(old_s.scale(QQ.inv(old_r.constant_term)).coeffs)
+        # Extended Euclid in ints against Phi_d, for a = u / den: each r is s u
+        # mod Phi_d.  A step is D r0 = q r + rem, t = D s0 - q s, and (rem, t)
+        # over their joint content, signed to make rem's top entry positive.
+        # Phi_d is irreducible, so the last r is a constant c > 0: 1/a = den s / c.
+        den, u = kernels._clear(a)
+        r0, s0, r, s = self.modulus, [0], list(u), [1]
+        while not r[-1]:
+            r.pop()
+        while len(r) > 1:
+            D, q, rem = kernels._int_divmod(r0, r)
+            while not rem[-1]:
+                rem.pop()
+            t = kernels._convolve(q, s)  # longer than s0: len(q) > 1, len(s) >= len(s0)
+            t = [D * x - y for x, y in zip(s0, t)] + [-y for y in t[len(s0):]]
+            g = gcd(*rem, *t) if rem[-1] > 0 else -gcd(*rem, *t)
+            r0, s0, r, s = r, s, [x // g for x in rem], [x // g for x in t]
+        return tuple(kernels._over(s, den, r[0]) + [0] * (self.phi - len(s)))
 
     def scalar_to_json(self, a):
         return [_text(Fraction(x)) for x in a]
@@ -404,7 +412,7 @@ def _fold_table(d: int) -> tuple:
     times z, built on the terms alone.  At d = 935 the rows hold 70k terms,
     so it is built once per d, when a field first reduces a power of z.
     """
-    modulus = cyclotomic_polynomial(d).coeffs
+    modulus = _cyclotomic(d)
     phi = len(modulus) - 1
     low = {j: -m for j, m in enumerate(modulus[:phi]) if m}
     fold = [low]
@@ -419,25 +427,15 @@ def _fold_table(d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(d: int):
-    """The d-th cyclotomic polynomial over the rationals (integer coefficients).
-
-    The exact recursion Phi_d = (q^d - 1) / prod of Phi_e over e | d, e < d, on
-    int lists: no product runs, so rings built on Phi_d rest on no kernel they test."""
-    from .poly import Polynomial
-
+def _cyclotomic(d: int) -> tuple:
+    """Phi_d's int coefficients, ascending: q^d - 1 over each Phi_e, e | d,
+    e < d, by one ``kernels._int_divmod`` each (Phi_e is monic)."""
     if d < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {d}")
     c = [-1] + [0] * (d - 1) + [1]
     for e in divisors(d)[:-1]:
-        m = cyclotomic_polynomial(e).coeffs
-        k = len(m) - 1
-        terms = [(j - k, y) for j, y in enumerate(m[:k]) if y]
-        for i in range(len(c) - 1, k - 1, -1):  # Phi_e monic: c[i] is the quotient's entry i - k
-            for j, y in terms:
-                c[i + j] -= c[i] * y
-        c = c[k:]
-    return Polynomial(QQ, c)
+        c = kernels._int_divmod(c, _cyclotomic(e))[1]
+    return tuple(c)
 
 
 def root_of_unity_order(ring: Ring, z) -> int | None:
@@ -463,8 +461,8 @@ def _root_orders(d: int) -> dict:
 
     They are the +-z^j.  z^j has order d / gcd(d, j); for even d, -1 is
     z^(d/2), and for odd d, -z^j is no power of z and has twice the order
-    of z^j.  Each power is the last times z: one shift of the coordinates
-    and one fold of the top one by z^phi, the fold table's first row.
+    of z^j.  Each power is the last times z: one shift of the coordinates,
+    whose top one ``_reduce`` folds by z^phi, the fold table's first row.
     """
     K = CyclotomicField(d)
     orders, x = {}, list(K.one)
@@ -473,11 +471,8 @@ def _root_orders(d: int) -> dict:
         orders[tuple(x)] = k
         if d % 2:
             orders[tuple([-a for a in x])] = 2 * k
-        t = x.pop()
         x.insert(0, 0)
-        if t:
-            for i, r in K.fold[0]:
-                x[i] += r * t
+        K._reduce(1, x)
     return orders
 
 

@@ -202,7 +202,8 @@ def test_cli_runs_alternate_sides_and_summarize_each_command(checkouts):
         "verify tests/golden/seeds-2357-zq.json --upto 3000",
         "verify tests/golden/seeds-713-z12.json --upto 3000",
         "verify tests/golden/seeds-23-z105.json --upto 3000",
-        "decompose tests/golden/seeds-713-z12.json --upto 3000"]
+        "decompose tests/golden/seeds-713-z12.json --upto 3000",
+        "decompose tests/golden/seeds-23-z105.json --upto 32"]
     cli_calls = [c for c in calls if len(c) == 2]
     # Every CLI run comes before the first workload run.
     assert calls[:len(cli_calls)] == cli_calls

@@ -274,6 +274,26 @@ def test_divmod_matches_long_division(f, g, m):
             assert_canonical(x)
 
 
+@settings(max_examples=200, deadline=None)
+@given(f=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=12),
+       g=st.lists(st.integers(-40, 40), max_size=5),
+       lead=st.integers(1, 12) | st.integers(-12, -1))
+def test_int_divmod_scales_by_a_positive_factor_for_a_lead_of_either_sign(f, g, lead):
+    # CyclotomicField.inv divides by remainders whose last entry may be
+    # negative; D > 0 keeps D f = q g + r a remainder sequence of f and g.
+    g = g + [lead]
+    den, quo, rem = kernels._int_divmod(f, g)
+    assert den > 0 and len(rem) < len(g)
+    n = max(len(f), len(quo) + len(g) - 1)
+    qg_r = [0] * n
+    for i, x in enumerate(quo):
+        for j, y in enumerate(g):
+            qg_r[i + j] += x * y
+    for i, x in enumerate(rem):
+        qg_r[i] += x
+    assert qg_r == [den * x for x in f] + [0] * (n - len(f))
+
+
 # -- fixed cases ----------------------------------------------------------------
 
 @pytest.fixture

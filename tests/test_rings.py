@@ -338,6 +338,43 @@ def test_cyclotomic_rational_scalars_at_large_phi():
             assert_same_scalar(K.inv(c), reference_inv(K, c))
 
 
+@pytest.mark.parametrize("d", [3, 4, 5, 8, 12, 105])
+def test_cyclotomic_inverse_of_a_power_of_zeta(d):
+    K = CyclotomicField(d)
+    powers = [K.pow(K.zeta, k) for k in range(d)]
+    for k in range(1, d):
+        assert_same_scalar(K.inv(powers[k]), powers[d - k])
+
+
+def test_cyclotomic_inverse_at_large_phi():
+    # The sparse non-rational x of the rational scalars above: its inverse
+    # is dense, with coordinates of hundreds of digits.
+    K = CyclotomicField(997)
+    x = K.add(K.zeta, K.normalize([Fraction(1, 2), 0, 0, -3]))
+    assert K.mul(x, K.inv(x)) == K.one
+
+
+@pytest.mark.parametrize("d", [3, 5, 12, 105])
+def test_cyclotomic_inverse_divides_once_by_a_positive_constant(d, monkeypatch):
+    """The Euclid stays in ints: its one ``kernels._over`` call divides the
+    int cofactor by the last remainder, a positive constant."""
+    calls = []
+
+    def over(ints, num, den):
+        calls.append((kernels._ints(ints), den))
+        return original(ints, num, den)
+    original = kernels._over
+    monkeypatch.setattr(kernels, "_over", over)
+    K = CyclotomicField(d)
+    xs = [K.normalize([1, -1]), K.normalize([Fraction(2, 3), 0, -5]),
+          K.normalize([(-1) ** i * (i % 4 + 1) for i in range(K.phi)])]
+    for x in xs:
+        calls.clear()
+        y = K.inv(x)
+        assert len(calls) == 1 and calls[0][0] and calls[0][1] > 0, (d, x, calls)
+        assert K.mul(x, y) == K.one
+
+
 def test_cyclotomic_dense_products_at_large_phi():
     # phi = 996: dense ints pack, a square of Fraction coordinates packs its
     # operand once over den^2, and z times a vector folds its top coordinate.

@@ -8,11 +8,13 @@ for src/qfe/poly.py at 8185 and at 8192 tokens, 3.17 MiB at 8194).  With
 ``PYTHONDONTWRITEBYTECODE=1`` every process compiles qfe from source, so
 every process pays it in peak RSS.  The parser's tokens are those of
 ``tokenize`` less comments, NL and the encoding marker.  Since the kernels
-on int vectors moved to src/qfe/kernels.py, poly.py has 6047 tokens and
-kernels.py 2246.
+on int vectors moved to src/qfe/kernels.py, and Phi_d and the Q(zeta_d)
+inverse moved onto them, poly.py has 6077 tokens, rings.py 3233 and
+kernels.py 2249.
 
 kernels.py imports only the standard library, so no kernel reaches a ring
-or a polynomial: those stay in poly.py.
+or a polynomial: those stay in poly.py.  rings.py imports only kernels and
+semigroup from qfe, so poly, which builds on rings, is never imported back.
 """
 
 import ast
@@ -62,3 +64,30 @@ def test_kernels_import_only_the_standard_library():
             top = name.partition(".")[0]
             assert top != "qfe" and top in sys.stdlib_module_names, (
                 f"line {node.lineno}: kernels.py imports {name}, not the standard library")
+
+
+def qfe_imports(path: Path):
+    """(line, module) for each qfe module a source file imports, at module
+    level or inside a function; a relative import is one of qfe."""
+    for node in ast.walk(ast.parse(path.read_bytes())):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["qfe" if node.level else None, node.module]))
+            dotted = [base] if base != "qfe" else [f"qfe.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in dotted:
+            top, _, rest = name.partition(".")
+            if top == "qfe":
+                yield node.lineno, rest.partition(".")[0] or "qfe"
+
+
+def test_rings_import_only_kernels_and_semigroup_from_qfe():
+    # poly builds on rings, so an import of poly in rings, even one inside
+    # a function, would be a cycle between the two.
+    imports = list(qfe_imports(SRC / "rings.py"))
+    for line, module in imports:
+        assert module in ("kernels", "semigroup"), (
+            f"line {line}: rings.py imports qfe.{module}")
+    assert {module for _, module in imports} == {"kernels", "semigroup"}
