@@ -242,7 +242,7 @@ class CyclotomicField(Ring):
     ``mul`` scales by a rational operand; any other product is one
     ``kernels._convolve`` of the operands cleared to ints, which
     ``_reduce`` folds and divides by their denominator once.  ``inv``
-    inverts a rational over Q, any other element by a Euclid on ints.
+    inverts a rational over Q, any other element by an extended Euclid.
 
     ``fold`` (``_fold_table``, looked up when a field first reduces a power
     of z) is the library's one reduction modulo Phi_d, read on ints by
