@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections.abc import Callable, Mapping
+from contextlib import suppress
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -282,7 +283,8 @@ def _peel_exponents(g: Polynomial, p: int) -> dict[int, tuple] | None:
     integer c, and else e_u = 1, zeta_u = x when x is a root of unity;
     dividing out [p]_{zeta q^u}^c (or multiplying in [p]_{q^u}^(-c)) clears
     it, and the next lowest term sits at a larger u.  Repeat until P is
-    constant.
+    constant.  Over GF(l) every x is an integer, so when that reading fails
+    (below) a twist x != 1 of order dividing p - 1 is tried next.
 
     A wrong guess must stay cheap: give up (None) when g = 0, when x is
     neither an integer k with |k| <= min(deg P, _PEEL_LIMIT) (over GF(l)
@@ -294,34 +296,33 @@ def _peel_exponents(g: Polynomial, p: int) -> dict[int, tuple] | None:
     divides by [p]_q^c, and without the degree window 1 - q^D, which peels
     c = -1 at u = D, pD, p^2 D, ..., reaches degree p^cap D.  With both
     there are at most _PEEL_LIMIT products or quotients of degree at most
-    2 deg P above the valuation.
+    2 deg P above the valuation, each after at most two trials.
     """
     if g.is_zero():
         return None
     ring, P, span = g.ring, g.primitive, g.degree - g.exponent
     cap, top = min(span, _PEEL_LIMIT), 2 * span
     e = {}
-    while len(P) > 1:
+    while len(P) > 1 and len(e) < cap:
         j = next(j for j in range(1, len(P)) if not ring.is_zero(P[j]))
         u, span = j * g.stride, g.degree - g.exponent
         x = ring.mul(P[j], ring.inv(P[0]))
-        c = next((k for k in sorted(range(cap, -cap - 1, -1), key=abs)
-                  if k and ring.normalize(k) == x), None)
-        zeta = ring.one
-        if c is None and root_of_unity_order(ring, x):
-            c, zeta = 1, x
-        if c is None or len(e) == cap:
-            return None
-        if not 0 <= span - c * u * (p - 1) <= top:
-            return None
-        factor = (scaled_quantum_integer(p, zeta, ring) ** abs(c)).dilate(u)
-        try:
-            g = g.exact_div(factor) if c > 0 else g * factor
-        except InexactDivision:
+        k = next((i for i in sorted(range(cap, -cap - 1, -1), key=abs)
+                  if i and ring.normalize(i) == x), None)
+        for c, zeta in [(k, ring.one)] * (k is not None) + [(1, x)] * (x != ring.one):
+            order = 1 if zeta == ring.one else root_of_unity_order(ring, x)
+            if not order or k is not None and (p - 1) % order:
+                return None
+            if 0 <= span - c * u * (p - 1) <= top:
+                factor = (scaled_quantum_integer(p, zeta, ring) ** abs(c)).dilate(u)
+                with suppress(InexactDivision):
+                    g = g.exact_div(factor) if c > 0 else g * factor
+                    break
+        else:
             return None
         P = g.primitive
         e[u] = c, zeta
-    return e
+    return None if len(P) > 1 else e
 
 
 def additive_law_holds(value: Callable[[int], Polynomial], bound: int) -> bool:

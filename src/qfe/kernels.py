@@ -45,7 +45,10 @@ proves it inexact.
 Exact quotients.  ``_int_quotient`` divides by a primitive int vector in
 one packed bigint quotient when the long division takes more than
 PACK_MIN_OPS steps and the width proves it (the proof is
-``_packed_quotient``'s), else by ``_int_divmod``.
+``_packed_quotient``'s), else by ``_int_divmod``, pseudo-division (Knuth,
+TAOCP 2, 4.6.1).  Its coefficients may be rows of w slots, as ``poly``
+lays Q(zeta_d) out: g's last row is one int, so each step clears one slot
+of the leading row, and g's other rows, reduced, land in the rows below.
 """
 
 from __future__ import annotations
@@ -90,18 +93,23 @@ def _inflate(v: Sequence, k: int, w: int = 1, zero=0) -> Sequence:
     return out
 
 
-def _int_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int], list[int]]:
+def _int_divmod(f: Sequence[int], g: Sequence[int], w: int = 1,
+                fold=None) -> tuple[int, list[int], list[int]]:
     """(D, q, r) with D f = q g + r and D > 0 for int vectors, r shorter
     than g, for g with a nonzero last entry.
 
     Before each step the long division scales what is left of f, and q so
     far, by the least positive factor that makes the leading term divisible
-    by g's, so a monic g never scales and every step stays in ints.
+    by g's, so a monic g never scales and every step stays in ints.  In
+    rows of w slots f has whole rows, g's last row stops after its first
+    slot, and fold(row) reduces each row of f as it comes to lead.
     """
     lead, dd = g[-1], len(g) - 1
     g_pairs = [(j, y) for j, y in enumerate(g) if y]
     rem, quo, den = list(f), [0] * (len(f) - dd), 1
     for i in range(len(quo) - 1, -1, -1):
+        if fold and not (i + 1) % w:  # slot i + dd tops a row: fold the row
+            rem[i + dd + 1 - w:i + dd + 1] = fold(rem[i + dd + 1 - w:i + dd + 1])
         t = rem[i + dd]
         if t:
             s = abs(lead) // gcd(t, lead)
@@ -109,8 +117,7 @@ def _int_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int], lis
                 rem = [x * s for x in rem]
                 quo = [x * s for x in quo]
                 den *= s
-            c = rem[i + dd] // lead
-            quo[i] = c
+            quo[i] = c = rem[i + dd] // lead
             for j, y in g_pairs:
                 rem[i + j] -= c * y
     del rem[dd:]

@@ -18,13 +18,14 @@ reciprocal change c or its sign, s and u, and keep or rearrange P.  Over
 GF(p) and Q(zeta_d) c is ring.one.  ``coeffs`` is s zeros, then the c P_i
 u - 1 zeros apart, normalized as the ring normalizes scalars.  Zeros are
 written out only in ``coeffs``, ``coefficient``, ``evaluate`` (Horner at
-x^u), ``compose``, ``divmod`` and the int vectors that ``kernels`` takes.
-Polynomials are immutable values and every operation is pure.
+x^u), ``_written`` (the slots of ``compose`` and ``divmod``) and the int
+vectors that ``kernels`` takes.  Polynomials are immutable values and
+every operation is pure.
 
-Every sum, product and composition runs on int slots, in all three
-rings, through one codec: ``_slots`` writes a polynomial as one int vector
-over one denominator, a slotwise sum or a convolution combines the
-vectors, and ``_decode`` reduces the result slots, drops the top and low
+Every sum, product, composition and long division runs on int slots, in
+all three rings, through one codec: ``_slots`` writes a polynomial as one
+int vector over one denominator, a slotwise sum or a convolution combines
+the vectors, and ``_decode`` reduces the result slots, drops the top and low
 coefficients that cancel, deflates, and maps the rest back over the
 denominators:
 
@@ -87,7 +88,8 @@ divides every f_j (1, z, ..., z^(phi - 1) is a basis over Q).
   vector (over Q, and with rational coefficients over Q(zeta_d)), divides
   by g' in ints with ``kernels._int_quotient``: one packed bigint quotient
   or a long division.
-* Any other g takes ``divmod``, the long division over ring scalars.
+* Any other g (over GF(p), or with a coefficient outside Q) takes
+  ``divmod``: one ``kernels._int_divmod`` on the written-out slots.
 
 Composition f(psi) = sum c_i psi^i = sum (c_2i + c_2i+1 psi) (psi^2)^i
 runs level by level on int slots.  f and psi are encoded once, written out
@@ -287,11 +289,8 @@ class Polynomial:
         r = ring.width  # slots per coefficient
         # The top coefficient of f(psi), c_(n-1) lead(psi)^(n-1), is nonzero.
         top = r * ((n - 1) * d + 1)
-        # In full, in whole rows (_slots stops the last after phi coordinates):
-        # the n terms of w = 1 coefficient each, and psi_i = s / den_psi.
-        (den, v), (den_psi, s) = _slots(ring, self), _slots(ring, psi)
-        v = [0] * (r * self.exponent) + kernels._inflate(list(v), self.stride, r) + [0] * (r // 2)
-        s = [0] * (r * psi.exponent) + kernels._inflate(list(s), psi.stride, r) + [0] * (r // 2)
+        # In whole rows: the n terms of w = 1 coefficient each, psi_i = s / den_psi.
+        (den, v), (den_psi, s) = _written(ring, self), _written(ring, psi)
         w = 1
         while n > 1:
             half, b, B = n // 2, r * w, r * (w + d)
@@ -328,36 +327,23 @@ class Polynomial:
     def divmod(self, g: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """(quo, rem) with f = quo * g + rem and rem zero or of lower degree than g.
 
-        The one general long division, on f and g written out in full;
-        every nonzero scalar is a unit here.  Over Q it divides the padded
-        primitive parts in ints (``kernels._int_divmod``): D P_f = Q P_g + R gives
-        f = (c_f / (c_g D)) Q g + (c_f / D) R.
+        The one long division: ``kernels._int_divmod`` on the slots F = d_f f
+        and G = d_g a g (a = 1 / lead(g): G ends in the int d_g) written out
+        in full, each leading row reduced by ``_reduce``.  D F = Q G + R
+        gives quo = Q d_g a / (D d_f) and rem = R / (D d_f).
         """
         self._check_ring(g)
         if not g.primitive:
             raise ValueError("division by the zero polynomial")
-        ring, dd = self.ring, g.degree
-        if not self.primitive or self.degree < dd:
+        ring, k = self.ring, g.degree
+        if not self.primitive or self.degree < k:
             return zero(ring), self
-        if isinstance(ring, RationalField):
-            x, y = ([0] * h.exponent + list(kernels._inflate(h.primitive, h.stride))
-                    for h in (self, g))
-            den, quo, rem = kernels._int_divmod(x, y)
-            c = Fraction(self.content)
-            return _decode(ring, quo, den).scale(c / g.content), _decode(ring, rem, den).scale(c)
-        rem = list(self.coeffs)
-        divisor = g.coeffs
-        sub, mul, is_zero = ring.sub, ring.mul, ring.is_zero
-        lead_inv = ring.inv(divisor[-1])
-        g_pairs = [(j, y) for j, y in enumerate(divisor) if not is_zero(y)]
-        quo = [ring.zero] * (len(rem) - dd)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            c = mul(rem[i + dd], lead_inv)
-            if not is_zero(c):
-                quo[i] = c
-                for j, y in g_pairs:
-                    rem[i + j] = sub(rem[i + j], mul(c, y))
-        return Polynomial._raw(ring, quo), Polynomial(ring, rem[:dd])
+        a, w = ring.inv(g.coefficient(k)), ring.width
+        (df, x), (dg, y) = _written(ring, self), _written(ring, g.scale(a))
+        fold = None if isinstance(ring, RationalField) else lambda v: _reduce(ring, v)
+        den, quo, rem = kernels._int_divmod(x, y[:w * k + 1], w, fold)  # g's last row: d_g
+        quo = _decode(ring, quo if dg == 1 else [c * dg for c in quo], den * df)
+        return quo.scale(a), _decode(ring, rem, den * df)
 
     def exact_div(self, g: "Polynomial") -> "Polynomial":
         """The quotient f / g when g divides f exactly; InexactDivision otherwise.
@@ -541,6 +527,12 @@ def _slots(ring: Ring, f: Polynomial) -> tuple[int, Sequence[int]]:
     for j, column in enumerate(zip(*P)):
         flat[j::w] = column
     return kernels._clear(flat)
+
+
+def _written(ring: Ring, f: Polynomial) -> tuple[int, list[int]]:
+    """(D, v) with f = v / D on slots written out in full, in whole rows."""
+    (den, v), w = _slots(ring, f), ring.width
+    return den, [*repeat(0, w * f.exponent), *kernels._inflate(v, f.stride, w), *repeat(0, w // 2)]
 
 
 def _decode(ring: Ring, v: list[int], den: int, s: int = 0, u: int = 1) -> Polynomial:

@@ -14,7 +14,8 @@ divides by a divisor c q^s [n]_{q^u} through 1 - q^(un) in two slice passes,
 and by any other with an integer form (over Q, and rational over
 Q(zeta_d)) by one bigint quotient or a long division in ints, where over
 Q(zeta_d) both divide each coordinate polynomial by the divisor's
-primitive int part; any other divisor goes to ``divmod``; ``compose``
+primitive int part; any other divisor goes to ``divmod``, which divides
+on int slots in every ring (``kernels._int_divmod``); ``compose``
 makes one convolution of int slots per level; ``pretty`` displays each
 distinct entry of the primitive part once, takes its q^i texts from a
 table shared by the process, and makes the text with one join of a list
@@ -22,8 +23,7 @@ that alternates each term's sign and prefix with its q^i text.  The loops
 below are the coefficient-by-coefficient sum, the schoolbook product over ring
 scalars, the long division, the Horner composition and the
 coefficient-by-coefficient printer as they stood before; production
-keeps only the long division, as ``divmod``, and here all five are
-frozen as oracles.  Over Q every route to a value must
+keeps none of them, and here all five are frozen as oracles.  Over Q every route to a value must
 reach the same canonical triple.  Inputs cover solution values and
 perturbed non-solutions, negative coefficients and coordinates, values
 above 2^64, mixed denominators, sparse and dilated operands, and divisors
@@ -327,9 +327,9 @@ def int_divmod_calls(monkeypatch):
     calls = []
     original = kernels._int_divmod
 
-    def counting(f, g):
+    def counting(f, g, *rows):
         calls.append(tuple(g))
-        return original(f, g)
+        return original(f, g, *rows)
     monkeypatch.setattr(kernels, "_int_divmod", counting)
     return calls
 
@@ -771,8 +771,8 @@ GEOMETRIC, PACKED, LONG, DIVMOD = "_geometric_div", "_packed_quotient", "_int_di
 def routes(monkeypatch):
     """The division kernels that ran: ``_geometric_div``, the packed
     quotient, the long division in ints and ``Polynomial.divmod``.  What
-    runs inside ``divmod`` (the ring inverse of its leading coefficient) is
-    not recorded."""
+    runs inside ``divmod`` (the ring inverse of its leading coefficient, and
+    its own long division in ints) is not recorded."""
     ran, depth = [], [0]
 
     def wrap(name, original):
@@ -849,6 +849,93 @@ def test_non_rational_divisor_goes_through_divmod(divmod_calls):
     assert f.exact_div(zn) == h
     # The long division inverts the leading coefficient by a Euclid over Q.
     assert [g for _, g in divmod_calls if g.ring == k12] == [zn]
+
+
+# -- one long division in every ring ------------------------------------------------
+
+DIVMOD_RINGS = [QQ, PrimeField(2), PrimeField(7)] + [
+    CyclotomicField(d) for d in (3, 4, 5, 12, 105)]
+
+
+@st.composite
+def divmod_cases(draw):
+    """(f, g) in one ring of DIVMOD_RINGS: g with a lead of 1, a rational
+    other than 1 (1 is GF(2)'s only one), or, over Q(zeta_d), one outside
+    Q, at a stride and a valuation; f = g h, h at its own stride and
+    valuation, exact or perturbed.  At d = 105 (phi = 48) operands stay
+    short."""
+    ring = draw(st.sampled_from(DIVMOD_RINGS))
+    size = 3 if ring.width > 50 else 7
+    scalar = scalars.map(QQ.normalize) if ring == QQ else field_scalars(ring)
+    entry = st.one_of(st.just(ring.zero), scalar)
+    kind = draw(st.sampled_from(["one", "rational", "outside"]))
+    if isinstance(ring, PrimeField):
+        lead = draw(st.integers(2, ring.p - 1)) if kind != "one" and ring.p > 2 else 1
+    elif kind == "one":
+        lead = ring.one
+    elif kind == "rational" or ring == QQ:
+        lead = ring.normalize(draw(nonzero_scalars.filter(lambda c: c != 1)))
+    else:
+        lead = ring.normalize([draw(scalars), draw(nonzero_scalars)])
+    g = Polynomial(ring, draw(st.lists(entry, max_size=size)) + [lead])
+    g = g.dilate(draw(st.integers(1, 3))).shift(draw(st.integers(0, 3)))
+    h = Polynomial(ring, draw(st.lists(entry, max_size=size)))
+    h = h.dilate(draw(st.integers(1, 3))).shift(draw(st.integers(0, 3)))
+    f = schoolbook_mul(g, h)
+    if draw(st.booleans()):
+        f = f + Polynomial(ring, draw(st.lists(entry, max_size=2 * size)))
+    return f, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=divmod_cases())
+def test_divmod_and_exact_div_match_the_ring_scalar_long_division(case):
+    f, g = case
+    for got, want in zip(f.divmod(g), long_divmod(f, g)):
+        assert_same(got, want)
+    try:
+        want = reference_exact_div(f, g)
+    except InexactDivision as exc:
+        with pytest.raises(InexactDivision) as got:
+            f.exact_div(g)
+        assert str(got.value) == str(exc)
+    else:
+        assert_same(f.exact_div(g), want)
+
+
+def test_field_divisors_make_one_long_division_on_int_slots(monkeypatch):
+    """A GF(7) divisor that is not geometric, and a Q(zeta_12) divisor with
+    a coefficient outside Q, divide with no ring-scalar subtraction: one
+    ``kernels._int_divmod`` each, a division or an exact quotient, at w = 1
+    and at w = 2 phi - 1 = 7.  The Q(zeta_12) lead is 1, so its inverse
+    runs no Euclid."""
+    gf7, k12 = PrimeField(7), CyclotomicField(12)
+    cases = [(Polynomial(gf7, [3, 1, 0, 5, 1]).shift(2), Polynomial(gf7, [6, 0, 2, 1, 4]), 1),
+             (Polynomial(k12, [2, k12.zeta, Fraction(1, 3), 1]).dilate(2).shift(1),
+              scaled_quantum_integer(9, k12.zeta, k12).dilate(3), 7)]
+    wants = []
+    for g, h, _ in cases:
+        f = schoolbook_mul(g, h)
+        perturbed = f + monomial(g.ring, 4, g.ring.normalize(3))
+        wants.append((f, perturbed, long_divmod(perturbed, g)))
+
+    def refuse(self, a, b):
+        raise AssertionError("a ring-scalar subtraction")
+    for ring in (PrimeField, CyclotomicField):
+        monkeypatch.setattr(ring, "sub", refuse)
+    widths, original = [], kernels._int_divmod
+
+    def counting(f, g, w=1, fold=None):
+        widths.append(w)
+        return original(f, g, w, fold)
+    monkeypatch.setattr(kernels, "_int_divmod", counting)
+    for (g, h, w), (f, perturbed, (quo, rem)) in zip(cases, wants):
+        widths.clear()
+        assert f.exact_div(g) == h
+        assert widths == [w]
+        widths.clear()
+        assert perturbed.divmod(g) == (quo, rem) and not rem.is_zero()
+        assert widths == [w]
 
 
 # -- divisors c [n]_{q^u} -----------------------------------------------------------

@@ -8,9 +8,9 @@ for src/qfe/poly.py at 8185 and at 8192 tokens, 3.17 MiB at 8194).  With
 ``PYTHONDONTWRITEBYTECODE=1`` every process compiles qfe from source, so
 every process pays it in peak RSS.  The parser's tokens are those of
 ``tokenize`` less comments, NL and the encoding marker.  Since the kernels
-on int vectors moved to src/qfe/kernels.py, and Phi_d and the Q(zeta_d)
-inverse moved onto them, poly.py has 6077 tokens, rings.py 3233 and
-kernels.py 2249.
+on int vectors moved to src/qfe/kernels.py, and Phi_d, the Q(zeta_d)
+inverse and the long division in every ring moved onto them, poly.py has
+5925 tokens, rings.py 3233 and kernels.py 2309.
 
 kernels.py imports only the standard library, so no kernel reaches a ring
 or a polynomial: those stay in poly.py.  rings.py imports only kernels and

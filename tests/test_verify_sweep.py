@@ -648,33 +648,52 @@ def test_regular_solution_expands_no_identity(monkeypatch):
     assert calls[0] == 0
 
 
+def frobenius_quotient_sequence(ring, H, primes):
+    """f_n = H(q^n) / H(q) on S(primes), from its seeds at the primes.
+
+    It telescopes, H(q^mn) / H(q) = H(q^m) / H(q) * H(q^mn) / H(q^m), so
+    it solves the law wherever every H(q) | H(q^p).  For H an irreducible
+    factor over GF(l) of Phi_N, N prime to l, whose roots are a, a^l,
+    a^(l^2), ..., that holds exactly when p is a power of l mod N."""
+    return from_seeds(primes, {p: H.dilate(p).exact_div(H) for p in primes})
+
+
 def test_sweep_work_is_the_law_row_pairs_plus_large_prime_pairs(monkeypatch):
     """Where every member but 1 is exceptional, verify_fe expands the law at
     every member pair (m, n) with mn <= B in rows m = 1 and m prime but
     (1, 1), and the commutation identity only at prime pairs with
-    p1 p2 > B.  That is 9 identities on GF(7) S({13, 19}) at B = 250, 16
-    on GF(5) S({5, 13, 17}) and 15 on GF(5) S({5, 13, 29}) at B = 100,
-    where the law sweep's composite rows would add two, three and two.
-    On S({5, 13, 29}) the commutation sweep leaves out (25, 29), a
-    composite exceptional row's pair with a prime past B.
+    p1 p2 > B.  That is 17 identities on GF(7) S({7, 11, 83}) at B = 250,
+    28 on GF(5) S({3, 5, 23}) and 27 on GF(5) S({3, 5, 47}) at B = 100,
+    where the law sweep's composite rows would add 3, 15 and 14.  On
+    S({3, 5, 47}) the commutation sweep leaves out (9, 47), a composite
+    exceptional row's pair with a prime past B.
 
-    [n]_{2q} is a solution over GF(7) on S({13, 19}) and over GF(5) on
-    S({5, 13, 17}) and S({5, 13, 29}), as 2 has order 3 and 4 there.  No
-    prime's value peels: its term 2q reads as the integer exponent 2, and
-    [p]_q^2 has twice the degree of f_p.  No member's value but f_1 is a
+    The sequences are H(q^n) / H(q) (``frobenius_quotient_sequence``) for
+    H = 6 + 5q^2 + q^3, a cubic factor of Phi_19 over GF(7) (7 has order 3
+    mod 19, and 7, 11 and 83 are 1, 7 or 11 mod 19), and for
+    H = 4 + q + q^2 + 4q^3 + 2q^4 + q^5, a quintic factor of Phi_11 over
+    GF(5) (5 has order 5 mod 11, and 3, 5, 23 and 47 are powers of 5 mod
+    11).  H is not all of Phi_N, so no value is a product of quantum
+    integers, and no prime's value peels.  No member's value but f_1 is a
     monomial.  Law pairs with a non-member have two regular zeros.  Each
     bound leaves prime pairs with p1 p2 <= B, and law pairs in composite
     rows, whose expansion the count would show.  Values are built before
     counting."""
-    cases = [(zeta_scaled_sequence([13, 19], 2, PrimeField(7)), 250, 9),
-             (zeta_scaled_sequence([5, 13, 17], 2, PrimeField(5)), 100, 16),
-             (zeta_scaled_sequence([5, 13, 29], 2, PrimeField(5)), 100, 15)]
+    GF5 = PrimeField(5)
+    H7, H5 = Polynomial(GF7, [6, 0, 5, 1]), Polynomial(GF5, [4, 1, 1, 4, 2, 1])
+    assert Polynomial(GF7, poly.cyclotomic_polynomial(19).coeffs).divmod(H7)[1].is_zero()
+    assert Polynomial(GF5, poly.cyclotomic_polynomial(11).coeffs).divmod(H5)[1].is_zero()
+    cases = [(frobenius_quotient_sequence(GF7, H7, [7, 11, 83]), 250, 17),
+             (frobenius_quotient_sequence(GF5, H5, [3, 5, 23]), 100, 28),
+             (frobenius_quotient_sequence(GF5, H5, [3, 5, 47]), 100, 27)]
     for F, B, expected in cases:
         for n in range(1, B + 1):
             F.eval(n)
         members = support_members(F.support, B)
         profile, _ = _profile(F, members, B)
         assert [n for n in members if n in profile] == [1]
+        assert all(analyze._peel_exponents(F.eval(p), p) is None
+                   for p in members if is_prime(p))
         calls = count_otimes(monkeypatch)
         assert verify_fe(F, B).ok
         rows = [m for m in members if m == 1 or is_prime(m)]
@@ -686,6 +705,26 @@ def test_sweep_work_is_the_law_row_pairs_plus_large_prime_pairs(monkeypatch):
         large_prime_pairs = sum(1 for p1, p2 in prime_pairs if p1 * p2 > B)
         assert large_prime_pairs < len(prime_pairs)
         assert calls[0] == law_pairs - 1 + 2 * large_prime_pairs == expected
+
+
+def test_twist_by_a_small_residue_peels(monkeypatch):
+    """[n]_{2q} over GF(7) on S({13, 19}) at B = 250: the term 2q of f_13
+    first reads as the integer exponent 2, and [13]_q^2 has twice the
+    degree of f_13.  2 has order 3, which divides 12, so the peel then
+    tries the twist zeta = 2, and every member is regular.  Without that
+    second reading no value but f_1 is regular and verify_fe expands 9
+    identities; with it, none, and the report is the reference's."""
+    F, B = zeta_scaled_sequence([13, 19], 2, GF7), 250
+    for n in range(1, B + 1):
+        F.eval(n)
+    assert analyze._peel_exponents(F.eval(13), 13) == {1: (1, 2)}
+    members = support_members(F.support, B)
+    assert set(members) <= _profile(F, members, B)[0].keys()
+    calls = count_otimes(monkeypatch)
+    report = verify_fe(F, B)
+    assert calls[0] == 0
+    monkeypatch.undo()
+    assert report.ok and report == reference_verify_fe(F, B)
 
 
 def random_seed_sequence(ring, p, coeffs):
