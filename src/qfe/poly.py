@@ -327,10 +327,10 @@ class Polynomial:
     def divmod(self, g: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """(quo, rem) with f = quo * g + rem and rem zero or of lower degree than g.
 
-        The one long division: ``kernels._int_divmod`` on the slots F = d_f f
-        and G = d_g a g (a = 1 / lead(g): G ends in the int d_g) written out
-        in full, each leading row reduced by ``_reduce``.  D F = Q G + R
-        gives quo = Q d_g a / (D d_f) and rem = R / (D d_f).
+        The one long division, ``kernels._int_divmod`` on F = d_f f / c (c the
+        content) and G = d_g a g (a = 1 / lead(g): G ends in the int d_g), as
+        slots written out in full, each leading row reduced by ``_reduce``:
+        D F = Q G + R gives quo = c a d_g Q / (D d_f), rem = c R / (D d_f).
         """
         self._check_ring(g)
         if not g.primitive:
@@ -338,12 +338,12 @@ class Polynomial:
         ring, k = self.ring, g.degree
         if not self.primitive or self.degree < k:
             return zero(ring), self
-        a, w = ring.inv(g.coefficient(k)), ring.width
-        (df, x), (dg, y) = _written(ring, self), _written(ring, g.scale(a))
+        a, c, w = ring.inv(g.coefficient(k)), self.content, ring.width
+        (df, x), (dg, y) = _written(ring, self.scale(ring.inv(c))), _written(ring, g.scale(a))
         fold = None if isinstance(ring, RationalField) else lambda v: _reduce(ring, v)
         den, quo, rem = kernels._int_divmod(x, y[:w * k + 1], w, fold)  # g's last row: d_g
-        quo = _decode(ring, quo if dg == 1 else [c * dg for c in quo], den * df)
-        return quo.scale(a), _decode(ring, rem, den * df)
+        quo = _decode(ring, quo, den * df).scale(ring.mul(ring.mul(a, c), ring.normalize(dg)))
+        return quo, _decode(ring, rem, den * df).scale(c)
 
     def exact_div(self, g: "Polynomial") -> "Polynomial":
         """The quotient f / g when g divides f exactly; InexactDivision otherwise.

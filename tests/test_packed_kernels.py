@@ -23,11 +23,11 @@ that alternates each term's sign and prefix with its q^i text.  The loops
 below are the coefficient-by-coefficient sum, the schoolbook product over ring
 scalars, the long division, the Horner composition and the
 coefficient-by-coefficient printer as they stood before; production
-keeps none of them, and here all five are frozen as oracles.  Over Q every route to a value must
-reach the same canonical triple.  Inputs cover solution values and
-perturbed non-solutions, negative coefficients and coordinates, values
-above 2^64, mixed denominators, sparse and dilated operands, and divisors
-that are not monic.
+keeps none of them, and here all five are frozen as oracles.  Over Q
+every route to a value must reach the same canonical triple.  Inputs
+cover solution values and perturbed non-solutions, negative coefficients
+and coordinates, values above 2^64, mixed denominators, sparse and
+dilated operands, and divisors that are not monic.
 """
 
 from __future__ import annotations
